@@ -7,9 +7,9 @@ Two different period sets matter for a transformed commodity:
   ties up some resource no matter which variant delivers it; per-period
   column sums of those intersections give the profile `phi`, its minimum
   `gamma` and maximum `theta`.
-* `beta` is the half-open interval [release, due): the periods in which the
-  commodity can be in transit on an arc.  The transit-restriction rows of
-  the MILP are generated from its complement.
+* `beta_support` is the half-open interval [release, due): the periods in
+  which the commodity can be in transit on an arc.  The transit-restriction
+  rows of the MILP are generated from its complement.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ def beta_support(tc: TransformedCommodity, period_count: int) -> frozenset[int]:
     return frozenset(
         (tc.release_period - 1 + k) % period_count + 1 for k in range(span)
     )
-
-
-def beta(tc: TransformedCommodity, t: int, period_count: int) -> int:
-    return 1 if t in beta_support(tc, period_count) else 0
 
 
 def occupancy_intersection(

@@ -37,53 +37,54 @@ def _file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out_path: str | Path | None,
-    command: str,
-    args: argparse.Namespace,
-    instance_hash: str,
-    wall_clock: dict[str, float],
-    manifest_path: str | None,
-) -> None:
-    target = manifest_path or (f"{out_path}.manifest.json" if out_path else None)
+def _versions() -> dict[str, str]:
+    return {"cssnd": __version__, "python": platform.python_version()}
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run one subcommand, timed, and write its manifest.
+
+    Every `cmd_*` takes (args, elapsed), where elapsed() reads the seconds
+    since the command started, and returns (exit code, primary output path
+    or None, instance hash, wall-clock entries besides the total).  The
+    manifest goes to --manifest, else next to the primary output, else
+    nowhere.
+    """
+    started = time.perf_counter()
+
+    def elapsed() -> float:
+        return time.perf_counter() - started
+
+    code, out_path, instance_hash, wall_clock = args.func(args, elapsed)
+    target = args.manifest or (
+        f"{out_path}.manifest.json" if out_path else None
+    )
     if target is None:
-        return
+        return code
     flags = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "manifest") and v is not None
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "instance_hash": instance_hash,
         "seed": getattr(args, "seed", None),
         "flags": flags,
-        "versions": {
-            "cssnd": __version__,
-            "python": platform.python_version(),
-        },
-        "wall_clock": wall_clock,
+        "versions": _versions(),
+        "wall_clock": {**wall_clock, "total": elapsed()},
     }
     Path(target).write_text(json.dumps(manifest, indent=2) + "\n")
+    return code
 
 
-def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gen(args, elapsed):
     instance = generate_instance(args.size, args.k, args.seed)
     save_instance(instance, args.out)
-    _write_manifest(
-        args.out,
-        "gen",
-        args,
-        instance_digest(instance),
-        {"total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0
+    return 0, args.out, instance_digest(instance), {}
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
+def cmd_analyze(args, elapsed):
     instance = load_instance(args.input)
     summary = compute_requirements(instance, in_transit=args.in_transit)
     lines = ["kind,period,value"]
@@ -92,15 +93,7 @@ def cmd_analyze(args) -> int:
     lines.append(f"gamma,,{summary.gamma}")
     lines.append(f"theta,,{summary.theta}")
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        args.out,
-        "analyze",
-        args,
-        _file_digest(args.input),
-        {"total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0
+    return 0, args.out, _file_digest(args.input), {}
 
 
 def _parse_vi(raw: str | None) -> tuple[bool, bool]:
@@ -113,25 +106,28 @@ def _parse_vi(raw: str | None) -> tuple[bool, bool]:
     return "gamma" in names, "phi" in names
 
 
-def cmd_export(args) -> int:
-    t0 = time.perf_counter()
+def _load_model(args, options: ModelOptions):
+    """Load --in and build its exact model under `options`, with the
+    requirement analysis when the options need one."""
     instance = load_instance(args.input)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    analysis = compute_requirements(instance) if options.needs_analysis else None
+    model = build_mip(instance, tsn, tcs, analysis=analysis, options=options)
+    return instance, tsn, tcs, model
+
+
+def cmd_export(args, elapsed):
     vi_gamma, vi_phi = _parse_vi(args.vi)
-    near_opt = frozenset({args.nearopt} if args.nearopt else ())
     options = ModelOptions(
         add_vi_gamma=vi_gamma,
         add_vi_phi=vi_phi,
-        near_opt=near_opt,
+        near_opt=frozenset({args.nearopt} if args.nearopt else ()),
         strong_forcing=args.strong_forcing,
         shift_restriction=args.lam,
         literal_shift_rule=args.literal_shift,
     )
-    tsn = build_time_space_network(instance.physical, instance.period_count)
-    tcs, _ = expand_commodities(instance)
-    analysis = None
-    if vi_gamma or vi_phi or near_opt:
-        analysis = compute_requirements(instance)
-    model = build_mip(instance, tsn, tcs, analysis=analysis, options=options)
+    _, _, _, model = _load_model(args, options)
     if args.format == "lp":
         Path(args.out).write_text(export_lp(model))
     else:
@@ -140,15 +136,7 @@ def cmd_export(args) -> int:
         Path(f"{args.out}.names.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         )
-    _write_manifest(
-        args.out,
-        "export",
-        args,
-        _file_digest(args.input),
-        {"total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0
+    return 0, args.out, _file_digest(args.input), {}
 
 
 def _schedule_document(solution, report, digest: str) -> dict:
@@ -250,8 +238,7 @@ def _report_row(instance, name, report) -> str:
     )
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args, elapsed):
     instance = load_instance(args.input)
     digest = _file_digest(args.input)
     solution, report = run_dmam(instance, args.config)
@@ -270,23 +257,11 @@ def cmd_solve(args) -> int:
     timings = summary.pop("timings")
     summary.pop("cycle_counts")
     print(json.dumps(summary))
-    _write_manifest(
-        args.out or args.report,
-        "solve",
-        args,
-        digest,
-        {**timings, "total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0
+    return 0, args.out or args.report, digest, timings
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
-    instance = load_instance(args.input)
-    tsn = build_time_space_network(instance.physical, instance.period_count)
-    tcs, _ = expand_commodities(instance)
-    model = build_mip(instance, tsn, tcs)
+def cmd_check(args, elapsed):
+    instance, tsn, tcs, model = _load_model(args, ModelOptions())
     assignment = read_solution(Path(args.sol).read_text())
     result = check_solution(instance, tsn, tcs, model, assignment)
     verdict = {
@@ -298,25 +273,15 @@ def cmd_check(args) -> int:
         "instance_hash": _file_digest(args.input),
         "manifest": {
             "command": "check",
-            "versions": {"cssnd": __version__,
-                         "python": platform.python_version()},
-            "wall_clock": {"total": time.perf_counter() - t0},
+            "versions": _versions(),
+            "wall_clock": {"total": elapsed()},
         },
     }
     print(json.dumps(verdict, indent=2))
-    _write_manifest(
-        None,
-        "check",
-        args,
-        verdict["instance_hash"],
-        {"total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0 if result.feasible else 1
+    return 0 if result.feasible else 1, None, verdict["instance_hash"], {}
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
+def cmd_bench(args, elapsed):
     sizes = [s.strip() for s in args.sizes.split(",") if s.strip()]
     header = [
         "instance",
@@ -363,15 +328,7 @@ def cmd_bench(args) -> int:
                 )
             )
     Path(args.out).write_text("\n".join(rows) + "\n")
-    _write_manifest(
-        args.out,
-        "bench",
-        args,
-        "",
-        {"total": time.perf_counter() - t0},
-        args.manifest,
-    )
-    return 0
+    return 0, args.out, "", {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,14 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CssndError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _run(args)
+    except (CssndError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -183,9 +183,6 @@ class TimeSpaceNetwork:
     def outsourced_arc(self, i: int, j: int, depart: int) -> Arc | None:
         return self._outsourced_index.get((i, j, depart))
 
-    def arcs_spanning(self, t: int) -> list[Arc]:
-        return [a for a in self.arcs if a.spans(t, self.period_count)]
-
 
 def build_time_space_network(
     physical: PhysicalNetwork,
@@ -346,6 +343,8 @@ class Instance:
     seed: int = 0
 
     def validate(self) -> None:
+        if type(self.period_count) is not int:
+            raise CssndError(f"period count {self.period_count!r} is not an integer")
         if self.owned_assets < 1:
             raise CssndError("at least one owned asset is required")
         if self.leasable_assets < 0:
@@ -353,8 +352,17 @@ class Instance:
         problems = validate_distances(self.physical, self.period_count)
         if problems:
             raise CssndError("invalid distances: " + "; ".join(problems[:3]))
-        seen_pairs = set()
+        node_count = self.physical.node_count
+        seen_ids = set()
         for oc in self.commodities:
+            if oc.id in seen_ids:
+                raise CssndError(f"duplicate commodity id {oc.id}")
+            seen_ids.add(oc.id)
+            for node in (oc.origin_physical, oc.dest_physical):
+                if not 1 <= node <= node_count:
+                    raise CssndError(
+                        f"commodity {oc.id} terminal {node} outside 1..{node_count}"
+                    )
             if oc.origin_physical == oc.dest_physical:
                 raise CssndError(f"commodity {oc.id} has origin == destination")
             for p in (oc.release_period, oc.due_period):
@@ -362,7 +370,6 @@ class Instance:
                     raise CssndError(f"commodity {oc.id} period {p} out of range")
             if oc.volume <= 0:
                 raise CssndError(f"commodity {oc.id} has non-positive volume")
-            seen_pairs.add((oc.origin_physical, oc.dest_physical))
 
 
 def expand_commodities(

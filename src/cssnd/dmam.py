@@ -167,27 +167,25 @@ def _slack_values(merge_type: str, times, d_forth: int, d_back: int) -> list[int
     ]
 
 
+def _merge_geometry(leg1: LegView, leg2: LegView, instance: Instance):
+    """(merge_type, times, d_forth, d_back): the arguments that
+    `_time_conditions` and `_slack_values` judge a pair by."""
+    d = instance.physical.d
+    return (
+        _spatial_type(leg1, leg2),
+        adjust_times(leg1, leg2, instance.period_count),
+        0 if leg1.phys_to == leg2.phys_from else d(leg1.phys_to, leg2.phys_from),
+        0 if leg2.phys_to == leg1.phys_from else d(leg2.phys_to, leg1.phys_from),
+    )
+
+
 def check_regular_merge(
     leg1: LegView, leg2: LegView, instance: Instance
 ) -> str | None:
     """Return the (spatially determined) merge type if the chains fit one
     cycle without shifting, else None."""
-    period_count = instance.period_count
-    times = adjust_times(leg1, leg2, period_count)
-    merge_type = _spatial_type(leg1, leg2)
-    d_forth = (
-        0
-        if leg1.phys_to == leg2.phys_from
-        else instance.physical.d(leg1.phys_to, leg2.phys_from)
-    )
-    d_back = (
-        0
-        if leg2.phys_to == leg1.phys_from
-        else instance.physical.d(leg2.phys_to, leg1.phys_from)
-    )
-    if _time_conditions(merge_type, times, d_forth, d_back):
-        return merge_type
-    return None
+    geometry = _merge_geometry(leg1, leg2, instance)
+    return geometry[0] if _time_conditions(*geometry) else None
 
 
 @dataclass(frozen=True)
@@ -268,21 +266,8 @@ def check_shifted_merge(
     """Try the one- and two-period shifting alternatives after a regular
     merge failed.  Returns (merge_type, alternative, new_path1, new_path2)
     for the cheapest feasible alternative, or None."""
-    period_count = instance.period_count
-    times = adjust_times(leg1, leg2, period_count)
-    merge_type = _spatial_type(leg1, leg2)
-    d_forth = (
-        0
-        if leg1.phys_to == leg2.phys_from
-        else instance.physical.d(leg1.phys_to, leg2.phys_from)
-    )
-    d_back = (
-        0
-        if leg2.phys_to == leg1.phys_from
-        else instance.physical.d(leg2.phys_to, leg1.phys_from)
-    )
-    slacks = _slack_values(merge_type, times, d_forth, d_back)
-    s_max = max(slacks)
+    geometry = _merge_geometry(leg1, leg2, instance)
+    s_max = max(_slack_values(*geometry))
     if s_max > 2 or s_max < 1:
         return None
     alternatives = (1, 2, 3, 4) if s_max == 1 else (5, 6)
@@ -293,14 +278,14 @@ def check_shifted_merge(
         new2 = book.sibling(path2, a2) if a2 else path2
         if new1 is None or new2 is None:
             continue
-        if not _time_conditions(merge_type, times, d_forth, d_back, a1, a2):
+        if not _time_conditions(*geometry, a1, a2):
             continue
         cost = new1.cost + new2.cost
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, merge_type, m, new1, new2)
+            best = (cost, geometry[0], m, new1, new2)
     if best is None:
         return None
-    return best[1], best[2], best[3], best[4]
+    return best[1:]
 
 
 @dataclass
@@ -349,9 +334,6 @@ class Solution:
     dominant: set[int] = field(default_factory=set)
     svc_registry: dict[int, int] = field(default_factory=dict)  # arc -> path
     phase_log: list[PhaseStat] = field(default_factory=list)
-
-    def offered_cycle_count(self) -> int:
-        return len(self.cycles)
 
     def owned_used(self) -> int:
         return min(len(self.cycles), self.instance.owned_assets)
@@ -426,14 +408,25 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
     return solution
 
 
-def _single_leg(path: CommodityPath) -> CycleLeg:
+def _cycle_leg(
+    path: CommodityPath, asset_arcs: tuple[int, ...], start: int, end: int
+) -> CycleLeg:
+    """The asset carries `path`'s commodity over `asset_arcs`, occupying the
+    normalized periods [start, end)."""
     return CycleLeg(
         path_id=path.id,
-        asset_arcs=path.arcs,
-        start=path.depart_period,
-        end=path.depart_period + path.busy_periods,
+        asset_arcs=asset_arcs,
+        start=start,
+        end=end,
         phys_from=path.origin_physical,
         phys_to=path.dest_physical,
+    )
+
+
+def _single_leg(path: CommodityPath) -> CycleLeg:
+    return _cycle_leg(
+        path, path.arcs, path.depart_period,
+        path.depart_period + path.busy_periods,
     )
 
 
@@ -480,30 +473,20 @@ def explore_pair(
     instance = solution.instance
     merge_type = check_regular_merge(leg1, leg2, instance)
     if merge_type is not None:
-        return MergeCandidate(
-            path_one=path1.id,
-            path_two=path2.id,
-            merge_type=merge_type,
-            shifted=False,
-            alternative=0,
-            offset_one=0,
-            offset_two=0,
-            new_path_one=path1.id,
-            new_path_two=path2.id,
-            combined_cost=path1.cost + path2.cost,
+        alternative, new1, new2 = 0, path1, path2
+    else:
+        shifted = check_shifted_merge(
+            leg1, leg2, path1, path2, instance, solution.book
         )
-    shifted = check_shifted_merge(
-        leg1, leg2, path1, path2, instance, solution.book
-    )
-    if shifted is None:
-        return None
-    merge_type, alternative, new1, new2 = shifted
-    a1, a2 = ALTERNATIVES[alternative]
+        if shifted is None:
+            return None
+        merge_type, alternative, new1, new2 = shifted
+    a1, a2 = ALTERNATIVES.get(alternative, (0, 0))
     return MergeCandidate(
         path_one=path1.id,
         path_two=path2.id,
         merge_type=merge_type,
-        shifted=True,
+        shifted=alternative != 0,
         alternative=alternative,
         offset_one=a1,
         offset_two=a2,
@@ -513,26 +496,27 @@ def explore_pair(
     )
 
 
-def _rep_distance(instance: Instance, a: int, b: int) -> int:
-    return 0 if a == b else instance.physical.d(a, b)
-
-
 def _plan_repositioning(
-    solution: Solution,
-    leg1: CycleLeg,
-    leg2: CycleLeg,
+    solution: Solution, legs: list[CycleLeg]
 ) -> list[tuple[int, int]] | None:
-    """Choose repositioning arcs for the two gaps, avoiding service arcs
-    already operated by another asset.  Times are normalized; returns
-    (arc_id, normalized depart) pairs or None when no slot is free."""
+    """Choose the empty trips of a cycle that runs `legs` in order: from
+    each leg's destination to the next leg's origin, and from the last leg
+    back to the first one a horizon later.  Each trip takes the earliest
+    service arc no other asset operates, and the registry marks it taken.
+    Times are normalized; returns (arc_id, normalized depart) pairs, or
+    None, taking nothing, when some trip finds no free slot."""
     instance = solution.instance
     tsn = solution.tsn
     period_count = instance.period_count
     plan: list[tuple[int, int]] = []
     taken = set(solution.svc_registry)
-    gaps = (
-        (leg1.phys_to, leg2.phys_from, leg1.end, leg2.start),
-        (leg2.phys_to, leg1.phys_from, leg2.end, leg1.start + period_count),
+    gaps = [
+        (leg.phys_to, nxt.phys_from, leg.end, nxt.start)
+        for leg, nxt in zip(legs, legs[1:])
+    ]
+    gaps.append(
+        (legs[-1].phys_to, legs[0].phys_from, legs[-1].end,
+         legs[0].start + period_count)
     )
     for phys_from, phys_to, earliest, latest in gaps:
         if phys_from == phys_to:
@@ -548,14 +532,16 @@ def _plan_repositioning(
         if slot is None:
             return None
         plan.append(slot)
+    for arc_id, _ in plan:
+        solution.svc_registry[arc_id] = -1   # repositioning marker
     return plan
 
 
 def merge_paths(
     solution: Solution, candidate: MergeCandidate
 ) -> AssetCycle | None:
-    """Build the merged cycle for a feasible candidate; None when every
-    repositioning slot is occupied by another asset.
+    """Build the merged cycle for a feasible candidate and take its
+    repositioning slots; None when every slot is occupied by another asset.
 
     Times come from the original pair's normalization plus the candidate's
     offsets, exactly the axis the conditions were verified on; shifted
@@ -570,32 +556,43 @@ def merge_paths(
     t_o1, t_d1, t_o2, t_d2, _ = adjust_times(
         leg_view(old1), leg_view(old2), period_count
     )
-    leg1 = CycleLeg(
-        path_id=new1.id,
-        asset_arcs=new1.arcs,
-        start=t_o1 + candidate.offset_one,
-        end=t_d1 + candidate.offset_one,
-        phys_from=new1.origin_physical,
-        phys_to=new1.dest_physical,
-    )
-    leg2 = CycleLeg(
-        path_id=new2.id,
-        asset_arcs=new2.arcs,
-        start=t_o2 + candidate.offset_two,
-        end=t_d2 + candidate.offset_two,
-        phys_from=new2.origin_physical,
-        phys_to=new2.dest_physical,
-    )
-    plan = _plan_repositioning(solution, leg1, leg2)
+    a1, a2 = candidate.offset_one, candidate.offset_two
+    leg1 = _cycle_leg(new1, new1.arcs, t_o1 + a1, t_d1 + a1)
+    leg2 = _cycle_leg(new2, new2.arcs, t_o2 + a2, t_d2 + a2)
+    return _close_cycle(solution, [leg1, leg2], "merged cycle failed simulation")
+
+
+def _close_cycle(
+    solution: Solution, legs: list[CycleLeg], failure: str
+) -> AssetCycle | None:
+    """The cycle running `legs` with its empty trips planned, checked by
+    simulation; None when some trip finds no free slot."""
+    plan = _plan_repositioning(solution, legs)
     if plan is None:
         return None
-    cycle = AssetCycle(legs=[leg1, leg2], rep_plan=plan)
+    cycle = AssetCycle(legs=legs, rep_plan=plan)
     problems = simulate_cycle(cycle, solution)
     if problems:
-        raise CssndError(
-            "merged cycle failed simulation: " + "; ".join(problems)
-        )
+        raise CssndError(f"{failure}: " + "; ".join(problems))
     return cycle
+
+
+def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> None:
+    """Deliver old's commodity by the offered path `new` instead: release
+    old's service slot and claim new's.  `_reselect(solution, new, old)`
+    undoes it."""
+    del solution.svc_registry[old.arcs[old.lead_holds]]
+    solution.svc_registry[new.arcs[new.lead_holds]] = new.id
+    solution.selected[new.oc_id] = new
+
+
+def _outsource(solution: Solution, path: CommodityPath) -> None:
+    """Release the service slot of the offered path `path` and deliver its
+    commodity by the cheapest outsourced path."""
+    fallback = solution.book.cheapest_outsourced(path.oc_id)
+    del solution.svc_registry[path.arcs[path.lead_holds]]
+    solution.selected[path.oc_id] = fallback
+    solution.outsourced.add(path.oc_id)
 
 
 def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
@@ -606,32 +603,22 @@ def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
     old2 = book.by_id[candidate.path_two]
     new1 = book.by_id[candidate.new_path_one]
     new2 = book.by_id[candidate.new_path_two]
+    swaps = [(old, new) for old, new in ((old1, new1), (old2, new2))
+             if new.id != old.id]
     # shifted replacements must not steal someone else's service slot
-    incoming = []
-    for old, new in ((old1, new1), (old2, new2)):
-        if new.id != old.id:
-            svc = new.arcs[new.lead_holds]
-            if solution.svc_registry.get(svc, new.id) != new.id:
-                return False
-            incoming.append(svc)
-    if len(set(incoming)) != len(incoming):
+    incoming = [new.arcs[new.lead_holds] for _, new in swaps]
+    if len(set(incoming)) != len(incoming) or any(
+        solution.svc_registry.get(svc, new.id) != new.id
+        for svc, (_, new) in zip(incoming, swaps)
+    ):
         return False
-    for old, new in ((old1, new1), (old2, new2)):
-        if new.id != old.id:
-            del solution.svc_registry[old.arcs[old.lead_holds]]
-            solution.svc_registry[new.arcs[new.lead_holds]] = new.id
-            solution.selected[old.oc_id] = new
+    for old, new in swaps:
+        _reselect(solution, old, new)
     cycle = merge_paths(solution, candidate)
     if cycle is None:
-        # roll back the shift bookkeeping
-        for old, new in ((old1, new1), (old2, new2)):
-            if new.id != old.id:
-                del solution.svc_registry[new.arcs[new.lead_holds]]
-                solution.svc_registry[old.arcs[old.lead_holds]] = old.id
-                solution.selected[old.oc_id] = old
+        for old, new in swaps:
+            _reselect(solution, new, old)
         return False
-    for arc_id, _ in cycle.rep_plan:
-        solution.svc_registry[arc_id] = -1   # repositioning marker
     drop = {candidate.path_one, candidate.path_two}
     solution.cycles = [
         c for c in solution.cycles if not (set(c.carried_paths) & drop)
@@ -746,27 +733,23 @@ def solve_p2(
 
 def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork):
     """Remove one holding arc; return the service-bearing remainder as a
-    LegView plus its asset arcs, or None when the drop splits the leg off."""
+    LegView plus its asset arcs."""
     period_count = tsn.period_count
     if drop_index < path.lead_holds:
         arcs = path.arcs[drop_index + 1 :]
         lead_left = path.lead_holds - drop_index - 1
         start = wrap_period(path.depart_period + drop_index + 1, period_count)
         busy = lead_left + path.leg_duration + path.trail_holds
-        phys_from = path.origin_physical
-        phys_to = path.dest_physical
     else:
         hold_pos = drop_index - path.lead_holds - 1  # position in trail run
         arcs = path.arcs[: path.lead_holds + 1 + hold_pos]
         start = path.depart_period
         busy = path.lead_holds + path.leg_duration + hold_pos
-        phys_from = path.origin_physical
-        phys_to = path.dest_physical
     view = LegView(
         path_id=path.id,
         oc_id=path.oc_id,
-        phys_from=phys_from,
-        phys_to=phys_to,
+        phys_from=path.origin_physical,
+        phys_to=path.dest_physical,
         start=start,
         busy=busy,
     )
@@ -867,47 +850,23 @@ def _execute_mix(
     book = solution.book
     period_count = solution.instance.period_count
     target = book.by_id[target_cycle.legs[0].path_id]
-    if alt.id != current.id:
+    swap = alt.id != current.id
+    if swap:
         svc = alt.arcs[alt.lead_holds]
         if solution.svc_registry.get(svc, alt.id) not in (alt.id, current.id):
             return False
     t_o1, t_d1, t_o2, t_d2, _ = adjust_times(
         leg_view(target), particle, period_count
     )
-    leg1 = CycleLeg(
-        path_id=target.id,
-        asset_arcs=target.arcs,
-        start=t_o1,
-        end=t_d1,
-        phys_from=target.origin_physical,
-        phys_to=target.dest_physical,
-    )
-    leg2 = CycleLeg(
-        path_id=alt.id,
-        asset_arcs=particle_arcs,
-        start=t_o2,
-        end=t_d2,
-        phys_from=particle.phys_from,
-        phys_to=particle.phys_to,
-    )
-    swap = alt.id != current.id
+    leg1 = _cycle_leg(target, target.arcs, t_o1, t_d1)
+    leg2 = _cycle_leg(alt, particle_arcs, t_o2, t_d2)
     if swap:
-        del solution.svc_registry[current.arcs[current.lead_holds]]
-        solution.svc_registry[alt.arcs[alt.lead_holds]] = alt.id
-        solution.selected[current.oc_id] = alt
-    plan = _plan_repositioning(solution, leg1, leg2)
-    if plan is None:
+        _reselect(solution, current, alt)
+    cycle = _close_cycle(solution, [leg1, leg2], "mix produced an invalid cycle")
+    if cycle is None:
         if swap:
-            del solution.svc_registry[alt.arcs[alt.lead_holds]]
-            solution.svc_registry[current.arcs[current.lead_holds]] = current.id
-            solution.selected[current.oc_id] = current
+            _reselect(solution, alt, current)
         return False
-    cycle = AssetCycle(legs=[leg1, leg2], rep_plan=plan)
-    problems = simulate_cycle(cycle, solution)
-    if problems:
-        raise CssndError("mix produced an invalid cycle: " + "; ".join(problems))
-    for arc_id, _ in plan:
-        solution.svc_registry[arc_id] = -1
     solution.cycles = [
         c for c in solution.cycles if c is not source_cycle and c is not target_cycle
     ]
@@ -929,15 +888,12 @@ def resolve_capacity(solution: Solution) -> None:
         for cycle in singles:
             path = solution.book.by_id[cycle.legs[0].path_id]
             fallback = solution.book.cheapest_outsourced(path.oc_id)
-            conversions.append((fallback.cost - path.cost, path.id, cycle, fallback))
+            conversions.append((fallback.cost - path.cost, path.id, cycle))
         conversions.sort(key=lambda item: (item[0], item[1]))
         can_lease = leased < instance.leasable_assets
         if conversions and (conversions[0][0] < g or not can_lease):
-            _, _, cycle, fallback = conversions[0]
-            path = solution.book.by_id[cycle.legs[0].path_id]
-            del solution.svc_registry[path.arcs[path.lead_holds]]
-            solution.selected[path.oc_id] = fallback
-            solution.outsourced.add(path.oc_id)
+            _, path_id, cycle = conversions[0]
+            _outsource(solution, solution.book.by_id[path_id])
             solution.cycles.remove(cycle)
         elif can_lease:
             leased += 1
@@ -959,11 +915,7 @@ def finalize_cycles(solution: Solution) -> None:
             survivors.append(cycle)
         else:
             # no conflict-free return slot; fall back to outsourcing
-            path = solution.book.by_id[cycle.legs[0].path_id]
-            fallback = solution.book.cheapest_outsourced(path.oc_id)
-            del solution.svc_registry[path.arcs[path.lead_holds]]
-            solution.selected[path.oc_id] = fallback
-            solution.outsourced.add(path.oc_id)
+            _outsource(solution, solution.book.by_id[cycle.legs[0].path_id])
     solution.cycles = survivors
     for index, cycle in enumerate(solution.cycles, start=1):
         cycle.asset_id = index
@@ -986,16 +938,12 @@ def _materialize(solution: Solution, cycle: AssetCycle) -> bool:
         path = solution.book.by_id[leg.path_id]
         svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
         legs = [
-            CycleLeg(
-                path_id=path.id,
-                asset_arcs=(svc_arc.id,),
-                start=svc_arc.depart,
-                end=svc_arc.depart + svc_arc.duration,
-                phys_from=path.origin_physical,
-                phys_to=path.dest_physical,
+            _cycle_leg(
+                path, (svc_arc.id,), svc_arc.depart,
+                svc_arc.depart + svc_arc.duration,
             )
         ]
-        plan = _plan_return(solution, legs[0])
+        plan = _plan_repositioning(solution, legs)
         if plan is None:
             return False
 
@@ -1030,24 +978,6 @@ def _materialize(solution: Solution, cycle: AssetCycle) -> bool:
     cycle.arc_seq = tuple(seq)
     cycle.rep_plan = plan
     return True
-
-
-def _plan_return(solution: Solution, leg: CycleLeg) -> list[tuple[int, int]] | None:
-    """Pick the empty return trip of a single-commodity cycle."""
-    instance = solution.instance
-    tsn = solution.tsn
-    period_count = instance.period_count
-    if leg.phys_to == leg.phys_from:
-        return []
-    d = instance.physical.d(leg.phys_to, leg.phys_from)
-    for depart in range(leg.end, leg.start + period_count - d + 1):
-        arc = tsn.service_arc(
-            leg.phys_to, leg.phys_from, wrap_period(depart, period_count)
-        )
-        if arc.id not in solution.svc_registry:
-            solution.svc_registry[arc.id] = -1
-            return [(arc.id, depart)]
-    return None
 
 
 def simulate_cycle(cycle: AssetCycle, solution: Solution) -> list[str]:

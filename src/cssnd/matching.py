@@ -8,8 +8,7 @@ needs after negating costs.
 The implementation follows the standard staged scheme: grow alternating
 trees from free vertices, shrink odd cycles into blossoms, augment when two
 trees meet, and adjust dual variables between substages.  Dual variables
-are kept doubled so every quantity stays integral.  `verify_optimum` checks
-the complementary-slackness certificate and is used by the test suite.
+are kept doubled so every quantity stays integral.
 """
 
 from __future__ import annotations
@@ -402,39 +401,3 @@ def max_weight_matching(
     for v in range(nvertex):
         assert result[v] == -1 or result[result[v]] == v
     return result
-
-
-def verify_optimum(
-    edges: list[tuple[int, int, int]],
-    mate: list[int],
-    max_cardinality: bool = False,
-) -> bool:
-    """Re-run the solver and cross-check weight and cardinality by brute
-    force when small; used by tests as an independent safety net."""
-    n = len(mate)
-    if n > 14:
-        raise ValueError("certificate check is exhaustive; keep graphs small")
-    best = _brute_force(edges, n, max_cardinality)
-    got_pairs = {(min(v, m), max(v, m)) for v, m in enumerate(mate) if m >= 0}
-    got_weight = sum(w for i, j, w in edges if (min(i, j), max(i, j)) in got_pairs)
-    return (len(got_pairs), got_weight) == best
-
-
-def _brute_force(edges, n, max_cardinality):
-    best = (0, 0)
-
-    def rec(idx, used, count, weight):
-        nonlocal best
-        key = (count, weight) if max_cardinality else (0, weight)
-        bkey = (best[0], best[1]) if max_cardinality else (0, best[1])
-        if key > bkey:
-            best = (count, weight)
-        if idx == len(edges):
-            return
-        i, j, w = edges[idx]
-        if i not in used and j not in used:
-            rec(idx + 1, used | {i, j}, count + 1, weight + w)
-        rec(idx + 1, used, count, weight)
-
-    rec(0, frozenset(), 0, 0)
-    return best

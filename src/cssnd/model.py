@@ -112,6 +112,12 @@ class ModelOptions:
     shift_restriction: float | None = None    # cap on shifted deliveries
     literal_shift_rule: bool = False
 
+    @property
+    def needs_analysis(self) -> bool:
+        """Valid inequalities and near-optimal bounds read the requirement
+        profile, so `build_mip` must be given an analysis summary."""
+        return bool(self.add_vi_gamma or self.add_vi_phi or self.near_opt)
+
 
 def _spanning(arcs, t: int, period_count: int):
     return [a for a in arcs if a.spans(t, period_count)]
@@ -131,10 +137,7 @@ def build_mip(
     v_total = instance.owned_assets + instance.leasable_assets
     assets = range(1, v_total + 1)
     asset_arcs = tsn.holding_arcs + tsn.service_arcs
-    needs_analysis = (
-        options.add_vi_gamma or options.add_vi_phi or options.near_opt
-    )
-    if needs_analysis and analysis is None:
+    if options.needs_analysis and analysis is None:
         raise CssndError("valid-inequality options require an analysis summary")
     if {21, 22} <= set(options.near_opt):
         warnings.warn(

@@ -50,9 +50,6 @@ class CommodityPath:
     busy_periods: int           # cyclic span from chain start to chain end
     cost: float                 # penalty multiplier and residual holding included
 
-    def service_depart(self, period_count: int) -> int:
-        return wrap_period(self.depart_period + self.lead_holds, period_count)
-
 
 def path_cost(
     leg_cost: float,

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from cssnd.cli import main
+from cssnd.io import instance_to_dict
+from tests.conftest import make_sample_instance
 
 
 def run(argv):
@@ -31,6 +33,15 @@ def test_gen_rejects_k_above_pair_bound(tmp_path, capsys):
     assert run(["gen", "--size", "small", "--k", "21", "--seed", "1",
                 "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_instance_exits_1(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(make_sample_instance())
+    data["commodities"][0]["origin"] = 99
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exits_2():

@@ -66,6 +66,19 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         load_instance(bad)
     with pytest.raises(CssndError):
         instance_from_dict({"n_physical": 3})
+    # documents that parse but would solve wrongly or crash downstream
+    for field, value, message in (
+        ("id", 1, "duplicate commodity id 1"),
+        ("origin", 99, "terminal 99 outside 1..5"),
+        ("periods", 7.0, "not an integer"),
+    ):
+        data = instance_to_dict(make_sample_instance())
+        if field == "periods":
+            data["periods"] = value
+        else:
+            data["commodities"][1][field] = value
+        with pytest.raises(CssndError, match=message):
+            instance_from_dict(data)
 
 
 def test_serialization_is_stable():
