@@ -4,14 +4,24 @@ The corpus is the worked sample plus a generated small (k=10) and medium
 (k=25) instance at fixed seeds.  Each runs through `gen` (generated ones
 only), `analyze`, `solve` with configs r/c/a (schedule JSON, .sol and report
 CSV) and `export` as LP and as MPS with its names sidecar in plain mode,
-plus one LP with valid inequalities and one strong-forcing MPS.  Manifests
-carry wall-clock telemetry and are not pinned.  A refactor must leave every hash
-unchanged; a deliberate output change updates the table in the same commit.
+plus one LP with valid inequalities and one strong-forcing MPS.  A generated
+large (k=30) instance adds the plain LP, the plain MPS and the strong-forcing
+MPS of a model two orders of magnitude bigger, and its config-a `.sol`.
+
+`check` is pinned too: on every instance's config-a `.sol` and on the same
+file with its first `d_v` line dropped, the hash covers the verdict's
+`feasible`, `objective` (its float repr, so the summation order counts),
+`violations`, `violation_count` and `summary`.  Manifests carry wall-clock
+telemetry and are not pinned.  A refactor must leave every hash unchanged; a
+deliberate output change updates the table in the same commit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -20,6 +30,7 @@ from cssnd.io import save_instance
 from tests.conftest import make_sample_instance
 
 GENERATED = {"small10": ("small", 10, 7), "medium25": ("medium", 25, 11)}
+LARGE = {"large30": ("large", 30, 13)}
 
 # (variant, format, flags): both formats in plain mode, each variant once.
 EXPORTS = [
@@ -28,12 +39,37 @@ EXPORTS = [
     ("vi", "lp", ["--vi", "gamma,phi", "--nearopt", "23", "--lambda", "0.25"]),
     ("strong", "mps", ["--strong-forcing"]),
 ]
+LARGE_EXPORTS = [e for e in EXPORTS if e[0] != "vi"]
+VERDICT_FIELDS = ("feasible", "objective", "violations", "violation_count",
+                  "summary")
 
 GOLDEN = {
+    "large30.a.check":
+        "0e3aec50bcd897b5f36698b7295b646259bc748868737ab536f5fa2a4d5fb3dd",
+    "large30.a.nodv.check":
+        "5e23bc0347c3acc88529e79337ed06b5b5239ac96a219564c12a1071c95acbd6",
+    "large30.a.sol":
+        "f0771bdc812f2f9a81fb922ff8c515d20b8d2e880609d03983479de65581d605",
+    "large30.json":
+        "4bf754df785581d203aa8fa378dec77bec9ff37902fa9b46b9012aa0be1d493e",
+    "large30.plain.lp":
+        "8797607adc75c89a132a669c99b70f5e52c5af74242392baf1b3565ecbbb5619",
+    "large30.plain.mps":
+        "747faa206e0f08784eb7e50796cea6546d0f3b085e33d7e4d1752b6c1d6449c0",
+    "large30.plain.mps.names.json":
+        "b2417eb6bf0eada1817d32f52abdb241ecfe33ec39769f7e3b51bb57220cd3dc",
+    "large30.strong.mps":
+        "78fe990fe04a0b3cd75f2d013425eb7a8bd32ec7ce8217e31493042c6f410a87",
+    "large30.strong.mps.names.json":
+        "ce9e36985a8847e717800eb0e01af2346bdc73d4639494007b4137783994156b",
+    "medium25.a.check":
+        "75c975e68854dac736623fd95219234ec3c8e8af11eaec0740a96cb39b9967f1",
     "medium25.a.csv":
         "183c725ef3b91514bcbdfabf0573a9a0374d0cdb467c250f1198dc992fa12da2",
     "medium25.a.json":
         "b04d03ac125b2c3ef6a61d8e9a4e14422252abadf0c681e0e2cb02524900a14b",
+    "medium25.a.nodv.check":
+        "31513a8946599cc4714931665e7b0a75db773ed2eaf3bb8db685aba814a1e415",
     "medium25.a.sol":
         "a22e83c87d6c1c33912da9457d6dd7482fe644030217b9f9d3fae56fd1b18819",
     "medium25.c.csv":
@@ -64,10 +100,14 @@ GOLDEN = {
         "9e2b8ba534da73f9eb4913b7fa59a9ca451415f6fd4e0ce5b71704ad0020b3e4",
     "medium25.vi.lp":
         "e9701cbc9491662c5488539c5804a58aedd64ba9b3d1bdac1ac284b5b923551a",
+    "sample.a.check":
+        "7c366ff43c09f572c7c786837877dfbee538ffaa73d92b242d07e9e613dce9d5",
     "sample.a.csv":
         "f1bb4a53077c34d96e130fb9c3a52d75fe40355942077e24bc5441a86f6f6166",
     "sample.a.json":
         "2d152a57675260faa534e2c8e0279def39b642230ae6136c5f926e380622f1e1",
+    "sample.a.nodv.check":
+        "7fd4b5498ade0c24faa68e955395c3c4c65c917147817470f0b3f436b35a05b6",
     "sample.a.sol":
         "79f7f8955317fec972f9612b08d68d51c203e939fff20a1611df60dffa728082",
     "sample.c.csv":
@@ -96,10 +136,14 @@ GOLDEN = {
         "0ba6c3bdd8942452707128c68aa5c956cabf7d8575d9fe00b9b560f5e3cb0586",
     "sample.vi.lp":
         "b8fed1e4356a4fcaed3c5fb4b954f163415a787ef353b70e313425378f921ad6",
+    "small10.a.check":
+        "695ee9e0009beba856147fc45a6574b89eefa8cd8110807bd3b5d3f813e40591",
     "small10.a.csv":
         "392ebb0875da1c9e0f3325678d48d4ad56611691d7de343919fe01476d6b1fac",
     "small10.a.json":
         "d5996c77d6e70ba346b7c20e637724ea24958426819f1bcbcda4cae24344622d",
+    "small10.a.nodv.check":
+        "e3dd4c09e2bbc74c046953fcee8889ae845bd70971fc61becc4abf8232f88c13",
     "small10.a.sol":
         "4ff83eae414f0a67c9750a7d44b3339474a3face635ce35a87c61a80a6e78f9c",
     "small10.c.csv":
@@ -133,15 +177,48 @@ GOLDEN = {
 }
 
 
-def _run(argv):
-    assert main(argv) == 0, argv
+def _run(argv, code=0) -> str:
+    """Run one CLI command, assert its exit code, return its stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == code, argv
+    return out.getvalue()
+
+
+def _export(root, name, exports) -> list[str]:
+    files = []
+    for variant, fmt, flags in exports:
+        out = f"{name}.{variant}.{fmt}"
+        _run(["export", "--in", str(root / f"{name}.json"), "--format", fmt,
+              *flags, "--out", str(root / out)])
+        files.append(out)
+        if fmt == "mps":
+            files.append(f"{out}.names.json")
+    return files
+
+
+def _verdicts(root, name) -> dict[str, str]:
+    """sha256 of the pinned verdict fields of `check` on the config-a .sol
+    and on the same .sol with its first d_v line dropped."""
+    inst = str(root / f"{name}.json")
+    lines = (root / f"{name}.a.sol").read_text().splitlines(True)
+    del lines[next(i for i, line in enumerate(lines) if line.startswith("d_v"))]
+    (root / f"{name}.a.nodv.sol").write_text("".join(lines))
+    hashes = {}
+    for stem, code in ((f"{name}.a", 0), (f"{name}.a.nodv", 1)):
+        verdict = json.loads(_run(["check", "--in", inst, "--sol",
+                                   str(root / f"{stem}.sol")], code))
+        pinned = json.dumps({k: verdict[k] for k in VERDICT_FIELDS},
+                            sort_keys=True)
+        hashes[f"{stem}.check"] = hashlib.sha256(pinned.encode()).hexdigest()
+    return hashes
 
 
 def _produce(root) -> dict[str, str]:
     """Run the whole corpus under `root`; map output name -> sha256."""
     files = []
     save_instance(make_sample_instance(), root / "sample.json")
-    for name, (size, k, seed) in GENERATED.items():
+    for name, (size, k, seed) in {**GENERATED, **LARGE}.items():
         _run(["gen", "--size", size, "--k", str(k), "--seed", str(seed),
               "--out", str(root / f"{name}.json")])
         files.append(f"{name}.json")
@@ -156,16 +233,18 @@ def _produce(root) -> dict[str, str]:
                   "--sol", str(root / f"{stem}.sol"),
                   "--report", str(root / f"{stem}.csv")])
             files += [f"{stem}.json", f"{stem}.sol", f"{stem}.csv"]
-        for variant, fmt, flags in EXPORTS:
-            out = f"{name}.{variant}.{fmt}"
-            _run(["export", "--in", inst, "--format", fmt, *flags,
-                  "--out", str(root / out)])
-            files.append(out)
-            if fmt == "mps":
-                files.append(f"{out}.names.json")
-    return {
+        files += _export(root, name, EXPORTS)
+    for name in LARGE:
+        _run(["solve", "--in", str(root / f"{name}.json"), "--config", "a",
+              "--sol", str(root / f"{name}.a.sol")])
+        files.append(f"{name}.a.sol")
+        files += _export(root, name, LARGE_EXPORTS)
+    hashes = {
         f: hashlib.sha256((root / f).read_bytes()).hexdigest() for f in files
     }
+    for name in ["sample", *GENERATED, *LARGE]:
+        hashes.update(_verdicts(root, name))
+    return hashes
 
 
 @pytest.fixture(scope="module")
