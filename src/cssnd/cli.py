@@ -129,10 +129,9 @@ def cmd_export(args, elapsed):
     )
     _, _, _, model = _load_model(args, options)
     if args.format == "lp":
-        Path(args.out).write_text(export_lp(model))
+        export_lp(model, args.out)
     else:
-        text, sidecar = export_mps(model)
-        Path(args.out).write_text(text)
+        _, sidecar = export_mps(model, args.out)
         Path(f"{args.out}.names.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         )

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import rng
 
@@ -312,24 +313,98 @@ class CostParams:
             return self.penalty_tardy
         return 1.0
 
+    @cached_property
+    def table(self) -> CostTable:
+        """The one pricer of (TC, arc) pairs for these parameters."""
+        return CostTable(self)
+
     def service_cost(self, tc_id: int, i: int, j: int, depart: int) -> float:
         """Per-unit routing cost of a service arc for one TC (no penalty)."""
-        if self.routing_table is not None:
-            return self.routing_table[(SERVICE, i, j, depart, tc_id)]
-        if self.routing_seed is None:
-            raise CssndError("cost params carry neither routing seed nor table")
-        u = rng.unit_at(self.routing_seed, "svc", i, j, depart, tc_id)
-        return SERVICE_COST_LO + (SERVICE_COST_HI - SERVICE_COST_LO) * u
+        return self.table.price(SERVICE, tc_id, i, j, depart)
 
     def outsourced_cost(self, tc_id: int, i: int, j: int, depart: int) -> float:
-        if self.routing_table is not None:
-            return self.routing_table[(OUTSOURCED, i, j, depart, tc_id)]
-        if self.routing_seed is None:
-            raise CssndError("cost params carry neither routing seed nor table")
-        u = rng.unit_at(self.routing_seed, "out", i, j, depart, tc_id)
-        return OUTSOURCED_COST_BASE + OUTSOURCED_COST_LO + (
-            OUTSOURCED_COST_HI - OUTSOURCED_COST_LO
-        ) * u
+        return self.table.price(OUTSOURCED, tc_id, i, j, depart)
+
+
+# kind -> (rng label, a, b): a routing-seeded price is a + b * U[0, 1).
+PRICE_RULES = {
+    SERVICE: ("svc", SERVICE_COST_LO, SERVICE_COST_HI - SERVICE_COST_LO),
+    OUTSOURCED: (
+        "out",
+        OUTSOURCED_COST_BASE + OUTSOURCED_COST_LO,
+        OUTSOURCED_COST_HI - OUTSOURCED_COST_LO,
+    ),
+}
+
+
+class CostTable:
+    """Per-unit routing prices of (TC, arc) pairs, without the penalty.
+
+    With a routing seed, the price of TC `tc` on a service arc (i, j,
+    depart) is a + b * rng.unit_at(seed, "svc", i, j, depart, tc), and
+    likewise with "out" on an outsourced arc.  Only the TC key varies
+    between the TCs of one arc, so the rng state after the arc's keys is
+    memoized on the arc's first price and each price costs two splitmix64
+    steps.  With a routing table the price is a lookup, and a missing key
+    is a CssndError.  Holding arcs cost `holding_cost` for every TC.
+    """
+
+    def __init__(self, params: CostParams):
+        self.params = params
+        self._prefix: dict[tuple[str, int, int, int], int] = {}
+
+    def _lookup(self, key: tuple) -> float:
+        try:
+            return self.params.routing_table[key]
+        except KeyError:
+            raise CssndError(f"routing table has no cost for {key!r}") from None
+
+    def _prefix_of(self, kind: str, i: int, j: int, depart: int) -> int:
+        key = (kind, i, j, depart)
+        state = self._prefix.get(key)
+        if state is None:
+            seed = self.params.routing_seed
+            if seed is None:
+                raise CssndError("cost params carry neither routing seed nor table")
+            state = rng.absorb(seed, PRICE_RULES[kind][0], i, j, depart)
+            self._prefix[key] = state
+        return state
+
+    def price(self, kind: str, tc_id: int, i: int, j: int, depart: int) -> float:
+        """Price of one TC on the service or outsourced arc (i, j, depart)."""
+        if self.params.routing_table is not None:
+            return self._lookup((kind, i, j, depart, tc_id))
+        _, a, b = PRICE_RULES[kind]
+        return a + b * rng.unit_after(self._prefix_of(kind, i, j, depart), tc_id)
+
+    def pricer(self, arcs: list[Arc]):
+        """A function of a TC id giving its price on each arc of `arcs`."""
+        hold = self.params.holding_cost
+        keys = [
+            None if arc.kind == HOLD
+            else (arc.kind, arc.phys_from, arc.phys_to, arc.depart)
+            for arc in arcs
+        ]
+        if self.params.routing_table is not None:
+            lookup = self._lookup
+            return lambda tc_id: [
+                hold if key is None else lookup((*key, tc_id)) for key in keys
+            ]
+        unit_after = rng.unit_after
+        rules = [
+            (None, hold, 0.0) if key is None
+            else (self._prefix_of(*key), *PRICE_RULES[key[0]][1:])
+            for key in keys
+        ]
+        return lambda tc_id: [
+            a if state is None else a + b * unit_after(state, tc_id)
+            for state, a, b in rules
+        ]
+
+
+def _require_int(what: str, value) -> None:
+    if type(value) is not int:
+        raise CssndError(f"{what} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -343,8 +418,25 @@ class Instance:
     seed: int = 0
 
     def validate(self) -> None:
-        if type(self.period_count) is not int:
-            raise CssndError(f"period count {self.period_count!r} is not an integer")
+        for what, value in (
+            ("period count", self.period_count),
+            ("n_physical", self.physical.node_count),
+            ("owned asset count", self.owned_assets),
+            ("leasable asset count", self.leasable_assets),
+        ):
+            _require_int(what, value)
+        for row in self.physical.distance:
+            for entry in row:
+                _require_int("distance entry", entry)
+        for oc in self.commodities:
+            _require_int("commodity id", oc.id)
+            for what, value in (
+                ("origin", oc.origin_physical),
+                ("dest", oc.dest_physical),
+                ("release", oc.release_period),
+                ("due", oc.due_period),
+            ):
+                _require_int(f"commodity {oc.id} {what}", value)
         if self.owned_assets < 1:
             raise CssndError("at least one owned asset is required")
         if self.leasable_assets < 0:

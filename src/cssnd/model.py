@@ -1,11 +1,19 @@
 """Exact arc-based model: build, export, and verify solutions.
 
-The model is held as a solver-agnostic IR (variables, linear rows, a
+The model is held as a solver-agnostic IR (columns, linear rows, a
 minimization objective) and written out as CPLEX-dialect LP text or
 fixed-field MPS.  No solver is linked; external solutions come back as
 plain `name value` lines and are replayed row by row against the IR.
 
-Variable families follow the fixed naming scheme:
+Columns are integers, laid out family by family (`Family`: one column per
+key of a product of axes, in row-major order).  A row holds (coef, column)
+terms, range-checked once when it is added.  Names are made only where
+text is: the LP/MPS writers format each column's name from its family, and
+`check_solution` parses the names of a solution file back to columns.  The
+writers stream their text to a file in chunks of lines, so the whole text
+never sits in memory; called without a file they return it as a string.
+
+Column families follow the fixed naming scheme, in this order:
 
     y_v{v}_a{arc}   asset v operates holding/service arc
     d_v{v}          asset v is utilized
@@ -21,15 +29,19 @@ the cyclic network.
 
 from __future__ import annotations
 
+import bisect
+import io
+import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice, product, starmap
+from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .analysis import AnalysisSummary, beta_support
 from .core import (
     EARLY,
-    HOLD,
     ORIGINAL,
-    SERVICE,
     CssndError,
     Instance,
     TimeSpaceNetwork,
@@ -37,70 +49,156 @@ from .core import (
 )
 
 TOLERANCE = 1e-6
+BINARY = "binary"
+CONTINUOUS = "continuous"
+
+Y_NAME = "y_v{}_a{}"
+D_NAME = "d_v{}"
+P_NAME = "p_k{}"
+S_NAME = "s_k{}_a{}"
+X_NAME = "x_k{}_a{}"
 
 
 def var_y(v: int, arc_id: int) -> str:
-    return f"y_v{v}_a{arc_id}"
+    return Y_NAME.format(v, arc_id)
 
 
 def var_d(v: int) -> str:
-    return f"d_v{v}"
+    return D_NAME.format(v)
 
 
 def var_p(tc_id: int) -> str:
-    return f"p_k{tc_id}"
+    return P_NAME.format(tc_id)
 
 
 def var_s(tc_id: int, arc_id: int) -> str:
-    return f"s_k{tc_id}_a{arc_id}"
+    return S_NAME.format(tc_id, arc_id)
 
 
 def var_x(tc_id: int, arc_id: int) -> str:
-    return f"x_k{tc_id}_a{arc_id}"
+    return X_NAME.format(tc_id, arc_id)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str                   # binary | continuous
-    lower: float = 0.0
-    upper: float | None = None  # None = unbounded above
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
-    terms: tuple[tuple[float, str], ...]
+    terms: tuple[tuple[float, int], ...]    # (coef, column)
     sense: str                  # <= | = | >=
     rhs: float
 
 
-@dataclass
-class ModelIR:
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: list[tuple[float, str]] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
+class Family:
+    """A block of columns: one per key of the product of `axes` (tuples of
+    distinct ints), in row-major order from column `base`, named
+    by filling `template`'s `{}` fields with the key."""
 
-    def add_variable(self, name: str, kind: str, describes: str = "") -> None:
-        if name in self._index:
-            raise CssndError(f"duplicate variable {name}")
-        self._index[name] = len(self.variables)
-        self.variables.append(Variable(name=name, kind=kind))
-        if describes:
-            self.metadata[name] = describes
-
-    def add_constraint(self, name, terms, sense, rhs) -> None:
-        for _, var in terms:
-            if var not in self._index:
-                raise CssndError(f"row {name} references unknown variable {var}")
-        self.constraints.append(
-            Constraint(name=name, terms=tuple(terms), sense=sense, rhs=rhs)
+    def __init__(self, template: str, kind: str, base: int, axes):
+        self.template = template
+        self.kind = kind
+        self.base = base
+        self.axes = tuple(tuple(axis) for axis in axes)
+        self._position = [{key: i for i, key in enumerate(axis)}
+                          for axis in self.axes]
+        if any(len(p) != len(a) for p, a in zip(self._position, self.axes)):
+            raise CssndError(f"duplicate key in column family {template}")
+        self.size = 1
+        for axis in self.axes:
+            self.size *= len(axis)
+        self._pattern = re.compile(
+            "(0|-?[1-9][0-9]*)".join(map(re.escape, template.split("{}")))
         )
 
-    def binaries(self) -> list[str]:
-        return [v.name for v in self.variables if v.kind == "binary"]
+    def names(self) -> Iterator[str]:
+        return starmap(self.template.format, product(*self.axes))
+
+    def name(self, offset: int) -> str:
+        key = []
+        for axis in reversed(self.axes):
+            offset, i = divmod(offset, len(axis))
+            key.append(axis[i])
+        return self.template.format(*reversed(key))
+
+    def column(self, *key: int) -> int:
+        offset = 0
+        for position, value in zip(self._position, key):
+            offset = offset * len(position) + position[value]
+        return self.base + offset
+
+    def parse(self, name: str) -> int | None:
+        """Column of a name in canonical form, else None."""
+        match = self._pattern.fullmatch(name)
+        if match is None:
+            return None
+        key = [int(g) for g in match.groups()]
+        if any(k not in p for k, p in zip(key, self._position)):
+            return None
+        return self.column(*key)
+
+
+class Columns:
+    """Read-only sequence view of a model's columns as `Variable`s."""
+
+    def __init__(self, families: list[Family], count: int):
+        self._families = families
+        self._bases = [f.base for f in families]
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, col: int) -> Variable:
+        if not 0 <= col < len(self):
+            raise IndexError(col)
+        family = self._families[bisect.bisect_right(self._bases, col) - 1]
+        return Variable(family.name(col - family.base), family.kind)
+
+    def __iter__(self) -> Iterator[Variable]:
+        for family in self._families:
+            for name in family.names():
+                yield Variable(name, family.kind)
+
+
+@dataclass
+class ModelIR:
+    families: list[Family] = field(default_factory=list)
+    constraints: list[Constraint] = field(default_factory=list)
+    objective: list[tuple[float, int]] = field(default_factory=list)
+    column_count: int = 0
+
+    @property
+    def variables(self) -> Columns:
+        return Columns(self.families, self.column_count)
+
+    def add_family(self, template: str, kind: str, *axes) -> Family:
+        family = Family(template, kind, self.column_count, axes)
+        self.families.append(family)
+        self.column_count += family.size
+        return family
+
+    def add_constraint(self, name, terms, sense, rhs) -> None:
+        if terms:
+            cols = [col for _, col in terms]
+            if min(cols) < 0 or max(cols) >= self.column_count:
+                raise CssndError(f"row {name} references an unknown column")
+        self.constraints.append(Constraint(name, tuple(terms), sense, rhs))
+
+    def family(self, template: str) -> Family:
+        return next(f for f in self.families if f.template == template)
+
+    def column_of(self, name: str) -> int | None:
+        """Column named `name`, or None if the model has no such column."""
+        for family in self.families:
+            col = family.parse(name)
+            if col is not None:
+                return col
+        return None
+
+    def column_names(self) -> list[str]:
+        return [name for family in self.families for name in family.names()]
 
 
 @dataclass(frozen=True)
@@ -119,8 +217,12 @@ class ModelOptions:
         return bool(self.add_vi_gamma or self.add_vi_phi or self.near_opt)
 
 
-def _spanning(arcs, t: int, period_count: int):
-    return [a for a in arcs if a.spans(t, period_count)]
+def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
+    """Period -> positions in `arcs` of the arcs under way during it."""
+    return {
+        t: [i for i, a in enumerate(arcs) if a.spans(t, period_count)]
+        for t in range(1, period_count + 1)
+    }
 
 
 def build_mip(
@@ -137,6 +239,7 @@ def build_mip(
     v_total = instance.owned_assets + instance.leasable_assets
     assets = range(1, v_total + 1)
     asset_arcs = tsn.holding_arcs + tsn.service_arcs
+    outsourced_arcs = tsn.outsourced_arcs
     if options.needs_analysis and analysis is None:
         raise CssndError("valid-inequality options require an analysis summary")
     if {21, 22} <= set(options.near_opt):
@@ -150,187 +253,172 @@ def build_mip(
         raise CssndError("shift restriction must lie in [0, 1]")
 
     model = ModelIR()
-    incidence: dict[int, list[int]] = {}
-    for tc in tcs:
-        incidence.setdefault(tc.parent_id, []).append(tc.id)
-    by_id = {tc.id: tc for tc in tcs}
+    tc_ids = [tc.id for tc in tcs]
+    y0 = model.add_family(Y_NAME, BINARY, assets, [a.id for a in asset_arcs]).base
+    d0 = model.add_family(D_NAME, BINARY, assets).base
+    p0 = model.add_family(P_NAME, BINARY, tc_ids).base
+    s0 = model.add_family(
+        S_NAME, BINARY, tc_ids, [a.id for a in outsourced_arcs]
+    ).base
+    x0 = model.add_family(X_NAME, CONTINUOUS, tc_ids, [a.id for a in tsn.arcs]).base
 
-    for v in assets:
-        for arc in asset_arcs:
-            model.add_variable(var_y(v, arc.id), "binary")
-    for v in assets:
-        model.add_variable(var_d(v), "binary")
-    for tc in tcs:
-        model.add_variable(var_p(tc.id), "binary")
-    for tc in tcs:
-        for arc in tsn.outsourced_arcs:
-            model.add_variable(var_s(tc.id, arc.id), "binary")
-    for tc in tcs:
-        for arc in tsn.arcs:
-            model.add_variable(var_x(tc.id, arc.id), "continuous")
+    # Column arithmetic: y of asset v on asset arc i is y_col[v] + i, x of
+    # the q-th TC on arc position a is x_col[q] + a, s likewise with the
+    # position among the outsourced arcs.
+    n_asset, n_out, n_arcs = len(asset_arcs), len(outsourced_arcs), len(tsn.arcs)
+    y_col = {v: y0 + (v - 1) * n_asset for v in assets}
+    d_col = {v: d0 + v - 1 for v in assets}
+    x_col = [x0 + q * n_arcs for q in range(len(tcs))]
+    s_col = [s0 + q * n_out for q in range(len(tcs))]
+    position = {arc.id: i for i, arc in enumerate(tsn.arcs)}
+    asset_pos = [position[a.id] for a in asset_arcs]       # asset arc -> x
+    out_pos = [position[a.id] for a in outsourced_arcs]    # outsourced -> x
+    service_first = len(tsn.holding_arcs)                  # in asset_arcs
+    p_col = {tc_id: p0 + q for q, tc_id in enumerate(tc_ids)}
 
-    def arc_cost(tc, arc) -> float:
-        if arc.kind == HOLD:
-            return costs.holding_cost
-        if arc.kind == SERVICE:
-            return costs.service_cost(tc.id, arc.phys_from, arc.phys_to, arc.depart)
-        return costs.outsourced_cost(tc.id, arc.phys_from, arc.phys_to, arc.depart)
-
-    objective: list[tuple[float, str]] = []
+    objective: list[tuple[float, int]] = []
     for v in assets:
         fixed = costs.fixed_owned if v <= instance.owned_assets else costs.fixed_leased
-        objective.append((fixed, var_d(v)))
-    for tc in tcs:
+        objective.append((fixed, d_col[v]))
+    asset_prices = costs.table.pricer(asset_arcs)
+    out_prices = costs.table.pricer(outsourced_arcs)
+    for q, tc in enumerate(tcs):
         m = costs.multiplier(tc.kind)
-        for arc in asset_arcs:
-            objective.append((m * arc_cost(tc, arc), var_x(tc.id, arc.id)))
-        for arc in tsn.outsourced_arcs:
-            objective.append((m * arc_cost(tc, arc), var_s(tc.id, arc.id)))
+        xq, sq = x_col[q], s_col[q]
+        objective += [
+            (m * price, xq + a) for price, a in zip(asset_prices(tc.id), asset_pos)
+        ]
+        objective += [
+            (m * price, sq + o) for o, price in enumerate(out_prices(tc.id))
+        ]
     model.objective = objective
 
+    asset_spans = _spanning(asset_arcs, period_count)
+    add = model.add_constraint
+
     # no-transit rows: flow may not span a period outside the time window
-    for tc in tcs:
+    for q, tc in enumerate(tcs):
         allowed = beta_support(tc, period_count)
+        xq = x_col[q]
         for t in range(1, period_count + 1):
             if t in allowed:
                 continue
-            terms = [
-                (1.0, var_x(tc.id, arc.id))
-                for arc in _spanning(asset_arcs, t, period_count)
-            ]
-            model.add_constraint(f"transit_k{tc.id}_t{t}", terms, "<=", 0.0)
+            terms = [(1.0, xq + asset_pos[i]) for i in asset_spans[t]]
+            add(f"transit_k{tc.id}_t{t}", terms, "<=", 0.0)
 
     # one activity per utilized asset and period, wrap-aware
     for v in assets:
+        yv = y_col[v]
         for t in range(1, period_count + 1):
-            terms = [
-                (1.0, var_y(v, arc.id))
-                for arc in _spanning(asset_arcs, t, period_count)
-            ]
-            terms.append((-1.0, var_d(v)))
-            model.add_constraint(f"assign_v{v}_t{t}", terms, "=", 0.0)
+            terms = [(1.0, yv + i) for i in asset_spans[t]]
+            terms.append((-1.0, d_col[v]))
+            add(f"assign_v{v}_t{t}", terms, "=", 0.0)
 
     # asset conservation at every time-space node
-    outgoing: dict[int, list] = {}
-    incoming: dict[int, list] = {}
-    for arc in asset_arcs:
-        outgoing.setdefault(tsn.arc_tail(arc), []).append(arc)
-        incoming.setdefault(tsn.arc_head(arc), []).append(arc)
+    outgoing: dict[int, list[int]] = {}
+    incoming: dict[int, list[int]] = {}
+    for i, arc in enumerate(asset_arcs):
+        outgoing.setdefault(tsn.arc_tail(arc), []).append(i)
+        incoming.setdefault(tsn.arc_head(arc), []).append(i)
     for v in assets:
+        yv = y_col[v]
         for node in range(1, tsn.ts_node_count + 1):
-            terms = [(1.0, var_y(v, a.id)) for a in outgoing.get(node, [])]
-            terms += [(-1.0, var_y(v, a.id)) for a in incoming.get(node, [])]
-            model.add_constraint(f"balance_v{v}_n{node}", terms, "=", 0.0)
+            terms = [(1.0, yv + i) for i in outgoing.get(node, [])]
+            terms += [(-1.0, yv + i) for i in incoming.get(node, [])]
+            add(f"balance_v{v}_n{node}", terms, "=", 0.0)
 
     # a service is operated by at most one asset
-    for arc in tsn.service_arcs:
-        terms = [(1.0, var_y(v, arc.id)) for v in assets]
-        model.add_constraint(f"svc_once_a{arc.id}", terms, "<=", 1.0)
+    service = list(enumerate(tsn.service_arcs, start=service_first))
+    for i, arc in service:
+        terms = [(1.0, y_col[v] + i) for v in assets]
+        add(f"svc_once_a{arc.id}", terms, "<=", 1.0)
 
     # each commodity delivered through at least one of its variants
+    incidence: dict[int, list[int]] = {}
+    for tc in tcs:
+        incidence.setdefault(tc.parent_id, []).append(tc.id)
     for oc in instance.commodities:
-        terms = [(1.0, var_p(tc_id)) for tc_id in incidence[oc.id]]
-        model.add_constraint(f"cover_k{oc.id}", terms, ">=", 1.0)
+        terms = [(1.0, p_col[tc_id]) for tc_id in incidence[oc.id]]
+        add(f"cover_k{oc.id}", terms, ">=", 1.0)
 
     # flow conservation, demand switched on by the variant selection
-    all_out: dict[int, list] = {}
-    all_in: dict[int, list] = {}
-    for arc in tsn.arcs:
-        all_out.setdefault(tsn.arc_tail(arc), []).append(arc)
-        all_in.setdefault(tsn.arc_head(arc), []).append(arc)
-    for tc in tcs:
+    all_out: dict[int, list[int]] = {}
+    all_in: dict[int, list[int]] = {}
+    for a, arc in enumerate(tsn.arcs):
+        all_out.setdefault(tsn.arc_tail(arc), []).append(a)
+        all_in.setdefault(tsn.arc_head(arc), []).append(a)
+    for q, tc in enumerate(tcs):
         origin = tc.origin_node(period_count)
         dest = tc.dest_node(period_count)
+        xq = x_col[q]
         for node in range(1, tsn.ts_node_count + 1):
-            terms = [(1.0, var_x(tc.id, a.id)) for a in all_out.get(node, [])]
-            terms += [(-1.0, var_x(tc.id, a.id)) for a in all_in.get(node, [])]
+            terms = [(1.0, xq + a) for a in all_out.get(node, [])]
+            terms += [(-1.0, xq + a) for a in all_in.get(node, [])]
             if node == origin:
-                terms.append((-tc.volume, var_p(tc.id)))
+                terms.append((-tc.volume, p_col[tc.id]))
             elif node == dest:
-                terms.append((tc.volume, var_p(tc.id)))
-            model.add_constraint(f"flow_k{tc.id}_n{node}", terms, "=", 0.0)
+                terms.append((tc.volume, p_col[tc.id]))
+            add(f"flow_k{tc.id}_n{node}", terms, "=", 0.0)
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
-    for arc in tsn.service_arcs:
-        terms = [(1.0, var_x(tc.id, arc.id)) for tc in tcs]
-        terms += [(-arc.capacity, var_y(v, arc.id)) for v in assets]
-        model.add_constraint(f"cap_a{arc.id}", terms, "<=", 0.0)
+    for i, arc in service:
+        a = asset_pos[i]
+        terms = [(1.0, xq + a) for xq in x_col]
+        terms += [(-arc.capacity, y_col[v] + i) for v in assets]
+        add(f"cap_a{arc.id}", terms, "<=", 0.0)
 
     if options.strong_forcing:
-        for tc in tcs:
-            for arc in tsn.service_arcs:
+        for q, tc in enumerate(tcs):
+            for i, arc in service:
                 strength = min(tc.volume, arc.capacity)
-                terms = [(1.0, var_x(tc.id, arc.id))]
-                terms += [(-strength, var_y(v, arc.id)) for v in assets]
-                model.add_constraint(
-                    f"strong_k{tc.id}_a{arc.id}", terms, "<=", 0.0
-                )
+                terms = [(1.0, x_col[q] + asset_pos[i])]
+                terms += [(-strength, y_col[v] + i) for v in assets]
+                add(f"strong_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
 
     # outsourced flow only on selected outsourced services
-    for tc in tcs:
-        for arc in tsn.outsourced_arcs:
-            terms = [
-                (1.0, var_x(tc.id, arc.id)),
-                (-tc.volume, var_s(tc.id, arc.id)),
-            ]
-            model.add_constraint(f"outsource_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
+    for q, tc in enumerate(tcs):
+        xq, sq = x_col[q], s_col[q]
+        for o, arc in enumerate(outsourced_arcs):
+            terms = [(1.0, xq + out_pos[o]), (-tc.volume, sq + o)]
+            add(f"outsource_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
 
+    fleet = [(1.0, d_col[v]) for v in assets]
     if options.add_vi_gamma:
-        terms = [(1.0, var_d(v)) for v in assets]
-        model.add_constraint("vi_gamma", terms, ">=", float(analysis.gamma))
+        add("vi_gamma", fleet, ">=", float(analysis.gamma))
 
     if options.add_vi_phi:
+        out_spans = _spanning(outsourced_arcs, period_count)
         for t in range(1, period_count + 1):
-            terms = [
-                (1.0, var_y(v, arc.id))
-                for v in assets
-                for arc in _spanning(asset_arcs, t, period_count)
-            ]
-            terms += [
-                (1.0, var_s(tc.id, arc.id))
-                for tc in tcs
-                for arc in _spanning(tsn.outsourced_arcs, t, period_count)
-            ]
-            model.add_constraint(f"vi_phi_t{t}", terms, ">=", float(analysis.phi_at(t)))
+            terms = [(1.0, y_col[v] + i) for v in assets for i in asset_spans[t]]
+            terms += [(1.0, sq + o) for sq in s_col for o in out_spans[t]]
+            add(f"vi_phi_t{t}", terms, ">=", float(analysis.phi_at(t)))
 
     if 21 in options.near_opt:
-        terms = [(1.0, var_d(v)) for v in assets]
-        model.add_constraint("near_opt_low", terms, ">=", float(analysis.theta))
+        add("near_opt_low", fleet, ">=", float(analysis.theta))
     if 22 in options.near_opt:
-        terms = [(1.0, var_d(v)) for v in assets]
-        model.add_constraint("near_opt_high", terms, "<=", float(analysis.theta))
+        add("near_opt_high", fleet, "<=", float(analysis.theta))
     if 23 in options.near_opt:
-        terms = [(1.0, var_d(v)) for v in assets]
-        terms += [
-            (1.0, var_s(tc.id, arc.id))
-            for tc in tcs
-            for arc in tsn.outsourced_arcs
-        ]
-        model.add_constraint("near_opt_mixed", terms, ">=", float(analysis.theta))
+        terms = fleet + [(1.0, sq + o) for sq in s_col for o in range(n_out)]
+        add("near_opt_mixed", terms, ">=", float(analysis.theta))
 
     if options.shift_restriction is not None:
         lam = options.shift_restriction
         if options.literal_shift_rule:
             # verbatim variant: counts everything but the first variant kind
             # against a budget over the whole variant set
-            terms = [
-                (1.0, var_p(tc.id)) for tc in tcs if tc.kind != EARLY
-            ]
+            terms = [(1.0, p_col[tc.id]) for tc in tcs if tc.kind != EARLY]
             rhs = lam * len(tcs)
         else:
-            terms = [
-                (1.0, var_p(tc.id)) for tc in tcs if tc.kind != ORIGINAL
-            ]
+            terms = [(1.0, p_col[tc.id]) for tc in tcs if tc.kind != ORIGINAL]
             rhs = lam * len(instance.commodities)
-        model.add_constraint("shift_cap", terms, "<=", rhs)
+        add("shift_cap", terms, "<=", rhs)
 
-    model.metadata["families"] = (
-        "transit assign balance svc_once cover flow cap outsource"
-    )
     return model
 
 
 # --- text formats -----------------------------------------------------------
+
+CHUNK_LINES = 4096
 
 
 def _num(value: float) -> str:
@@ -339,19 +427,25 @@ def _num(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _term_parts(terms) -> list[str]:
+def _term_parts(terms, names: list[str], heads: dict) -> list[str]:
+    """LP terms as "- 2 name" / "+ 1 name", the first without "+ ".
+    `heads` caches the sign-and-number text per coefficient."""
     parts: list[str] = []
-    for coef, name in terms:
-        if not parts and coef >= 0:
-            parts.append(f"{_num(coef)} {name}")
-        elif coef < 0:
-            parts.append(f"- {_num(-coef)} {name}")
-        else:
-            parts.append(f"+ {_num(coef)} {name}")
+    for coef, col in terms:
+        head = heads.get(coef)
+        if head is None:
+            head = f"- {_num(-coef)}" if coef < 0 else f"+ {_num(coef)}"
+            heads[coef] = head
+        parts.append(f"{head} {names[col]}")
+    if parts and parts[0][0] == "+":
+        parts[0] = parts[0][2:]
     return parts
 
 
 def _wrapped(first: str, parts: list[str], width: int = 240) -> list[str]:
+    line = " ".join([first, *parts])
+    if len(line) <= width:
+        return [line]
     lines: list[str] = []
     current = first
     for part in parts:
@@ -364,88 +458,151 @@ def _wrapped(first: str, parts: list[str], width: int = 240) -> list[str]:
     return lines
 
 
-def export_lp(model: ModelIR) -> str:
-    """Deterministic CPLEX-dialect LP text."""
-    lines = ["Minimize"]
-    obj_parts = _term_parts(model.objective) if model.objective else ["0"]
-    lines.extend(_wrapped(" obj:", obj_parts))
-    lines.append("Subject To")
+def _lp_lines(model: ModelIR) -> Iterator[str]:
+    names = model.column_names()
+    heads: dict[float, str] = {}
+    yield "Minimize"
+    obj_parts = (
+        _term_parts(model.objective, names, heads) if model.objective else ["0"]
+    )
+    yield from _wrapped(" obj:", obj_parts)
+    yield "Subject To"
     for row in model.constraints:
-        parts = _term_parts(row.terms) if row.terms else ["0 " + _zero_var(model)]
+        if row.terms:
+            parts = _term_parts(row.terms, names, heads)
+        elif names:
+            parts = ["0 " + names[0]]
+        else:
+            raise CssndError("cannot write an empty row in a model with no variables")
         parts.append(f"{row.sense} {_num(row.rhs)}")
-        lines.extend(_wrapped(f" {row.name}:", parts))
-    binaries = model.binaries()
+        yield from _wrapped(f" {row.name}:", parts)
+    binaries = [
+        name for family in model.families if family.kind == BINARY
+        for name in names[family.base : family.base + family.size]
+    ]
     if binaries:
-        lines.append("Binaries")
+        yield "Binaries"
         for start in range(0, len(binaries), 8):
-            lines.append(" " + " ".join(binaries[start : start + 8]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+            yield " " + " ".join(binaries[start : start + 8])
+    yield "End"
 
 
-def _zero_var(model: ModelIR) -> str:
-    if not model.variables:
-        raise CssndError("cannot write an empty row in a model with no variables")
-    return model.variables[0].name
+SENSE_CODE = {"<=": "L", ">=": "G", "=": "E"}
+MARKER = "    MARKER{:02d}  'MARKER'                 {}"
 
 
-def export_mps(model: ModelIR) -> tuple[str, dict[str, str]]:
-    """Fixed-field MPS text plus the sidecar mapping short -> original name.
+def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
+    """Fixed-field MPS lines; fills `sidecar` with short -> original names.
 
-    Fixed-field column widths cap names at eight characters, so rows and
-    columns are renumbered deterministically.  Values are written with nine
+    Row r is R{r:07d} and column c is C{c:07d}, both counted from 1:
+    fixed-field widths cap names at eight characters.  Values get nine
     significant digits to fit the twelve-character value field.
     """
-    row_names = {c.name: f"R{i + 1:07d}" for i, c in enumerate(model.constraints)}
-    col_names = {v.name: f"C{i + 1:07d}" for i, v in enumerate(model.variables)}
-    sidecar = {short: orig for orig, short in row_names.items()}
-    sidecar.update({short: orig for orig, short in col_names.items()})
+    names = model.column_names()
+    rows = model.constraints
+    row_short = ["COST    "] + [f"R{r:07d}" for r in range(1, len(rows) + 1)]
+    sidecar.update(zip(row_short[1:], (row.name for row in rows)))
+    sidecar.update((f"C{c:07d}", name) for c, name in enumerate(names, start=1))
+    yield "NAME          MODEL"
+    yield "ROWS"
+    yield " N  COST"
+    for short, row in zip(row_short[1:], rows):
+        yield f" {SENSE_CODE[row.sense]}  {short}"
 
-    sense_code = {"<=": "L", ">=": "G", "=": "E"}
-    lines = ["NAME          MODEL"]
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for row in model.constraints:
-        lines.append(f" {sense_code[row.sense]}  {row_names[row.name]}")
+    # Transpose to columns: column c's entries as a flat list of row
+    # number, coef, row number, coef, ..., the objective first as row 0.
+    by_col: list[list] = [[] for _ in names]
+    for coef, col in model.objective:
+        by_col[col] += (0, coef)
+    for r, row in enumerate(rows, start=1):
+        for coef, col in row.terms:
+            by_col[col] += (r, coef)
 
-    by_col: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
-    for coef, name in model.objective:
-        by_col[name].append(("COST", coef))
-    for row in model.constraints:
-        for coef, name in row.terms:
-            by_col[name].append((row_names[row.name], coef))
+    # Text of each coefficient.  Zeros are formatted afresh, since 0.0 and
+    # -0.0 are one dict key but print differently.
+    values: dict[float, str] = {}
 
-    def entry(col: str, row: str, value: float) -> str:
-        return f"    {col:<8}  {row:<8}  {value:.9g}"
+    def value(coef: float) -> str:
+        text = values.get(coef)
+        if text is None or not coef:
+            text = values[coef] = f"{coef:.9g}"
+        return text
 
-    lines.append("COLUMNS")
+    yield "COLUMNS"
     in_integer = False
     marker = 0
-    for variable in model.variables:
-        wants_integer = variable.kind == "binary"
-        if wants_integer != in_integer:
+    for family in model.families:
+        wants_integer = family.kind == BINARY
+        if family.size and wants_integer != in_integer:
             marker += 1
-            flag = "'INTORG'" if wants_integer else "'INTEND'"
-            lines.append(f"    MARKER{marker:02d}  'MARKER'                 {flag}")
+            yield MARKER.format(marker, "'INTORG'" if wants_integer else "'INTEND'")
             in_integer = wants_integer
-        short = col_names[variable.name]
-        for row_short, coef in by_col[variable.name]:
-            lines.append(entry(short, row_short, coef))
+        for c in range(family.base, family.base + family.size):
+            head = f"    C{c + 1:07d}  "
+            entries = iter(by_col[c])
+            for r, coef in zip(entries, entries):
+                yield f"{head}{row_short[r]}  {value(coef)}"
     if in_integer:
         marker += 1
-        lines.append(f"    MARKER{marker:02d}  'MARKER'                 'INTEND'")
+        yield MARKER.format(marker, "'INTEND'")
 
-    lines.append("RHS")
-    for row in model.constraints:
+    yield "RHS"
+    for short, row in zip(row_short[1:], rows):
         if row.rhs != 0.0:
-            lines.append(entry("RHS", row_names[row.name], row.rhs))
+            yield f"    RHS       {short}  {value(row.rhs)}"
 
-    lines.append("BOUNDS")
-    for variable in model.variables:
-        if variable.kind == "binary":
-            lines.append(f" BV BND       {col_names[variable.name]:<8}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n", sidecar
+    yield "BOUNDS"
+    for family in model.families:
+        if family.kind == BINARY:
+            for c in range(family.base + 1, family.base + family.size + 1):
+                yield f" BV BND       C{c:07d}"
+    yield "ENDATA"
+
+
+@dataclass(frozen=True)
+class Written:
+    """A model text streamed to a file.  len() is its length in characters,
+    the same as len() of the text the writer returns without a path."""
+
+    chars: int
+
+    def __len__(self) -> int:
+        return self.chars
+
+
+def _emit(lines: Iterable[str], out: TextIO) -> int:
+    """Write each line plus a newline to `out` in chunks of CHUNK_LINES
+    lines; return the characters written."""
+    lines = iter(lines)
+    chars = 0
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        chars += out.write("\n".join(chunk) + "\n")
+    return chars
+
+
+def _export(lines: Iterable[str], path: str | Path | None):
+    if path is None:
+        text = io.StringIO()
+        _emit(lines, text)
+        return text.getvalue()
+    with open(path, "w") as out:
+        return Written(_emit(lines, out))
+
+
+def export_lp(model: ModelIR, path: str | Path | None = None):
+    """Deterministic CPLEX-dialect LP text: returned as a string, or
+    streamed to `path` (returning a `Written`)."""
+    return _export(_lp_lines(model), path)
+
+
+def export_mps(model: ModelIR, path: str | Path | None = None):
+    """Fixed-field MPS text plus the sidecar mapping short -> original name.
+
+    The text is returned as a string, or streamed to `path` and returned
+    as a `Written`; either way it comes paired with the sidecar.
+    """
+    sidecar: dict[str, str] = {}
+    return _export(_mps_lines(model, sidecar), path), sidecar
 
 
 def read_solution(text: str) -> dict[str, float]:
@@ -484,22 +641,31 @@ def check_solution(
     assignment: dict[str, float],
 ) -> CheckResult:
     """Replay every row and domain at tolerance; recompute the objective
-    from the assignment alone.  Missing variables count as zero."""
+    from the assignment alone.  Missing variables count as zero, and names
+    the model lacks are ignored."""
     violations: list[str] = []
-    value = assignment.get
+    values = [0.0] * model.column_count
+    named: dict[int, str] = {}
+    for name, x in assignment.items():
+        col = model.column_of(name)
+        if col is not None:
+            values[col] = x
+            named[col] = name
 
-    for variable in model.variables:
-        x = value(variable.name, 0.0)
-        if variable.kind == "binary":
+    # zero lies in every column's domain, so only named columns can fail
+    columns = model.variables
+    for col in sorted(named):
+        x = values[col]
+        if columns[col].kind == BINARY:
             if min(abs(x), abs(x - 1.0)) > TOLERANCE:
-                violations.append(f"{variable.name}: {x} is not binary")
+                violations.append(f"{named[col]}: {x} is not binary")
         elif x < -TOLERANCE:
-            violations.append(f"{variable.name}: {x} below zero")
+            violations.append(f"{named[col]}: {x} below zero")
 
     for row in model.constraints:
         lhs = 0.0
-        for coef, name in row.terms:
-            x = value(name, 0.0)
+        for coef, col in row.terms:
+            x = values[col]
             if x:
                 lhs += coef * x
         if row.sense == "<=" and lhs > row.rhs + TOLERANCE:
@@ -510,11 +676,12 @@ def check_solution(
             violations.append(f"{row.name}: {lhs} != {row.rhs}")
 
     objective = 0.0
-    for coef, name in model.objective:
-        x = value(name, 0.0)
+    for coef, col in model.objective:
+        x = values[col]
         if x:
             objective += coef * x
 
+    d, p, s = (model.family(name) for name in (D_NAME, P_NAME, S_NAME))
     by_id = {tc.id: tc for tc in tcs}
     incidence: dict[int, list[int]] = {}
     for tc in tcs:
@@ -522,20 +689,20 @@ def check_solution(
     owned = leased = 0
     v_total = instance.owned_assets + instance.leasable_assets
     for v in range(1, v_total + 1):
-        if value(var_d(v), 0.0) > 0.5:
+        if values[d.column(v)] > 0.5:
             if v <= instance.owned_assets:
                 owned += 1
             else:
                 leased += 1
     on_time = early = tardy = outsourced = multi = 0
     for oc in instance.commodities:
-        chosen = [t for t in incidence[oc.id] if value(var_p(t), 0.0) > 0.5]
+        chosen = [t for t in incidence[oc.id] if values[p.column(t)] > 0.5]
         if len(chosen) > 1:
             multi += 1
         for tc_id in chosen:
             tc = by_id[tc_id]
             used_outsourced = any(
-                value(var_s(tc_id, arc.id), 0.0) > 0.5
+                values[s.column(tc_id, arc.id)] > 0.5
                 for arc in tsn.outsourced_arcs
             )
             if used_outsourced:

@@ -44,6 +44,30 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, missing", [
+    ("export", ("outsourced", 5, 4, 7, 30)),
+    ("solve", ("service", 2, 1, 1, 1)),
+])
+def test_partial_routing_table_exits_1(tmp_path, capsys, command, missing):
+    instance = make_sample_instance()
+    data = instance_to_dict(instance)
+    data["costs"].pop("routing_seed")
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
+    data["costs"]["routing_table"] = [
+        [kind, i, j, t, tc, price(tc, i, j, t)]
+        for kind, price in (("service", instance.costs.service_cost),
+                            ("outsourced", instance.costs.outsourced_cost))
+        for i, j in pairs for t in range(1, 8) for tc in range(1, 31)
+        if (kind, i, j, t, tc) != missing
+    ]
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(data))
+    assert run([command, "--in", str(inst), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(missing) in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--size", "nope", "--k", "1", "--seed", "1", "--out", "x"])

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from cssnd import rng
 from cssnd.core import (
+    OUTSOURCED_COST_BASE,
+    OUTSOURCED_COST_HI,
+    OUTSOURCED_COST_LO,
+    SERVICE_COST_HI,
+    SERVICE_COST_LO,
+    CostParams,
     CssndError,
     PhysicalNetwork,
     build_time_space_network,
@@ -13,6 +20,7 @@ from cssnd.core import (
     ts_node,
     validate_distances,
 )
+from cssnd.instgen import generate_instance
 from tests.conftest import SAMPLE_TCS, make_sample_instance
 
 
@@ -167,3 +175,61 @@ def test_instance_validation_catches_self_loop():
     )
     with pytest.raises(CssndError):
         broken.validate()
+
+
+def _rule_price(params, kind, tc_id, i, j, depart):
+    """A routing-seeded price straight from the rng rule, as
+    CostParams.service_cost / outsourced_cost computed it before the
+    cost table existed."""
+    if kind == "service":
+        u = rng.unit_at(params.routing_seed, "svc", i, j, depart, tc_id)
+        return SERVICE_COST_LO + (SERVICE_COST_HI - SERVICE_COST_LO) * u
+    u = rng.unit_at(params.routing_seed, "out", i, j, depart, tc_id)
+    return OUTSOURCED_COST_BASE + OUTSOURCED_COST_LO + (
+        OUTSOURCED_COST_HI - OUTSOURCED_COST_LO
+    ) * u
+
+
+@pytest.mark.parametrize("make", [
+    make_sample_instance,
+    lambda: generate_instance("small", 15, seed=21),
+])
+def test_cost_table_equals_the_rule_for_every_pair(make):
+    instance = make()
+    costs = instance.costs
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    priced = tsn.holding_arcs + tsn.service_arcs + tsn.outsourced_arcs
+    row_of = costs.table.pricer(priced)
+    for tc in tcs:
+        row = row_of(tc.id)
+        for arc, price in zip(priced, row):
+            if arc.kind == "hold":
+                assert price == costs.holding_cost
+                continue
+            want = _rule_price(costs, arc.kind, tc.id, arc.phys_from,
+                               arc.phys_to, arc.depart)
+            assert price == want
+            one = (costs.service_cost if arc.kind == "service"
+                   else costs.outsourced_cost)
+            assert one(tc.id, arc.phys_from, arc.phys_to, arc.depart) == want
+
+
+def test_cost_table_memoizes_prefixes_lazily():
+    costs = make_sample_instance().costs
+    table = costs.table
+    assert costs.table is table
+    costs.service_cost(2, 2, 1, 2)
+    costs.service_cost(3, 2, 1, 2)
+    assert list(table._prefix) == [("service", 2, 1, 2)]
+
+
+def test_cost_table_names_a_missing_routing_key():
+    table = CostParams(routing_table={("service", 1, 2, 1, 2): 0.75}).table
+    assert table.price("service", 2, 1, 2, 1) == 0.75
+    with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
+        table.price("outsourced", 2, 1, 2, 1)
+    network = PhysicalNetwork(node_count=2, distance=((0, 1), (1, 0)))
+    tsn = build_time_space_network(network, 2)
+    with pytest.raises(CssndError, match=r"\('service', 1, 2, 2, 2\)"):
+        table.pricer(tsn.service_arcs)(2)

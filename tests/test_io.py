@@ -71,14 +71,25 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         ("id", 1, "duplicate commodity id 1"),
         ("origin", 99, "terminal 99 outside 1..5"),
         ("periods", 7.0, "not an integer"),
+        ("release", 2.0, "commodity 2 release 2.0 is not an integer"),
+        ("origin", 2.0, "commodity 2 origin 2.0 is not an integer"),
+        ("n_physical", 5.0, "n_physical 5.0 is not an integer"),
     ):
         data = instance_to_dict(make_sample_instance())
-        if field == "periods":
-            data["periods"] = value
+        if field in ("periods", "n_physical"):
+            data[field] = value
         else:
             data["commodities"][1][field] = value
         with pytest.raises(CssndError, match=message):
             instance_from_dict(data)
+    # a partial routing table loads, but pricing a pair it lacks is an error
+    data = instance_to_dict(make_sample_instance())
+    data["costs"].pop("routing_seed")
+    data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, 0.75]]
+    costs = instance_from_dict(data).costs
+    assert costs.service_cost(2, 1, 2, 1) == 0.75
+    with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
+        costs.outsourced_cost(2, 1, 2, 1)
 
 
 def test_serialization_is_stable():

@@ -114,7 +114,7 @@ def test_shift_cap_zero_forces_on_time(sample_model):
     row = next(c for c in model.constraints if c.name == "shift_cap")
     assert row.rhs == 0.0
     shifted = {var_p(tc.id) for tc in tcs if tc.kind != "original"}
-    assert {name for _, name in row.terms} == shifted
+    assert {model.variables[col].name for _, col in row.terms} == shifted
 
 
 def test_constraint_count_formulas(sample_model):
