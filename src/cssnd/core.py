@@ -350,12 +350,16 @@ class CostTable:
     """
 
     def __init__(self, params: CostParams):
-        self.params = params
+        # The parameters are copied, not referenced: a reference back would
+        # make params and table a cycle that only the cyclic GC frees.
+        self.routing_seed = params.routing_seed
+        self.routing_table = params.routing_table
+        self.holding_cost = params.holding_cost
         self._prefix: dict[tuple[str, int, int, int], int] = {}
 
     def _lookup(self, key: tuple) -> float:
         try:
-            return self.params.routing_table[key]
+            return self.routing_table[key]
         except KeyError:
             raise CssndError(f"routing table has no cost for {key!r}") from None
 
@@ -363,29 +367,29 @@ class CostTable:
         key = (kind, i, j, depart)
         state = self._prefix.get(key)
         if state is None:
-            seed = self.params.routing_seed
-            if seed is None:
+            if self.routing_seed is None:
                 raise CssndError("cost params carry neither routing seed nor table")
-            state = rng.absorb(seed, PRICE_RULES[kind][0], i, j, depart)
+            label = PRICE_RULES[kind][0]
+            state = rng.absorb(self.routing_seed, label, i, j, depart)
             self._prefix[key] = state
         return state
 
     def price(self, kind: str, tc_id: int, i: int, j: int, depart: int) -> float:
         """Price of one TC on the service or outsourced arc (i, j, depart)."""
-        if self.params.routing_table is not None:
+        if self.routing_table is not None:
             return self._lookup((kind, i, j, depart, tc_id))
         _, a, b = PRICE_RULES[kind]
         return a + b * rng.unit_after(self._prefix_of(kind, i, j, depart), tc_id)
 
     def pricer(self, arcs: list[Arc]):
         """A function of a TC id giving its price on each arc of `arcs`."""
-        hold = self.params.holding_cost
+        hold = self.holding_cost
         keys = [
             None if arc.kind == HOLD
             else (arc.kind, arc.phys_from, arc.phys_to, arc.depart)
             for arc in arcs
         ]
-        if self.params.routing_table is not None:
+        if self.routing_table is not None:
             lookup = self._lookup
             return lambda tc_id: [
                 hold if key is None else lookup((*key, tc_id)) for key in keys

@@ -6,7 +6,7 @@ only), `analyze`, `solve` with configs r/c/a (schedule JSON, .sol and report
 CSV) and `export` as LP and as MPS with its names sidecar in plain mode,
 plus one LP with valid inequalities and one strong-forcing MPS.  A generated
 large (k=30) instance adds the plain LP, the plain MPS and the strong-forcing
-MPS of a model two orders of magnitude bigger, and its config-a `.sol`.
+MPS of a model about six times the sample's, and its config-a `.sol`.
 
 `check` is pinned too: on every instance's config-a `.sol` and on the same
 file with its first `d_v` line dropped, the hash covers the verdict's

@@ -176,6 +176,20 @@ def test_mps_export_renames_with_sidecar(sample_model):
     assert model.constraints[0].name in originals
 
 
+def test_exports_stream_the_same_text_to_a_file(sample_model, tmp_path):
+    instance, tsn, tcs, _ = sample_model
+    model = build_mip(instance, tsn, tcs)
+    text = export_lp(model)
+    written = export_lp(model, tmp_path / "m.lp")
+    assert (tmp_path / "m.lp").read_text() == text
+    assert len(written) == len(text)
+    text, sidecar = export_mps(model)
+    written, streamed_sidecar = export_mps(model, tmp_path / "m.mps")
+    assert (tmp_path / "m.mps").read_text() == text
+    assert len(written) == len(text)
+    assert streamed_sidecar == sidecar
+
+
 def test_read_solution_parses_and_rejects():
     values = read_solution("# comment\nd_v1 1\nx_k1_a2 0.5\n\n")
     assert values == {"d_v1": 1.0, "x_k1_a2": 0.5}
@@ -191,6 +205,12 @@ def test_all_zero_assignment_violates_cover(sample_model):
     result = check_solution(instance, tsn, tcs, model, {})
     assert not result.feasible
     assert any(v.startswith("cover_") for v in result.violations)
+    # names the model lacks, non-canonical spellings included, count as absent
+    stray = {"d_v01": 1.0, "d_v99": 1.0, "p_k+1": 1.0, "x_k1": 1.0, "zz": 2.0}
+    again = check_solution(instance, tsn, tcs, model, stray)
+    assert (again.violations, again.objective) == (
+        result.violations, result.objective
+    )
 
 
 def test_dmam_schedule_checks_out(sample_model):
