@@ -12,8 +12,10 @@ MPS of a model about six times the sample's, and its config-a `.sol`.
 file with its first `d_v` line dropped, the hash covers the verdict's
 `feasible`, `objective` (its float repr, so the summation order counts),
 `violations`, `violation_count` and `summary`.  Manifests carry wall-clock
-telemetry and are not pinned.  A refactor must leave every hash unchanged; a
-deliberate output change updates the table in the same commit.
+telemetry and are not pinned.  One more hash covers the `solve` schedule
+JSON and `.sol` of every size class, k option, seeds 1-2 and configs r/c/a.
+A refactor must leave every hash unchanged; a deliberate output change
+updates the table in the same commit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from cssnd.cli import main
+from cssnd.instgen import size_class
 from cssnd.io import save_instance
 from tests.conftest import make_sample_instance
 
@@ -259,3 +262,33 @@ def test_corpus_lists_every_pinned_output(produced):
 @pytest.mark.parametrize("output", sorted(GOLDEN))
 def test_output_is_byte_identical(produced, output):
     assert produced[output] == GOLDEN[output]
+
+
+def _sweep(root) -> str:
+    """One sha256 over the schedule JSON and .sol of `solve` with configs
+    r/c/a on every size class and k option at seeds 1-2 (72 solves): many
+    more merges, shifted merges and mixes than the corpus above."""
+    sha = hashlib.sha256()
+    for size in ("small", "medium", "large", "xlarge"):
+        for k in size_class(size).k_options:
+            for seed in (1, 2):
+                inst = root / f"{size}-k{k}-s{seed}.json"
+                _run(["gen", "--size", size, "--k", str(k), "--seed",
+                      str(seed), "--out", str(inst)])
+                for config in "rca":
+                    schedule, sol = root / "schedule.json", root / "schedule.sol"
+                    _run(["solve", "--in", str(inst), "--config", config,
+                          "--out", str(schedule), "--sol", str(sol)])
+                    sha.update(f"{inst.name}/{config}\n".encode())
+                    sha.update(schedule.read_bytes())
+                    sha.update(sol.read_bytes())
+    return sha.hexdigest()
+
+
+SWEEP_GOLDEN = (
+    "6c93aec7b6c0be46c03d623bae40771406fffe5435282c3d7841872bfc7e9294"
+)
+
+
+def test_solve_sweep_is_byte_identical(tmp_path):
+    assert _sweep(tmp_path) == SWEEP_GOLDEN
