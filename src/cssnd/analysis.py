@@ -50,7 +50,6 @@ def occupancy_intersection(
 @dataclass(frozen=True)
 class AnalysisSummary:
     period_count: int
-    beta: dict[int, frozenset[int]]        # tc id -> in-transit periods
     occupancy: dict[int, frozenset[int]]   # oc id -> guaranteed busy periods
     phi: tuple[int, ...]                   # per-period resource requirement
     gamma: int                             # min over periods
@@ -73,10 +72,9 @@ def compute_requirements(
     tcs, incidence = expand_commodities(instance)
     by_id = {tc.id: tc for tc in tcs}
 
-    beta_map = {tc.id: beta_support(tc, period_count) for tc in tcs}
     if in_transit:
         def window(tc):
-            return beta_map[tc.id]
+            return beta_support(tc, period_count)
     else:
         def window(tc):
             return window_map(tc, period_count)
@@ -94,7 +92,6 @@ def compute_requirements(
     )
     return AnalysisSummary(
         period_count=period_count,
-        beta=beta_map,
         occupancy=occupancy,
         phi=phi,
         gamma=min(phi) if phi else 0,

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,15 +93,6 @@ class PhysicalNetwork:
     def d(self, i: int, j: int) -> int:
         """Distance in periods between physical nodes i and j (1-based)."""
         return self.distance[i - 1][j - 1]
-
-    def total_distance(self) -> int:
-        """Sum of d over ordered pairs, the distance-index statistic."""
-        return sum(
-            self.distance[i][j]
-            for i in range(self.node_count)
-            for j in range(self.node_count)
-            if i != j
-        )
 
 
 def validate_distances(physical: PhysicalNetwork, period_count: int) -> list[str]:
@@ -411,6 +403,13 @@ def _require_int(what: str, value) -> None:
         raise CssndError(f"{what} {value!r} is not an integer")
 
 
+def _require_number(what: str, value) -> None:
+    if type(value) is int:
+        return
+    if type(value) is not float or not math.isfinite(value):
+        raise CssndError(f"{what} {value!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class Instance:
     physical: PhysicalNetwork
@@ -441,6 +440,21 @@ class Instance:
                 ("due", oc.due_period),
             ):
                 _require_int(f"commodity {oc.id} {what}", value)
+            _require_number(f"commodity {oc.id} volume", oc.volume)
+        costs = self.costs
+        for what, value in (
+            ("f", costs.fixed_owned),
+            ("g", costs.fixed_leased),
+            ("holding", costs.holding_cost),
+            ("r_e", costs.penalty_early),
+            ("r_l", costs.penalty_tardy),
+        ):
+            _require_number(f"cost {what}", value)
+        if costs.routing_table is None:
+            _require_int("routing_seed", costs.routing_seed)
+        else:
+            for key, value in costs.routing_table.items():
+                _require_number(f"routing table cost of {key!r}", value)
         if self.owned_assets < 1:
             raise CssndError("at least one owned asset is required")
         if self.leasable_assets < 0:

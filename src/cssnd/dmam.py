@@ -17,6 +17,11 @@ time-wise conditions check that the repositioning legs fit the two gaps.
 Shifted merges retry the same conditions with the chains moved one period
 using the early/tardy sibling paths.
 
+Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
+particle cut from one, or a lone cycle's service leg.  A merge and a mix
+both place two legs on one axis and hand them to `_commit`, which swaps the
+new paths in, closes the cycle, and undoes the swaps when it is refused.
+
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
 an empty return trip, and idle holds: dragging the chain's waiting periods
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     CssndError,
@@ -66,38 +72,40 @@ ALTERNATIVES = {
 }
 
 
-@dataclass(frozen=True)
-class LegView:
-    """The asset-side silhouette of a (possibly truncated) path chain."""
+class Leg(NamedTuple):
+    """A chain one asset runs for one commodity: `arcs`, from `phys_from`
+    at period `start` to `phys_to` `busy` periods later.  A path's leg
+    starts at its depart period (1..|T|); on a cycle's axis `start` is the
+    normalized period and may exceed |T|."""
 
     path_id: int
     oc_id: int
     phys_from: int
     phys_to: int
-    start: int                 # period of chain start, 1..|T|
-    busy: int                  # periods from chain start to chain end
+    start: int
+    busy: int
+    arcs: tuple[int, ...]
+
+    @property
+    def end(self) -> int:
+        return self.start + self.busy
 
 
-def leg_view(path: CommodityPath) -> LegView:
-    return LegView(
-        path_id=path.id,
-        oc_id=path.oc_id,
-        phys_from=path.origin_physical,
-        phys_to=path.dest_physical,
-        start=path.depart_period,
-        busy=path.busy_periods,
+def leg_view(path: CommodityPath) -> Leg:
+    return Leg(
+        path.id, path.oc_id, path.origin_physical, path.dest_physical,
+        path.depart_period, path.busy_periods, path.arcs,
     )
 
 
-def adjust_times(leg1: LegView, leg2: LegView, period_count: int):
+def adjust_times(leg1: Leg, leg2: Leg, period_count: int):
     """Normalize the two chains onto one forward timeline.
 
     Returns (t_o1, t_d1, t_o2, t_d2, t_wrap) where t_wrap = t_o1 + |T| is
     the moment the cycle must close.
     """
-    t_o1, t_d1 = leg1.start, leg1.start + leg1.busy
-    t_o2 = leg2.start
-    t_d2 = t_o2 + leg2.busy
+    t_o1, t_d1 = leg1.start, leg1.end
+    t_o2, t_d2 = leg2.start, leg2.end
     # busy spans already encode any due-before-release wrap, so the first
     # two prerequisites hold by construction; the third aligns path two
     # after path one.
@@ -107,7 +115,7 @@ def adjust_times(leg1: LegView, leg2: LegView, period_count: int):
     return t_o1, t_d1, t_o2, t_d2, t_o1 + period_count
 
 
-def _spatial_type(leg1: LegView, leg2: LegView) -> str:
+def _spatial_type(leg1: Leg, leg2: Leg) -> str:
     back_matches = leg1.phys_from == leg2.phys_to
     forth_matches = leg1.phys_to == leg2.phys_from
     if back_matches and forth_matches:
@@ -167,7 +175,7 @@ def _slack_values(merge_type: str, times, d_forth: int, d_back: int) -> list[int
     ]
 
 
-def _merge_geometry(leg1: LegView, leg2: LegView, instance: Instance):
+def _merge_geometry(leg1: Leg, leg2: Leg, instance: Instance):
     """(merge_type, times, d_forth, d_back): the arguments that
     `_time_conditions` and `_slack_values` judge a pair by."""
     d = instance.physical.d
@@ -180,7 +188,7 @@ def _merge_geometry(leg1: LegView, leg2: LegView, instance: Instance):
 
 
 def check_regular_merge(
-    leg1: LegView, leg2: LegView, instance: Instance
+    leg1: Leg, leg2: Leg, instance: Instance
 ) -> str | None:
     """Return the (spatially determined) merge type if the chains fit one
     cycle without shifting, else None."""
@@ -193,10 +201,7 @@ class MergeCandidate:
     path_one: int
     path_two: int
     merge_type: str
-    shifted: bool
-    alternative: int            # 0 for regular merges
-    offset_one: int
-    offset_two: int
+    alternative: int            # key of ALTERNATIVES, 0 for regular merges
     new_path_one: int           # path id after any shift (== path_one if none)
     new_path_two: int
     combined_cost: float
@@ -256,8 +261,8 @@ class PathBook:
 
 
 def check_shifted_merge(
-    leg1: LegView,
-    leg2: LegView,
+    leg1: Leg,
+    leg2: Leg,
     path1: CommodityPath,
     path2: CommodityPath,
     instance: Instance,
@@ -289,18 +294,8 @@ def check_shifted_merge(
 
 
 @dataclass
-class CycleLeg:
-    path_id: int
-    asset_arcs: tuple[int, ...]   # arcs the asset runs for this commodity
-    start: int                    # normalized period of first asset arc
-    end: int                      # normalized period after last asset arc
-    phys_from: int
-    phys_to: int
-
-
-@dataclass
 class AssetCycle:
-    legs: list[CycleLeg]
+    legs: list[Leg]
     rep_plan: list[tuple[int, int]] = field(default_factory=list)  # (arc, t)
     asset_id: int = 0
     kind: str = "owned"
@@ -330,10 +325,16 @@ class Solution:
     book: PathBook
     selected: dict[int, CommodityPath] = field(default_factory=dict)
     cycles: list[AssetCycle] = field(default_factory=list)
-    outsourced: set[int] = field(default_factory=set)
     dominant: set[int] = field(default_factory=set)
     svc_registry: dict[int, int] = field(default_factory=dict)  # arc -> path
     phase_log: list[PhaseStat] = field(default_factory=list)
+
+    @property
+    def outsourced(self) -> set[int]:
+        return {
+            oc_id for oc_id, path in self.selected.items()
+            if path.mode == OUTSOURCED_MODE
+        }
 
     def owned_used(self) -> int:
         return min(len(self.cycles), self.instance.owned_assets)
@@ -396,38 +397,13 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
                     continue            # service slot already taken
                 solution.svc_registry[svc] = path.id
                 solution.selected[oc.id] = path
-                solution.cycles.append(
-                    AssetCycle(legs=[_single_leg(path)])
-                )
+                solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
                 break
             solution.selected[oc.id] = path
-            solution.outsourced.add(oc.id)
             break
         else:
             raise CssndError(f"commodity {oc.id} has no candidate path")
     return solution
-
-
-def _cycle_leg(
-    path: CommodityPath, asset_arcs: tuple[int, ...], start: int, end: int
-) -> CycleLeg:
-    """The asset carries `path`'s commodity over `asset_arcs`, occupying the
-    normalized periods [start, end)."""
-    return CycleLeg(
-        path_id=path.id,
-        asset_arcs=asset_arcs,
-        start=start,
-        end=end,
-        phys_from=path.origin_physical,
-        phys_to=path.dest_physical,
-    )
-
-
-def _single_leg(path: CommodityPath) -> CycleLeg:
-    return _cycle_leg(
-        path, path.arcs, path.depart_period,
-        path.depart_period + path.busy_periods,
-    )
 
 
 def partition_paths(
@@ -481,15 +457,11 @@ def explore_pair(
         if shifted is None:
             return None
         merge_type, alternative, new1, new2 = shifted
-    a1, a2 = ALTERNATIVES.get(alternative, (0, 0))
     return MergeCandidate(
         path_one=path1.id,
         path_two=path2.id,
         merge_type=merge_type,
-        shifted=alternative != 0,
         alternative=alternative,
-        offset_one=a1,
-        offset_two=a2,
         new_path_one=new1.id,
         new_path_two=new2.id,
         combined_cost=new1.cost + new2.cost,
@@ -497,7 +469,7 @@ def explore_pair(
 
 
 def _plan_repositioning(
-    solution: Solution, legs: list[CycleLeg]
+    solution: Solution, legs: list[Leg]
 ) -> list[tuple[int, int]] | None:
     """Choose the empty trips of a cycle that runs `legs` in order: from
     each leg's destination to the next leg's origin, and from the last leg
@@ -537,33 +509,8 @@ def _plan_repositioning(
     return plan
 
 
-def merge_paths(
-    solution: Solution, candidate: MergeCandidate
-) -> AssetCycle | None:
-    """Build the merged cycle for a feasible candidate and take its
-    repositioning slots; None when every slot is occupied by another asset.
-
-    Times come from the original pair's normalization plus the candidate's
-    offsets, exactly the axis the conditions were verified on; shifted
-    sibling chains keep their shape, so the offsets translate them rigidly.
-    """
-    book = solution.book
-    old1 = book.by_id[candidate.path_one]
-    old2 = book.by_id[candidate.path_two]
-    new1 = book.by_id[candidate.new_path_one]
-    new2 = book.by_id[candidate.new_path_two]
-    period_count = solution.instance.period_count
-    t_o1, t_d1, t_o2, t_d2, _ = adjust_times(
-        leg_view(old1), leg_view(old2), period_count
-    )
-    a1, a2 = candidate.offset_one, candidate.offset_two
-    leg1 = _cycle_leg(new1, new1.arcs, t_o1 + a1, t_d1 + a1)
-    leg2 = _cycle_leg(new2, new2.arcs, t_o2 + a2, t_d2 + a2)
-    return _close_cycle(solution, [leg1, leg2], "merged cycle failed simulation")
-
-
 def _close_cycle(
-    solution: Solution, legs: list[CycleLeg], failure: str
+    solution: Solution, legs: list[Leg], failure: str
 ) -> AssetCycle | None:
     """The cycle running `legs` with its empty trips planned, checked by
     simulation; None when some trip finds no free slot."""
@@ -592,39 +539,69 @@ def _outsource(solution: Solution, path: CommodityPath) -> None:
     fallback = solution.book.cheapest_outsourced(path.oc_id)
     del solution.svc_registry[path.arcs[path.lead_holds]]
     solution.selected[path.oc_id] = fallback
-    solution.outsourced.add(path.oc_id)
+
+
+def _commit(
+    solution: Solution,
+    legs: list[Leg],
+    swaps: list[tuple[CommodityPath, CommodityPath]],
+    failure: str,
+) -> bool:
+    """Replace the cycles carrying the legs' or the swapped paths' ids by one
+    cycle running `legs`, delivering each swap's commodity by its new path.
+
+    Refused, changing nothing, when a new path's service slot is held by
+    any path but the one it replaces, when two new paths share a slot, or
+    when some empty trip of the cycle finds no free slot.
+    """
+    swaps = [(old, new) for old, new in swaps if new.id != old.id]
+    registry = solution.svc_registry
+    incoming = [new.arcs[new.lead_holds] for _, new in swaps]
+    if len(set(incoming)) != len(incoming) or any(
+        registry.get(svc, old.id) != old.id
+        for svc, (old, _) in zip(incoming, swaps)
+    ):
+        return False
+    for old, new in swaps:
+        _reselect(solution, old, new)
+    cycle = _close_cycle(solution, legs, failure)
+    if cycle is None:
+        for old, new in swaps:
+            _reselect(solution, new, old)
+        return False
+    drop = {leg.path_id for leg in legs} | {old.id for old, _ in swaps}
+    solution.cycles = [
+        c for c in solution.cycles if drop.isdisjoint(c.carried_paths)
+    ]
+    solution.cycles.append(cycle)
+    return True
 
 
 def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
-    """Swap shifted paths in, replace the two single cycles by the merged
-    cycle, and keep the service-arc registry exact."""
+    """Commit the merged cycle of a feasible candidate.
+
+    Its legs sit on the original pair's normalized axis, moved by the
+    candidate's offsets: exactly where the conditions were verified.
+    Shifted sibling chains keep their shape, so the offsets move them
+    rigidly.
+    """
     book = solution.book
     old1 = book.by_id[candidate.path_one]
     old2 = book.by_id[candidate.path_two]
     new1 = book.by_id[candidate.new_path_one]
     new2 = book.by_id[candidate.new_path_two]
-    swaps = [(old, new) for old, new in ((old1, new1), (old2, new2))
-             if new.id != old.id]
-    # shifted replacements must not steal someone else's service slot
-    incoming = [new.arcs[new.lead_holds] for _, new in swaps]
-    if len(set(incoming)) != len(incoming) or any(
-        solution.svc_registry.get(svc, new.id) != new.id
-        for svc, (_, new) in zip(incoming, swaps)
-    ):
-        return False
-    for old, new in swaps:
-        _reselect(solution, old, new)
-    cycle = merge_paths(solution, candidate)
-    if cycle is None:
-        for old, new in swaps:
-            _reselect(solution, new, old)
-        return False
-    drop = {candidate.path_one, candidate.path_two}
-    solution.cycles = [
-        c for c in solution.cycles if not (set(c.carried_paths) & drop)
+    t_o1, _, t_o2, _, _ = adjust_times(
+        leg_view(old1), leg_view(old2), solution.instance.period_count
+    )
+    a1, a2 = ALTERNATIVES.get(candidate.alternative, (0, 0))
+    legs = [
+        leg_view(new1)._replace(start=t_o1 + a1),
+        leg_view(new2)._replace(start=t_o2 + a2),
     ]
-    solution.cycles.append(cycle)
-    return True
+    return _commit(
+        solution, legs, [(old1, new1), (old2, new2)],
+        "merged cycle failed simulation",
+    )
 
 
 def merge_phase(solution: Solution, config: str) -> int:
@@ -731,9 +708,9 @@ def solve_p2(
     return sorted(selected)
 
 
-def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork):
-    """Remove one holding arc; return the service-bearing remainder as a
-    LegView plus its asset arcs."""
+def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork) -> Leg:
+    """The service-bearing remainder of `path` without its holding arc at
+    `drop_index`."""
     period_count = tsn.period_count
     if drop_index < path.lead_holds:
         arcs = path.arcs[drop_index + 1 :]
@@ -745,15 +722,7 @@ def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork):
         arcs = path.arcs[: path.lead_holds + 1 + hold_pos]
         start = path.depart_period
         busy = path.lead_holds + path.leg_duration + hold_pos
-    view = LegView(
-        path_id=path.id,
-        oc_id=path.oc_id,
-        phys_from=path.origin_physical,
-        phys_to=path.dest_physical,
-        start=start,
-        busy=busy,
-    )
-    return view, arcs
+    return leg_view(path)._replace(start=start, busy=busy, arcs=arcs)
 
 
 def mix_phase(solution: Solution) -> int:
@@ -800,20 +769,17 @@ def _try_mix_cycle(
         for p in sorted(book.oc_paths(current.oc_id), key=lambda p: p.id)
         if p.mode == OFFERED and p.id != current.id
     ]
+    # a lone cycle's one leg is its path's leg_view
     targets = [
-        c
+        c.legs[0]
         for c in solution.cycles
         if not c.merged and c is not cycle
-        and book.by_id[c.legs[0].path_id].id not in solution.dominant
+        and c.legs[0].path_id not in solution.dominant
     ]
     for alt in alternatives:
-        hold_positions = [
-            idx
-            for idx, arc_id in enumerate(alt.arcs)
-            if tsn.arcs[arc_id - 1].kind == "hold"
-        ]
-        for drop_index in hold_positions:
-            arc_id = alt.arcs[drop_index]
+        for drop_index, arc_id in enumerate(alt.arcs):
+            if tsn.arcs[arc_id - 1].kind != "hold":
+                continue
             dominant_ids = [
                 pid
                 for pid in hold_owners.get(arc_id, [])
@@ -821,17 +787,12 @@ def _try_mix_cycle(
             ]
             if not dominant_ids:
                 continue
-            view, particle_arcs = _particle(alt, drop_index, tsn)
-            for target_cycle in targets:
-                target = book.by_id[target_cycle.legs[0].path_id]
-                merge_type = check_regular_merge(
-                    leg_view(target), view, instance
-                )
-                if merge_type is None:
+            particle = _particle(alt, drop_index, tsn)
+            for target in targets:
+                if check_regular_merge(target, particle, instance) is None:
                     continue
                 if _execute_mix(
-                    solution, cycle, target_cycle, current, alt,
-                    view, particle_arcs, dominant_ids[0],
+                    solution, current, target, particle, dominant_ids[0]
                 ):
                     return True
     return False
@@ -839,38 +800,23 @@ def _try_mix_cycle(
 
 def _execute_mix(
     solution: Solution,
-    source_cycle: AssetCycle,
-    target_cycle: AssetCycle,
     current: CommodityPath,
-    alt: CommodityPath,
-    particle: LegView,
-    particle_arcs: tuple[int, ...],
+    target: Leg,
+    particle: Leg,
     dominant_id: int,
 ) -> bool:
-    book = solution.book
-    period_count = solution.instance.period_count
-    target = book.by_id[target_cycle.legs[0].path_id]
-    swap = alt.id != current.id
-    if swap:
-        svc = alt.arcs[alt.lead_holds]
-        if solution.svc_registry.get(svc, alt.id) not in (alt.id, current.id):
-            return False
-    t_o1, t_d1, t_o2, t_d2, _ = adjust_times(
-        leg_view(target), particle, period_count
+    """Commit the cycle running `target` and then `particle`; when the
+    particle is cut from another path of `current`'s commodity, that path
+    replaces `current`."""
+    _, _, t_o2, _, _ = adjust_times(
+        target, particle, solution.instance.period_count
     )
-    leg1 = _cycle_leg(target, target.arcs, t_o1, t_d1)
-    leg2 = _cycle_leg(alt, particle_arcs, t_o2, t_d2)
-    if swap:
-        _reselect(solution, current, alt)
-    cycle = _close_cycle(solution, [leg1, leg2], "mix produced an invalid cycle")
-    if cycle is None:
-        if swap:
-            _reselect(solution, alt, current)
+    legs = [target, particle._replace(start=t_o2)]
+    new = solution.book.by_id[particle.path_id]
+    if not _commit(
+        solution, legs, [(current, new)], "mix produced an invalid cycle"
+    ):
         return False
-    solution.cycles = [
-        c for c in solution.cycles if c is not source_cycle and c is not target_cycle
-    ]
-    solution.cycles.append(cycle)
     solution.dominant.add(dominant_id)
     return True
 
@@ -938,9 +884,9 @@ def _materialize(solution: Solution, cycle: AssetCycle) -> bool:
         path = solution.book.by_id[leg.path_id]
         svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
         legs = [
-            _cycle_leg(
-                path, (svc_arc.id,), svc_arc.depart,
-                svc_arc.depart + svc_arc.duration,
+            leg._replace(
+                start=svc_arc.depart, busy=svc_arc.duration,
+                arcs=(svc_arc.id,),
             )
         ]
         plan = _plan_repositioning(solution, legs)
@@ -958,7 +904,7 @@ def _materialize(solution: Solution, cycle: AssetCycle) -> bool:
             leg = leg_at.pop(cursor)
             if place != leg.phys_from:
                 raise CssndError("asset is not at the pickup terminal")
-            seq.extend(leg.asset_arcs)
+            seq.extend(leg.arcs)
             cursor = leg.end
             place = leg.phys_to
         elif cursor in rep_at:

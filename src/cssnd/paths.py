@@ -12,6 +12,11 @@ cost therefore charges the full residual window (span - leg duration) of
 holding, which makes the heuristic's totals agree with the exact objective
 to the last bit.  Shapes of one TC consequently differ in cost only through
 their service leg.
+
+Volume follows the exact model: holding and service arcs are billed per
+unit of flow, so their cost scales with the TC's volume, while an
+outsourced leg is billed once per shipment.  A service leg is offered only
+when its capacity holds the whole volume; a larger commodity is outsourced.
 """
 
 from __future__ import annotations
@@ -57,10 +62,12 @@ def path_cost(
     window_span: int,
     leg_duration: int,
     multiplier: float,
+    volume: float = 1.0,
 ) -> float:
-    """Price a path: (leg + full residual holding) scaled by the penalty."""
+    """Price a path: (leg + full residual holding of `volume` units) scaled
+    by the penalty.  `leg_cost` is the leg's whole charge."""
     residual = max(0, window_span - leg_duration)
-    return multiplier * (leg_cost + holding_cost * residual)
+    return multiplier * (leg_cost + volume * holding_cost * residual)
 
 
 def enumerate_paths(
@@ -73,13 +80,15 @@ def enumerate_paths(
 
     Offered shapes are every split (lead, trail) of at most `slack` holding
     arcs around the service leg, enumerated lead-ascending then trail-
-    ascending.  When the window is too tight for any offered leg the list
-    still ends with an outsourced fallback; a third party can always be paid
-    to carry the commodity.
+    ascending.  When the window is too tight for any offered leg, or the
+    service capacity is below the TC's volume, the list still ends with an
+    outsourced fallback; a third party can always be paid to carry the
+    commodity.
     """
     period_count = tsn.period_count
     span = tc.window_span(period_count)
-    d = tsn.service_arc(tc.origin_physical, tc.dest_physical, 1).duration
+    service = tsn.service_arc(tc.origin_physical, tc.dest_physical, 1)
+    d = service.duration
     multiplier = costs.multiplier(tc.kind)
     paths: list[CommodityPath] = []
     next_id = id_start
@@ -95,7 +104,7 @@ def enumerate_paths(
             arcs.append(tsn.holding_arc(tc.dest_physical, t).id)
         return tuple(arcs)
 
-    if span >= d:
+    if span >= d and service.capacity >= tc.volume:
         slack = span - d
         for lead in range(slack + 1):
             depart = wrap_period(tc.release_period + lead, period_count)
@@ -121,17 +130,18 @@ def enumerate_paths(
                         trail_holds=trail,
                         busy_periods=lead + d + trail,
                         cost=path_cost(
-                            leg_cost, costs.holding_cost, span, d, multiplier
+                            tc.volume * leg_cost, costs.holding_cost, span, d,
+                            multiplier, tc.volume,
                         ),
                     )
                 )
                 next_id += 1
 
     leg = tsn.outsourced_arc(tc.origin_physical, tc.dest_physical, tc.release_period)
-    if leg is None and span < d:
+    if leg is None and not paths:
         raise CssndError(
-            f"TC {tc.id}: no offered path fits the window and no outsourced "
-            "service exists on its O-D pair"
+            f"TC {tc.id}: no offered path fits the window and the service "
+            "capacity, and no outsourced service exists on its O-D pair"
         )
     if leg is not None:
         leg_cost = costs.outsourced_cost(
@@ -153,7 +163,9 @@ def enumerate_paths(
                 lead_holds=0,
                 trail_holds=0,
                 busy_periods=d,
-                cost=path_cost(leg_cost, costs.holding_cost, span, d, multiplier),
+                cost=path_cost(
+                    leg_cost, costs.holding_cost, span, d, multiplier, tc.volume
+                ),
             )
         )
     return paths

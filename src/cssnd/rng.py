@@ -96,9 +96,6 @@ class Stream:
         span = hi - lo + 1
         return lo + self.u64() % span
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.unit()
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.u64() % (i + 1)

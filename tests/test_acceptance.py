@@ -20,9 +20,9 @@ from cssnd.dmam import (
     AssetCycle,
     PathBook,
     Solution,
-    _single_leg,
     check_regular_merge,
     finalize_cycles,
+    leg_view,
     resolve_capacity,
     run_dmam,
     scopf,
@@ -307,7 +307,7 @@ def test_criterion_10_vi_validity_on_random_schedules():
             path = usable[stream.randint(0, len(usable) - 1)]
             solution.selected[oc.id] = path
             solution.svc_registry[path.arcs[path.lead_holds]] = path.id
-            solution.cycles.append(AssetCycle(legs=[_single_leg(path)]))
+            solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
         resolve_capacity(solution)
         finalize_cycles(solution)
         result = check_solution(

@@ -44,6 +44,22 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("where, field", [
+    ("commodity", "volume"),
+    ("costs", "holding"),
+])
+def test_string_number_exits_1(tmp_path, capsys, where, field):
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(make_sample_instance())
+    target = data["commodities"][1] if where == "commodity" else data["costs"]
+    target[field] = str(target[field])
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "is not a finite number" in err
+
+
 @pytest.mark.parametrize("command, missing", [
     ("export", ("outsourced", 5, 4, 7, 30)),
     ("solve", ("service", 2, 1, 1, 1)),

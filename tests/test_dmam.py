@@ -15,15 +15,16 @@ from cssnd.core import (
     wrap_period,
 )
 from cssnd.dmam import (
-    LegView,
+    Leg,
     MergeCandidate,
     PathBook,
     adjust_times,
     check_regular_merge,
     check_shifted_merge,
     construct_initial,
+    _commit,
+    _execute_merge,
     leg_view,
-    merge_paths,
     merge_phase,
     partition_paths,
     run_dmam,
@@ -35,13 +36,14 @@ from cssnd.rng import Stream
 
 
 def leg(oc, frm, to, start, busy, pid=None):
-    return LegView(
+    return Leg(
         path_id=pid if pid is not None else oc,
         oc_id=oc,
         phys_from=frm,
         phys_to=to,
         start=start,
         busy=busy,
+        arcs=(),
     )
 
 
@@ -111,7 +113,7 @@ def test_overlapping_windows_do_not_merge():
     assert check_regular_merge(leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3), instance) is None
 
 
-def cycle_oracle(leg_a: LegView, leg_b: LegView, instance: Instance) -> bool:
+def cycle_oracle(leg_a: Leg, leg_b: Leg, instance: Instance) -> bool:
     """Discrete occupancy simulation: can one asset run both chains and the
     at most two direct repositioning trips inside one horizon?"""
     period_count = instance.period_count
@@ -251,22 +253,73 @@ def test_merge_paths_builds_closed_cycle():
         path_one=p1.id,
         path_two=p2.id,
         merge_type="no_rep",
-        shifted=False,
         alternative=0,
-        offset_one=0,
-        offset_two=0,
         new_path_one=p1.id,
         new_path_two=p2.id,
         combined_cost=p1.cost + p2.cost,
     )
-    cycle = merge_paths(solution, candidate)
-    assert cycle is not None
+    assert _execute_merge(solution, candidate)
+    cycle = solution.cycles[-1]
     assert sorted(cycle.carried_paths) == sorted([p1.id, p2.id])
     assert cycle.rep_plan == []       # perfect match needs no repositioning
 
 
+def _state(solution):
+    return (
+        dict(solution.svc_registry),
+        dict(solution.selected),
+        list(solution.cycles),
+        set(solution.dominant),
+    )
+
+
+def rollback_fixture():
+    """Commodities 1 and 3 share O-D and window, so construct_initial gives
+    them different service slots; commodity 2 runs elsewhere."""
+    instance = make_instance([(1, 2, 1, 5), (3, 4, 1, 3), (1, 2, 1, 5)])
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    book = PathBook(instance, tsn)
+    solution = construct_initial(instance, book)
+    solution.dominant.add(solution.selected[2].id)
+    return book, solution
+
+
+def slot(path):
+    return path.arcs[path.lead_holds]
+
+
+def test_refused_commit_for_a_held_slot_changes_nothing():
+    book, solution = rollback_fixture()
+    current, holder = solution.selected[3], solution.selected[1]
+    stolen = next(
+        p for p in book.oc_paths(3)
+        if p.mode == "offered" and slot(p) == slot(holder)
+    )
+    before = _state(solution)
+    legs = [leg_view(stolen), leg_view(solution.selected[2])]
+    assert not _commit(solution, legs, [(current, stolen)], "unused")
+    assert _state(solution) == before
+
+
+def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
+    book, solution = rollback_fixture()
+    current, other = solution.selected[1], solution.selected[2]
+    taken = set(solution.svc_registry)
+    alt = next(
+        p for p in book.oc_paths(1)
+        if p.mode == "offered" and slot(p) not in taken
+    )
+    before = _state(solution)
+    # the 2->3 trip needs two periods but the second leg starts as the
+    # first one ends, so the swap to `alt` must be rolled back
+    first = leg_view(alt)._replace(start=1, busy=2)
+    legs = [first, leg_view(other)._replace(start=first.end)]
+    assert not _commit(solution, legs, [(current, alt)], "unused")
+    assert _state(solution) == before
+
+
 def test_simulation_rejects_window_violations():
-    from cssnd.dmam import AssetCycle, CycleLeg, simulate_cycle
+    from cssnd.dmam import AssetCycle, simulate_cycle
 
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
     tsn = build_time_space_network(instance.physical, instance.period_count)
@@ -277,8 +330,8 @@ def test_simulation_rejects_window_violations():
     def cycle_with_second_start(start):
         return AssetCycle(
             legs=[
-                CycleLeg(p1.id, p1.arcs, 1, 3, 1, 2),
-                CycleLeg(p2.id, p2.arcs, start, start + 2, 2, 1),
+                Leg(p1.id, p1.oc_id, 1, 2, 1, 2, p1.arcs),
+                Leg(p2.id, p2.oc_id, 2, 1, start, 2, p2.arcs),
             ]
         )
 
@@ -342,10 +395,7 @@ def cand(i, j, cost=1.0):
         path_one=i,
         path_two=j,
         merge_type="no_rep",
-        shifted=False,
         alternative=0,
-        offset_one=0,
-        offset_two=0,
         new_path_one=i,
         new_path_two=j,
         combined_cost=cost,

@@ -74,10 +74,19 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         ("release", 2.0, "commodity 2 release 2.0 is not an integer"),
         ("origin", 2.0, "commodity 2 origin 2.0 is not an integer"),
         ("n_physical", 5.0, "n_physical 5.0 is not an integer"),
+        ("volume", "1.0", "commodity 2 volume '1.0' is not a finite number"),
+        ("volume", True, "commodity 2 volume True is not a finite number"),
+        ("volume", float("inf"), "commodity 2 volume inf is not a finite"),
+        ("holding", "0.15", "cost holding '0.15' is not a finite number"),
+        ("f", None, "cost f None is not a finite number"),
+        ("r_l", float("nan"), "cost r_l nan is not a finite number"),
+        ("routing_seed", 1.5, "routing_seed 1.5 is not an integer"),
     ):
         data = instance_to_dict(make_sample_instance())
         if field in ("periods", "n_physical"):
             data[field] = value
+        elif field in data["costs"]:
+            data["costs"][field] = value
         else:
             data["commodities"][1][field] = value
         with pytest.raises(CssndError, match=message):
@@ -90,6 +99,9 @@ def test_malformed_documents_are_domain_errors(tmp_path):
     assert costs.service_cost(2, 1, 2, 1) == 0.75
     with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
         costs.outsourced_cost(2, 1, 2, 1)
+    data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, "0.75"]]
+    with pytest.raises(CssndError, match="'0.75' is not a finite number"):
+        instance_from_dict(data)
 
 
 def test_serialization_is_stable():

@@ -273,8 +273,8 @@ def test_vi_rows_hold_for_dedicated_schedules():
             AssetCycle,
             PathBook,
             Solution,
-            _single_leg,
             finalize_cycles,
+            leg_view,
             resolve_capacity,
         )
 
@@ -290,7 +290,7 @@ def test_vi_rows_hold_for_dedicated_schedules():
             path = usable[stream.randint(0, len(usable) - 1)]
             solution.selected[oc.id] = path
             solution.svc_registry[path.arcs[path.lead_holds]] = path.id
-            solution.cycles.append(AssetCycle(legs=[_single_leg(path)]))
+            solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
         resolve_capacity(solution)
         finalize_cycles(solution)
         assignment = solution_to_assignment(solution)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from cssnd.core import (
@@ -10,10 +12,14 @@ from cssnd.core import (
     TransformedCommodity,
     build_time_space_network,
     cyclic_span,
+    expand_commodities,
     wrap_period,
 )
+from cssnd.dmam import run_dmam, solution_to_assignment
+from cssnd.model import build_mip, check_solution
 from cssnd.paths import OFFERED, enumerate_paths, path_cost, validate_path
 from cssnd.rng import Stream
+from tests.conftest import make_sample_instance
 
 
 def dfs_offered_paths(tc, tsn):
@@ -161,3 +167,49 @@ def test_same_tc_shapes_price_identically():
         by_depart.setdefault(p.lead_holds, set()).add(round(p.cost, 12))
     for prices in by_depart.values():
         assert len(prices) == 1
+
+
+def _with_volumes(volumes):
+    """The worked sample with commodity volumes replaced by `volumes`."""
+    instance = make_sample_instance()
+    commodities = tuple(
+        replace(oc, volume=volumes.get(oc.id, oc.volume))
+        for oc in instance.commodities
+    )
+    return replace(instance, commodities=commodities)
+
+
+@pytest.mark.parametrize("volumes", [
+    {k: 0.5 for k in range(1, 11)},     # every path billed per unit
+    {1: 2.0},                           # above the service capacity 1.0
+], ids=["half", "above_capacity"])
+def test_heuristic_total_equals_checker_objective(volumes):
+    instance = _with_volumes(volumes)
+    solution, report = run_dmam(instance, "a")
+    tsn = solution.tsn
+    tcs, _ = expand_commodities(instance)
+    result = check_solution(
+        instance, tsn, tcs, build_mip(instance, tsn, tcs),
+        solution_to_assignment(solution),
+    )
+    assert result.feasible, result.violations[:5]
+    assert result.objective == pytest.approx(report["total_cost"], abs=1e-6)
+    for oc_id, volume in volumes.items():
+        if volume > 1.0:
+            assert solution.selected[oc_id].mode == "outsourced"
+
+
+def test_volume_scales_per_unit_costs_only():
+    tsn = build_time_space_network(random_network(Stream(8, "p"), 4), 7)
+    unit = TransformedCommodity(6, 2, "tardy", 1, 3, 2, 6, 1.0)
+    half = TransformedCommodity(6, 2, "tardy", 1, 3, 2, 6, 0.5)
+    for one, other in zip(enumerate_paths(unit, tsn, COSTS),
+                          enumerate_paths(half, tsn, COSTS)):
+        assert one.arcs == other.arcs
+        holding = 1.2 * 0.15 * (4 - one.leg_duration)
+        if one.mode == OFFERED:
+            assert other.cost == pytest.approx(one.cost / 2)
+        else:   # the outsourced leg is billed per shipment
+            assert other.cost == pytest.approx(one.cost - holding / 2)
+    big = TransformedCommodity(6, 2, "tardy", 1, 3, 2, 6, 1.5)
+    assert [p.mode for p in enumerate_paths(big, tsn, COSTS)] == ["outsourced"]
