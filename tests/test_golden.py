@@ -7,6 +7,8 @@ CSV) and `export` as LP and as MPS with its names sidecar in plain mode,
 plus one LP with valid inequalities and one strong-forcing MPS.  A generated
 large (k=30) instance adds the plain LP, the plain MPS and the strong-forcing
 MPS of a model about six times the sample's, and its config-a `.sol`.
+A generated very_large (k=90) instance adds its plain MPS and sidecar, the
+largest model the toolkit is timed on.
 
 `check` is pinned too: on every instance's config-a `.sol` and on the same
 file with its first `d_v` line dropped, the hash covers the verdict's
@@ -34,6 +36,7 @@ from tests.conftest import make_sample_instance
 
 GENERATED = {"small10": ("small", 10, 7), "medium25": ("medium", 25, 11)}
 LARGE = {"large30": ("large", 30, 13)}
+VERY_LARGE = {"verylarge90": ("xlarge", 90, 42)}
 
 # (variant, format, flags): both formats in plain mode, each variant once.
 EXPORTS = [
@@ -43,6 +46,7 @@ EXPORTS = [
     ("strong", "mps", ["--strong-forcing"]),
 ]
 LARGE_EXPORTS = [e for e in EXPORTS if e[0] != "vi"]
+VERY_LARGE_EXPORTS = [("plain", "mps", [])]
 VERDICT_FIELDS = ("feasible", "objective", "violations", "violation_count",
                   "summary")
 
@@ -177,6 +181,10 @@ GOLDEN = {
         "ea404f352eba8e5e70822321fc80c8204df908d1d89f2e4ee112d4885b068ac1",
     "small10.vi.lp":
         "a908ac51026b2633399a68cb99d77f62930182cce36357e4064bc9d1e69ae8d3",
+    "verylarge90.plain.mps":
+        "74b38a135c77757e49d7f61f29931895cd68e966a6f861c8184b60405a2a5c21",
+    "verylarge90.plain.mps.names.json":
+        "e43240b2e2cd8b3352d00d570fa0fdf58d24d13ac87617e90845711d6123f611",
 }
 
 
@@ -242,6 +250,10 @@ def _produce(root) -> dict[str, str]:
               "--sol", str(root / f"{name}.a.sol")])
         files.append(f"{name}.a.sol")
         files += _export(root, name, LARGE_EXPORTS)
+    for name, (size, k, seed) in VERY_LARGE.items():
+        _run(["gen", "--size", size, "--k", str(k), "--seed", str(seed),
+              "--out", str(root / f"{name}.json")])
+        files += _export(root, name, VERY_LARGE_EXPORTS)
     hashes = {
         f: hashlib.sha256((root / f).read_bytes()).hexdigest() for f in files
     }
