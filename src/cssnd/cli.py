@@ -132,6 +132,7 @@ def cmd_export(args, elapsed):
         export_lp(model, args.out)
     else:
         _, sidecar = export_mps(model, args.out)
+        del model           # free the model before the sidecar text is built
         Path(f"{args.out}.names.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         )

@@ -823,32 +823,47 @@ def _execute_mix(
 
 def resolve_capacity(solution: Solution) -> None:
     """Phase V: cover any shortage beyond the owned fleet by leasing or by
-    outsourcing single-commodity cycles, whichever increases cost less."""
+    outsourcing single-commodity cycles, whichever increases cost less.
+    With no lone cycle left and the lease budget spent, the merged cycle
+    that is cheapest to convert is outsourced leg by leg."""
     instance = solution.instance
     g = instance.costs.fixed_leased
     shortage = len(solution.cycles) - instance.owned_assets
     leased = 0
     while shortage > 0:
-        singles = [c for c in solution.cycles if not c.merged]
-        conversions = []
-        for cycle in singles:
-            path = solution.book.by_id[cycle.legs[0].path_id]
-            fallback = solution.book.cheapest_outsourced(path.oc_id)
-            conversions.append((fallback.cost - path.cost, path.id, cycle))
-        conversions.sort(key=lambda item: (item[0], item[1]))
         can_lease = leased < instance.leasable_assets
+        conversions = _conversions(
+            solution, [c for c in solution.cycles if not c.merged]
+        )
+        if not conversions and not can_lease:
+            conversions = _conversions(solution, solution.cycles)
         if conversions and (conversions[0][0] < g or not can_lease):
-            _, path_id, cycle = conversions[0]
-            _outsource(solution, solution.book.by_id[path_id])
+            cycle = conversions[0][2]
+            for leg in cycle.legs:
+                _outsource(solution, solution.book.by_id[leg.path_id])
+            for arc_id, _ in cycle.rep_plan:
+                del solution.svc_registry[arc_id]   # repositioning marker
             solution.cycles.remove(cycle)
-        elif can_lease:
-            leased += 1
         else:
-            raise CssndError(
-                "asset shortage cannot be resolved: lease budget exhausted "
-                "and no single-commodity cycle left to outsource"
-            )
+            leased += 1
         shortage -= 1
+
+
+def _conversions(
+    solution: Solution, cycles: list[AssetCycle]
+) -> list[tuple[float, int, AssetCycle]]:
+    """(cost increase of outsourcing every leg, first leg's path id, cycle)
+    for each of `cycles`, cheapest first."""
+    book = solution.book
+    conversions = []
+    for cycle in cycles:
+        delta = 0.0
+        for leg in cycle.legs:
+            path = book.by_id[leg.path_id]
+            delta += book.cheapest_outsourced(path.oc_id).cost - path.cost
+        conversions.append((delta, cycle.legs[0].path_id, cycle))
+    conversions.sort(key=lambda item: item[:2])
+    return conversions
 
 
 def finalize_cycles(solution: Solution) -> None:

@@ -10,8 +10,9 @@ key of a product of axes, in row-major order).  A row holds (coef, column)
 terms, range-checked once when it is added.  Names are made only where
 text is: the LP/MPS writers format each column's name from its family, and
 `check_solution` parses the names of a solution file back to columns.  The
-writers stream their text to a file in chunks of lines, so the whole text
-never sits in memory; called without a file they return it as a string.
+writers stream their text to a file in chunks of characters, so the whole
+text never sits in memory; called without a file they return it as a
+string.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -34,7 +35,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, product, starmap
+from itertools import product, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -368,11 +369,17 @@ def build_mip(
         add(f"cap_a{arc.id}", terms, "<=", 0.0)
 
     if options.strong_forcing:
+        # rows of one service arc and one strength share their y terms
+        blocks: dict[tuple[float, int], tuple[tuple[float, int], ...]] = {}
         for q, tc in enumerate(tcs):
             for i, arc in service:
                 strength = min(tc.volume, arc.capacity)
-                terms = [(1.0, x_col[q] + asset_pos[i])]
-                terms += [(-strength, y_col[v] + i) for v in assets]
+                block = blocks.get((strength, i))
+                if block is None:
+                    block = blocks[strength, i] = tuple(
+                        (-strength, y_col[v] + i) for v in assets
+                    )
+                terms = ((1.0, x_col[q] + asset_pos[i]),) + block
                 add(f"strong_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
 
     # outsourced flow only on selected outsourced services
@@ -418,7 +425,7 @@ def build_mip(
 
 # --- text formats -----------------------------------------------------------
 
-CHUNK_LINES = 4096
+CHUNK_CHARS = 1 << 18
 
 
 def _num(value: float) -> str:
@@ -509,15 +516,6 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
     for short, row in zip(row_short[1:], rows):
         yield f" {SENSE_CODE[row.sense]}  {short}"
 
-    # Transpose to columns: column c's entries as a flat list of row
-    # number, coef, row number, coef, ..., the objective first as row 0.
-    by_col: list[list] = [[] for _ in names]
-    for coef, col in model.objective:
-        by_col[col] += (0, coef)
-    for r, row in enumerate(rows, start=1):
-        for coef, col in row.terms:
-            by_col[col] += (r, coef)
-
     # Text of each coefficient.  Zeros are formatted afresh, since 0.0 and
     # -0.0 are one dict key but print differently.
     values: dict[float, str] = {}
@@ -527,6 +525,21 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
         if text is None or not coef:
             text = values[coef] = f"{coef:.9g}"
         return text
+
+    # Transpose to columns: cells[c] holds the "row  value" text of column
+    # c's entries, the objective first.  Objective prices are nearly all
+    # distinct, so they bypass the cache; a row's run of terms with one
+    # coefficient shares one cell string.
+    cells: list[list[str] | None] = [[] for _ in names]
+    for coef, col in model.objective:
+        cells[col].append(f"COST      {coef:.9g}")
+    for short, row in zip(row_short[1:], rows):
+        last = cell = None
+        for coef, col in row.terms:
+            if coef != last or not coef:
+                cell = f"{short}  {value(coef)}"
+                last = coef
+            cells[col].append(cell)
 
     yield "COLUMNS"
     in_integer = False
@@ -538,10 +551,10 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
             yield MARKER.format(marker, "'INTORG'" if wants_integer else "'INTEND'")
             in_integer = wants_integer
         for c in range(family.base, family.base + family.size):
-            head = f"    C{c + 1:07d}  "
-            entries = iter(by_col[c])
-            for r, coef in zip(entries, entries):
-                yield f"{head}{row_short[r]}  {value(coef)}"
+            if cells[c]:
+                head = f"    C{c + 1:07d}  "
+                yield head + ("\n" + head).join(cells[c])
+            cells[c] = None             # free the column once written
     if in_integer:
         marker += 1
         yield MARKER.format(marker, "'INTEND'")
@@ -571,11 +584,18 @@ class Written:
 
 
 def _emit(lines: Iterable[str], out: TextIO) -> int:
-    """Write each line plus a newline to `out` in chunks of CHUNK_LINES
-    lines; return the characters written."""
-    lines = iter(lines)
-    chars = 0
-    while chunk := list(islice(lines, CHUNK_LINES)):
+    """Write each item (one or more lines) plus a newline to `out` in
+    chunks of about CHUNK_CHARS characters; return the characters written."""
+    chars = size = 0
+    chunk: list[str] = []
+    for line in lines:
+        chunk.append(line)
+        size += len(line)
+        if size >= CHUNK_CHARS:
+            chars += out.write("\n".join(chunk) + "\n")
+            chunk.clear()
+            size = 0
+    if chunk:
         chars += out.write("\n".join(chunk) + "\n")
     return chars
 

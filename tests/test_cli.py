@@ -203,3 +203,23 @@ def test_bench_emits_table(tmp_path):
         fields = line.split(",")
         assert fields[1] == "small"
         assert float(fields[5]) > 0
+
+
+@pytest.mark.parametrize("config", ["r", "c", "a"])
+def test_exhausted_fleet_outsources_merged_cycles(tmp_path, capsys, config):
+    """One owned asset and none to lease: Phase V outsources merged cycles
+    once no lone cycle is left, and the schedule still checks out."""
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(make_sample_instance())
+    data["owned"], data["leasable"] = 1, 0
+    inst.write_text(json.dumps(data))
+    sol = tmp_path / "i.sol"
+    assert run(["solve", "--in", str(inst), "--config", config,
+                "--sol", str(sol)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["owned_used"] <= 1
+    assert summary["leased"] == 0
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["feasible"] is True
+    assert verdict["objective"] == pytest.approx(summary["total_cost"], abs=1e-6)

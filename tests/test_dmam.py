@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -33,6 +34,7 @@ from cssnd.dmam import (
 )
 from cssnd.instgen import generate_instance
 from cssnd.rng import Stream
+from tests.conftest import make_sample_instance
 
 
 def leg(oc, frm, to, start, busy, pid=None):
@@ -636,3 +638,22 @@ def test_determinism_same_seed_same_report():
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+@pytest.mark.parametrize("config", ["r", "c", "a"])
+def test_phase_v_releases_the_slots_of_outsourced_cycles(config):
+    """With one owned asset and none to lease, the merged cycles Phase V
+    outsources give back their service slots and repositioning markers."""
+    instance = dataclasses.replace(
+        make_sample_instance(), owned_assets=1, leasable_assets=0
+    )
+    solution, report = run_dmam(instance, config)
+    assert len(solution.cycles) <= 1
+    assert report["outsourced"] >= len(instance.commodities) - 2
+    markers = {arc for arc, owner in solution.svc_registry.items() if owner == -1}
+    assert markers == {arc for c in solution.cycles for arc, _ in c.rep_plan}
+    served = {
+        path.arcs[path.lead_holds]: path.id
+        for path in solution.selected.values() if path.mode == "offered"
+    }
+    assert {a: p for a, p in solution.svc_registry.items() if p != -1} == served

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import re
+
 import pytest
 
 from cssnd.analysis import compute_requirements
+from cssnd.cli import main
 from cssnd.core import (
     CssndError,
     build_time_space_network,
@@ -12,6 +17,7 @@ from cssnd.core import (
 )
 from cssnd.dmam import run_dmam, solution_to_assignment
 from cssnd.instgen import generate_instance
+from cssnd.io import save_instance
 from cssnd.model import (
     ModelIR,
     ModelOptions,
@@ -328,3 +334,117 @@ def test_in_transit_profile_is_tighter():
     transit = compute_requirements(instance, in_transit=True)
     assert all(a <= b for a, b in zip(transit.phi, full.phi))
     assert transit.theta <= full.theta
+
+
+def reference_mps(model: ModelIR) -> str:
+    """Fixed-field MPS written one nonzero per line, straight from the IR's
+    fields: an oracle for `export_mps` that shares none of its code."""
+    lines = ["NAME          MODEL", "ROWS", " N  COST"]
+    codes = {"<=": "L", ">=": "G", "=": "E"}
+    rows = [f"R{r:07d}" for r in range(1, len(model.constraints) + 1)]
+    for short, row in zip(rows, model.constraints):
+        lines.append(f" {codes[row.sense]}  {short}")
+    entries = {col: [] for col in range(model.column_count)}
+    for coef, col in model.objective:
+        entries[col].append(("COST    ", coef))
+    for short, row in zip(rows, model.constraints):
+        for coef, col in row.terms:
+            entries[col].append((short, coef))
+    lines.append("COLUMNS")
+    marker, integer = 0, False
+    for family in model.families:
+        if family.size and (family.kind == "binary") != integer:
+            integer = not integer
+            marker += 1
+            tag = "'INTORG'" if integer else "'INTEND'"
+            lines.append(f"    MARKER{marker:02d}  'MARKER'                 {tag}")
+        for col in range(family.base, family.base + family.size):
+            for short, coef in entries[col]:
+                lines.append(f"    C{col + 1:07d}  {short}  {coef:.9g}")
+    if integer:
+        lines.append(f"    MARKER{marker + 1:02d}  'MARKER'                 'INTEND'")
+    lines.append("RHS")
+    for short, row in zip(rows, model.constraints):
+        if row.rhs != 0.0:
+            lines.append(f"    RHS       {short}  {row.rhs:.9g}")
+    lines.append("BOUNDS")
+    for family in model.families:
+        if family.kind == "binary":
+            for col in range(family.base, family.base + family.size):
+                lines.append(f" BV BND       C{col + 1:07d}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def edge_case_model() -> ModelIR:
+    model = ModelIR()
+    model.add_family("b{}", "binary", [1, 2, 3])            # columns 0-2
+    model.add_family("x{}", "continuous", [1, 2, 3, 4])     # columns 3-6
+    model.add_family("z{}", "binary", [7, 8])               # columns 7-8
+    # column 4 is listed twice; column 2 appears nowhere, column 6 in no row
+    model.objective = [(2.5, 0), (0.0, 3), (-1.25, 4), (3.0, 4), (1e-7, 6),
+                       (-0.0, 7)]
+    model.add_constraint("zeros", [(0.0, 0), (-0.0, 1), (0.0, 3), (1.0, 5)],
+                         "<=", 1.5)
+    model.add_constraint("runs", [(1.0, 3), (1.0, 4), (-2.0, 0), (1.0, 5),
+                                  (1.0, 1), (1 / 3, 8), (1 / 3, 7)], ">=", -3.0)
+    model.add_constraint("empty", [], "=", 0.0)
+    model.add_constraint("tail", [(-0.0, 8), (-0.0, 5), (123456789.5, 4)],
+                         "=", -0.0)
+    return model
+
+
+@pytest.mark.parametrize("chunk_chars", [1 << 18, 1, 40])
+def test_mps_writer_matches_a_per_nonzero_reference(
+    tmp_path, monkeypatch, chunk_chars
+):
+    monkeypatch.setattr("cssnd.model.CHUNK_CHARS", chunk_chars)
+    model = edge_case_model()
+    expected = reference_mps(model)
+    assert "C0000003" not in expected.split("RHS")[0].split("COLUMNS")[1]
+    text, _ = export_mps(model)
+    assert text == expected
+    written, _ = export_mps(model, tmp_path / "m.mps")
+    assert (tmp_path / "m.mps").read_text() == expected
+    assert len(written) == len(expected)
+
+
+def test_strong_rows_use_each_variant_strength(tmp_path, capsys):
+    """Half the commodities at volume 0.5: every strong row's y terms carry
+    -min(volume, capacity) of its own variant, and the heuristic's schedule
+    satisfies the strong model as well as the plain one."""
+    sample = make_sample_instance()
+    instance = dataclasses.replace(sample, commodities=tuple(
+        dataclasses.replace(oc, volume=0.5 if oc.id % 2 else 1.0)
+        for oc in sample.commodities
+    ))
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    model = build_mip(instance, tsn, tcs,
+                      options=ModelOptions(strong_forcing=True))
+    volume = {tc.id: tc.volume for tc in tcs}
+    capacity = {arc.id: arc.capacity for arc in tsn.service_arcs}
+    y = model.family("y_v{}_a{}")
+    strengths = set()
+    strong = [row for row in model.constraints if row.name.startswith("strong_")]
+    assert len(strong) == len(tcs) * len(tsn.service_arcs)
+    for row in strong:
+        tc_id, arc_id = map(int, re.fullmatch(r"strong_k(\d+)_a(\d+)",
+                                              row.name).groups())
+        y_terms = [c for c, col in row.terms
+                   if y.base <= col < y.base + y.size]
+        strength = min(volume[tc_id], capacity[arc_id])
+        assert y_terms and y_terms == [-strength] * len(y_terms)
+        strengths.add(strength)
+    assert strengths == {0.5, 1.0}
+
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    save_instance(instance, inst)
+    assert main(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    total = json.loads(capsys.readouterr().out)["total_cost"]
+    assert main(["check", "--in", str(inst), "--sol", str(sol)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    result = check_solution(instance, tsn, tcs, model,
+                            read_solution(sol.read_text()))
+    assert result.feasible, result.violations[:5]
+    assert result.objective == pytest.approx(total, abs=1e-6)
