@@ -35,18 +35,6 @@ def beta_support(tc: TransformedCommodity, period_count: int) -> frozenset[int]:
     )
 
 
-def occupancy_intersection(
-    tcs: list[TransformedCommodity], period_count: int
-) -> frozenset[int]:
-    """Periods common to all given windows (the three TCs of one OC)."""
-    if not tcs:
-        return frozenset()
-    common = window_map(tcs[0], period_count)
-    for tc in tcs[1:]:
-        common &= window_map(tc, period_count)
-    return common
-
-
 @dataclass(frozen=True)
 class AnalysisSummary:
     period_count: int

@@ -362,10 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="write the model as LP or MPS")
     export.add_argument("--in", dest="input", required=True)
     export.add_argument("--format", choices=["lp", "mps"], default="lp")
-    export.add_argument("--vi", help="comma list from: gamma, phi")
-    export.add_argument("--nearopt", type=int, choices=[21, 22, 23])
+    export.add_argument(
+        "--vi",
+        help="comma list from: gamma, phi (phi is not a valid inequality: "
+        "feasible schedules can break it)",
+    )
+    export.add_argument("--nearopt", type=int, choices=[21, 22, 23],
+                        help="fleet bound from theta; a restriction that may "
+                        "cut off the optimum")
     export.add_argument("--lambda", dest="lam", type=float)
-    export.add_argument("--literal-shift", action="store_true")
+    export.add_argument("--literal-shift", action="store_true",
+                        help="literal form of the --lambda cap; needs --lambda")
     export.add_argument("--strong-forcing", action="store_true")
     export.add_argument("--out", required=True)
     export.add_argument("--manifest")

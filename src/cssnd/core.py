@@ -5,9 +5,8 @@ Conventions used throughout the package:
 * Physical nodes are numbered 1..n, periods 1..|T|.
 * The time-space node for (physical p, period t) is (p - 1) * |T| + t.
 * Period arithmetic is cyclic: an arc departing period a with duration d
-  arrives at ((a - 1 + d) mod |T|) + 1.  An arc is *circular* when its
-  arrival period index is smaller than its departure index, i.e. it wraps
-  around the end of the planning horizon.
+  arrives at ((a - 1 + d) mod |T|) + 1, wrapping around the end of the
+  planning horizon when a + d > |T|.
 * An arc departing a and arriving b *spans* period t when the activity is in
   progress during t: t in {a, a+1, ..., b-1} taken cyclically.
 """
@@ -61,11 +60,6 @@ def ts_node(physical: int, period: int, period_count: int) -> int:
     return (physical - 1) * period_count + period
 
 
-def ts_decode(node: int, period_count: int) -> tuple[int, int]:
-    """Inverse of ts_node."""
-    return (node - 1) // period_count + 1, (node - 1) % period_count + 1
-
-
 @dataclass(frozen=True)
 class Arc:
     """One time-space arc. `duration` is in periods, `capacity` may be inf."""
@@ -78,7 +72,6 @@ class Arc:
     arrive: int                # period index 1..|T|
     duration: int
     capacity: float
-    circular: bool
 
     def spans(self, t: int, period_count: int) -> bool:
         """True when the activity is under way during period t."""
@@ -137,8 +130,7 @@ def validate_distances(physical: PhysicalNetwork, period_count: int) -> list[str
 class TimeSpaceNetwork:
     """Complete holding/service network over the cyclic horizon.
 
-    Immutable after construction.  `t1`, `t2`, `t3` partition the periods:
-    t2 holds origins of circular arcs, t3 their destinations, t1 the rest.
+    Immutable after construction.
     """
 
     node_count: int            # physical nodes
@@ -147,9 +139,6 @@ class TimeSpaceNetwork:
     holding_arcs: list[Arc] = field(default_factory=list)
     service_arcs: list[Arc] = field(default_factory=list)
     outsourced_arcs: list[Arc] = field(default_factory=list)
-    t1: frozenset[int] = frozenset()
-    t2: frozenset[int] = frozenset()
-    t3: frozenset[int] = frozenset()
     _service_index: dict = field(default_factory=dict, repr=False)
     _hold_index: dict = field(default_factory=dict, repr=False)
     _outsourced_index: dict = field(default_factory=dict, repr=False)
@@ -173,23 +162,19 @@ class TimeSpaceNetwork:
     def holding_arc(self, i: int, depart: int) -> Arc:
         return self._hold_index[(i, depart)]
 
-    def outsourced_arc(self, i: int, j: int, depart: int) -> Arc | None:
-        return self._outsourced_index.get((i, j, depart))
+    def outsourced_arc(self, i: int, j: int, depart: int) -> Arc:
+        return self._outsourced_index[(i, j, depart)]
 
 
 def build_time_space_network(
-    physical: PhysicalNetwork,
-    period_count: int,
-    service_capacity: float = 1.0,
-    outsourced_arcs_spec: list[tuple[int, int, int]] | None = None,
+    physical: PhysicalNetwork, period_count: int
 ) -> TimeSpaceNetwork:
     """Build the complete time-space network over `physical`.
 
-    One service arc per ordered physical pair and departure period, one
-    holding arc per node and period, and outsourced arcs either mirroring the
-    service arcs (default) or restricted to the (i, j, depart) triples in
-    `outsourced_arcs_spec`.  Outsourced capacity is effectively unlimited;
-    the third party absorbs whatever volume is sent.
+    One holding arc per node and period, one unit-capacity service arc per
+    ordered physical pair and departure period, and one outsourced arc
+    mirroring each service arc, in the same order.  Outsourced capacity is
+    unlimited; the third party absorbs whatever volume is sent.
     """
     problems = validate_distances(physical, period_count)
     if problems:
@@ -211,7 +196,6 @@ def build_time_space_network(
             arrive=arrive,
             duration=duration,
             capacity=capacity,
-            circular=arrive < depart,
         )
         next_id += 1
         arcs.append(arc)
@@ -228,30 +212,15 @@ def build_time_space_network(
             if i == j:
                 continue
             for t in range(1, period_count + 1):
-                arc = add(SERVICE, i, j, t, physical.d(i, j), service_capacity)
+                arc = add(SERVICE, i, j, t, physical.d(i, j), 1.0)
                 tsn.service_arcs.append(arc)
                 tsn._service_index[(i, j, t)] = arc
 
-    if outsourced_arcs_spec is None:
-        spec = [
-            (i, j, t)
-            for i in range(1, physical.node_count + 1)
-            for j in range(1, physical.node_count + 1)
-            if i != j
-            for t in range(1, period_count + 1)
-        ]
-    else:
-        spec = list(outsourced_arcs_spec)
-    for i, j, t in spec:
-        arc = add(OUTSOURCED, i, j, t, physical.d(i, j), float("inf"))
+    for svc in tsn.service_arcs:
+        key = (svc.phys_from, svc.phys_to, svc.depart)
+        arc = add(OUTSOURCED, *key, svc.duration, float("inf"))
         tsn.outsourced_arcs.append(arc)
-        tsn._outsourced_index[(i, j, t)] = arc
-
-    origins = frozenset(a.depart for a in arcs if a.circular)
-    destinations = frozenset(a.arrive for a in arcs if a.circular)
-    tsn.t2 = origins
-    tsn.t3 = destinations - origins
-    tsn.t1 = frozenset(range(1, period_count + 1)) - tsn.t2 - tsn.t3
+        tsn._outsourced_index[key] = arc
     return tsn
 
 
@@ -309,13 +278,6 @@ class CostParams:
     def table(self) -> CostTable:
         """The one pricer of (TC, arc) pairs for these parameters."""
         return CostTable(self)
-
-    def service_cost(self, tc_id: int, i: int, j: int, depart: int) -> float:
-        """Per-unit routing cost of a service arc for one TC (no penalty)."""
-        return self.table.price(SERVICE, tc_id, i, j, depart)
-
-    def outsourced_cost(self, tc_id: int, i: int, j: int, depart: int) -> float:
-        return self.table.price(OUTSOURCED, tc_id, i, j, depart)
 
 
 # kind -> (rng label, a, b): a routing-seeded price is a + b * U[0, 1).

@@ -127,40 +127,26 @@ def _spatial_type(leg1: Leg, leg2: Leg) -> str:
     return TWO_REP
 
 
-def _time_conditions(
+def _slack_values(
     merge_type: str,
     times,
     d_forth: int,
     d_back: int,
     a1: int = 0,
     a2: int = 0,
-) -> bool:
-    """Time-wise merge conditions, with optional one-period chain offsets.
+) -> list[int]:
+    """How far each time-wise merge condition is from holding, with the
+    chains moved by the one-period offsets a1 and a2; the pair fits one
+    cycle when no entry is positive.
 
     d_forth is the repositioning distance first-destination -> second-origin,
-    d_back the distance second-destination -> first-origin.
+    d_back the distance second-destination -> first-origin.  On integer
+    periods a strict condition x < y is x - y + 1 <= 0.
     """
     t_o1, t_d1, t_o2, t_d2, t_wrap = times
     t_o1, t_d1 = t_o1 + a1, t_d1 + a1
     t_o2, t_d2 = t_o2 + a2, t_d2 + a2
     t_wrap = t_wrap + a1
-    if merge_type == NO_REP:
-        return t_d1 <= t_o2 and t_d2 <= t_wrap
-    if merge_type == ONE_REP_V1:
-        return t_d2 <= t_wrap and t_d1 < t_o2 and d_forth <= t_o2 - t_d1
-    if merge_type == ONE_REP_V2:
-        return t_d1 <= t_o2 and t_d2 < t_wrap and d_back <= t_wrap - t_d2
-    return (
-        t_d1 < t_o2
-        and t_d2 < t_wrap
-        and d_back <= t_wrap - t_d2
-        and d_forth <= t_o2 - t_d1
-    )
-
-
-def _slack_values(merge_type: str, times, d_forth: int, d_back: int) -> list[int]:
-    """Positive entries measure how far each condition is from holding."""
-    t_o1, t_d1, t_o2, t_d2, t_wrap = times
     if merge_type == NO_REP:
         return [t_d1 - t_o2, t_d2 - t_wrap]
     if merge_type == ONE_REP_V1:
@@ -177,7 +163,7 @@ def _slack_values(merge_type: str, times, d_forth: int, d_back: int) -> list[int
 
 def _merge_geometry(leg1: Leg, leg2: Leg, instance: Instance):
     """(merge_type, times, d_forth, d_back): the arguments that
-    `_time_conditions` and `_slack_values` judge a pair by."""
+    `_slack_values` judges a pair by."""
     d = instance.physical.d
     return (
         _spatial_type(leg1, leg2),
@@ -193,7 +179,7 @@ def check_regular_merge(
     """Return the (spatially determined) merge type if the chains fit one
     cycle without shifting, else None."""
     geometry = _merge_geometry(leg1, leg2, instance)
-    return geometry[0] if _time_conditions(*geometry) else None
+    return geometry[0] if max(_slack_values(*geometry)) <= 0 else None
 
 
 @dataclass(frozen=True)
@@ -252,12 +238,10 @@ class PathBook:
         return None
 
     def cheapest_outsourced(self, oc_id: int) -> CommodityPath:
-        candidates = [
-            p for p in self.oc_paths(oc_id) if p.mode == OUTSOURCED_MODE
-        ]
-        if not candidates:
-            raise CssndError(f"commodity {oc_id} has no outsourced fallback")
-        return min(candidates, key=lambda p: (p.cost, p.id))
+        return min(
+            (p for p in self.oc_paths(oc_id) if p.mode == OUTSOURCED_MODE),
+            key=lambda p: (p.cost, p.id),
+        )
 
 
 def check_shifted_merge(
@@ -283,7 +267,7 @@ def check_shifted_merge(
         new2 = book.sibling(path2, a2) if a2 else path2
         if new1 is None or new2 is None:
             continue
-        if not _time_conditions(*geometry, a1, a2):
+        if max(_slack_values(*geometry, a1, a2)) > 0:
             continue
         cost = new1.cost + new2.cost
         if best is None or cost < best[0] - 1e-12:
@@ -314,7 +298,6 @@ class AssetCycle:
 class PhaseStat:
     phase: str
     cycles: int
-    total_cost: float
     seconds: float
 
 
@@ -700,7 +683,7 @@ def solve_p2(
     for i, j in unique:
         cost = costs.get((i, j), costs.get((j, i)))
         edges.append((index[i], index[j], -int(round(cost * COST_SCALE))))
-    mate = max_weight_matching(edges, max_cardinality=True)
+    mate = max_weight_matching(edges)
     selected = []
     for i, j in unique:
         if mate[index[i]] == index[j]:
@@ -1044,7 +1027,6 @@ def run_dmam(
             PhaseStat(
                 phase=phase,
                 cycles=len(solution.cycles),
-                total_cost=solution.total_cost(),
                 seconds=time.perf_counter() - t_start,
             )
         )

@@ -1,9 +1,8 @@
 """Exact maximum-weight matching on general graphs (blossom algorithm).
 
-Classic primal-dual implementation with integer weights.  With
-`max_cardinality=True` it returns the maximum-weight matching among the
-matchings of maximum cardinality, which is what the merge-pair selection
-needs after negating costs.
+Classic primal-dual implementation with integer weights.  It returns the
+maximum-weight matching among the matchings of maximum cardinality, which
+is what the merge-pair selection needs after negating costs.
 
 The implementation follows the standard staged scheme: grow alternating
 trees from free vertices, shrink odd cycles into blossoms, augment when two
@@ -14,10 +13,9 @@ are kept doubled so every quantity stays integral.
 from __future__ import annotations
 
 
-def max_weight_matching(
-    edges: list[tuple[int, int, int]], max_cardinality: bool = False
-) -> list[int]:
-    """Return mate[v] (vertex index or -1) for the optimal matching.
+def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
+    """Return mate[v] (vertex index or -1) for the maximum-weight matching
+    of maximum cardinality.
 
     `edges` lists (i, j, weight) with 0-based vertex indices, i != j, at
     most one edge per pair, integer weights.
@@ -323,9 +321,6 @@ def max_weight_matching(
                 break
             deltatype = -1
             delta = deltaedge = deltablossom = None
-            if not max_cardinality:
-                deltatype = 1
-                delta = min(dualvar[:nvertex])
             for v in range(nvertex):
                 if label[inblossom[v]] == 0 and bestedge[v] != -1:
                     d = slack(bestedge[v])

@@ -205,11 +205,17 @@ class ModelIR:
 @dataclass(frozen=True)
 class ModelOptions:
     add_vi_gamma: bool = False      # fleet lower bound from the profile min
-    add_vi_phi: bool = False        # per-period resource lower bounds
-    near_opt: frozenset = frozenset()   # any of {21, 22, 23}
+    # Per-period resource lower bounds.  Not a valid inequality: a commodity
+    # may wait on an uncapacitated holding arc without an asset, so feasible
+    # schedules can break it (small k=15 seed 510: vi_phi_t5 9.0 < 10.0).
+    add_vi_phi: bool = False
+    # Any of {21, 22, 23}: fleet bounds from the profile maximum theta.
+    # Restrictions by design, not valid inequalities; they may cut off the
+    # optimum.
+    near_opt: frozenset = frozenset()
     strong_forcing: bool = False    # per-commodity forcing rows (off: redundant)
     shift_restriction: float | None = None    # cap on shifted deliveries
-    literal_shift_rule: bool = False
+    literal_shift_rule: bool = False    # the cap's literal form; needs the cap
 
     @property
     def needs_analysis(self) -> bool:
@@ -252,6 +258,8 @@ def build_mip(
         0.0 <= options.shift_restriction <= 1.0
     ):
         raise CssndError("shift restriction must lie in [0, 1]")
+    if options.literal_shift_rule and options.shift_restriction is None:
+        raise CssndError("the literal shift rule needs a shift restriction (lambda)")
 
     model = ModelIR()
     tc_ids = [tc.id for tc in tcs]

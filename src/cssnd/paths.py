@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    OUTSOURCED,
+    SERVICE,
     Arc,
     CostParams,
-    CssndError,
     TimeSpaceNetwork,
     TransformedCommodity,
-    cyclic_span,
     wrap_period,
 )
 
@@ -80,10 +80,10 @@ def enumerate_paths(
 
     Offered shapes are every split (lead, trail) of at most `slack` holding
     arcs around the service leg, enumerated lead-ascending then trail-
-    ascending.  When the window is too tight for any offered leg, or the
-    service capacity is below the TC's volume, the list still ends with an
-    outsourced fallback; a third party can always be paid to carry the
-    commodity.
+    ascending.  The list always ends with the outsourced path, which is
+    the only one when the window is too tight for any offered leg or the
+    service capacity is below the TC's volume: a third party can always be
+    paid to carry the commodity.
     """
     period_count = tsn.period_count
     span = tc.window_span(period_count)
@@ -109,8 +109,8 @@ def enumerate_paths(
         for lead in range(slack + 1):
             depart = wrap_period(tc.release_period + lead, period_count)
             leg = tsn.service_arc(tc.origin_physical, tc.dest_physical, depart)
-            leg_cost = costs.service_cost(
-                tc.id, tc.origin_physical, tc.dest_physical, depart
+            leg_cost = costs.table.price(
+                SERVICE, tc.id, tc.origin_physical, tc.dest_physical, depart
             )
             for trail in range(slack - lead + 1):
                 paths.append(
@@ -138,59 +138,29 @@ def enumerate_paths(
                 next_id += 1
 
     leg = tsn.outsourced_arc(tc.origin_physical, tc.dest_physical, tc.release_period)
-    if leg is None and not paths:
-        raise CssndError(
-            f"TC {tc.id}: no offered path fits the window and the service "
-            "capacity, and no outsourced service exists on its O-D pair"
+    leg_cost = costs.table.price(
+        OUTSOURCED, tc.id, tc.origin_physical, tc.dest_physical, tc.release_period
+    )
+    paths.append(
+        CommodityPath(
+            id=next_id,
+            tc_id=tc.id,
+            oc_id=tc.parent_id,
+            kind=tc.kind,
+            mode=OUTSOURCED_MODE,
+            arcs=(leg.id,),
+            origin_physical=tc.origin_physical,
+            dest_physical=tc.dest_physical,
+            depart_period=tc.release_period,
+            arrival_period=leg.arrive,
+            leg_duration=d,
+            lead_holds=0,
+            trail_holds=0,
+            busy_periods=d,
+            cost=path_cost(
+                leg_cost, costs.holding_cost, span, d, multiplier, tc.volume
+            ),
         )
-    if leg is not None:
-        leg_cost = costs.outsourced_cost(
-            tc.id, tc.origin_physical, tc.dest_physical, tc.release_period
-        )
-        paths.append(
-            CommodityPath(
-                id=next_id,
-                tc_id=tc.id,
-                oc_id=tc.parent_id,
-                kind=tc.kind,
-                mode=OUTSOURCED_MODE,
-                arcs=(leg.id,),
-                origin_physical=tc.origin_physical,
-                dest_physical=tc.dest_physical,
-                depart_period=tc.release_period,
-                arrival_period=leg.arrive,
-                leg_duration=d,
-                lead_holds=0,
-                trail_holds=0,
-                busy_periods=d,
-                cost=path_cost(
-                    leg_cost, costs.holding_cost, span, d, multiplier, tc.volume
-                ),
-            )
-        )
+    )
     return paths
 
-
-def validate_path(
-    path: CommodityPath, tc: TransformedCommodity, tsn: TimeSpaceNetwork
-) -> list[str]:
-    """Re-check the chain against its TC: contiguity, window, single leg."""
-    problems = []
-    period_count = tsn.period_count
-    arcs = [next(a for a in tsn.arcs if a.id == arc_id) for arc_id in path.arcs]
-    legs = [a for a in arcs if a.kind != "hold"]
-    if len(legs) != 1:
-        problems.append(f"path {path.id}: {len(legs)} non-holding legs")
-    node = (tc.origin_physical, tc.release_period)
-    for arc in arcs:
-        if (arc.phys_from, arc.depart) != node:
-            problems.append(f"path {path.id}: chain breaks at arc {arc.id}")
-            break
-        node = (arc.phys_to, arc.arrive)
-    span = tc.window_span(period_count)
-    arrival_offset = cyclic_span(tc.release_period, path.arrival_period, period_count)
-    if path.mode == OFFERED and arrival_offset > span:
-        problems.append(f"path {path.id}: arrives after the due period")
-    if node != (path.dest_physical, path.arrival_period):
-        problems.append(f"path {path.id}: arrival field disagrees with chain")
-    return problems

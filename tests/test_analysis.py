@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from cssnd.analysis import (
-    beta_support,
-    compute_requirements,
-    occupancy_intersection,
-    window_map,
-)
+from cssnd.analysis import beta_support, compute_requirements, window_map
 from cssnd.core import TransformedCommodity, expand_commodities
-from tests.conftest import SAMPLE_GAMMA, SAMPLE_OCCUPANCY, SAMPLE_PHI, SAMPLE_THETA
+from tests.conftest import SAMPLE_GAMMA, SAMPLE_PHI, SAMPLE_THETA
 
 
 def tc_with_window(release, due, kind="original"):
@@ -43,14 +38,6 @@ def test_beta_drops_exactly_the_due_period():
             due = (release - 1 + span) % 7 + 1
             tc = tc_with_window(release, due)
             assert beta_support(tc, 7) == window_map(tc, 7) - {due}
-
-
-def test_occupancy_intersection_on_sample(sample_instance):
-    tcs, incidence = expand_commodities(sample_instance)
-    by_id = {tc.id: tc for tc in tcs}
-    for oc in sample_instance.commodities:
-        triple = [by_id[i] for i in incidence[oc.id]]
-        assert occupancy_intersection(triple, 7) == SAMPLE_OCCUPANCY[oc.id]
 
 
 def test_requirement_profile_matches_golden(sample_instance):

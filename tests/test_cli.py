@@ -44,6 +44,19 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_literal_shift_without_lambda_exits_1(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(instance_to_dict(make_sample_instance())))
+    out = tmp_path / "m.lp"
+    argv = ["export", "--in", str(inst), "--literal-shift", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda" in err
+    assert not out.exists()
+    assert run(argv + ["--lambda", "0.25"]) == 0
+    assert "shift_cap:" in out.read_text()
+
+
 @pytest.mark.parametrize("where, field", [
     ("commodity", "volume"),
     ("costs", "holding"),
@@ -69,10 +82,10 @@ def test_partial_routing_table_exits_1(tmp_path, capsys, command, missing):
     data = instance_to_dict(instance)
     data["costs"].pop("routing_seed")
     pairs = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
+    price = instance.costs.table.price
     data["costs"]["routing_table"] = [
-        [kind, i, j, t, tc, price(tc, i, j, t)]
-        for kind, price in (("service", instance.costs.service_cost),
-                            ("outsourced", instance.costs.outsourced_cost))
+        [kind, i, j, t, tc, price(kind, tc, i, j, t)]
+        for kind in ("service", "outsourced")
         for i, j in pairs for t in range(1, 8) for tc in range(1, 31)
         if (kind, i, j, t, tc) != missing
     ]

@@ -16,7 +16,6 @@ from cssnd.core import (
     PhysicalNetwork,
     build_time_space_network,
     expand_commodities,
-    ts_decode,
     ts_node,
     validate_distances,
 )
@@ -28,6 +27,11 @@ def test_ts_node_matches_tabular_ids():
     assert ts_node(2, 2, 7) == 9
     assert ts_node(1, 1, 7) == 1
     assert ts_node(3, 3, 7) == 17
+
+
+def ts_decode(node, period_count):
+    """Inverse of ts_node."""
+    return (node - 1) // period_count + 1, (node - 1) % period_count + 1
 
 
 def test_ts_node_round_trips():
@@ -93,36 +97,25 @@ def test_service_arc_arrival_and_wrap():
         PhysicalNetwork(3, tuple(tuple(r) for r in d)), 7
     )
     arc = tsn.service_arc(3, 1, 5)
-    assert arc.arrive == 7 and not arc.circular
+    assert arc.arrive == 7 and arc.depart + arc.duration <= 7
     arc = tsn.service_arc(1, 2, 7)
-    assert arc.arrive == 1 and arc.circular
+    assert arc.arrive == 1 and arc.depart + arc.duration > 7
 
 
 def test_circular_arcs_wrap_exactly_once():
     tsn = build_time_space_network(uniform_network(4, 3), 7)
     for arc in tsn.arcs:
-        if arc.circular:
+        if arc.depart + arc.duration > 7:
             assert arc.arrive < arc.depart
         else:
             assert arc.arrive > arc.depart
 
 
 def test_capacities_by_arc_class():
-    tsn = build_time_space_network(uniform_network(4, 2), 7, service_capacity=1.0)
+    tsn = build_time_space_network(uniform_network(4, 2), 7)
     assert all(a.capacity == float("inf") for a in tsn.holding_arcs)
     assert all(a.capacity == 1.0 for a in tsn.service_arcs)
     assert all(a.capacity == float("inf") for a in tsn.outsourced_arcs)
-
-
-def test_period_classes_partition_horizon():
-    tsn = build_time_space_network(uniform_network(4, 3), 7)
-    all_periods = set(range(1, 8))
-    assert set(tsn.t1) | set(tsn.t2) | set(tsn.t3) == all_periods
-    assert not set(tsn.t1) & set(tsn.t2)
-    assert not set(tsn.t2) & set(tsn.t3)
-    assert not set(tsn.t1) & set(tsn.t3)
-    # with max distance 3 the last three periods start circular arcs
-    assert set(tsn.t2) == {5, 6, 7}
 
 
 def test_arc_spans_cyclically():
@@ -178,9 +171,8 @@ def test_instance_validation_catches_self_loop():
 
 
 def _rule_price(params, kind, tc_id, i, j, depart):
-    """A routing-seeded price straight from the rng rule, as
-    CostParams.service_cost / outsourced_cost computed it before the
-    cost table existed."""
+    """A routing-seeded price straight from the rng rule, as prices were
+    computed before the cost table existed."""
     if kind == "service":
         u = rng.unit_at(params.routing_seed, "svc", i, j, depart, tc_id)
         return SERVICE_COST_LO + (SERVICE_COST_HI - SERVICE_COST_LO) * u
@@ -210,17 +202,17 @@ def test_cost_table_equals_the_rule_for_every_pair(make):
             want = _rule_price(costs, arc.kind, tc.id, arc.phys_from,
                                arc.phys_to, arc.depart)
             assert price == want
-            one = (costs.service_cost if arc.kind == "service"
-                   else costs.outsourced_cost)
-            assert one(tc.id, arc.phys_from, arc.phys_to, arc.depart) == want
+            assert costs.table.price(
+                arc.kind, tc.id, arc.phys_from, arc.phys_to, arc.depart
+            ) == want
 
 
 def test_cost_table_memoizes_prefixes_lazily():
     costs = make_sample_instance().costs
     table = costs.table
     assert costs.table is table
-    costs.service_cost(2, 2, 1, 2)
-    costs.service_cost(3, 2, 1, 2)
+    costs.table.price("service", 2, 2, 1, 2)
+    costs.table.price("service", 3, 2, 1, 2)
     assert list(table._prefix) == [("service", 2, 1, 2)]
 
 

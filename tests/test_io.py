@@ -51,8 +51,8 @@ def test_explicit_routing_table_round_trip(tmp_path):
         ["outsourced", 1, 2, 1, 2, 26.4],
     ]
     loaded = instance_from_dict(data)
-    assert loaded.costs.service_cost(2, 1, 2, 1) == 0.75
-    assert loaded.costs.outsourced_cost(2, 1, 2, 1) == 26.4
+    assert loaded.costs.table.price("service", 2, 1, 2, 1) == 0.75
+    assert loaded.costs.table.price("outsourced", 2, 1, 2, 1) == 26.4
     path = tmp_path / "table.json"
     save_instance(loaded, path)
     again = load_instance(path)
@@ -96,9 +96,9 @@ def test_malformed_documents_are_domain_errors(tmp_path):
     data["costs"].pop("routing_seed")
     data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, 0.75]]
     costs = instance_from_dict(data).costs
-    assert costs.service_cost(2, 1, 2, 1) == 0.75
+    assert costs.table.price("service", 2, 1, 2, 1) == 0.75
     with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
-        costs.outsourced_cost(2, 1, 2, 1)
+        costs.table.price("outsourced", 2, 1, 2, 1)
     data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, "0.75"]]
     with pytest.raises(CssndError, match="'0.75' is not a finite number"):
         instance_from_dict(data)

@@ -123,6 +123,30 @@ def test_shift_cap_zero_forces_on_time(sample_model):
     assert {model.variables[col].name for _, col in row.terms} == shifted
 
 
+@pytest.mark.parametrize("literal, uncapped, rhs", [
+    (False, "original", 0.25 * 10),     # lambda * |commodities|
+    (True, "early", 0.25 * 30),         # lambda * |TCs|
+])
+def test_shift_cap_rules_on_sample(sample_model, literal, uncapped, rhs):
+    instance, tsn, tcs, _ = sample_model
+    assert (len(instance.commodities), len(tcs)) == (10, 30)
+    options = ModelOptions(shift_restriction=0.25, literal_shift_rule=literal)
+    model = build_mip(instance, tsn, tcs, options=options)
+    row = next(c for c in model.constraints if c.name == "shift_cap")
+    assert row.sense == "<="
+    assert row.rhs == rhs
+    capped = {var_p(tc.id) for tc in tcs if tc.kind != uncapped}
+    assert {model.variables[col].name for _, col in row.terms} == capped
+
+
+def test_literal_shift_rule_needs_a_restriction(sample_model):
+    instance, tsn, tcs, _ = sample_model
+    with pytest.raises(CssndError, match="lambda"):
+        build_mip(
+            instance, tsn, tcs, options=ModelOptions(literal_shift_rule=True)
+        )
+
+
 def test_constraint_count_formulas(sample_model):
     instance, tsn, tcs, _ = sample_model
     model = build_mip(instance, tsn, tcs)

@@ -9,6 +9,7 @@ import pytest
 from cssnd.core import (
     CostParams,
     PhysicalNetwork,
+    TimeSpaceNetwork,
     TransformedCommodity,
     build_time_space_network,
     cyclic_span,
@@ -17,7 +18,7 @@ from cssnd.core import (
 )
 from cssnd.dmam import run_dmam, solution_to_assignment
 from cssnd.model import build_mip, check_solution
-from cssnd.paths import OFFERED, enumerate_paths, path_cost, validate_path
+from cssnd.paths import OFFERED, CommodityPath, enumerate_paths, path_cost
 from cssnd.rng import Stream
 from tests.conftest import make_sample_instance
 
@@ -138,6 +139,31 @@ def test_tight_window_still_outsourced():
     tc = TransformedCommodity(1, 1, "original", 1, 2, 4, 5, 1.0)  # span 1 < 3
     result = enumerate_paths(tc, tsn, COSTS)
     assert [p.mode for p in result] == ["outsourced"]
+
+
+def validate_path(
+    path: CommodityPath, tc: TransformedCommodity, tsn: TimeSpaceNetwork
+) -> list[str]:
+    """Re-check the chain against its TC: contiguity, window, single leg."""
+    problems = []
+    period_count = tsn.period_count
+    arcs = [next(a for a in tsn.arcs if a.id == arc_id) for arc_id in path.arcs]
+    legs = [a for a in arcs if a.kind != "hold"]
+    if len(legs) != 1:
+        problems.append(f"path {path.id}: {len(legs)} non-holding legs")
+    node = (tc.origin_physical, tc.release_period)
+    for arc in arcs:
+        if (arc.phys_from, arc.depart) != node:
+            problems.append(f"path {path.id}: chain breaks at arc {arc.id}")
+            break
+        node = (arc.phys_to, arc.arrive)
+    span = tc.window_span(period_count)
+    arrival_offset = cyclic_span(tc.release_period, path.arrival_period, period_count)
+    if path.mode == OFFERED and arrival_offset > span:
+        problems.append(f"path {path.id}: arrives after the due period")
+    if node != (path.dest_physical, path.arrival_period):
+        problems.append(f"path {path.id}: arrival field disagrees with chain")
+    return problems
 
 
 def test_paths_revalidate():
