@@ -122,7 +122,7 @@ def cmd_export(args, elapsed):
     options = ModelOptions(
         add_vi_gamma=vi_gamma,
         add_vi_phi=vi_phi,
-        near_opt=frozenset({args.nearopt} if args.nearopt else ()),
+        near_opt=args.nearopt,
         strong_forcing=args.strong_forcing,
         shift_restriction=args.lam,
         literal_shift_rule=args.literal_shift,

@@ -9,18 +9,27 @@ single paths into other cycles by letting a holding arc ride a dominant
 path.  Phase V resolves asset shortage by leasing or outsourcing unit by
 unit and finalizes asset cycles.
 
-Merge feasibility works on a normalized timeline: due periods that wrap are
-pushed one horizon forward, then the second path is pushed after the first,
-so both chains and the wrap-back point t_O1 + |T| sit on one axis.  A merge
-is classified purely spatially (which repositioning legs are needed) and the
-time-wise conditions check that the repositioning legs fit the two gaps.
-Shifted merges retry the same conditions with the chains moved one period
-using the early/tardy sibling paths.
+Merge feasibility works on a normalized timeline: the second chain is
+pushed one horizon forward unless it starts after the first, so both chains
+and the wrap-back point t_O1 + |T| sit on one axis.  The pair fits one asset
+when neither of two overruns is positive: forth = d(D1, O2) + t_D1 - t_O2,
+how far the first chain and the trip to the second origin run into the
+second chain, and back = d(D2, O1) + t_D2 - t_wrap, the same for the trip
+home.  The paper sorts a pair into four types by the repositioning legs it
+needs (none, one after either chain, or two) and gives each type its own
+time-wise conditions; since a needed leg takes at least one period and an
+unneeded one none, each type's strict gap condition follows from its
+distance condition, and the four types collapse into the two overruns.
+Moving the chains by one-period offsets (a1, a2) adds a1 - a2 to forth and
+takes it from back, so a pair that overruns by one or two periods is retried
+with the early/tardy sibling paths whose offsets absorb it.
 
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
 particle cut from one, or a lone cycle's service leg.  A merge and a mix
 both place two legs on one axis and hand them to `_commit`, which swaps the
 new paths in, closes the cycle, and undoes the swaps when it is refused.
+A cycle is walked once, when it closes: `_walk` checks it and returns the
+arc sequence the asset runs.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -54,15 +63,11 @@ CONFIG_RANDOM = "r"
 CONFIG_CUSTOM = "c"
 CONFIG_ADVANCED = "a"
 
-NO_REP = "no_rep"
-ONE_REP_V1 = "one_rep_v1"
-ONE_REP_V2 = "one_rep_v2"
-TWO_REP = "two_rep"
-
-# Shifting alternatives: (path-one offset, path-two offset); the first four
-# move a single chain one period, the last two move both in opposite
-# directions for a combined shift of two.
+# Shifting alternatives: (path-one offset, path-two offset); 0 leaves both
+# chains where they are, the next four move a single chain one period, the
+# last two move both in opposite directions for a combined shift of two.
 ALTERNATIVES = {
+    0: (0, 0),
     1: (1, 0),
     2: (-1, 0),
     3: (0, 1),
@@ -70,6 +75,8 @@ ALTERNATIVES = {
     5: (1, -1),
     6: (-1, 1),
 }
+# The alternatives tried for a pair that overruns by 0, 1 or 2 periods.
+TRIES = ((0,), (1, 2, 3, 4), (5, 6))
 
 
 class Leg(NamedTuple):
@@ -115,82 +122,39 @@ def adjust_times(leg1: Leg, leg2: Leg, period_count: int):
     return t_o1, t_d1, t_o2, t_d2, t_o1 + period_count
 
 
-def _spatial_type(leg1: Leg, leg2: Leg) -> str:
-    back_matches = leg1.phys_from == leg2.phys_to
-    forth_matches = leg1.phys_to == leg2.phys_from
-    if back_matches and forth_matches:
-        return NO_REP
-    if back_matches:
-        return ONE_REP_V1
-    if forth_matches:
-        return ONE_REP_V2
-    return TWO_REP
-
-
-def _slack_values(
-    merge_type: str,
-    times,
-    d_forth: int,
-    d_back: int,
-    a1: int = 0,
-    a2: int = 0,
-) -> list[int]:
-    """How far each time-wise merge condition is from holding, with the
-    chains moved by the one-period offsets a1 and a2; the pair fits one
-    cycle when no entry is positive.
-
-    d_forth is the repositioning distance first-destination -> second-origin,
-    d_back the distance second-destination -> first-origin.  On integer
-    periods a strict condition x < y is x - y + 1 <= 0.
-    """
-    t_o1, t_d1, t_o2, t_d2, t_wrap = times
-    t_o1, t_d1 = t_o1 + a1, t_d1 + a1
-    t_o2, t_d2 = t_o2 + a2, t_d2 + a2
-    t_wrap = t_wrap + a1
-    if merge_type == NO_REP:
-        return [t_d1 - t_o2, t_d2 - t_wrap]
-    if merge_type == ONE_REP_V1:
-        return [t_d2 - t_wrap, t_d1 - t_o2 + 1, d_forth - (t_o2 - t_d1)]
-    if merge_type == ONE_REP_V2:
-        return [t_d1 - t_o2, t_d2 - t_wrap + 1, d_back - (t_wrap - t_d2)]
-    return [
-        t_d1 - t_o2 + 1,
-        t_d2 - t_wrap + 1,
-        d_back - (t_wrap - t_d2),
-        d_forth - (t_o2 - t_d1),
-    ]
-
-
-def _merge_geometry(leg1: Leg, leg2: Leg, instance: Instance):
-    """(merge_type, times, d_forth, d_back): the arguments that
-    `_slack_values` judges a pair by."""
-    d = instance.physical.d
+def _overruns(leg1: Leg, leg2: Leg, instance: Instance) -> tuple[int, int]:
+    """(forth, back): by how many periods the first chain plus the trip to
+    the second origin, and the second chain plus the trip back to the first
+    origin, overrun the next start on the normalized axis.  The chains fit
+    one cycle when neither is positive."""
+    t_o1, t_d1, t_o2, t_d2, t_wrap = adjust_times(
+        leg1, leg2, instance.period_count
+    )
+    d = instance.physical.d     # 0 on the diagonal
     return (
-        _spatial_type(leg1, leg2),
-        adjust_times(leg1, leg2, instance.period_count),
-        0 if leg1.phys_to == leg2.phys_from else d(leg1.phys_to, leg2.phys_from),
-        0 if leg2.phys_to == leg1.phys_from else d(leg2.phys_to, leg1.phys_from),
+        d(leg1.phys_to, leg2.phys_from) + t_d1 - t_o2,
+        d(leg2.phys_to, leg1.phys_from) + t_d2 - t_wrap,
     )
 
 
-def check_regular_merge(
-    leg1: Leg, leg2: Leg, instance: Instance
-) -> str | None:
-    """Return the (spatially determined) merge type if the chains fit one
-    cycle without shifting, else None."""
-    geometry = _merge_geometry(leg1, leg2, instance)
-    return geometry[0] if max(_slack_values(*geometry)) <= 0 else None
+def check_regular_merge(leg1: Leg, leg2: Leg, instance: Instance) -> bool:
+    """Whether the chains fit one cycle without shifting."""
+    return max(_overruns(leg1, leg2, instance)) <= 0
 
 
-@dataclass(frozen=True)
-class MergeCandidate:
-    path_one: int
-    path_two: int
-    merge_type: str
+class MergeCandidate(NamedTuple):
+    """A feasible pair: `path_one` and `path_two` are replaced by `new_one`
+    and `new_two` (themselves when `alternative` is 0), whose legs start at
+    `start_one` and `start_two` on the cycle's axis."""
+
+    path_one: CommodityPath
+    path_two: CommodityPath
     alternative: int            # key of ALTERNATIVES, 0 for regular merges
-    new_path_one: int           # path id after any shift (== path_one if none)
-    new_path_two: int
     combined_cost: float
+    new_one: CommodityPath
+    new_two: CommodityPath
+    start_one: int
+    start_two: int
 
 
 class PathBook:
@@ -242,39 +206,6 @@ class PathBook:
             (p for p in self.oc_paths(oc_id) if p.mode == OUTSOURCED_MODE),
             key=lambda p: (p.cost, p.id),
         )
-
-
-def check_shifted_merge(
-    leg1: Leg,
-    leg2: Leg,
-    path1: CommodityPath,
-    path2: CommodityPath,
-    instance: Instance,
-    book: PathBook,
-) -> tuple[str, int, CommodityPath, CommodityPath] | None:
-    """Try the one- and two-period shifting alternatives after a regular
-    merge failed.  Returns (merge_type, alternative, new_path1, new_path2)
-    for the cheapest feasible alternative, or None."""
-    geometry = _merge_geometry(leg1, leg2, instance)
-    s_max = max(_slack_values(*geometry))
-    if s_max > 2 or s_max < 1:
-        return None
-    alternatives = (1, 2, 3, 4) if s_max == 1 else (5, 6)
-    best = None
-    for m in alternatives:
-        a1, a2 = ALTERNATIVES[m]
-        new1 = book.sibling(path1, a1) if a1 else path1
-        new2 = book.sibling(path2, a2) if a2 else path2
-        if new1 is None or new2 is None:
-            continue
-        if max(_slack_values(*geometry, a1, a2)) > 0:
-            continue
-        cost = new1.cost + new2.cost
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, geometry[0], m, new1, new2)
-    if best is None:
-        return None
-    return best[1:]
 
 
 @dataclass
@@ -428,26 +359,34 @@ def _pair_order(solution: Solution):
 def explore_pair(
     path1: CommodityPath, path2: CommodityPath, solution: Solution
 ) -> MergeCandidate | None:
+    """The cheapest way to run both paths on one asset: as they are when
+    neither overruns, else by the shifting alternative whose sibling paths
+    absorb an overrun of one or two periods."""
     leg1, leg2 = leg_view(path1), leg_view(path2)
     instance = solution.instance
-    merge_type = check_regular_merge(leg1, leg2, instance)
-    if merge_type is not None:
-        alternative, new1, new2 = 0, path1, path2
-    else:
-        shifted = check_shifted_merge(
-            leg1, leg2, path1, path2, instance, solution.book
-        )
-        if shifted is None:
-            return None
-        merge_type, alternative, new1, new2 = shifted
+    forth, back = _overruns(leg1, leg2, instance)
+    overrun = max(forth, back, 0)
+    if overrun > 2:
+        return None
+    best = None
+    for m in TRIES[overrun]:
+        a1, a2 = ALTERNATIVES[m]
+        if forth + a1 - a2 > 0 or back - a1 + a2 > 0:
+            continue
+        new1 = solution.book.sibling(path1, a1) if a1 else path1
+        new2 = solution.book.sibling(path2, a2) if a2 else path2
+        if new1 is None or new2 is None:
+            continue
+        cost = new1.cost + new2.cost
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, m, new1, new2)
+    if best is None:
+        return None
+    cost, m, new1, new2 = best
+    a1, a2 = ALTERNATIVES[m]
+    t_o1, _, t_o2, _, _ = adjust_times(leg1, leg2, instance.period_count)
     return MergeCandidate(
-        path_one=path1.id,
-        path_two=path2.id,
-        merge_type=merge_type,
-        alternative=alternative,
-        new_path_one=new1.id,
-        new_path_two=new2.id,
-        combined_cost=new1.cost + new2.cost,
+        path1, path2, m, cost, new1, new2, t_o1 + a1, t_o2 + a2
     )
 
 
@@ -495,16 +434,71 @@ def _plan_repositioning(
 def _close_cycle(
     solution: Solution, legs: list[Leg], failure: str
 ) -> AssetCycle | None:
-    """The cycle running `legs` with its empty trips planned, checked by
-    simulation; None when some trip finds no free slot."""
+    """The cycle running `legs` with its empty trips planned and its arc
+    sequence walked; None when some trip finds no free slot."""
     plan = _plan_repositioning(solution, legs)
     if plan is None:
         return None
-    cycle = AssetCycle(legs=legs, rep_plan=plan)
-    problems = simulate_cycle(cycle, solution)
+    return AssetCycle(
+        legs=legs, rep_plan=plan, arc_seq=_walk(solution, legs, plan, failure)
+    )
+
+
+def _walk(
+    solution: Solution,
+    legs: list[Leg],
+    plan: list[tuple[int, int]],
+    failure: str,
+) -> tuple[int, ...]:
+    """The closed arc sequence of one asset that runs `legs` and the empty
+    trips of `plan` where they start on the normalized axis, holding idle in
+    between, for one horizon from the first leg's start.
+
+    Raises CssndError, prefixed by `failure`, when a leg leaves its delivery
+    window, the asset is not where a leg or trip departs, a leg or trip is
+    left over (as overlapping chains are), or the arcs do not close a cycle
+    of exactly |T| periods.
+    """
+    tsn = solution.tsn
+    book = solution.book
+    period_count = tsn.period_count
+    problems = []
+    steps = {}      # normalized start -> (from, arcs, end, to)
+    for leg in legs:
+        tc = book.tc_of(book.by_id[leg.path_id])
+        offset = cyclic_span(
+            tc.release_period, wrap_period(leg.start, period_count), period_count
+        )
+        if offset + leg.busy > tc.window_span(period_count):
+            problems.append(f"path {leg.path_id} violates its delivery window")
+        steps[leg.start] = (leg.phys_from, leg.arcs, leg.end, leg.phys_to)
+    for arc_id, depart in plan:
+        arc = tsn.arcs[arc_id - 1]
+        steps[depart] = (arc.phys_from, (arc_id,), depart + arc.duration, arc.phys_to)
+    if len(steps) < len(legs) + len(plan):
+        problems.append("two chains or trips start together")
+    start = cursor = legs[0].start
+    place = legs[0].phys_from
+    seq: list[int] = []
+    while cursor < start + period_count:
+        step = steps.pop(cursor, None)
+        if step is None:
+            seq.append(tsn.holding_arc(place, wrap_period(cursor, period_count)).id)
+            cursor += 1
+            continue
+        phys_from, arcs, cursor, to = step
+        if phys_from != place:
+            problems.append(f"asset is not at terminal {phys_from} to depart")
+        seq.extend(arcs)
+        place = to
+    if steps:
+        problems.append("a chain or trip is left over")
+    total = sum(tsn.arcs[a - 1].duration for a in seq)
+    if total != period_count or place != legs[0].phys_from:
+        problems.append("asset cycle failed to close on itself")
     if problems:
         raise CssndError(f"{failure}: " + "; ".join(problems))
-    return cycle
+    return tuple(seq)
 
 
 def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> None:
@@ -561,29 +555,17 @@ def _commit(
 
 
 def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
-    """Commit the merged cycle of a feasible candidate.
-
-    Its legs sit on the original pair's normalized axis, moved by the
-    candidate's offsets: exactly where the conditions were verified.
-    Shifted sibling chains keep their shape, so the offsets move them
-    rigidly.
-    """
-    book = solution.book
-    old1 = book.by_id[candidate.path_one]
-    old2 = book.by_id[candidate.path_two]
-    new1 = book.by_id[candidate.new_path_one]
-    new2 = book.by_id[candidate.new_path_two]
-    t_o1, _, t_o2, _, _ = adjust_times(
-        leg_view(old1), leg_view(old2), solution.instance.period_count
-    )
-    a1, a2 = ALTERNATIVES.get(candidate.alternative, (0, 0))
+    """Commit the merged cycle of a feasible candidate: its new paths' legs
+    start where `explore_pair` checked them.  Shifted sibling chains keep
+    their shape, so the offsets move them rigidly."""
+    c = candidate
     legs = [
-        leg_view(new1)._replace(start=t_o1 + a1),
-        leg_view(new2)._replace(start=t_o2 + a2),
+        leg_view(c.new_one)._replace(start=c.start_one),
+        leg_view(c.new_two)._replace(start=c.start_two),
     ]
     return _commit(
-        solution, legs, [(old1, new1), (old2, new2)],
-        "merged cycle failed simulation",
+        solution, legs, [(c.path_one, c.new_one), (c.path_two, c.new_two)],
+        "merged cycle failed its walk",
     )
 
 
@@ -610,12 +592,10 @@ def merge_phase(solution: Solution, config: str) -> int:
     if config == CONFIG_CUSTOM:
         chosen = scopf(candidates)
     elif config == CONFIG_ADVANCED:
-        pairs = [(c.path_one, c.path_two) for c in candidates]
-        costs = {
-            (c.path_one, c.path_two): c.combined_cost for c in candidates
-        }
+        pairs = [(c.path_one.id, c.path_two.id) for c in candidates]
+        costs = {pair: c.combined_cost for pair, c in zip(pairs, candidates)}
         matched = set(solve_p2(pairs, costs))
-        chosen = [c for c in candidates if (c.path_one, c.path_two) in matched]
+        chosen = [c for pair, c in zip(pairs, candidates) if pair in matched]
     else:
         raise CssndError(f"unknown configuration '{config}'")
     for candidate in chosen:
@@ -634,24 +614,21 @@ def scopf(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
     """
     degree: dict[int, int] = {}
     for c in candidates:
-        degree[c.path_one] = degree.get(c.path_one, 0) + 1
-        degree[c.path_two] = degree.get(c.path_two, 0) + 1
-    remaining = sorted(
-        candidates,
-        key=lambda c: (
-            degree[c.path_one] + degree[c.path_two],
-            min(c.path_one, c.path_two),
-            max(c.path_one, c.path_two),
-        ),
-    )
+        for i in (c.path_one.id, c.path_two.id):
+            degree[i] = degree.get(i, 0) + 1
+
+    def key(c):
+        i, j = c.path_one.id, c.path_two.id
+        return degree[i] + degree[j], min(i, j), max(i, j)
+
     selected: list[MergeCandidate] = []
     used: set[int] = set()
-    for candidate in remaining:
-        if candidate.path_one in used or candidate.path_two in used:
+    for candidate in sorted(candidates, key=key):
+        i, j = candidate.path_one.id, candidate.path_two.id
+        if i in used or j in used:
             continue
         selected.append(candidate)
-        used.add(candidate.path_one)
-        used.add(candidate.path_two)
+        used.update((i, j))
     return selected
 
 
@@ -772,7 +749,7 @@ def _try_mix_cycle(
                 continue
             particle = _particle(alt, drop_index, tsn)
             for target in targets:
-                if check_regular_merge(target, particle, instance) is None:
+                if not check_regular_merge(target, particle, instance):
                     continue
                 if _execute_mix(
                     solution, current, target, particle, dominant_ids[0]
@@ -850,119 +827,31 @@ def _conversions(
 
 
 def finalize_cycles(solution: Solution) -> None:
-    """Assign asset ids and materialize each cycle's arc sequence."""
+    """Close each lone cycle with an empty return trip, outsourcing its
+    commodity when no return slot is free, then assign asset ids."""
     instance = solution.instance
+    tsn = solution.tsn
     solution.cycles.sort(key=lambda c: min(c.carried_paths))
     survivors: list[AssetCycle] = []
     for cycle in solution.cycles:
-        if _materialize(solution, cycle):
-            survivors.append(cycle)
-        else:
-            # no conflict-free return slot; fall back to outsourcing
-            _outsource(solution, solution.book.by_id[cycle.legs[0].path_id])
+        if not cycle.merged:
+            # a lone asset runs only its service leg plus the empty return
+            # trip; the commodity's own waiting happens on uncapacitated
+            # holding arcs
+            path = solution.book.by_id[cycle.legs[0].path_id]
+            svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
+            leg = cycle.legs[0]._replace(
+                start=svc_arc.depart, busy=svc_arc.duration, arcs=(svc_arc.id,)
+            )
+            cycle = _close_cycle(solution, [leg], "lone cycle failed its walk")
+            if cycle is None:
+                _outsource(solution, path)   # no conflict-free return slot
+                continue
+        survivors.append(cycle)
     solution.cycles = survivors
     for index, cycle in enumerate(solution.cycles, start=1):
         cycle.asset_id = index
         cycle.kind = "owned" if index <= instance.owned_assets else "leased"
-
-
-def _materialize(solution: Solution, cycle: AssetCycle) -> bool:
-    """Build the closed arc sequence covering all |T| periods."""
-    tsn = solution.tsn
-    instance = solution.instance
-    period_count = instance.period_count
-
-    if cycle.merged:
-        legs = sorted(cycle.legs, key=lambda leg: leg.start)
-        plan = list(cycle.rep_plan)
-    else:
-        # a lone asset runs only its service leg plus the empty return trip;
-        # the commodity's own waiting happens on uncapacitated holding arcs
-        leg = cycle.legs[0]
-        path = solution.book.by_id[leg.path_id]
-        svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
-        legs = [
-            leg._replace(
-                start=svc_arc.depart, busy=svc_arc.duration,
-                arcs=(svc_arc.id,),
-            )
-        ]
-        plan = _plan_repositioning(solution, legs)
-        if plan is None:
-            return False
-
-    leg_at = {leg.start: leg for leg in legs}
-    rep_at = {depart: arc_id for arc_id, depart in plan}
-    start = legs[0].start
-    cursor = start
-    place = legs[0].phys_from
-    seq: list[int] = []
-    while cursor < start + period_count:
-        if cursor in leg_at:
-            leg = leg_at.pop(cursor)
-            if place != leg.phys_from:
-                raise CssndError("asset is not at the pickup terminal")
-            seq.extend(leg.arcs)
-            cursor = leg.end
-            place = leg.phys_to
-        elif cursor in rep_at:
-            arc = tsn.arcs[rep_at.pop(cursor) - 1]
-            if place != arc.phys_from:
-                raise CssndError("repositioning departs from the wrong terminal")
-            seq.append(arc.id)
-            cursor += arc.duration
-            place = arc.phys_to
-        else:
-            seq.append(tsn.holding_arc(place, wrap_period(cursor, period_count)).id)
-            cursor += 1
-
-    total = sum(tsn.arcs[a - 1].duration for a in seq)
-    if total != period_count or place != legs[0].phys_from or leg_at or rep_at:
-        raise CssndError("asset cycle failed to close on itself")
-    cycle.arc_seq = tuple(seq)
-    cycle.rep_plan = plan
-    return True
-
-
-def simulate_cycle(cycle: AssetCycle, solution: Solution) -> list[str]:
-    """Independent discrete check of a two-leg cycle: chains in window, no
-    overlap, repositioning trips physically consistent and on time."""
-    period_count = solution.instance.period_count
-    book = solution.book
-    problems = []
-    legs = sorted(cycle.legs, key=lambda leg: leg.start)
-    if len(legs) != 2:
-        return []
-    first, second = legs
-    if first.end > second.start:
-        problems.append("chains overlap in time")
-    if second.end > first.start + period_count:
-        problems.append("second chain runs past the cycle close")
-    for leg in legs:
-        path = book.by_id[leg.path_id]
-        tc = book.tc_of(path)
-        span = tc.window_span(period_count)
-        start_offset = cyclic_span(
-            tc.release_period, wrap_period(leg.start, period_count), period_count
-        )
-        if start_offset + (leg.end - leg.start) > span:
-            problems.append(f"path {path.id} violates its delivery window")
-    reps = {depart: arc_id for arc_id, depart in cycle.rep_plan}
-    position, clock = first.phys_to, first.end
-    checkpoints = [(second.phys_from, second.start), (first.phys_from, first.start + period_count)]
-    stage_ends = [second, None]
-    for (needed_phys, deadline), nxt in zip(checkpoints, stage_ends):
-        trips = sorted((t, a) for t, a in reps.items() if clock <= t < deadline)
-        for depart, arc_id in trips:
-            arc = solution.tsn.arcs[arc_id - 1]
-            if arc.phys_from != position or depart < clock:
-                problems.append("repositioning leg detached from route")
-            position, clock = arc.phys_to, depart + arc.duration
-        if position != needed_phys or clock > deadline:
-            problems.append("asset cannot reach the next pickup in time")
-        if nxt is not None:
-            position, clock = nxt.phys_to, nxt.end
-    return problems
 
 
 def solution_to_assignment(solution: Solution) -> dict[str, float]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import io
 import re
-import warnings
 from dataclasses import dataclass, field
 from itertools import product, starmap
 from pathlib import Path
@@ -209,10 +208,10 @@ class ModelOptions:
     # may wait on an uncapacitated holding arc without an asset, so feasible
     # schedules can break it (small k=15 seed 510: vi_phi_t5 9.0 < 10.0).
     add_vi_phi: bool = False
-    # Any of {21, 22, 23}: fleet bounds from the profile maximum theta.
+    # 21, 22 or 23: a fleet bound from the profile maximum theta.
     # Restrictions by design, not valid inequalities; they may cut off the
     # optimum.
-    near_opt: frozenset = frozenset()
+    near_opt: int | None = None
     strong_forcing: bool = False    # per-commodity forcing rows (off: redundant)
     shift_restriction: float | None = None    # cap on shifted deliveries
     literal_shift_rule: bool = False    # the cap's literal form; needs the cap
@@ -221,7 +220,7 @@ class ModelOptions:
     def needs_analysis(self) -> bool:
         """Valid inequalities and near-optimal bounds read the requirement
         profile, so `build_mip` must be given an analysis summary."""
-        return bool(self.add_vi_gamma or self.add_vi_phi or self.near_opt)
+        return self.add_vi_gamma or self.add_vi_phi or self.near_opt is not None
 
 
 def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
@@ -249,11 +248,6 @@ def build_mip(
     outsourced_arcs = tsn.outsourced_arcs
     if options.needs_analysis and analysis is None:
         raise CssndError("valid-inequality options require an analysis summary")
-    if {21, 22} <= set(options.near_opt):
-        warnings.warn(
-            "adding both near-optimal bounds pins the fleet size exactly",
-            stacklevel=2,
-        )
     if options.shift_restriction is not None and not (
         0.0 <= options.shift_restriction <= 1.0
     ):
@@ -408,11 +402,11 @@ def build_mip(
             terms += [(1.0, sq + o) for sq in s_col for o in out_spans[t]]
             add(f"vi_phi_t{t}", terms, ">=", float(analysis.phi_at(t)))
 
-    if 21 in options.near_opt:
+    if options.near_opt == 21:
         add("near_opt_low", fleet, ">=", float(analysis.theta))
-    if 22 in options.near_opt:
+    elif options.near_opt == 22:
         add("near_opt_high", fleet, "<=", float(analysis.theta))
-    if 23 in options.near_opt:
+    elif options.near_opt == 23:
         terms = fleet + [(1.0, sq + o) for sq in s_col for o in range(n_out)]
         add("near_opt_mixed", terms, ">=", float(analysis.theta))
 
@@ -799,7 +793,7 @@ def count_schema(
         rows["vi_gamma"] = 1
     if options.add_vi_phi:
         rows["vi_phi"] = period_count
-    rows["near_opt"] = len(options.near_opt)
+    rows["near_opt"] = int(options.near_opt is not None)
     if options.shift_restriction is not None:
         rows["shift_cap"] = 1
     return {

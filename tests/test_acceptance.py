@@ -154,7 +154,7 @@ def test_criterion_4_merge_soundness_completeness():
         if len(legs) < 2:
             continue
         checked += 1
-        verdict = check_regular_merge(legs[0], legs[1], instance) is not None
+        verdict = check_regular_merge(legs[0], legs[1], instance)
         assert verdict == cycle_oracle(legs[0], legs[1], instance)
         accepted += verdict
     assert 0 < accepted < checked

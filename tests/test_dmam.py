@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cssnd.core import (
     CostParams,
+    CssndError,
     Instance,
     OriginalCommodity,
     PhysicalNetwork,
@@ -16,23 +20,34 @@ from cssnd.core import (
     wrap_period,
 )
 from cssnd.dmam import (
+    ALTERNATIVES,
     Leg,
     MergeCandidate,
     PathBook,
+    Solution,
     adjust_times,
     check_regular_merge,
-    check_shifted_merge,
     construct_initial,
     _commit,
     _execute_merge,
+    _overruns,
+    _pair_order,
+    _plan_repositioning,
+    _walk,
+    explore_pair,
+    finalize_cycles,
     leg_view,
     merge_phase,
+    mix_phase,
     partition_paths,
+    resolve_capacity,
     run_dmam,
     scopf,
+    solution_to_assignment,
     solve_p2,
 )
 from cssnd.instgen import generate_instance
+from cssnd.model import build_mip, check_solution
 from cssnd.rng import Stream
 from tests.conftest import make_sample_instance
 
@@ -47,6 +62,10 @@ def leg(oc, frm, to, start, busy, pid=None):
         busy=busy,
         arcs=(),
     )
+
+
+def tsn_of(instance):
+    return build_time_space_network(instance.physical, instance.period_count)
 
 
 def make_instance(commodities, n=5, d_value=2, owned=7, leasable=5, seed=5):
@@ -94,25 +113,33 @@ def test_adjust_times_leaves_ordered_pair_alone():
 
 def test_perfect_match_merges_without_repositioning():
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
-    assert (
-        check_regular_merge(leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2), instance)
-        == "no_rep"
-    )
+    legs = [leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2)]
+    assert check_regular_merge(*legs, instance)
+    # no trip: one idle period before the second chain, two before the wrap
+    assert _overruns(*legs, instance) == (-1, -2)
+    solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
+    assert _plan_repositioning(solution, legs) == []
 
 
 def test_one_repositioning_after_first_path():
     instance = make_instance([(1, 2, 1, 3), (3, 1, 6, 7)], d_value=2)
     # first path 1->2 over periods 1..3, second 3->1 over 6..7 needs a
     # repositioning trip 2->3 of length 2 inside the 3..6 gap
-    assert (
-        check_regular_merge(leg(1, 1, 2, 1, 2), leg(2, 3, 1, 6, 1), instance)
-        == "one_rep_v1"
-    )
+    legs = [leg(1, 1, 2, 1, 2), leg(2, 3, 1, 6, 1)]
+    assert check_regular_merge(*legs, instance)
+    assert _overruns(*legs, instance) == (-1, -1)
+    tsn = tsn_of(instance)
+    solution = construct_initial(instance, PathBook(instance, tsn))
+    assert _plan_repositioning(solution, legs) == [
+        (tsn.service_arc(2, 3, 3).id, 3)
+    ]
 
 
 def test_overlapping_windows_do_not_merge():
     instance = make_instance([(1, 2, 1, 4), (2, 1, 2, 5)])
-    assert check_regular_merge(leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3), instance) is None
+    assert not check_regular_merge(
+        leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3), instance
+    )
 
 
 def cycle_oracle(leg_a: Leg, leg_b: Leg, instance: Instance) -> bool:
@@ -180,7 +207,7 @@ def test_regular_merge_agrees_with_cycle_simulation():
         if len(legs) < 2:
             continue
         checked += 1
-        verdict = check_regular_merge(legs[0], legs[1], instance) is not None
+        verdict = check_regular_merge(legs[0], legs[1], instance)
         simulated = cycle_oracle(legs[0], legs[1], instance)
         assert verdict == simulated, (legs, instance.physical.distance)
         accepted += verdict
@@ -188,57 +215,151 @@ def test_regular_merge_agrees_with_cycle_simulation():
     assert accepted < checked
 
 
+# --- the paper's four merge types ----------------------------------------
+
+
+def four_type_slacks(leg1, leg2, instance, a1=0, a2=0):
+    """The paper's rule: classify the pair by which repositioning legs it
+    needs, then list how far each of that type's time-wise conditions is
+    from holding with the chains moved by a1 and a2 (a strict x < y is
+    x - y + 1 <= 0 on integer periods)."""
+    t_o1, t_d1, t_o2, t_d2, t_wrap = adjust_times(
+        leg1, leg2, instance.period_count
+    )
+    t_o1, t_d1, t_wrap = t_o1 + a1, t_d1 + a1, t_wrap + a1
+    t_o2, t_d2 = t_o2 + a2, t_d2 + a2
+    forth_matches = leg1.phys_to == leg2.phys_from
+    back_matches = leg1.phys_from == leg2.phys_to
+    d = instance.physical.d
+    d_forth = 0 if forth_matches else d(leg1.phys_to, leg2.phys_from)
+    d_back = 0 if back_matches else d(leg2.phys_to, leg1.phys_from)
+    if back_matches and forth_matches:
+        return [t_d1 - t_o2, t_d2 - t_wrap]
+    if back_matches:
+        return [t_d2 - t_wrap, t_d1 - t_o2 + 1, d_forth - (t_o2 - t_d1)]
+    if forth_matches:
+        return [t_d1 - t_o2, t_d2 - t_wrap + 1, d_back - (t_wrap - t_d2)]
+    return [
+        t_d1 - t_o2 + 1,
+        t_d2 - t_wrap + 1,
+        d_back - (t_wrap - t_d2),
+        d_forth - (t_o2 - t_d1),
+    ]
+
+
+def test_two_overruns_equal_the_four_type_rule():
+    # every start, both spans, eight gaps between the chains, both trip
+    # distances 0-3 (0: the terminals match) and every shifting offset
+    period_count = 7
+    checked = 0
+    for d_forth, d_back in itertools.product(range(4), repeat=2):
+        # nodes 1 -> 2 for the first chain; the second starts at 2 or 3 and
+        # ends at 1 or 4, with d(2, 3) = d_forth and d(4, 1) = d_back
+        distance = [[0 if i == j else 1 for j in range(4)] for i in range(4)]
+        distance[1][2] = distance[2][1] = max(d_forth, 1)
+        distance[3][0] = distance[0][3] = max(d_back, 1)
+        instance = Instance(
+            physical=PhysicalNetwork(4, tuple(map(tuple, distance))),
+            period_count=period_count,
+            commodities=(),
+            owned_assets=1,
+            leasable_assets=0,
+            costs=CostParams(routing_seed=1),
+        )
+        origin_two = 2 if d_forth == 0 else 3
+        dest_two = 1 if d_back == 0 else 4
+        for start, busy1, busy2, gap in itertools.product(
+            range(1, 8), range(1, 7), range(1, 7), range(-3, 5)
+        ):
+            leg1 = leg(1, 1, 2, start, busy1)
+            start_two = wrap_period(start + busy1 + gap, period_count)
+            leg2 = leg(2, origin_two, dest_two, start_two, busy2)
+            forth, back = _overruns(leg1, leg2, instance)
+            for a1, a2 in ALTERNATIVES.values():
+                expected = max(four_type_slacks(leg1, leg2, instance, a1, a2))
+                assert max(forth + a1 - a2, back - a1 + a2) == expected
+                checked += 1
+    assert checked == 225_792
+
+
 # --- shifted merge ----------------------------------------------------------
 
 
-def shifted_fixture(kind_one="original", kind_two="original"):
+def shifted_fixture(kind_one="original", kind_two="original", specs=None):
     """Two commodities one period short of a perfect match."""
-    instance = make_instance([(1, 2, 1, 3), (2, 1, 2, 4)], n=2, d_value=2)
-    tsn = build_time_space_network(instance.physical, instance.period_count)
-    book = PathBook(instance, tsn)
+    instance = make_instance(
+        specs or [(1, 2, 1, 3), (2, 1, 2, 4)], n=2, d_value=2
+    )
+    book = PathBook(instance, tsn_of(instance))
     kinds = {"early": 0, "original": 1, "tardy": 2}
     tc1 = book.incidence[1][kinds[kind_one]]
     tc2 = book.incidence[2][kinds[kind_two]]
     p1 = next(p for p in book.by_tc[tc1] if p.mode == "offered")
     p2 = next(p for p in book.by_tc[tc2] if p.mode == "offered")
-    return instance, book, p1, p2
+    return Solution(instance=instance, tsn=book.tsn, book=book), p1, p2
+
+
+def placed_legs(candidate):
+    return [
+        leg_view(candidate.new_one)._replace(start=candidate.start_one),
+        leg_view(candidate.new_two)._replace(start=candidate.start_two),
+    ]
 
 
 def test_shifted_merge_finds_single_period_alternative():
-    instance, book, p1, p2 = shifted_fixture()
-    assert check_regular_merge(leg_view(p1), leg_view(p2), instance) is None
-    result = check_shifted_merge(
-        leg_view(p1), leg_view(p2), p1, p2, instance, book
-    )
-    assert result is not None
-    merge_type, alternative, new1, new2 = result
-    assert merge_type == "no_rep"
-    assert alternative in (2, 3)
+    solution, p1, p2 = shifted_fixture()
+    instance = solution.instance
+    assert not check_regular_merge(leg_view(p1), leg_view(p2), instance)
+    assert _overruns(leg_view(p1), leg_view(p2), instance) == (1, -4)
+    candidate = explore_pair(p1, p2, solution)
+    assert candidate is not None
+    assert candidate.alternative in (2, 3)
+    # the shifted chains meet end to end: no repositioning trip
+    assert _plan_repositioning(solution, placed_legs(candidate)) == []
 
 
 def test_shifted_merge_skips_missing_siblings():
-    # path one already early and path two already tardy: neither chain can
-    # move further, so no alternative applies
-    instance, book, p1, p2 = shifted_fixture("early", "tardy")
-    result = check_shifted_merge(
-        leg_view(p1), leg_view(p2), p1, p2, instance, book
+    # path one already early and path two already tardy overrun by one
+    # period, which only an earlier path one or a later path two absorbs:
+    # neither chain can move further, so no alternative applies
+    solution, p1, p2 = shifted_fixture(
+        "early", "tardy", specs=[(1, 2, 1, 3), (2, 1, 7, 2)]
     )
-    assert result is None
+    assert _overruns(leg_view(p1), leg_view(p2), solution.instance) == (1, -4)
+    assert solution.book.sibling(p1, -1) is None
+    assert solution.book.sibling(p2, 1) is None
+    assert explore_pair(p1, p2, solution) is None
 
 
 def test_shifted_merge_rejects_three_period_gap():
     # identical three-period chains: the second one ends three periods past
     # the wrap point, beyond what two single-period shifts can absorb
     instance = make_instance([(1, 2, 1, 4), (2, 1, 1, 4)], n=2, d_value=3)
-    tsn = build_time_space_network(instance.physical, instance.period_count)
-    book = PathBook(instance, tsn)
+    book = PathBook(instance, tsn_of(instance))
+    solution = Solution(instance=instance, tsn=book.tsn, book=book)
     p1 = next(p for p in book.by_tc[2] if p.mode == "offered")
     p2 = next(p for p in book.by_tc[5] if p.mode == "offered")
-    assert check_regular_merge(leg_view(p1), leg_view(p2), instance) is None
-    assert (
-        check_shifted_merge(leg_view(p1), leg_view(p2), p1, p2, instance, book)
-        is None
-    )
+    assert _overruns(leg_view(p1), leg_view(p2), instance) == (-4, 3)
+    assert explore_pair(p1, p2, solution) is None
+
+
+@settings(
+    max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    size=st.sampled_from(["small", "medium"]),
+    k=st.integers(min_value=4, max_value=20),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
+    instance = generate_instance(size, k, seed)
+    book = PathBook(instance, tsn_of(instance))
+    solution = construct_initial(instance, book)
+    for p1, p2 in _pair_order(solution):
+        candidate = explore_pair(p1, p2, solution)
+        if candidate is not None:
+            assert cycle_oracle(*placed_legs(candidate), instance), candidate
 
 
 # --- merged cycle construction ----------------------------------------------
@@ -251,14 +372,16 @@ def test_merge_paths_builds_closed_cycle():
     solution = construct_initial(instance, book)
     p1 = solution.selected[1]
     p2 = solution.selected[2]
-    candidate = MergeCandidate(
-        path_one=p1.id,
-        path_two=p2.id,
-        merge_type="no_rep",
+    candidate = explore_pair(p1, p2, solution)
+    assert candidate == MergeCandidate(
+        path_one=p1,
+        path_two=p2,
         alternative=0,
-        new_path_one=p1.id,
-        new_path_two=p2.id,
         combined_cost=p1.cost + p2.cost,
+        new_one=p1,
+        new_two=p2,
+        start_one=1,
+        start_two=4,
     )
     assert _execute_merge(solution, candidate)
     cycle = solution.cycles[-1]
@@ -321,27 +444,27 @@ def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
 
 
 def test_simulation_rejects_window_violations():
-    from cssnd.dmam import AssetCycle, simulate_cycle
-
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
     tsn = build_time_space_network(instance.physical, instance.period_count)
     book = PathBook(instance, tsn)
     solution = construct_initial(instance, book)
     p1, p2 = solution.selected[1], solution.selected[2]
 
-    def cycle_with_second_start(start):
-        return AssetCycle(
-            legs=[
-                Leg(p1.id, p1.oc_id, 1, 2, 1, 2, p1.arcs),
-                Leg(p2.id, p2.oc_id, 2, 1, start, 2, p2.arcs),
-            ]
-        )
+    def walk_with_second_start(start):
+        legs = [
+            Leg(p1.id, p1.oc_id, 1, 2, 1, 2, p1.arcs),
+            Leg(p2.id, p2.oc_id, 2, 1, start, 2, p2.arcs),
+        ]
+        return _walk(solution, legs, [], "test cycle")
 
-    assert simulate_cycle(cycle_with_second_start(4), solution) == []
+    seq = walk_with_second_start(4)
+    assert sum(tsn.arcs[a - 1].duration for a in seq) == 7
     # pickup one period before release breaks the second delivery window
-    assert simulate_cycle(cycle_with_second_start(3), solution)
+    with pytest.raises(CssndError, match="delivery window"):
+        walk_with_second_start(3)
     # overlapping chains cannot share one asset
-    assert simulate_cycle(cycle_with_second_start(2), solution)
+    with pytest.raises(CssndError, match="left over"):
+        walk_with_second_start(2)
 
 
 def test_one_rep_merge_adds_single_empty_leg():
@@ -393,15 +516,8 @@ def test_partition_by_busy_span():
 
 
 def cand(i, j, cost=1.0):
-    return MergeCandidate(
-        path_one=i,
-        path_two=j,
-        merge_type="no_rep",
-        alternative=0,
-        new_path_one=i,
-        new_path_two=j,
-        combined_cost=cost,
-    )
+    one, two = SimpleNamespace(id=i), SimpleNamespace(id=j)
+    return MergeCandidate(one, two, 0, cost, one, two, 0, 0)
 
 
 def test_scopf_single_candidate():
@@ -411,12 +527,12 @@ def test_scopf_single_candidate():
 def test_scopf_star_selects_one():
     chosen = scopf([cand(1, 2), cand(1, 3), cand(1, 4)])
     assert len(chosen) == 1
-    assert (chosen[0].path_one, chosen[0].path_two) == (1, 2)
+    assert (chosen[0].path_one.id, chosen[0].path_two.id) == (1, 2)
 
 
 def test_scopf_path_graph_selects_ends():
     chosen = scopf([cand(1, 2), cand(2, 3), cand(3, 4)])
-    keys = {(c.path_one, c.path_two) for c in chosen}
+    keys = {(c.path_one.id, c.path_two.id) for c in chosen}
     assert keys == {(1, 2), (3, 4)}
 
 
@@ -638,6 +754,39 @@ def test_determinism_same_seed_same_report():
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+def test_lone_cycle_without_a_return_slot_is_outsourced():
+    instance = generate_instance("small", 10, seed=3)
+    tsn = tsn_of(instance)
+    solution = construct_initial(instance, PathBook(instance, tsn))
+    merge_phase(solution, "a")
+    mix_phase(solution)
+    resolve_capacity(solution)
+    lone = next(c for c in solution.cycles if not c.merged)
+    path = solution.book.by_id[lone.legs[0].path_id]
+    svc = tsn.arcs[path.arcs[path.lead_holds] - 1]
+    # take every slot of the empty trip home, from the service leg's
+    # arrival to the last departure that still closes the horizon
+    period_count = instance.period_count
+    home = instance.physical.d(svc.phys_to, svc.phys_from)
+    for depart in range(svc.depart + svc.duration,
+                        svc.depart + period_count - home + 1):
+        trip = tsn.service_arc(
+            svc.phys_to, svc.phys_from, wrap_period(depart, period_count)
+        )
+        solution.svc_registry.setdefault(trip.id, -1)
+    finalize_cycles(solution)
+    assert solution.selected[path.oc_id].mode == "outsourced"
+    assert svc.id not in solution.svc_registry
+    assert all(path.id not in c.carried_paths for c in solution.cycles)
+    tcs = list(solution.book.tcs)
+    result = check_solution(
+        instance, tsn, tcs, build_mip(instance, tsn, tcs),
+        solution_to_assignment(solution),
+    )
+    assert result.feasible, result.violations[:3]
+    assert result.objective == pytest.approx(solution.total_cost(), abs=1e-6)
 
 
 @pytest.mark.parametrize("config", ["r", "c", "a"])

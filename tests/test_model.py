@@ -63,7 +63,7 @@ def test_row_counts_match_schema(sample_model):
         ModelOptions(),
         ModelOptions(add_vi_gamma=True, add_vi_phi=True),
         ModelOptions(strong_forcing=True),
-        ModelOptions(near_opt=frozenset({23}), shift_restriction=0.25),
+        ModelOptions(near_opt=23, shift_restriction=0.25),
     ):
         model = build_mip(instance, tsn, tcs, analysis=analysis, options=options)
         schema = count_schema(instance, tsn, tcs, options)
@@ -101,15 +101,6 @@ def test_vi_requires_analysis(sample_model):
     instance, tsn, tcs, _ = sample_model
     with pytest.raises(CssndError):
         build_mip(instance, tsn, tcs, options=ModelOptions(add_vi_gamma=True))
-
-
-def test_near_opt_both_bounds_warn(sample_model):
-    instance, tsn, tcs, analysis = sample_model
-    with pytest.warns(UserWarning):
-        build_mip(
-            instance, tsn, tcs, analysis=analysis,
-            options=ModelOptions(near_opt=frozenset({21, 22})),
-        )
 
 
 def test_shift_cap_zero_forces_on_time(sample_model):
