@@ -107,13 +107,11 @@ def _parse_vi(raw: str | None) -> tuple[bool, bool]:
 
 
 def _load_model(args, options: ModelOptions):
-    """Load --in and build its exact model under `options`, with the
-    requirement analysis when the options need one."""
+    """Load --in and build its exact model under `options`."""
     instance = load_instance(args.input)
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
-    analysis = compute_requirements(instance) if options.needs_analysis else None
-    model = build_mip(instance, tsn, tcs, analysis=analysis, options=options)
+    model = build_mip(instance, tsn, tcs, options=options)
     return instance, tsn, tcs, model
 
 

@@ -57,6 +57,7 @@ from .core import (
     wrap_period,
 )
 from .matching import max_weight_matching
+from .model import D_NAME, P_NAME, S_NAME, X_NAME, Y_NAME
 from .paths import OFFERED, OUTSOURCED_MODE, CommodityPath, enumerate_paths
 
 CONFIG_RANDOM = "r"
@@ -320,30 +321,18 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
     return solution
 
 
-def partition_paths(
-    solution: Solution,
-) -> tuple[list[CommodityPath], list[CommodityPath]]:
-    """Split unmerged offered paths into primary and secondary, both sorted
-    by busy span descending (ties by id)."""
-    period_count = solution.instance.period_count
-    singles = [
-        solution.book.by_id[c.legs[0].path_id]
-        for c in solution.cycles
-        if not c.merged
-    ]
-    primary = [p for p in singles if 2 * p.busy_periods > period_count]
-    secondary = [p for p in singles if 2 * p.busy_periods <= period_count]
-    key = lambda p: (-p.busy_periods, p.id)
-    return sorted(primary, key=key), sorted(secondary, key=key)
-
-
 def _pair_order(solution: Solution):
-    """Exploration order: path one from longest to shortest busy span, path
-    two over strictly shorter (or equal, later-id) spans that can share a
-    horizon with it."""
+    """Exploration order over the unmerged paths: path one from longest to
+    shortest busy span (ties by id), so the primary paths, busy for more
+    than half the horizon, come before the secondary ones; path two over
+    strictly shorter (or equal, later-id) spans that can share a horizon
+    with it."""
     period_count = solution.instance.period_count
-    primary, secondary = partition_paths(solution)
-    ordered = primary + secondary
+    ordered = sorted(
+        (solution.book.by_id[c.legs[0].path_id]
+         for c in solution.cycles if not c.merged),
+        key=lambda p: (-p.busy_periods, p.id),
+    )
     for p1 in ordered:
         cap = min(p1.busy_periods, period_count - p1.busy_periods)
         for p2 in ordered:
@@ -862,8 +851,6 @@ def solution_to_assignment(solution: Solution) -> dict[str, float]:
     node, which is what flow conservation demands of any delivery that
     arrives early; outsourced deliveries additionally set their s flag.
     """
-    from .model import var_d, var_p, var_s, var_x, var_y
-
     tsn = solution.tsn
     book = solution.book
     period_count = solution.instance.period_count
@@ -877,21 +864,21 @@ def solution_to_assignment(solution: Solution) -> dict[str, float]:
                 "schedule uses more assets than the fleet offers; resolve "
                 "capacity before converting"
             )
-        values[var_d(cycle.asset_id)] = 1.0
+        values[D_NAME.format(cycle.asset_id)] = 1.0
         for arc_id in cycle.arc_seq:
-            values[var_y(cycle.asset_id, arc_id)] = 1.0
+            values[Y_NAME.format(cycle.asset_id, arc_id)] = 1.0
     for oc_id, path in solution.selected.items():
         tc = book.tc_of(path)
-        values[var_p(tc.id)] = 1.0
+        values[P_NAME.format(tc.id)] = 1.0
         flow_arcs = list(path.arcs)
         t = path.arrival_period
         while t != tc.due_period:
             flow_arcs.append(tsn.holding_arc(tc.dest_physical, t).id)
             t = wrap_period(t + 1, period_count)
         for arc_id in flow_arcs:
-            values[var_x(tc.id, arc_id)] = tc.volume
+            values[X_NAME.format(tc.id, arc_id)] = tc.volume
             if tsn.arcs[arc_id - 1].kind == "outsourced":
-                values[var_s(tc.id, arc_id)] = 1.0
+                values[S_NAME.format(tc.id, arc_id)] = 1.0
     return values
 
 

@@ -5,14 +5,13 @@ minimization objective) and written out as CPLEX-dialect LP text or
 fixed-field MPS.  No solver is linked; external solutions come back as
 plain `name value` lines and are replayed row by row against the IR.
 
-Columns are integers, laid out family by family (`Family`: one column per
-key of a product of axes, in row-major order).  A row holds (coef, column)
-terms, range-checked once when it is added.  Names are made only where
+The columns are integers, laid out family by family (`Family`: one column
+per key of a product of axes, in row-major order).  A row holds (coef,
+column) terms, range-checked once when it is added.  Names are made only where
 text is: the LP/MPS writers format each column's name from its family, and
 `check_solution` parses the names of a solution file back to columns.  The
 writers stream their text to a file in chunks of characters, so the whole
-text never sits in memory; called without a file they return it as a
-string.
+text never sits in memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -30,15 +29,13 @@ the cyclic network.
 
 from __future__ import annotations
 
-import bisect
-import io
 import re
 from dataclasses import dataclass, field
 from itertools import product, starmap
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
-from .analysis import AnalysisSummary, beta_support
+from .analysis import beta_support, compute_requirements
 from .core import (
     EARLY,
     ORIGINAL,
@@ -57,31 +54,6 @@ D_NAME = "d_v{}"
 P_NAME = "p_k{}"
 S_NAME = "s_k{}_a{}"
 X_NAME = "x_k{}_a{}"
-
-
-def var_y(v: int, arc_id: int) -> str:
-    return Y_NAME.format(v, arc_id)
-
-
-def var_d(v: int) -> str:
-    return D_NAME.format(v)
-
-
-def var_p(tc_id: int) -> str:
-    return P_NAME.format(tc_id)
-
-
-def var_s(tc_id: int, arc_id: int) -> str:
-    return S_NAME.format(tc_id, arc_id)
-
-
-def var_x(tc_id: int, arc_id: int) -> str:
-    return X_NAME.format(tc_id, arc_id)
-
-
-class Variable(NamedTuple):
-    name: str
-    kind: str                   # binary | continuous
 
 
 class Constraint(NamedTuple):
@@ -115,13 +87,6 @@ class Family:
     def names(self) -> Iterator[str]:
         return starmap(self.template.format, product(*self.axes))
 
-    def name(self, offset: int) -> str:
-        key = []
-        for axis in reversed(self.axes):
-            offset, i = divmod(offset, len(axis))
-            key.append(axis[i])
-        return self.template.format(*reversed(key))
-
     def column(self, *key: int) -> int:
         offset = 0
         for position, value in zip(self._position, key):
@@ -139,29 +104,6 @@ class Family:
         return self.column(*key)
 
 
-class Columns:
-    """Read-only sequence view of a model's columns as `Variable`s."""
-
-    def __init__(self, families: list[Family], count: int):
-        self._families = families
-        self._bases = [f.base for f in families]
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, col: int) -> Variable:
-        if not 0 <= col < len(self):
-            raise IndexError(col)
-        family = self._families[bisect.bisect_right(self._bases, col) - 1]
-        return Variable(family.name(col - family.base), family.kind)
-
-    def __iter__(self) -> Iterator[Variable]:
-        for family in self._families:
-            for name in family.names():
-                yield Variable(name, family.kind)
-
-
 @dataclass
 class ModelIR:
     families: list[Family] = field(default_factory=list)
@@ -170,8 +112,9 @@ class ModelIR:
     column_count: int = 0
 
     @property
-    def variables(self) -> Columns:
-        return Columns(self.families, self.column_count)
+    def variables(self) -> list[str]:
+        """Column names in column order."""
+        return [name for family in self.families for name in family.names()]
 
     def add_family(self, template: str, kind: str, *axes) -> Family:
         family = Family(template, kind, self.column_count, axes)
@@ -189,17 +132,6 @@ class ModelIR:
     def family(self, template: str) -> Family:
         return next(f for f in self.families if f.template == template)
 
-    def column_of(self, name: str) -> int | None:
-        """Column named `name`, or None if the model has no such column."""
-        for family in self.families:
-            col = family.parse(name)
-            if col is not None:
-                return col
-        return None
-
-    def column_names(self) -> list[str]:
-        return [name for family in self.families for name in family.names()]
-
 
 @dataclass(frozen=True)
 class ModelOptions:
@@ -216,12 +148,6 @@ class ModelOptions:
     shift_restriction: float | None = None    # cap on shifted deliveries
     literal_shift_rule: bool = False    # the cap's literal form; needs the cap
 
-    @property
-    def needs_analysis(self) -> bool:
-        """Valid inequalities and near-optimal bounds read the requirement
-        profile, so `build_mip` must be given an analysis summary."""
-        return self.add_vi_gamma or self.add_vi_phi or self.near_opt is not None
-
 
 def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
     """Period -> positions in `arcs` of the arcs under way during it."""
@@ -235,10 +161,11 @@ def build_mip(
     instance: Instance,
     tsn: TimeSpaceNetwork,
     tcs: list[TransformedCommodity],
-    analysis: AnalysisSummary | None = None,
     options: ModelOptions | None = None,
 ) -> ModelIR:
-    """Assemble the full arc-based program for one instance."""
+    """Assemble the full arc-based program for one instance.  Valid
+    inequalities and near-optimal bounds read the instance's requirement
+    profile, which is computed here when they are asked for."""
     options = options or ModelOptions()
     period_count = instance.period_count
     costs = instance.costs
@@ -246,8 +173,8 @@ def build_mip(
     assets = range(1, v_total + 1)
     asset_arcs = tsn.holding_arcs + tsn.service_arcs
     outsourced_arcs = tsn.outsourced_arcs
-    if options.needs_analysis and analysis is None:
-        raise CssndError("valid-inequality options require an analysis summary")
+    if options.near_opt not in (None, 21, 22, 23):
+        raise CssndError("near-optimal bound must be 21, 22 or 23")
     if options.shift_restriction is not None and not (
         0.0 <= options.shift_restriction <= 1.0
     ):
@@ -391,6 +318,8 @@ def build_mip(
             terms = [(1.0, xq + out_pos[o]), (-tc.volume, sq + o)]
             add(f"outsource_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
 
+    if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
+        analysis = compute_requirements(instance)
     fleet = [(1.0, d_col[v]) for v in assets]
     if options.add_vi_gamma:
         add("vi_gamma", fleet, ">=", float(analysis.gamma))
@@ -468,7 +397,7 @@ def _wrapped(first: str, parts: list[str], width: int = 240) -> list[str]:
 
 
 def _lp_lines(model: ModelIR) -> Iterator[str]:
-    names = model.column_names()
+    names = model.variables
     heads: dict[float, str] = {}
     yield "Minimize"
     obj_parts = (
@@ -507,7 +436,7 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
     fixed-field widths cap names at eight characters.  Values get nine
     significant digits to fit the twelve-character value field.
     """
-    names = model.column_names()
+    names = model.variables
     rows = model.constraints
     row_short = ["COST    "] + [f"R{r:07d}" for r in range(1, len(rows) + 1)]
     sidecar.update(zip(row_short[1:], (row.name for row in rows)))
@@ -576,8 +505,7 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class Written:
-    """A model text streamed to a file.  len() is its length in characters,
-    the same as len() of the text the writer returns without a path."""
+    """A model text streamed to a file.  len() is its length in characters."""
 
     chars: int
 
@@ -585,44 +513,32 @@ class Written:
         return self.chars
 
 
-def _emit(lines: Iterable[str], out: TextIO) -> int:
-    """Write each item (one or more lines) plus a newline to `out` in
-    chunks of about CHUNK_CHARS characters; return the characters written."""
+def _export(lines: Iterable[str], path: str | Path) -> Written:
+    """Write each item (one or more lines) plus a newline to `path` in
+    chunks of about CHUNK_CHARS characters."""
     chars = size = 0
     chunk: list[str] = []
-    for line in lines:
-        chunk.append(line)
-        size += len(line)
-        if size >= CHUNK_CHARS:
-            chars += out.write("\n".join(chunk) + "\n")
-            chunk.clear()
-            size = 0
-    if chunk:
-        chars += out.write("\n".join(chunk) + "\n")
-    return chars
-
-
-def _export(lines: Iterable[str], path: str | Path | None):
-    if path is None:
-        text = io.StringIO()
-        _emit(lines, text)
-        return text.getvalue()
     with open(path, "w") as out:
-        return Written(_emit(lines, out))
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= CHUNK_CHARS:
+                chars += out.write("\n".join(chunk) + "\n")
+                chunk.clear()
+                size = 0
+        if chunk:
+            chars += out.write("\n".join(chunk) + "\n")
+    return Written(chars)
 
 
-def export_lp(model: ModelIR, path: str | Path | None = None):
-    """Deterministic CPLEX-dialect LP text: returned as a string, or
-    streamed to `path` (returning a `Written`)."""
+def export_lp(model: ModelIR, path: str | Path) -> Written:
+    """Stream deterministic CPLEX-dialect LP text to `path`."""
     return _export(_lp_lines(model), path)
 
 
-def export_mps(model: ModelIR, path: str | Path | None = None):
-    """Fixed-field MPS text plus the sidecar mapping short -> original name.
-
-    The text is returned as a string, or streamed to `path` and returned
-    as a `Written`; either way it comes paired with the sidecar.
-    """
+def export_mps(model: ModelIR, path: str | Path) -> tuple[Written, dict[str, str]]:
+    """Stream fixed-field MPS text to `path`; return it paired with the
+    sidecar mapping short -> original name."""
     sidecar: dict[str, str] = {}
     return _export(_mps_lines(model, sidecar), path), sidecar
 
@@ -667,22 +583,24 @@ def check_solution(
     the model lacks are ignored."""
     violations: list[str] = []
     values = [0.0] * model.column_count
-    named: dict[int, str] = {}
+    named: dict[int, tuple[str, str]] = {}      # column -> (name, kind)
     for name, x in assignment.items():
-        col = model.column_of(name)
-        if col is not None:
-            values[col] = x
-            named[col] = name
+        for family in model.families:
+            col = family.parse(name)
+            if col is not None:
+                values[col] = x
+                named[col] = name, family.kind
+                break
 
     # zero lies in every column's domain, so only named columns can fail
-    columns = model.variables
     for col in sorted(named):
+        name, kind = named[col]
         x = values[col]
-        if columns[col].kind == BINARY:
+        if kind == BINARY:
             if min(abs(x), abs(x - 1.0)) > TOLERANCE:
-                violations.append(f"{named[col]}: {x} is not binary")
+                violations.append(f"{name}: {x} is not binary")
         elif x < -TOLERANCE:
-            violations.append(f"{named[col]}: {x} below zero")
+            violations.append(f"{name}: {x} below zero")
 
     for row in model.constraints:
         lhs = 0.0

@@ -255,21 +255,18 @@ def test_criterion_9_model_export_sanity():
     instance = make_sample_instance()
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
-    analysis = compute_requirements(instance)
     base = build_mip(instance, tsn, tcs)
     schema = count_schema(instance, tsn, tcs)
     assert len(base.variables) == schema["variables"]
     assert len(base.constraints) == schema["rows"]
     with_gamma = build_mip(
-        instance, tsn, tcs, analysis=analysis,
-        options=ModelOptions(add_vi_gamma=True),
+        instance, tsn, tcs, options=ModelOptions(add_vi_gamma=True)
     )
     assert len(with_gamma.constraints) == len(base.constraints) + 1
     gamma_row = next(c for c in with_gamma.constraints if c.name == "vi_gamma")
     assert gamma_row.rhs == 2.0
     with_phi = build_mip(
-        instance, tsn, tcs, analysis=analysis,
-        options=ModelOptions(add_vi_phi=True),
+        instance, tsn, tcs, options=ModelOptions(add_vi_phi=True)
     )
     assert len(with_phi.constraints) == len(base.constraints) + 7
     elapsed = time.perf_counter() - t0
@@ -290,9 +287,8 @@ def test_criterion_10_vi_validity_on_random_schedules():
         instance = generate_instance(size, k, seed=7000 + trial)
         tsn = build_time_space_network(instance.physical, instance.period_count)
         tcs, _ = expand_commodities(instance)
-        analysis = compute_requirements(instance)
         model = build_mip(
-            instance, tsn, tcs, analysis=analysis,
+            instance, tsn, tcs,
             options=ModelOptions(add_vi_gamma=True, add_vi_phi=True),
         )
         book = PathBook(instance, tsn)

@@ -39,7 +39,6 @@ from cssnd.dmam import (
     leg_view,
     merge_phase,
     mix_phase,
-    partition_paths,
     resolve_capacity,
     run_dmam,
     scopf,
@@ -496,20 +495,23 @@ def test_one_rep_merge_adds_single_empty_leg():
 
 
 def test_partition_by_busy_span():
+    """Path one runs over the primary paths (busy for more than half the
+    horizon), then the secondary ones, each by busy span descending and
+    then id; the last path has no partner left and never leads."""
     instance = generate_instance("small", 10, seed=4)
     tsn = build_time_space_network(instance.physical, instance.period_count)
     book = PathBook(instance, tsn)
     solution = construct_initial(instance, book)
-    primary, secondary = partition_paths(solution)
-    for p in primary:
-        assert 2 * p.busy_periods > 7
-    for p in secondary:
-        assert 2 * p.busy_periods <= 7
-    busies = [p.busy_periods for p in primary] + [p.busy_periods for p in secondary]
-    assert busies == sorted(busies, reverse=True) or True  # sorted per list
-    assert [p.busy_periods for p in primary] == sorted(
-        [p.busy_periods for p in primary], reverse=True
-    )
+    singles = [book.by_id[c.legs[0].path_id] for c in solution.cycles]
+    key = lambda p: (-p.busy_periods, p.id)
+    primary = sorted((p for p in singles if 2 * p.busy_periods > 7), key=key)
+    secondary = sorted((p for p in singles if 2 * p.busy_periods <= 7), key=key)
+    assert primary and secondary
+    leads = []
+    for p1, _ in _pair_order(solution):
+        if not leads or leads[-1] is not p1:
+            leads.append(p1)
+    assert leads == (primary + secondary)[:-1]
 
 
 # --- SCoPF ---------------------------------------------------------------

@@ -19,6 +19,9 @@ from cssnd.dmam import run_dmam, solution_to_assignment
 from cssnd.instgen import generate_instance
 from cssnd.io import save_instance
 from cssnd.model import (
+    P_NAME,
+    S_NAME,
+    X_NAME,
     ModelIR,
     ModelOptions,
     build_mip,
@@ -27,9 +30,6 @@ from cssnd.model import (
     export_lp,
     export_mps,
     read_solution,
-    var_p,
-    var_s,
-    var_x,
 )
 from cssnd.rng import Stream
 from tests.conftest import make_sample_instance
@@ -40,16 +40,32 @@ def sample_model():
     instance = make_sample_instance()
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
-    analysis = compute_requirements(instance)
-    return instance, tsn, tcs, analysis
+    return instance, tsn, tcs
+
+
+def lp_text(model, path):
+    """LP text written to `path`; the writer reports its length."""
+    written = export_lp(model, path)
+    text = path.read_text()
+    assert len(written) == len(text)
+    return text
+
+
+def mps_text(model, path):
+    """MPS text written to `path` and its sidecar; the writer reports the
+    text's length."""
+    written, sidecar = export_mps(model, path)
+    text = path.read_text()
+    assert len(written) == len(text)
+    return text, sidecar
 
 
 def test_variable_counts_on_sample(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
     kinds = {}
-    for v in model.variables:
-        kinds[v.name[0]] = kinds.get(v.name[0], 0) + 1
+    for name in model.variables:
+        kinds[name[0]] = kinds.get(name[0], 0) + 1
     assert kinds["y"] == 12 * 175 == 2100
     assert kinds["d"] == 12
     assert kinds["p"] == 30
@@ -58,26 +74,32 @@ def test_variable_counts_on_sample(sample_model):
 
 
 def test_row_counts_match_schema(sample_model):
-    instance, tsn, tcs, analysis = sample_model
+    instance, tsn, tcs = sample_model
     for options in (
         ModelOptions(),
         ModelOptions(add_vi_gamma=True, add_vi_phi=True),
         ModelOptions(strong_forcing=True),
+        ModelOptions(near_opt=21),
+        ModelOptions(near_opt=22),
         ModelOptions(near_opt=23, shift_restriction=0.25),
     ):
-        model = build_mip(instance, tsn, tcs, analysis=analysis, options=options)
+        model = build_mip(instance, tsn, tcs, options=options)
         schema = count_schema(instance, tsn, tcs, options)
         assert len(model.variables) == schema["variables"]
         assert len(model.constraints) == schema["rows"]
 
 
+def test_near_opt_outside_the_three_bounds_is_rejected(sample_model):
+    instance, tsn, tcs = sample_model
+    for near_opt in (0, 20, 24):
+        with pytest.raises(CssndError, match="21, 22 or 23"):
+            build_mip(instance, tsn, tcs, options=ModelOptions(near_opt=near_opt))
+
+
 def test_vi_gamma_row_value(sample_model):
-    instance, tsn, tcs, analysis = sample_model
+    instance, tsn, tcs = sample_model
     base = build_mip(instance, tsn, tcs)
-    with_vi = build_mip(
-        instance, tsn, tcs, analysis=analysis,
-        options=ModelOptions(add_vi_gamma=True),
-    )
+    with_vi = build_mip(instance, tsn, tcs, options=ModelOptions(add_vi_gamma=True))
     added = [c for c in with_vi.constraints if c.name == "vi_gamma"]
     assert len(with_vi.constraints) == len(base.constraints) + 1
     assert added[0].rhs == 2.0
@@ -85,33 +107,24 @@ def test_vi_gamma_row_value(sample_model):
 
 
 def test_vi_phi_adds_period_rows(sample_model):
-    instance, tsn, tcs, analysis = sample_model
+    instance, tsn, tcs = sample_model
     base = build_mip(instance, tsn, tcs)
-    with_vi = build_mip(
-        instance, tsn, tcs, analysis=analysis,
-        options=ModelOptions(add_vi_phi=True),
-    )
+    with_vi = build_mip(instance, tsn, tcs, options=ModelOptions(add_vi_phi=True))
     added = [c for c in with_vi.constraints if c.name.startswith("vi_phi")]
     assert len(added) == 7
     assert len(with_vi.constraints) == len(base.constraints) + 7
     assert [c.rhs for c in added] == [4.0, 5.0, 3.0, 4.0, 3.0, 4.0, 2.0]
 
 
-def test_vi_requires_analysis(sample_model):
-    instance, tsn, tcs, _ = sample_model
-    with pytest.raises(CssndError):
-        build_mip(instance, tsn, tcs, options=ModelOptions(add_vi_gamma=True))
-
-
 def test_shift_cap_zero_forces_on_time(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(
         instance, tsn, tcs, options=ModelOptions(shift_restriction=0.0)
     )
     row = next(c for c in model.constraints if c.name == "shift_cap")
     assert row.rhs == 0.0
-    shifted = {var_p(tc.id) for tc in tcs if tc.kind != "original"}
-    assert {model.variables[col].name for _, col in row.terms} == shifted
+    shifted = {P_NAME.format(tc.id) for tc in tcs if tc.kind != "original"}
+    assert {model.variables[col] for _, col in row.terms} == shifted
 
 
 @pytest.mark.parametrize("literal, uncapped, rhs", [
@@ -119,19 +132,19 @@ def test_shift_cap_zero_forces_on_time(sample_model):
     (True, "early", 0.25 * 30),         # lambda * |TCs|
 ])
 def test_shift_cap_rules_on_sample(sample_model, literal, uncapped, rhs):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     assert (len(instance.commodities), len(tcs)) == (10, 30)
     options = ModelOptions(shift_restriction=0.25, literal_shift_rule=literal)
     model = build_mip(instance, tsn, tcs, options=options)
     row = next(c for c in model.constraints if c.name == "shift_cap")
     assert row.sense == "<="
     assert row.rhs == rhs
-    capped = {var_p(tc.id) for tc in tcs if tc.kind != uncapped}
-    assert {model.variables[col].name for _, col in row.terms} == capped
+    capped = {P_NAME.format(tc.id) for tc in tcs if tc.kind != uncapped}
+    assert {model.variables[col] for _, col in row.terms} == capped
 
 
 def test_literal_shift_rule_needs_a_restriction(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     with pytest.raises(CssndError, match="lambda"):
         build_mip(
             instance, tsn, tcs, options=ModelOptions(literal_shift_rule=True)
@@ -139,7 +152,7 @@ def test_literal_shift_rule_needs_a_restriction(sample_model):
 
 
 def test_constraint_count_formulas(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
     by_family = {}
     for row in model.constraints:
@@ -159,56 +172,43 @@ def test_constraint_count_formulas(sample_model):
     assert by_family["outsource"] == 140 * 30
 
 
-def test_lp_export_is_deterministic_and_structured(sample_model):
-    instance, tsn, tcs, _ = sample_model
+def test_lp_export_is_deterministic_and_structured(sample_model, tmp_path):
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
-    text = export_lp(model)
-    assert text == export_lp(model)
+    text = lp_text(model, tmp_path / "a.lp")
+    assert text == lp_text(model, tmp_path / "b.lp")
     assert text.startswith("Minimize\n obj:")
     assert "\nSubject To\n" in text
     assert "\nBinaries\n" in text
     assert text.endswith("End\n")
 
 
-def test_lp_export_empty_model():
-    assert export_lp(ModelIR()) == "Minimize\n obj: 0\nSubject To\nEnd\n"
+def test_lp_export_empty_model(tmp_path):
+    text = lp_text(ModelIR(), tmp_path / "m.lp")
+    assert text == "Minimize\n obj: 0\nSubject To\nEnd\n"
 
 
-def test_lp_binary_section_lists_binaries(sample_model):
-    instance, tsn, tcs, _ = sample_model
+def test_lp_binary_section_lists_binaries(sample_model, tmp_path):
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
-    binary_block = export_lp(model).split("Binaries\n")[1]
+    binary_block = lp_text(model, tmp_path / "m.lp").split("Binaries\n")[1]
     assert "d_v1" in binary_block
     assert " x_" not in binary_block
 
 
-def test_mps_export_renames_with_sidecar(sample_model):
-    instance, tsn, tcs, _ = sample_model
+def test_mps_export_renames_with_sidecar(sample_model, tmp_path):
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
-    text, sidecar = export_mps(model)
-    assert text == export_mps(model)[0]
+    text, sidecar = mps_text(model, tmp_path / "a.mps")
+    assert (text, sidecar) == mps_text(model, tmp_path / "b.mps")
     assert text.startswith("NAME")
     assert text.rstrip().endswith("ENDATA")
     assert len(sidecar) == len(model.variables) + len(model.constraints)
     assert all(len(short) <= 8 for short in sidecar)
     # every renamed row/column resolves back to a real name
     originals = set(sidecar.values())
-    assert model.variables[0].name in originals
+    assert model.variables[0] in originals
     assert model.constraints[0].name in originals
-
-
-def test_exports_stream_the_same_text_to_a_file(sample_model, tmp_path):
-    instance, tsn, tcs, _ = sample_model
-    model = build_mip(instance, tsn, tcs)
-    text = export_lp(model)
-    written = export_lp(model, tmp_path / "m.lp")
-    assert (tmp_path / "m.lp").read_text() == text
-    assert len(written) == len(text)
-    text, sidecar = export_mps(model)
-    written, streamed_sidecar = export_mps(model, tmp_path / "m.mps")
-    assert (tmp_path / "m.mps").read_text() == text
-    assert len(written) == len(text)
-    assert streamed_sidecar == sidecar
 
 
 def test_read_solution_parses_and_rejects():
@@ -221,7 +221,7 @@ def test_read_solution_parses_and_rejects():
 
 
 def test_all_zero_assignment_violates_cover(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
     result = check_solution(instance, tsn, tcs, model, {})
     assert not result.feasible
@@ -235,7 +235,7 @@ def test_all_zero_assignment_violates_cover(sample_model):
 
 
 def test_dmam_schedule_checks_out(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
     solution, report = run_dmam(instance, "a", tsn=tsn)
     assignment = solution_to_assignment(solution)
@@ -248,7 +248,7 @@ def test_dmam_schedule_checks_out(sample_model):
 
 
 def test_double_selection_is_feasible_but_flagged(sample_model):
-    instance, tsn, tcs, _ = sample_model
+    instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
     solution, _ = run_dmam(instance, "r", tsn=tsn)
     assignment = solution_to_assignment(solution)
@@ -259,14 +259,14 @@ def test_double_selection_is_feasible_but_flagged(sample_model):
         if p.mode == "outsourced" and p.kind == "tardy"
     )
     tc = solution.book.tc_of(spare)
-    assignment[var_p(tc.id)] = 1.0
+    assignment[P_NAME.format(tc.id)] = 1.0
     arc_id = spare.arcs[0]
-    assignment[var_s(tc.id, arc_id)] = 1.0
-    assignment[var_x(tc.id, arc_id)] = tc.volume
+    assignment[S_NAME.format(tc.id, arc_id)] = 1.0
+    assignment[X_NAME.format(tc.id, arc_id)] = tc.volume
     t = spare.arrival_period
     while t != tc.due_period:
         hold = tsn.holding_arc(tc.dest_physical, t)
-        assignment[var_x(tc.id, hold.id)] = tc.volume
+        assignment[X_NAME.format(tc.id, hold.id)] = tc.volume
         t = t % 7 + 1
     result = check_solution(instance, tsn, tcs, model, assignment)
     assert result.feasible, result.violations[:5]
@@ -285,9 +285,8 @@ def test_vi_rows_hold_for_dedicated_schedules():
         instance = generate_instance(size, k, seed=500 + trial)
         tsn = build_time_space_network(instance.physical, instance.period_count)
         tcs, _ = expand_commodities(instance)
-        analysis = compute_requirements(instance)
         model = build_mip(
-            instance, tsn, tcs, analysis=analysis,
+            instance, tsn, tcs,
             options=ModelOptions(add_vi_gamma=True, add_vi_phi=True),
         )
         from cssnd.dmam import (
@@ -328,9 +327,8 @@ def test_vi_phi_can_cut_heavily_merged_schedules():
     instance = generate_instance("small", 10, seed=1000)
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
-    analysis = compute_requirements(instance)
     model = build_mip(
-        instance, tsn, tcs, analysis=analysis,
+        instance, tsn, tcs,
         options=ModelOptions(add_vi_gamma=True, add_vi_phi=True),
     )
     solution, _ = run_dmam(instance, "a", tsn=tsn)
@@ -417,11 +415,8 @@ def test_mps_writer_matches_a_per_nonzero_reference(
     model = edge_case_model()
     expected = reference_mps(model)
     assert "C0000003" not in expected.split("RHS")[0].split("COLUMNS")[1]
-    text, _ = export_mps(model)
+    text, _ = mps_text(model, tmp_path / "m.mps")
     assert text == expected
-    written, _ = export_mps(model, tmp_path / "m.mps")
-    assert (tmp_path / "m.mps").read_text() == expected
-    assert len(written) == len(expected)
 
 
 def test_strong_rows_use_each_variant_strength(tmp_path, capsys):
