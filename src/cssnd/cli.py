@@ -126,14 +126,7 @@ def cmd_export(args, elapsed):
         literal_shift_rule=args.literal_shift,
     )
     _, _, _, model = _load_model(args, options)
-    if args.format == "lp":
-        export_lp(model, args.out)
-    else:
-        _, sidecar = export_mps(model, args.out)
-        del model           # free the model before the sidecar text is built
-        Path(f"{args.out}.names.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        )
+    (export_lp if args.format == "lp" else export_mps)(model, args.out)
     return 0, args.out, _file_digest(args.input), {}
 
 
@@ -179,18 +172,7 @@ def _schedule_document(solution, report, digest: str) -> dict:
     return {
         "instance_hash": digest,
         "config": report["config"],
-        "summary": {
-            k: report[k]
-            for k in (
-                "owned_used",
-                "leased",
-                "on_time",
-                "early",
-                "tardy",
-                "outsourced",
-                "total_cost",
-            )
-        },
+        "summary": solution.summary(),
         "cost_breakdown": solution.cost_breakdown(),
         "selected": selected,
         "cycles": cycles,

@@ -427,6 +427,8 @@ class Instance:
         node_count = self.physical.node_count
         seen_ids = set()
         for oc in self.commodities:
+            if oc.id < 1:
+                raise CssndError(f"commodity id {oc.id} is below 1")
             if oc.id in seen_ids:
                 raise CssndError(f"duplicate commodity id {oc.id}")
             seen_ids.add(oc.id)

@@ -10,8 +10,8 @@ per key of a product of axes, in row-major order).  A row holds (coef,
 column) terms, range-checked once when it is added.  Names are made only where
 text is: the LP/MPS writers format each column's name from its family, and
 `check_solution` parses the names of a solution file back to columns.  The
-writers stream their text to a file in chunks of characters, so the whole
-text never sits in memory.
+writers stream their text, the MPS names sidecar too, to files in chunks of
+characters, so the whole text never sits in memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import chain, count, product, starmap
+from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -429,22 +430,19 @@ SENSE_CODE = {"<=": "L", ">=": "G", "=": "E"}
 MARKER = "    MARKER{:02d}  'MARKER'                 {}"
 
 
-def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
-    """Fixed-field MPS lines; fills `sidecar` with short -> original names.
+def _mps_lines(model: ModelIR) -> Iterator[str]:
+    """Fixed-field MPS lines.
 
     Row r is R{r:07d} and column c is C{c:07d}, both counted from 1:
     fixed-field widths cap names at eight characters.  Values get nine
     significant digits to fit the twelve-character value field.
     """
-    names = model.variables
     rows = model.constraints
-    row_short = ["COST    "] + [f"R{r:07d}" for r in range(1, len(rows) + 1)]
-    sidecar.update(zip(row_short[1:], (row.name for row in rows)))
-    sidecar.update((f"C{c:07d}", name) for c, name in enumerate(names, start=1))
+    row_short = [f"R{r:07d}" for r in range(1, len(rows) + 1)]
     yield "NAME          MODEL"
     yield "ROWS"
     yield " N  COST"
-    for short, row in zip(row_short[1:], rows):
+    for short, row in zip(row_short, rows):
         yield f" {SENSE_CODE[row.sense]}  {short}"
 
     # Text of each coefficient.  Zeros are formatted afresh, since 0.0 and
@@ -461,10 +459,10 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
     # c's entries, the objective first.  Objective prices are nearly all
     # distinct, so they bypass the cache; a row's run of terms with one
     # coefficient shares one cell string.
-    cells: list[list[str] | None] = [[] for _ in names]
+    cells: list[list[str] | None] = [[] for _ in range(model.column_count)]
     for coef, col in model.objective:
         cells[col].append(f"COST      {coef:.9g}")
-    for short, row in zip(row_short[1:], rows):
+    for short, row in zip(row_short, rows):
         last = cell = None
         for coef, col in row.terms:
             if coef != last or not coef:
@@ -491,7 +489,7 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
         yield MARKER.format(marker, "'INTEND'")
 
     yield "RHS"
-    for short, row in zip(row_short[1:], rows):
+    for short, row in zip(row_short, rows):
         if row.rhs != 0.0:
             yield f"    RHS       {short}  {value(row.rhs)}"
 
@@ -501,6 +499,21 @@ def _mps_lines(model: ModelIR, sidecar: dict[str, str]) -> Iterator[str]:
             for c in range(family.base + 1, family.base + family.size + 1):
                 yield f" BV BND       C{c:07d}"
     yield "ENDATA"
+
+
+def _sidecar_lines(model: ModelIR) -> Iterator[str]:
+    """The MPS names sidecar as `json.dumps` writes it with indent 2 and
+    sorted keys (an empty model's braces aside): C keys in column order,
+    then R keys in row order, the key order while names have seven digits."""
+    names = chain(*(family.names() for family in model.families),
+                  (row.name for row in model.constraints))
+    shorts = chain(map("C{:07d}".format, range(1, model.column_count + 1)),
+                   map("R{:07d}".format, range(1, len(model.constraints) + 1)))
+    last = model.column_count + len(model.constraints)
+    yield "{"
+    for n, short, name in zip(count(1), shorts, names):
+        yield f'  "{short}": {quote(name)}' + ("," if n < last else "")
+    yield "}"
 
 
 @dataclass(frozen=True)
@@ -536,11 +549,12 @@ def export_lp(model: ModelIR, path: str | Path) -> Written:
     return _export(_lp_lines(model), path)
 
 
-def export_mps(model: ModelIR, path: str | Path) -> tuple[Written, dict[str, str]]:
-    """Stream fixed-field MPS text to `path`; return it paired with the
-    sidecar mapping short -> original name."""
-    sidecar: dict[str, str] = {}
-    return _export(_mps_lines(model, sidecar), path), sidecar
+def export_mps(model: ModelIR, path: str | Path) -> tuple[Written, Written]:
+    """Stream fixed-field MPS text to `path` and its names sidecar, a JSON
+    object from each short row and column name to the model's name, to
+    `{path}.names.json`; return both, the MPS first."""
+    return (_export(_mps_lines(model), path),
+            _export(_sidecar_lines(model), f"{path}.names.json"))
 
 
 def read_solution(text: str) -> dict[str, float]:

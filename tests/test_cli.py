@@ -57,6 +57,22 @@ def test_literal_shift_without_lambda_exits_1(tmp_path, capsys):
     assert "shift_cap:" in out.read_text()
 
 
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_commodity_id_below_1_exits_1(tmp_path, capsys, command):
+    """Ids below 1 would give variant ids below 1, and LP names with a
+    minus sign in them."""
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(make_sample_instance())
+    data["commodities"][0]["id"] = 0
+    data["commodities"][1]["id"] = -5
+    inst.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run([command, "--in", str(inst), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "commodity id 0 is below 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where, field", [
     ("commodity", "volume"),
     ("costs", "holding"),

@@ -69,6 +69,8 @@ def test_malformed_documents_are_domain_errors(tmp_path):
     # documents that parse but would solve wrongly or crash downstream
     for field, value, message in (
         ("id", 1, "duplicate commodity id 1"),
+        ("id", 0, "commodity id 0 is below 1"),
+        ("id", -5, "commodity id -5 is below 1"),
         ("origin", 99, "terminal 99 outside 1..5"),
         ("periods", 7.0, "not an integer"),
         ("release", 2.0, "commodity 2 release 2.0 is not an integer"),

@@ -52,11 +52,15 @@ def lp_text(model, path):
 
 
 def mps_text(model, path):
-    """MPS text written to `path` and its sidecar; the writer reports the
-    text's length."""
-    written, sidecar = export_mps(model, path)
+    """MPS text written to `path` and the sidecar read from
+    `{path}.names.json`.  The writer reports both lengths, and the sidecar
+    text is what `json.dumps(..., indent=2, sort_keys=True)` writes."""
+    written, written_names = export_mps(model, path)
     text = path.read_text()
-    assert len(written) == len(text)
+    names = path.with_name(path.name + ".names.json").read_text()
+    assert (len(written), len(written_names)) == (len(text), len(names))
+    sidecar = json.loads(names)
+    assert names == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     return text, sidecar
 
 
@@ -417,6 +421,19 @@ def test_mps_writer_matches_a_per_nonzero_reference(
     assert "C0000003" not in expected.split("RHS")[0].split("COLUMNS")[1]
     text, _ = mps_text(model, tmp_path / "m.mps")
     assert text == expected
+
+
+def test_mps_sidecar_escapes_names_as_json_does(tmp_path):
+    model = ModelIR()
+    model.add_family('q"{}\\é', "binary", [1, 2])
+    model.add_family("x{}", "continuous", [3])
+    model.add_constraint('r"\\ö', [(1.0, 0), (2.0, 2)], "<=", 1.0)
+    mps_text(model, tmp_path / "m.mps")
+    expected = {"C0000001": 'q"1\\é', "C0000002": 'q"2\\é',
+                "C0000003": "x3", "R0000001": 'r"\\ö'}
+    assert (tmp_path / "m.mps.names.json").read_text() == (
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def test_strong_rows_use_each_variant_strength(tmp_path, capsys):

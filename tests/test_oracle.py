@@ -1,0 +1,84 @@
+"""Exact-solver oracle on the exported MPS bytes.
+
+The heuristic's schedule, mapped through the names sidecar onto the MPS
+columns, must satisfy every MPS row and cost what `check` says; the LP
+relaxation that HiGHS solves from the same bytes must bound it from below.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from cssnd.cli import main
+from cssnd.instgen import generate_instance
+from cssnd.io import save_instance
+from tests.conftest import make_sample_instance
+from tests.oracle import read_mps
+
+TOLERANCE = 1e-6
+
+
+def exported(tmp_path, capsys, instance):
+    """Solve, check and export `instance`; return the heuristic total, the
+    checked objective, the parsed MPS, the sidecar and the schedule."""
+    inst, sol, mps = (tmp_path / name for name in ("i.json", "i.sol", "m.mps"))
+    save_instance(instance, inst)
+    assert main(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    total = json.loads(capsys.readouterr().out)["total_cost"]
+    assert main(["check", "--in", str(inst), "--sol", str(sol)]) == 0
+    objective = json.loads(capsys.readouterr().out)["objective"]
+    assert main(["export", "--in", str(inst), "--format", "mps",
+                 "--out", str(mps)]) == 0
+    sidecar = json.loads((tmp_path / "m.mps.names.json").read_text())
+    schedule = dict(line.split() for line in sol.read_text().splitlines())
+    return total, objective, read_mps(mps.read_text()), sidecar, schedule
+
+
+INSTANCES = {
+    "sample": make_sample_instance,
+    "small10.s1": lambda: generate_instance("small", 10, seed=1),
+    "small10.s7": lambda: generate_instance("small", 10, seed=7),
+}
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_schedule_satisfies_the_mps_rows(tmp_path, capsys, name):
+    total, objective, mps, sidecar, schedule = exported(
+        tmp_path, capsys, INSTANCES[name]()
+    )
+    assert set(sidecar) == set(mps.rows) | set(mps.columns)
+    assert mps.integer == [not sidecar[c].startswith("x_") for c in mps.columns]
+    column = {sidecar[short]: c for c, short in enumerate(mps.columns)}
+    x = [0.0] * len(mps.columns)
+    for model_name, value in schedule.items():
+        x[column[model_name]] = float(value)
+    lower, upper = mps.row_bounds()
+    broken = [
+        (sidecar[row], lhs)
+        for row, lhs, lo, hi in zip(mps.rows, mps.activity(x), lower, upper)
+        if not lo - TOLERANCE <= lhs <= hi + TOLERANCE
+    ]
+    assert broken == []
+    cost = sum(c * v for c, v in zip(mps.cost, x))
+    assert cost == pytest.approx(objective, abs=TOLERANCE)
+    assert objective == pytest.approx(total, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("name", ["sample", "small10.s7"])
+def test_lp_relaxation_bounds_the_heuristic(tmp_path, capsys, name):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    total, _, mps, _, _ = exported(tmp_path, capsys, INSTANCES[name]())
+    r, c, v = zip(*mps.entries)
+    matrix = sparse.csr_array((v, (r, c)), shape=(len(mps.rows), len(mps.columns)))
+    lower, upper = mps.row_bounds()
+    result = optimize.milp(
+        np.array(mps.cost),
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        bounds=optimize.Bounds(0.0, np.array(mps.upper)),
+    )
+    assert result.status == 0, result.message
+    assert result.fun <= total + TOLERANCE
