@@ -13,8 +13,10 @@ import argparse
 import hashlib
 import json
 import platform
+import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -249,6 +251,9 @@ def cmd_check(args, elapsed):
         "objective": result.objective,
         "violations": result.violations[:20],
         "violation_count": len(result.violations),
+        "violations_by_family": dict(sorted(Counter(
+            re.sub(r"\d+", "{}", v.split(":")[0]) for v in result.violations
+        ).items())),
         "summary": result.summary,
         "instance_hash": _file_digest(args.input),
         "manifest": {

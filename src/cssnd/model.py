@@ -6,12 +6,17 @@ fixed-field MPS.  No solver is linked; external solutions come back as
 plain `name value` lines and are replayed row by row against the IR.
 
 The columns are integers, laid out family by family (`Family`: one column
-per key of a product of axes, in row-major order).  A row holds (coef,
-column) terms, range-checked once when it is added.  Names are made only where
-text is: the LP/MPS writers format each column's name from its family, and
-`check_solution` parses the names of a solution file back to columns.  The
-writers stream their text, the MPS names sidecar too, to files in chunks of
-characters, so the whole text never sits in memory.
+per key of a product of axes, in row-major order).  Rows are held in
+compressed sparse row form, in flat `array`s the garbage collector never
+walks: row r is the sum of coefs[i] * column cols[i] for i in
+range(starts[r], starts[r + 1]), its columns range-checked once when it is
+added.  The writers and the checker read the arrays; `ModelIR.constraints`
+is a read-only view that builds a `Constraint` when one is read.  Names
+are made only where text is: the LP/MPS writers format each column's name
+from its family, and `check_solution` parses the names of a solution file
+back to columns.  The writers stream their text, the MPS names sidecar
+too, to files in chunks of characters, so the whole text never sits in
+memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -29,10 +34,15 @@ the cyclic network.
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, count, product, starmap
+from itertools import chain, count, islice, product, repeat, starmap
 from json.encoder import encode_basestring_ascii as quote
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -62,6 +72,24 @@ class Constraint(NamedTuple):
     terms: tuple[tuple[float, int], ...]    # (coef, column)
     sense: str                  # <= | = | >=
     rhs: float
+
+
+class Rows(Sequence):
+    """`ModelIR.constraints`: each `Constraint` is built from the arrays
+    when it is read."""
+
+    def __init__(self, model: ModelIR):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model.row_names)
+
+    def __getitem__(self, r: int) -> Constraint:
+        m = self._model
+        r = range(len(m.row_names))[r]
+        s, e = m.starts[r], m.starts[r + 1]
+        terms = tuple(zip(m.coefs[s:e], m.cols[s:e]))
+        return Constraint(m.row_names[r], terms, m.senses[r], m.rhs[r])
 
 
 class Family:
@@ -108,14 +136,24 @@ class Family:
 @dataclass
 class ModelIR:
     families: list[Family] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
     objective: list[tuple[float, int]] = field(default_factory=list)
     column_count: int = 0
+    # rows in compressed sparse row form (see the module docstring)
+    row_names: list[str] = field(default_factory=list)
+    senses: list[str] = field(default_factory=list)
+    rhs: array = field(default_factory=lambda: array("d"))
+    starts: array = field(default_factory=lambda: array("q", [0]))
+    coefs: array = field(default_factory=lambda: array("d"))
+    cols: array = field(default_factory=lambda: array("q"))
 
     @property
     def variables(self) -> list[str]:
         """Column names in column order."""
         return [name for family in self.families for name in family.names()]
+
+    @property
+    def constraints(self) -> Rows:
+        return Rows(self)
 
     def add_family(self, template: str, kind: str, *axes) -> Family:
         family = Family(template, kind, self.column_count, axes)
@@ -123,12 +161,20 @@ class ModelIR:
         self.column_count += family.size
         return family
 
-    def add_constraint(self, name, terms, sense, rhs) -> None:
-        if terms:
-            cols = [col for _, col in terms]
-            if min(cols) < 0 or max(cols) >= self.column_count:
-                raise CssndError(f"row {name} references an unknown column")
-        self.constraints.append(Constraint(name, tuple(terms), sense, rhs))
+    def add_constraint(self, name, coefs, cols, sense, rhs) -> None:
+        """Append the row sum of coefs[i] * column cols[i], given as two
+        sequences of one length."""
+        if len(coefs) != len(cols):
+            raise CssndError(f"row {name} has {len(coefs)} coefficients "
+                             f"for {len(cols)} columns")
+        if cols and (min(cols) < 0 or max(cols) >= self.column_count):
+            raise CssndError(f"row {name} references an unknown column")
+        self.coefs.extend(coefs)
+        self.cols.extend(cols)
+        self.starts.append(len(self.cols))
+        self.row_names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
 
     def family(self, template: str) -> Family:
         return next(f for f in self.families if f.template == template)
@@ -156,6 +202,17 @@ def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
         t: [i for i, a in enumerate(arcs) if a.spans(t, period_count)]
         for t in range(1, period_count + 1)
     }
+
+
+def _incidence(tsn: TimeSpaceNetwork, arcs) -> dict[int, tuple[list, list]]:
+    """Node -> positions in `arcs` of the arcs leaving it, then of those
+    entering it, and their coefficients (+1 leaving, -1 entering)."""
+    ends = {node: ([], []) for node in range(1, tsn.ts_node_count + 1)}
+    for i, arc in enumerate(arcs):
+        ends[tsn.arc_tail(arc)][0].append(i)
+        ends[tsn.arc_head(arc)][1].append(i)
+    return {node: (out + into, [1.0] * len(out) + [-1.0] * len(into))
+            for node, (out, into) in ends.items()}
 
 
 def build_mip(
@@ -234,123 +291,116 @@ def build_mip(
         for t in range(1, period_count + 1):
             if t in allowed:
                 continue
-            terms = [(1.0, xq + asset_pos[i]) for i in asset_spans[t]]
-            add(f"transit_k{tc.id}_t{t}", terms, "<=", 0.0)
+            cols = [xq + asset_pos[i] for i in asset_spans[t]]
+            add(f"transit_k{tc.id}_t{t}", [1.0] * len(cols), cols, "<=", 0.0)
 
     # one activity per utilized asset and period, wrap-aware
     for v in assets:
         yv = y_col[v]
         for t in range(1, period_count + 1):
-            terms = [(1.0, yv + i) for i in asset_spans[t]]
-            terms.append((-1.0, d_col[v]))
-            add(f"assign_v{v}_t{t}", terms, "=", 0.0)
+            cols = [yv + i for i in asset_spans[t]]
+            cols.append(d_col[v])
+            coefs = [1.0] * (len(cols) - 1) + [-1.0]
+            add(f"assign_v{v}_t{t}", coefs, cols, "=", 0.0)
 
     # asset conservation at every time-space node
-    outgoing: dict[int, list[int]] = {}
-    incoming: dict[int, list[int]] = {}
-    for i, arc in enumerate(asset_arcs):
-        outgoing.setdefault(tsn.arc_tail(arc), []).append(i)
-        incoming.setdefault(tsn.arc_head(arc), []).append(i)
+    asset_incidence = _incidence(tsn, asset_arcs)
     for v in assets:
         yv = y_col[v]
-        for node in range(1, tsn.ts_node_count + 1):
-            terms = [(1.0, yv + i) for i in outgoing.get(node, [])]
-            terms += [(-1.0, yv + i) for i in incoming.get(node, [])]
-            add(f"balance_v{v}_n{node}", terms, "=", 0.0)
+        for node, (ends, coefs) in asset_incidence.items():
+            add(f"balance_v{v}_n{node}", coefs, [yv + i for i in ends], "=", 0.0)
 
     # a service is operated by at most one asset
     service = list(enumerate(tsn.service_arcs, start=service_first))
     for i, arc in service:
-        terms = [(1.0, y_col[v] + i) for v in assets]
-        add(f"svc_once_a{arc.id}", terms, "<=", 1.0)
+        cols = [y_col[v] + i for v in assets]
+        add(f"svc_once_a{arc.id}", [1.0] * v_total, cols, "<=", 1.0)
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
     for tc in tcs:
         incidence.setdefault(tc.parent_id, []).append(tc.id)
     for oc in instance.commodities:
-        terms = [(1.0, p_col[tc_id]) for tc_id in incidence[oc.id]]
-        add(f"cover_k{oc.id}", terms, ">=", 1.0)
+        cols = [p_col[tc_id] for tc_id in incidence[oc.id]]
+        add(f"cover_k{oc.id}", [1.0] * len(cols), cols, ">=", 1.0)
 
     # flow conservation, demand switched on by the variant selection
-    all_out: dict[int, list[int]] = {}
-    all_in: dict[int, list[int]] = {}
-    for a, arc in enumerate(tsn.arcs):
-        all_out.setdefault(tsn.arc_tail(arc), []).append(a)
-        all_in.setdefault(tsn.arc_head(arc), []).append(a)
+    arc_incidence = _incidence(tsn, tsn.arcs)
     for q, tc in enumerate(tcs):
         origin = tc.origin_node(period_count)
         dest = tc.dest_node(period_count)
         xq = x_col[q]
-        for node in range(1, tsn.ts_node_count + 1):
-            terms = [(1.0, xq + a) for a in all_out.get(node, [])]
-            terms += [(-1.0, xq + a) for a in all_in.get(node, [])]
-            if node == origin:
-                terms.append((-tc.volume, p_col[tc.id]))
-            elif node == dest:
-                terms.append((tc.volume, p_col[tc.id]))
-            add(f"flow_k{tc.id}_n{node}", terms, "=", 0.0)
+        for node, (ends, coefs) in arc_incidence.items():
+            cols = [xq + a for a in ends]
+            if node == origin or node == dest:
+                coefs = coefs + [tc.volume if node == dest else -tc.volume]
+                cols.append(p_col[tc.id])
+            add(f"flow_k{tc.id}_n{node}", coefs, cols, "=", 0.0)
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     for i, arc in service:
         a = asset_pos[i]
-        terms = [(1.0, xq + a) for xq in x_col]
-        terms += [(-arc.capacity, y_col[v] + i) for v in assets]
-        add(f"cap_a{arc.id}", terms, "<=", 0.0)
+        cols = [xq + a for xq in x_col] + [y_col[v] + i for v in assets]
+        coefs = [1.0] * len(x_col) + [-arc.capacity] * v_total
+        add(f"cap_a{arc.id}", coefs, cols, "<=", 0.0)
 
     if options.strong_forcing:
-        # rows of one service arc and one strength share their y terms
-        blocks: dict[tuple[float, int], tuple[tuple[float, int], ...]] = {}
+        # rows of one strength share their coefficients, rows of one service
+        # arc their y columns
+        strong: dict[float, array] = {}
+        y_cols = {i: [y_col[v] + i for v in assets] for i, _ in service}
         for q, tc in enumerate(tcs):
             for i, arc in service:
                 strength = min(tc.volume, arc.capacity)
-                block = blocks.get((strength, i))
-                if block is None:
-                    block = blocks[strength, i] = tuple(
-                        (-strength, y_col[v] + i) for v in assets
-                    )
-                terms = ((1.0, x_col[q] + asset_pos[i]),) + block
-                add(f"strong_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
+                coefs = strong.get(strength)
+                if coefs is None:
+                    coefs = strong[strength] = array(
+                        "d", [1.0] + [-strength] * v_total)
+                cols = [x_col[q] + asset_pos[i], *y_cols[i]]
+                add(f"strong_k{tc.id}_a{arc.id}", coefs, cols, "<=", 0.0)
 
     # outsourced flow only on selected outsourced services
     for q, tc in enumerate(tcs):
         xq, sq = x_col[q], s_col[q]
+        coefs = array("d", [1.0, -tc.volume])
         for o, arc in enumerate(outsourced_arcs):
-            terms = [(1.0, xq + out_pos[o]), (-tc.volume, sq + o)]
-            add(f"outsource_k{tc.id}_a{arc.id}", terms, "<=", 0.0)
+            cols = [xq + out_pos[o], sq + o]
+            add(f"outsource_k{tc.id}_a{arc.id}", coefs, cols, "<=", 0.0)
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)
-    fleet = [(1.0, d_col[v]) for v in assets]
+    fleet = [d_col[v] for v in assets]
     if options.add_vi_gamma:
-        add("vi_gamma", fleet, ">=", float(analysis.gamma))
+        add("vi_gamma", [1.0] * v_total, fleet, ">=", float(analysis.gamma))
 
     if options.add_vi_phi:
         out_spans = _spanning(outsourced_arcs, period_count)
         for t in range(1, period_count + 1):
-            terms = [(1.0, y_col[v] + i) for v in assets for i in asset_spans[t]]
-            terms += [(1.0, sq + o) for sq in s_col for o in out_spans[t]]
-            add(f"vi_phi_t{t}", terms, ">=", float(analysis.phi_at(t)))
+            cols = [y_col[v] + i for v in assets for i in asset_spans[t]]
+            cols += [sq + o for sq in s_col for o in out_spans[t]]
+            add(f"vi_phi_t{t}", [1.0] * len(cols), cols, ">=",
+                float(analysis.phi_at(t)))
 
     if options.near_opt == 21:
-        add("near_opt_low", fleet, ">=", float(analysis.theta))
+        add("near_opt_low", [1.0] * v_total, fleet, ">=", float(analysis.theta))
     elif options.near_opt == 22:
-        add("near_opt_high", fleet, "<=", float(analysis.theta))
+        add("near_opt_high", [1.0] * v_total, fleet, "<=", float(analysis.theta))
     elif options.near_opt == 23:
-        terms = fleet + [(1.0, sq + o) for sq in s_col for o in range(n_out)]
-        add("near_opt_mixed", terms, ">=", float(analysis.theta))
+        cols = fleet + [sq + o for sq in s_col for o in range(n_out)]
+        add("near_opt_mixed", [1.0] * len(cols), cols, ">=",
+            float(analysis.theta))
 
     if options.shift_restriction is not None:
         lam = options.shift_restriction
         if options.literal_shift_rule:
             # verbatim variant: counts everything but the first variant kind
             # against a budget over the whole variant set
-            terms = [(1.0, p_col[tc.id]) for tc in tcs if tc.kind != EARLY]
+            cols = [p_col[tc.id] for tc in tcs if tc.kind != EARLY]
             rhs = lam * len(tcs)
         else:
-            terms = [(1.0, p_col[tc.id]) for tc in tcs if tc.kind != ORIGINAL]
+            cols = [p_col[tc.id] for tc in tcs if tc.kind != ORIGINAL]
             rhs = lam * len(instance.commodities)
-        add("shift_cap", terms, "<=", rhs)
+        add("shift_cap", [1.0] * len(cols), cols, "<=", rhs)
 
     return model
 
@@ -364,6 +414,13 @@ def _num(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.12g}"
+
+
+def _row_terms(model: ModelIR) -> Iterator[Iterator[tuple[float, int]]]:
+    """Each row's (coef, column) terms in one pass over the arrays; read
+    each row's terms to the end before taking the next row's."""
+    pairs = zip(model.coefs, model.cols)
+    return map(islice, repeat(pairs), map(sub, model.starts[1:], model.starts))
 
 
 def _term_parts(terms, names: list[str], heads: dict) -> list[str]:
@@ -406,15 +463,14 @@ def _lp_lines(model: ModelIR) -> Iterator[str]:
     )
     yield from _wrapped(" obj:", obj_parts)
     yield "Subject To"
-    for row in model.constraints:
-        if row.terms:
-            parts = _term_parts(row.terms, names, heads)
-        elif names:
-            parts = ["0 " + names[0]]
-        else:
+    for name, sense, rhs, terms in zip(model.row_names, model.senses,
+                                       model.rhs, _row_terms(model)):
+        parts = _term_parts(terms, names, heads)
+        if not parts and not names:
             raise CssndError("cannot write an empty row in a model with no variables")
-        parts.append(f"{row.sense} {_num(row.rhs)}")
-        yield from _wrapped(f" {row.name}:", parts)
+        parts = parts or ["0 " + names[0]]
+        parts.append(f"{sense} {_num(rhs)}")
+        yield from _wrapped(f" {name}:", parts)
     binaries = [
         name for family in model.families if family.kind == BINARY
         for name in names[family.base : family.base + family.size]
@@ -437,13 +493,12 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
     fixed-field widths cap names at eight characters.  Values get nine
     significant digits to fit the twelve-character value field.
     """
-    rows = model.constraints
-    row_short = [f"R{r:07d}" for r in range(1, len(rows) + 1)]
+    row_short = [f"R{r:07d}" for r in range(1, len(model.row_names) + 1)]
     yield "NAME          MODEL"
     yield "ROWS"
     yield " N  COST"
-    for short, row in zip(row_short, rows):
-        yield f" {SENSE_CODE[row.sense]}  {short}"
+    for short, sense in zip(row_short, model.senses):
+        yield f" {SENSE_CODE[sense]}  {short}"
 
     # Text of each coefficient.  Zeros are formatted afresh, since 0.0 and
     # -0.0 are one dict key but print differently.
@@ -462,9 +517,9 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
     cells: list[list[str] | None] = [[] for _ in range(model.column_count)]
     for coef, col in model.objective:
         cells[col].append(f"COST      {coef:.9g}")
-    for short, row in zip(row_short, rows):
+    for short, terms in zip(row_short, _row_terms(model)):
         last = cell = None
-        for coef, col in row.terms:
+        for coef, col in terms:
             if coef != last or not coef:
                 cell = f"{short}  {value(coef)}"
                 last = coef
@@ -489,9 +544,9 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
         yield MARKER.format(marker, "'INTEND'")
 
     yield "RHS"
-    for short, row in zip(row_short, rows):
-        if row.rhs != 0.0:
-            yield f"    RHS       {short}  {value(row.rhs)}"
+    for short, rhs in zip(row_short, model.rhs):
+        if rhs != 0.0:
+            yield f"    RHS       {short}  {value(rhs)}"
 
     yield "BOUNDS"
     for family in model.families:
@@ -506,10 +561,10 @@ def _sidecar_lines(model: ModelIR) -> Iterator[str]:
     sorted keys (an empty model's braces aside): C keys in column order,
     then R keys in row order, the key order while names have seven digits."""
     names = chain(*(family.names() for family in model.families),
-                  (row.name for row in model.constraints))
+                  model.row_names)
     shorts = chain(map("C{:07d}".format, range(1, model.column_count + 1)),
-                   map("R{:07d}".format, range(1, len(model.constraints) + 1)))
-    last = model.column_count + len(model.constraints)
+                   map("R{:07d}".format, range(1, len(model.row_names) + 1)))
+    last = model.column_count + len(model.row_names)
     yield "{"
     for n, short, name in zip(count(1), shorts, names):
         yield f'  "{short}": {quote(name)}' + ("," if n < last else "")
@@ -558,7 +613,8 @@ def export_mps(model: ModelIR, path: str | Path) -> tuple[Written, Written]:
 
 
 def read_solution(text: str) -> dict[str, float]:
-    """Parse `name value` lines; blanks and #-comments are skipped."""
+    """Parse `name value` lines; blanks and #-comments are skipped, and a
+    value that is not a finite number is an error."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -568,9 +624,12 @@ def read_solution(text: str) -> dict[str, float]:
         if len(parts) != 2:
             raise CssndError(f"solution line {lineno}: expected 'name value'")
         try:
-            values[parts[0]] = float(parts[1])
-        except ValueError as exc:
-            raise CssndError(f"solution line {lineno}: bad number") from exc
+            x = float(parts[1])
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise CssndError(f"solution line {lineno}: bad number")
+        values[parts[0]] = x
     return values
 
 
@@ -616,18 +675,23 @@ def check_solution(
         elif x < -TOLERANCE:
             violations.append(f"{name}: {x} below zero")
 
-    for row in model.constraints:
-        lhs = 0.0
-        for coef, col in row.terms:
-            x = values[col]
-            if x:
-                lhs += coef * x
-        if row.sense == "<=" and lhs > row.rhs + TOLERANCE:
-            violations.append(f"{row.name}: {lhs} > {row.rhs}")
-        elif row.sense == ">=" and lhs < row.rhs - TOLERANCE:
-            violations.append(f"{row.name}: {lhs} < {row.rhs}")
-        elif row.sense == "=" and abs(lhs - row.rhs) > TOLERANCE:
-            violations.append(f"{row.name}: {lhs} != {row.rhs}")
+    # Each term at a nonzero value is added, in term order, to the row whose
+    # start is the last one not past it; the other rows stay at 0.0.
+    activity = [0.0] * len(model.row_names)
+    for i, col in enumerate(model.cols):
+        x = values[col]
+        if x:
+            activity[bisect_right(model.starts, i) - 1] += model.coefs[i] * x
+    for name, sense, rhs, lhs in zip(model.row_names, model.senses, model.rhs,
+                                     activity):
+        if lhs == rhs:      # no sense is broken at equality
+            continue
+        if sense == "<=" and lhs > rhs + TOLERANCE:
+            violations.append(f"{name}: {lhs} > {rhs}")
+        elif sense == ">=" and lhs < rhs - TOLERANCE:
+            violations.append(f"{name}: {lhs} < {rhs}")
+        elif sense == "=" and abs(lhs - rhs) > TOLERANCE:
+            violations.append(f"{name}: {lhs} != {rhs}")
 
     objective = 0.0
     for coef, col in model.objective:

@@ -219,6 +219,27 @@ def test_check_flags_infeasible_solution(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["feasible"] is False
     assert any(v.startswith("cover_") for v in verdict["violations"])
+    families = verdict["violations_by_family"]
+    assert list(families) == sorted(families)
+    assert families["cover_k{}"] == 10
+    assert families["assign_v{}_t{}"] == 7
+    assert sum(families.values()) == verdict["violation_count"]
+
+
+def test_check_rejects_a_non_finite_value(tmp_path, capsys):
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    run(["gen", "--size", "small", "--k", "10", "--seed", "1", "--out", str(inst)])
+    assert run(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    sol.write_text("".join(
+        line[:-1] + "nan\n" if line.endswith(" 1") else line + "\n"
+        for line in lines
+    ))
+    capsys.readouterr()
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solution line 1: bad number\n"
 
 
 def test_bench_emits_table(tmp_path):

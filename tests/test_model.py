@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -222,6 +224,9 @@ def test_read_solution_parses_and_rejects():
         read_solution("oops")
     with pytest.raises(CssndError):
         read_solution("name notanumber")
+    for bad in ("nan", "NaN", "inf", "-inf", "Infinity"):
+        with pytest.raises(CssndError, match="solution line 2: bad number"):
+            read_solution(f"d_v1 1\nx_k1_a2 {bad}\n")
 
 
 def test_all_zero_assignment_violates_cover(sample_model):
@@ -401,14 +406,27 @@ def edge_case_model() -> ModelIR:
     # column 4 is listed twice; column 2 appears nowhere, column 6 in no row
     model.objective = [(2.5, 0), (0.0, 3), (-1.25, 4), (3.0, 4), (1e-7, 6),
                        (-0.0, 7)]
-    model.add_constraint("zeros", [(0.0, 0), (-0.0, 1), (0.0, 3), (1.0, 5)],
-                         "<=", 1.5)
-    model.add_constraint("runs", [(1.0, 3), (1.0, 4), (-2.0, 0), (1.0, 5),
-                                  (1.0, 1), (1 / 3, 8), (1 / 3, 7)], ">=", -3.0)
-    model.add_constraint("empty", [], "=", 0.0)
-    model.add_constraint("tail", [(-0.0, 8), (-0.0, 5), (123456789.5, 4)],
+    model.add_constraint("zeros", [0.0, -0.0, 0.0, 1.0], [0, 1, 3, 5], "<=", 1.5)
+    model.add_constraint("runs", [1.0, 1.0, -2.0, 1.0, 1.0, 1 / 3, 1 / 3],
+                         [3, 4, 0, 5, 1, 8, 7], ">=", -3.0)
+    model.add_constraint("empty", [], [], "=", 0.0)
+    model.add_constraint("tail", [-0.0, -0.0, 123456789.5], [8, 5, 4],
                          "=", -0.0)
     return model
+
+
+@pytest.mark.parametrize("coefs, cols, message", [
+    ([1.0, 1.0], [0, 9], "unknown column"),
+    ([1.0], [-1], "unknown column"),
+    ([1.0], [0, 1], "1 coefficients for 2 columns"),
+])
+def test_add_constraint_rejects_a_bad_row_and_keeps_the_arrays(coefs, cols,
+                                                               message):
+    model = edge_case_model()
+    before = (len(model.constraints), len(model.coefs), len(model.cols))
+    with pytest.raises(CssndError, match=message):
+        model.add_constraint("bad", coefs, cols, "<=", 0.0)
+    assert (len(model.constraints), len(model.coefs), len(model.cols)) == before
 
 
 @pytest.mark.parametrize("chunk_chars", [1 << 18, 1, 40])
@@ -427,7 +445,7 @@ def test_mps_sidecar_escapes_names_as_json_does(tmp_path):
     model = ModelIR()
     model.add_family('q"{}\\é', "binary", [1, 2])
     model.add_family("x{}", "continuous", [3])
-    model.add_constraint('r"\\ö', [(1.0, 0), (2.0, 2)], "<=", 1.0)
+    model.add_constraint('r"\\ö', [1.0, 2.0], [0, 2], "<=", 1.0)
     mps_text(model, tmp_path / "m.mps")
     expected = {"C0000001": 'q"1\\é', "C0000002": 'q"2\\é',
                 "C0000003": "x3", "R0000001": 'r"\\ö'}
@@ -475,3 +493,88 @@ def test_strong_rows_use_each_variant_strength(tmp_path, capsys):
                             read_solution(sol.read_text()))
     assert result.feasible, result.violations[:5]
     assert result.objective == pytest.approx(total, abs=1e-6)
+
+
+def reference_check(model: ModelIR, assignment: dict[str, float]):
+    """(violations, objective) of `assignment`, every row summed term by
+    term over `model.constraints`, zeros included: an oracle for
+    `check_solution` that shares none of its code."""
+    column = {name: col for col, name in enumerate(model.variables)}
+    kind = [family.kind for family in model.families for _ in range(family.size)]
+    values = [0.0] * model.column_count
+    named = {}
+    for name, x in assignment.items():
+        if name in column:
+            values[column[name]] = x
+            named[column[name]] = name
+    violations = []
+    for col in sorted(named):
+        x = values[col]
+        if kind[col] == "binary" and min(abs(x), abs(x - 1.0)) > 1e-6:
+            violations.append(f"{named[col]}: {x} is not binary")
+        elif kind[col] != "binary" and x < -1e-6:
+            violations.append(f"{named[col]}: {x} below zero")
+    for row in model.constraints:
+        lhs = 0.0
+        for coef, col in row.terms:
+            lhs += coef * values[col]
+        if row.sense == "<=" and lhs > row.rhs + 1e-6:
+            violations.append(f"{row.name}: {lhs} > {row.rhs}")
+        elif row.sense == ">=" and lhs < row.rhs - 1e-6:
+            violations.append(f"{row.name}: {lhs} < {row.rhs}")
+        elif row.sense == "=" and abs(lhs - row.rhs) > 1e-6:
+            violations.append(f"{row.name}: {lhs} != {row.rhs}")
+    objective = 0.0
+    for coef, col in model.objective:
+        objective += coef * values[col]
+    return violations, objective
+
+
+REFERENCE_MODELS = {
+    "sample.plain": (make_sample_instance, ModelOptions()),
+    "sample.strong": (make_sample_instance, ModelOptions(strong_forcing=True)),
+    "sample.vi": (make_sample_instance, ModelOptions(
+        add_vi_gamma=True, add_vi_phi=True, near_opt=23, shift_restriction=0.25,
+    )),
+    "small10.s7": (lambda: generate_instance("small", 10, seed=7), ModelOptions()),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_checker_matches_a_term_by_term_reference(name):
+    """Seeded random assignments, dense and sparse, with some names absent:
+    the same violations in the same order, the same verdict and the same
+    objective, float repr included."""
+    make, options = REFERENCE_MODELS[name]
+    instance = make()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    model = build_mip(instance, tsn, tcs, options=options)
+    rng = random.Random(f"reference-check/{name}")
+    for density in (1.0, 0.05):
+        assignment = {
+            column: rng.choice((0.0, 1.0, 0.5, -2.0, 3.25))
+            for column in model.variables
+            if rng.random() < 0.8 * density
+        }
+        violations, objective = reference_check(model, assignment)
+        result = check_solution(instance, tsn, tcs, model, assignment)
+        assert result.violations == violations
+        assert result.feasible == (not violations)
+        assert repr(result.objective) == repr(objective)
+
+
+def test_plain_model_of_the_large_golden_instance_holds_under_20_mib():
+    """Memory held after `build_mip` on large k=30 seed 13, by tracemalloc:
+    38.4 MiB with a tuple per term, 14.3 MiB with rows in flat arrays."""
+    instance = generate_instance("large", 30, seed=13)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    tracemalloc.start()
+    try:
+        model = build_mip(instance, tsn, tcs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.constraints) == count_schema(instance, tsn, tcs)["rows"]
+    assert held < 20 * 2**20, f"{held / 2**20:.1f} MiB"

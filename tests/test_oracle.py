@@ -3,11 +3,14 @@
 The heuristic's schedule, mapped through the names sidecar onto the MPS
 columns, must satisfy every MPS row and cost what `check` says; the LP
 relaxation that HiGHS solves from the same bytes must bound it from below.
+The worked sample's exact optimum, solved once by HiGHS, is a committed
+fixture that `check` must accept at the objective HiGHS reported.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from tests.conftest import make_sample_instance
 from tests.oracle import read_mps
 
 TOLERANCE = 1e-6
+SAMPLE_OPTIMUM = Path(__file__).parent / "data" / "sample_optimum.sol"
+HIGHS_SAMPLE_OPTIMUM = 61.078948187     # HiGHS's objective for that schedule
 
 
 def exported(tmp_path, capsys, instance):
@@ -82,3 +87,14 @@ def test_lp_relaxation_bounds_the_heuristic(tmp_path, capsys, name):
     )
     assert result.status == 0, result.message
     assert result.fun <= total + TOLERANCE
+
+
+def test_check_accepts_the_sample_optimum(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    save_instance(make_sample_instance(), inst)
+    assert main(["check", "--in", str(inst), "--sol", str(SAMPLE_OPTIMUM)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["feasible"] is True
+    assert verdict["objective"] == pytest.approx(HIGHS_SAMPLE_OPTIMUM,
+                                                 abs=TOLERANCE)
+    assert verdict["summary"]["owned_used"] + verdict["summary"]["leased"] == 2
