@@ -233,7 +233,7 @@ def cmd_solve(args, elapsed):
         Path(args.report).write_text("\n".join(lines) + "\n")
     if args.sol:
         assignment = solution_to_assignment(solution)
-        lines = [f"{name} {value:g}" for name, value in assignment.items()]
+        lines = [f"{name} {value:.17g}" for name, value in assignment.items()]
         Path(args.sol).write_text("\n".join(lines) + "\n")
     summary = report.copy()
     timings = summary.pop("timings")

@@ -35,6 +35,7 @@ KIND_SHIFT = {EARLY: -1, ORIGINAL: 0, TARDY: +1}
 SERVICE_COST_LO, SERVICE_COST_HI = 0.6, 1.0
 OUTSOURCED_COST_BASE = 25.0
 OUTSOURCED_COST_LO, OUTSOURCED_COST_HI = 1.2, 2.0
+COST_SCALE = 10**9   # DMaM compares pair costs at 1e-9 resolution
 
 
 class CssndError(Exception):
@@ -414,9 +415,13 @@ class Instance:
             _require_number(f"cost {what}", value)
         if costs.routing_table is None:
             _require_int("routing_seed", costs.routing_seed)
+            prices = [SERVICE_COST_HI, OUTSOURCED_COST_BASE + OUTSOURCED_COST_HI]
         else:
             for key, value in costs.routing_table.items():
                 _require_number(f"routing table cost of {key!r}", value)
+            prices = costs.routing_table.values()
+        if costs.penalty_early <= 0 or costs.penalty_tardy <= 0:
+            raise CssndError("penalty multipliers r_e and r_l must be positive")
         if self.owned_assets < 1:
             raise CssndError("at least one owned asset is required")
         if self.leasable_assets < 0:
@@ -442,8 +447,25 @@ class Instance:
             for p in (oc.release_period, oc.due_period):
                 if not 1 <= p <= self.period_count:
                     raise CssndError(f"commodity {oc.id} period {p} out of range")
+            # no variant, outsourced or not, could arrive inside its window
+            span = cyclic_span(oc.release_period, oc.due_period, self.period_count)
+            if span < self.physical.d(oc.origin_physical, oc.dest_physical):
+                raise CssndError(f"commodity {oc.id} has a window of {span} "
+                                 "periods, shorter than its distance")
             if oc.volume <= 0:
                 raise CssndError(f"commodity {oc.id} has non-positive volume")
+        # A path costs at most its multiplier times its volume times its
+        # dearest leg plus a horizon of holding.  A schedule, and a pair of
+        # paths, must stay finite at COST_SCALE.
+        path = (max(1.0, costs.penalty_early, costs.penalty_tardy)
+                * max([1.0, *(oc.volume for oc in self.commodities)])
+                * (max(map(abs, prices), default=0.0)
+                   + abs(costs.holding_cost) * self.period_count))
+        worst = (self.owned_assets + self.leasable_assets) * max(
+            abs(costs.fixed_owned), abs(costs.fixed_leased)
+        ) + (len(self.commodities) + 2) * path
+        if not worst * COST_SCALE < math.inf:
+            raise CssndError(f"costs too large: a schedule could cost {worst:.3g}")
 
 
 def expand_commodities(

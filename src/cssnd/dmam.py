@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (
+    COST_SCALE,
     CssndError,
     Instance,
     KIND_SHIFT,
@@ -619,9 +620,6 @@ def scopf(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
         selected.append(candidate)
         used.update((i, j))
     return selected
-
-
-COST_SCALE = 10**9   # pair costs compared at 1e-9 resolution
 
 
 def solve_p2(

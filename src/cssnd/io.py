@@ -107,7 +107,7 @@ def instance_from_dict(data: dict) -> Instance:
             costs=costs,
             seed=data.get("seed", 0),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CssndError(f"malformed instance document: {exc}") from exc
     instance.validate()
     return instance

@@ -5,17 +5,16 @@ minimization objective) and written out as CPLEX-dialect LP text or
 fixed-field MPS.  No solver is linked; external solutions come back as
 plain `name value` lines and are replayed row by row against the IR.
 
-The columns are integers, laid out family by family (`Family`: one column
-per key of a product of axes, in row-major order).  Rows are held in
-compressed sparse row form, in flat `array`s the garbage collector never
-walks: row r is the sum of coefs[i] * column cols[i] for i in
-range(starts[r], starts[r + 1]), its columns range-checked once when it is
-added.  The writers and the checker read the arrays; `ModelIR.constraints`
-is a read-only view that builds a `Constraint` when one is read.  Names
-are made only where text is: the LP/MPS writers format each column's name
-from its family, and `check_solution` parses the names of a solution file
-back to columns.  The writers stream their text, the MPS names sidecar
-too, to files in chunks of characters, so the whole text never sits in
+Columns and rows are catalogued by families (`Family`: one column or row
+per key of a product of axes, in row-major order), so a column or row is
+an integer and its name is made from its family's template only where
+text is written.  The model stores no rows: a row family holds a
+function that makes its rows, as (coefs, cols, rhs) in key order, each
+time they are read.  `_rows` is the one reader; it checks every row's
+columns and every family's row count as it goes, and the LP and MPS
+writers, `check_solution` and the `ModelIR.constraints` view all read
+through it.  The writers stream their text, the MPS names sidecar too,
+to files in chunks of characters, so the whole text never sits in
 memory.
 
 Column families follow the fixed naming scheme, in this order:
@@ -36,13 +35,10 @@ from __future__ import annotations
 
 import math
 import re
-from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, product, repeat, starmap
+from itertools import chain, count, product, starmap
 from json.encoder import encode_basestring_ascii as quote
-from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -50,6 +46,7 @@ from .analysis import beta_support, compute_requirements
 from .core import (
     EARLY,
     ORIGINAL,
+    TARDY,
     CssndError,
     Instance,
     TimeSpaceNetwork,
@@ -74,38 +71,38 @@ class Constraint(NamedTuple):
     rhs: float
 
 
-class Rows(Sequence):
-    """`ModelIR.constraints`: each `Constraint` is built from the arrays
-    when it is read."""
+class Rows:
+    """`ModelIR.constraints`: each `Constraint` is made as it is read."""
 
     def __init__(self, model: ModelIR):
         self._model = model
 
     def __len__(self) -> int:
-        return len(self._model.row_names)
+        return self._model.row_count
 
-    def __getitem__(self, r: int) -> Constraint:
-        m = self._model
-        r = range(len(m.row_names))[r]
-        s, e = m.starts[r], m.starts[r + 1]
-        terms = tuple(zip(m.coefs[s:e], m.cols[s:e]))
-        return Constraint(m.row_names[r], terms, m.senses[r], m.rhs[r])
+    def __iter__(self) -> Iterator[Constraint]:
+        for family, key, coefs, cols, rhs in _rows(self._model):
+            yield Constraint(family.template.format(*key),
+                             tuple(zip(coefs, cols)), family.kind, rhs)
 
 
 class Family:
-    """A block of columns: one per key of the product of `axes` (tuples of
-    distinct ints), in row-major order from column `base`, named
-    by filling `template`'s `{}` fields with the key."""
+    """A block of columns or rows: one per key of the product of `axes`
+    (tuples of distinct ints), in row-major order from index `base`, named
+    by filling `template`'s `{}` fields with the key.  `kind` is a column's
+    domain or a row's sense; a row family's `rows()` makes each row's
+    (coefs, cols, rhs) in key order, afresh at every call."""
 
-    def __init__(self, template: str, kind: str, base: int, axes):
+    def __init__(self, template: str, kind: str, base: int, axes, rows=None):
         self.template = template
         self.kind = kind
         self.base = base
+        self.rows = rows
         self.axes = tuple(tuple(axis) for axis in axes)
         self._position = [{key: i for i, key in enumerate(axis)}
                           for axis in self.axes]
         if any(len(p) != len(a) for p, a in zip(self._position, self.axes)):
-            raise CssndError(f"duplicate key in column family {template}")
+            raise CssndError(f"duplicate key in family {template}")
         self.size = 1
         for axis in self.axes:
             self.size *= len(axis)
@@ -135,16 +132,11 @@ class Family:
 
 @dataclass
 class ModelIR:
-    families: list[Family] = field(default_factory=list)
+    families: list[Family] = field(default_factory=list)        # columns
+    row_families: list[Family] = field(default_factory=list)
     objective: list[tuple[float, int]] = field(default_factory=list)
     column_count: int = 0
-    # rows in compressed sparse row form (see the module docstring)
-    row_names: list[str] = field(default_factory=list)
-    senses: list[str] = field(default_factory=list)
-    rhs: array = field(default_factory=lambda: array("d"))
-    starts: array = field(default_factory=lambda: array("q", [0]))
-    coefs: array = field(default_factory=lambda: array("d"))
-    cols: array = field(default_factory=lambda: array("q"))
+    row_count: int = 0
 
     @property
     def variables(self) -> list[str]:
@@ -161,23 +153,37 @@ class ModelIR:
         self.column_count += family.size
         return family
 
-    def add_constraint(self, name, coefs, cols, sense, rhs) -> None:
-        """Append the row sum of coefs[i] * column cols[i], given as two
-        sequences of one length."""
-        if len(coefs) != len(cols):
-            raise CssndError(f"row {name} has {len(coefs)} coefficients "
-                             f"for {len(cols)} columns")
-        if cols and (min(cols) < 0 or max(cols) >= self.column_count):
-            raise CssndError(f"row {name} references an unknown column")
-        self.coefs.extend(coefs)
-        self.cols.extend(cols)
-        self.starts.append(len(self.cols))
-        self.row_names.append(name)
-        self.senses.append(sense)
-        self.rhs.append(rhs)
+    def add_rows(self, template: str, sense: str, axes, rows) -> Family:
+        """Append a family of rows, one per key of the product of `axes`;
+        `rows()` makes them, each the sum of coefs[i] * column cols[i] with
+        its sense and rhs, and must give them afresh at every call."""
+        family = Family(template, sense, self.row_count, axes, rows)
+        self.row_families.append(family)
+        self.row_count += family.size
+        return family
 
     def family(self, template: str) -> Family:
         return next(f for f in self.families if f.template == template)
+
+
+def _rows(model: ModelIR) -> Iterator[tuple]:
+    """Every row as (family, key, coefs, cols, rhs), in row order, made by
+    its family as it is read.  A row must give one coefficient per column,
+    all of the model, and a family one row per key."""
+    n = model.column_count
+    for family in model.row_families:
+        rows = iter(family.rows())
+        made = 0
+        for key, (coefs, cols, rhs) in zip(product(*family.axes), rows):
+            if len(coefs) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
+                raise CssndError(f"row {family.template.format(*key)} has "
+                                 f"{len(coefs)} coefficients for columns "
+                                 f"{list(cols)} of {n}")
+            made += 1
+            yield family, key, coefs, cols, rhs
+        if made < family.size or next(rows, None) is not None:
+            raise CssndError(f"row family {family.template} does not yield one "
+                             f"row for each of its {family.size} keys")
 
 
 @dataclass(frozen=True)
@@ -281,114 +287,110 @@ def build_mip(
         ]
     model.objective = objective
 
+    # Row families, each made by a function when read (default arguments
+    # bind a loop's values into its function).
     asset_spans = _spanning(asset_arcs, period_count)
-    add = model.add_constraint
+    periods = range(1, period_count + 1)
+    nodes = range(1, tsn.ts_node_count + 1)
+    service = list(enumerate(tsn.service_arcs, start=service_first))
+    service_ids = [arc.id for arc in tsn.service_arcs]
+    add = model.add_rows
+
+    def ones(cols: list[int], rhs: float = 0.0):
+        return [1.0] * len(cols), cols, rhs
 
     # no-transit rows: flow may not span a period outside the time window
     for q, tc in enumerate(tcs):
         allowed = beta_support(tc, period_count)
-        xq = x_col[q]
-        for t in range(1, period_count + 1):
-            if t in allowed:
-                continue
-            cols = [xq + asset_pos[i] for i in asset_spans[t]]
-            add(f"transit_k{tc.id}_t{t}", [1.0] * len(cols), cols, "<=", 0.0)
+        banned = [t for t in periods if t not in allowed]
+        add("transit_k{}_t{}", "<=", ([tc.id], banned),
+            lambda xq=x_col[q], banned=banned: (
+                ones([xq + asset_pos[i] for i in asset_spans[t]]) for t in banned))
 
     # one activity per utilized asset and period, wrap-aware
-    for v in assets:
-        yv = y_col[v]
-        for t in range(1, period_count + 1):
-            cols = [yv + i for i in asset_spans[t]]
-            cols.append(d_col[v])
-            coefs = [1.0] * (len(cols) - 1) + [-1.0]
-            add(f"assign_v{v}_t{t}", coefs, cols, "=", 0.0)
+    add("assign_v{}_t{}", "=", (assets, periods), lambda: (
+        ([1.0] * len(asset_spans[t]) + [-1.0],
+         [y_col[v] + i for i in asset_spans[t]] + [d_col[v]], 0.0)
+        for v in assets for t in periods))
 
     # asset conservation at every time-space node
     asset_incidence = _incidence(tsn, asset_arcs)
-    for v in assets:
-        yv = y_col[v]
-        for node, (ends, coefs) in asset_incidence.items():
-            add(f"balance_v{v}_n{node}", coefs, [yv + i for i in ends], "=", 0.0)
+    add("balance_v{}_n{}", "=", (assets, nodes), lambda: (
+        (coefs, [y_col[v] + i for i in ends], 0.0)
+        for v in assets for ends, coefs in asset_incidence.values()))
 
     # a service is operated by at most one asset
-    service = list(enumerate(tsn.service_arcs, start=service_first))
-    for i, arc in service:
-        cols = [y_col[v] + i for v in assets]
-        add(f"svc_once_a{arc.id}", [1.0] * v_total, cols, "<=", 1.0)
+    add("svc_once_a{}", "<=", (service_ids,), lambda: (
+        ones([y_col[v] + i for v in assets], 1.0) for i, _ in service))
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
     for tc in tcs:
         incidence.setdefault(tc.parent_id, []).append(tc.id)
-    for oc in instance.commodities:
-        cols = [p_col[tc_id] for tc_id in incidence[oc.id]]
-        add(f"cover_k{oc.id}", [1.0] * len(cols), cols, ">=", 1.0)
+    add("cover_k{}", ">=", ([oc.id for oc in instance.commodities],), lambda: (
+        ones([p_col[t] for t in incidence[oc.id]], 1.0)
+        for oc in instance.commodities))
 
     # flow conservation, demand switched on by the variant selection
     arc_incidence = _incidence(tsn, tsn.arcs)
-    for q, tc in enumerate(tcs):
-        origin = tc.origin_node(period_count)
-        dest = tc.dest_node(period_count)
-        xq = x_col[q]
-        for node, (ends, coefs) in arc_incidence.items():
-            cols = [xq + a for a in ends]
-            if node == origin or node == dest:
-                coefs = coefs + [tc.volume if node == dest else -tc.volume]
-                cols.append(p_col[tc.id])
-            add(f"flow_k{tc.id}_n{node}", coefs, cols, "=", 0.0)
+
+    def flow():
+        for q, tc in enumerate(tcs):
+            ends_of = {tc.origin_node(period_count): -tc.volume,
+                       tc.dest_node(period_count): tc.volume}
+            for node, (ends, coefs) in arc_incidence.items():
+                cols = [x_col[q] + a for a in ends]
+                if node in ends_of:
+                    coefs = coefs + [ends_of[node]]
+                    cols.append(p_col[tc.id])
+                yield coefs, cols, 0.0
+
+    add("flow_k{}_n{}", "=", (tc_ids, nodes), flow)
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
-    for i, arc in service:
-        a = asset_pos[i]
-        cols = [xq + a for xq in x_col] + [y_col[v] + i for v in assets]
-        coefs = [1.0] * len(x_col) + [-arc.capacity] * v_total
-        add(f"cap_a{arc.id}", coefs, cols, "<=", 0.0)
+    add("cap_a{}", "<=", (service_ids,), lambda: (
+        ([1.0] * len(x_col) + [-arc.capacity] * v_total,
+         [xq + asset_pos[i] for xq in x_col] + [y_col[v] + i for v in assets],
+         0.0)
+        for i, arc in service))
 
     if options.strong_forcing:
-        # rows of one strength share their coefficients, rows of one service
-        # arc their y columns
-        strong: dict[float, array] = {}
         y_cols = {i: [y_col[v] + i for v in assets] for i, _ in service}
-        for q, tc in enumerate(tcs):
-            for i, arc in service:
-                strength = min(tc.volume, arc.capacity)
-                coefs = strong.get(strength)
-                if coefs is None:
-                    coefs = strong[strength] = array(
-                        "d", [1.0] + [-strength] * v_total)
-                cols = [x_col[q] + asset_pos[i], *y_cols[i]]
-                add(f"strong_k{tc.id}_a{arc.id}", coefs, cols, "<=", 0.0)
+        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), lambda: (
+            ([1.0] + [-min(tc.volume, arc.capacity)] * v_total,
+             [x_col[q] + asset_pos[i], *y_cols[i]], 0.0)
+            for q, tc in enumerate(tcs) for i, arc in service))
 
     # outsourced flow only on selected outsourced services
-    for q, tc in enumerate(tcs):
-        xq, sq = x_col[q], s_col[q]
-        coefs = array("d", [1.0, -tc.volume])
-        for o, arc in enumerate(outsourced_arcs):
-            cols = [xq + out_pos[o], sq + o]
-            add(f"outsource_k{tc.id}_a{arc.id}", coefs, cols, "<=", 0.0)
+    add("outsource_k{}_a{}", "<=", (tc_ids, [a.id for a in outsourced_arcs]),
+        lambda: (([1.0, -tc.volume], [x_col[q] + out_pos[o], s_col[q] + o], 0.0)
+                 for q, tc in enumerate(tcs) for o in range(n_out)))
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)
     fleet = [d_col[v] for v in assets]
+
+    def single(name: str, sense: str, cols: list[int], rhs: float) -> None:
+        add(name, sense, (), lambda row=ones(cols, float(rhs)): [row])
+
     if options.add_vi_gamma:
-        add("vi_gamma", [1.0] * v_total, fleet, ">=", float(analysis.gamma))
+        single("vi_gamma", ">=", fleet, analysis.gamma)
 
     if options.add_vi_phi:
         out_spans = _spanning(outsourced_arcs, period_count)
-        for t in range(1, period_count + 1):
-            cols = [y_col[v] + i for v in assets for i in asset_spans[t]]
-            cols += [sq + o for sq in s_col for o in out_spans[t]]
-            add(f"vi_phi_t{t}", [1.0] * len(cols), cols, ">=",
-                float(analysis.phi_at(t)))
+        add("vi_phi_t{}", ">=", (periods,), lambda: (
+            ones([y_col[v] + i for v in assets for i in asset_spans[t]]
+                 + [sq + o for sq in s_col for o in out_spans[t]],
+                 float(analysis.phi_at(t)))
+            for t in periods))
 
     if options.near_opt == 21:
-        add("near_opt_low", [1.0] * v_total, fleet, ">=", float(analysis.theta))
+        single("near_opt_low", ">=", fleet, analysis.theta)
     elif options.near_opt == 22:
-        add("near_opt_high", [1.0] * v_total, fleet, "<=", float(analysis.theta))
+        single("near_opt_high", "<=", fleet, analysis.theta)
     elif options.near_opt == 23:
         cols = fleet + [sq + o for sq in s_col for o in range(n_out)]
-        add("near_opt_mixed", [1.0] * len(cols), cols, ">=",
-            float(analysis.theta))
+        single("near_opt_mixed", ">=", cols, analysis.theta)
 
     if options.shift_restriction is not None:
         lam = options.shift_restriction
@@ -400,7 +402,7 @@ def build_mip(
         else:
             cols = [p_col[tc.id] for tc in tcs if tc.kind != ORIGINAL]
             rhs = lam * len(instance.commodities)
-        add("shift_cap", [1.0] * len(cols), cols, "<=", rhs)
+        single("shift_cap", "<=", cols, rhs)
 
     return model
 
@@ -414,13 +416,6 @@ def _num(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.12g}"
-
-
-def _row_terms(model: ModelIR) -> Iterator[Iterator[tuple[float, int]]]:
-    """Each row's (coef, column) terms in one pass over the arrays; read
-    each row's terms to the end before taking the next row's."""
-    pairs = zip(model.coefs, model.cols)
-    return map(islice, repeat(pairs), map(sub, model.starts[1:], model.starts))
 
 
 def _term_parts(terms, names: list[str], heads: dict) -> list[str]:
@@ -463,14 +458,13 @@ def _lp_lines(model: ModelIR) -> Iterator[str]:
     )
     yield from _wrapped(" obj:", obj_parts)
     yield "Subject To"
-    for name, sense, rhs, terms in zip(model.row_names, model.senses,
-                                       model.rhs, _row_terms(model)):
-        parts = _term_parts(terms, names, heads)
+    for family, key, coefs, cols, rhs in _rows(model):
+        parts = _term_parts(zip(coefs, cols), names, heads)
         if not parts and not names:
             raise CssndError("cannot write an empty row in a model with no variables")
         parts = parts or ["0 " + names[0]]
-        parts.append(f"{sense} {_num(rhs)}")
-        yield from _wrapped(f" {name}:", parts)
+        parts.append(f"{family.kind} {_num(rhs)}")
+        yield from _wrapped(f" {family.template.format(*key)}:", parts)
     binaries = [
         name for family in model.families if family.kind == BINARY
         for name in names[family.base : family.base + family.size]
@@ -493,12 +487,13 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
     fixed-field widths cap names at eight characters.  Values get nine
     significant digits to fit the twelve-character value field.
     """
-    row_short = [f"R{r:07d}" for r in range(1, len(model.row_names) + 1)]
     yield "NAME          MODEL"
     yield "ROWS"
     yield " N  COST"
-    for short, sense in zip(row_short, model.senses):
-        yield f" {SENSE_CODE[sense]}  {short}"
+    for family in model.row_families:
+        code = SENSE_CODE[family.kind]
+        for r in range(family.base + 1, family.base + family.size + 1):
+            yield f" {code}  R{r:07d}"
 
     # Text of each coefficient.  Zeros are formatted afresh, since 0.0 and
     # -0.0 are one dict key but print differently.
@@ -513,17 +508,22 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
     # Transpose to columns: cells[c] holds the "row  value" text of column
     # c's entries, the objective first.  Objective prices are nearly all
     # distinct, so they bypass the cache; a row's run of terms with one
-    # coefficient shares one cell string.
+    # coefficient shares one cell string.  The RHS lines are made in the
+    # same pass.
     cells: list[list[str] | None] = [[] for _ in range(model.column_count)]
     for coef, col in model.objective:
         cells[col].append(f"COST      {coef:.9g}")
-    for short, terms in zip(row_short, _row_terms(model)):
+    rhs_lines: list[str] = []
+    for r, (_, _, coefs, cols, rhs) in enumerate(_rows(model), start=1):
+        short = f"R{r:07d}"
         last = cell = None
-        for coef, col in terms:
+        for coef, col in zip(coefs, cols):
             if coef != last or not coef:
                 cell = f"{short}  {value(coef)}"
                 last = coef
             cells[col].append(cell)
+        if rhs != 0.0:
+            rhs_lines.append(f"    RHS       {short}  {value(rhs)}")
 
     yield "COLUMNS"
     in_integer = False
@@ -544,9 +544,7 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
         yield MARKER.format(marker, "'INTEND'")
 
     yield "RHS"
-    for short, rhs in zip(row_short, model.rhs):
-        if rhs != 0.0:
-            yield f"    RHS       {short}  {value(rhs)}"
+    yield from rhs_lines
 
     yield "BOUNDS"
     for family in model.families:
@@ -560,11 +558,11 @@ def _sidecar_lines(model: ModelIR) -> Iterator[str]:
     """The MPS names sidecar as `json.dumps` writes it with indent 2 and
     sorted keys (an empty model's braces aside): C keys in column order,
     then R keys in row order, the key order while names have seven digits."""
-    names = chain(*(family.names() for family in model.families),
-                  model.row_names)
+    names = chain.from_iterable(family.names() for family in
+                                chain(model.families, model.row_families))
     shorts = chain(map("C{:07d}".format, range(1, model.column_count + 1)),
-                   map("R{:07d}".format, range(1, len(model.row_names) + 1)))
-    last = model.column_count + len(model.row_names)
+                   map("R{:07d}".format, range(1, model.row_count + 1)))
+    last = model.column_count + model.row_count
     yield "{"
     for n, short, name in zip(count(1), shorts, names):
         yield f'  "{short}": {quote(name)}' + ("," if n < last else "")
@@ -675,17 +673,16 @@ def check_solution(
         elif x < -TOLERANCE:
             violations.append(f"{name}: {x} below zero")
 
-    # Each term at a nonzero value is added, in term order, to the row whose
-    # start is the last one not past it; the other rows stay at 0.0.
-    activity = [0.0] * len(model.row_names)
-    for i, col in enumerate(model.cols):
-        x = values[col]
-        if x:
-            activity[bisect_right(model.starts, i) - 1] += model.coefs[i] * x
-    for name, sense, rhs, lhs in zip(model.row_names, model.senses, model.rhs,
-                                     activity):
+    # each row's terms at a nonzero value, summed in term order
+    for family, key, coefs, cols, rhs in _rows(model):
+        lhs = 0.0
+        for coef, col in zip(coefs, cols):
+            x = values[col]
+            if x:
+                lhs += coef * x
         if lhs == rhs:      # no sense is broken at equality
             continue
+        name, sense = family.template.format(*key), family.kind
         if sense == "<=" and lhs > rhs + TOLERANCE:
             violations.append(f"{name}: {lhs} > {rhs}")
         elif sense == ">=" and lhs < rhs - TOLERANCE:
@@ -699,46 +696,28 @@ def check_solution(
         if x:
             objective += coef * x
 
+    # the schedule's shape: assets used, and how each selected variant goes
     d, p, s = (model.family(name) for name in (D_NAME, P_NAME, S_NAME))
-    by_id = {tc.id: tc for tc in tcs}
-    incidence: dict[int, list[int]] = {}
-    for tc in tcs:
-        incidence.setdefault(tc.parent_id, []).append(tc.id)
-    owned = leased = 0
     v_total = instance.owned_assets + instance.leasable_assets
-    for v in range(1, v_total + 1):
-        if values[d.column(v)] > 0.5:
-            if v <= instance.owned_assets:
-                owned += 1
-            else:
-                leased += 1
-    on_time = early = tardy = outsourced = multi = 0
-    for oc in instance.commodities:
-        chosen = [t for t in incidence[oc.id] if values[p.column(t)] > 0.5]
-        if len(chosen) > 1:
-            multi += 1
-        for tc_id in chosen:
-            tc = by_id[tc_id]
-            used_outsourced = any(
-                values[s.column(tc_id, arc.id)] > 0.5
-                for arc in tsn.outsourced_arcs
-            )
-            if used_outsourced:
-                outsourced += 1
-            elif tc.kind == ORIGINAL:
-                on_time += 1
-            elif tc.kind == EARLY:
-                early += 1
-            else:
-                tardy += 1
+    used = [v for v in range(1, v_total + 1) if values[d.column(v)] > 0.5]
+    owned = sum(1 for v in used if v <= instance.owned_assets)
+    chosen: dict[int, list[TransformedCommodity]] = {}
+    for tc in tcs:
+        if values[p.column(tc.id)] > 0.5:
+            chosen.setdefault(tc.parent_id, []).append(tc)
+    ways = Counter(
+        "outsourced" if any(values[s.column(tc.id, arc.id)] > 0.5
+                            for arc in tsn.outsourced_arcs) else tc.kind
+        for variants in chosen.values() for tc in variants
+    )
     summary = {
         "owned_used": owned,
-        "leased": leased,
-        "on_time": on_time,
-        "early": early,
-        "tardy": tardy,
-        "outsourced": outsourced,
-        "multi_selected": multi,
+        "leased": len(used) - owned,
+        "on_time": ways[ORIGINAL],
+        "early": ways[EARLY],
+        "tardy": ways[TARDY],
+        "outsourced": ways["outsourced"],
+        "multi_selected": sum(1 for v in chosen.values() if len(v) > 1),
         "objective": objective,
     }
     return CheckResult(

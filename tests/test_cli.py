@@ -7,6 +7,7 @@ import json
 import pytest
 
 from cssnd.cli import main
+from cssnd.instgen import generate_instance
 from cssnd.io import instance_to_dict
 from tests.conftest import make_sample_instance
 
@@ -42,6 +43,56 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     inst.write_text(json.dumps(data))
     assert run(["solve", "--in", str(inst)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("r_e", 0, "penalty multipliers r_e and r_l must be positive"),
+    ("r_l", 0, "penalty multipliers r_e and r_l must be positive"),
+    ("holding", 1e300, "costs too large"),
+    ("r_e", 1e300, "costs too large"),
+])
+def test_unusable_costs_exit_1(tmp_path, capsys, field, value, message):
+    """A zero multiplier raised ZeroDivisionError in the cost breakdown, and
+    a cost of 1e300 OverflowError in config a's pair matching."""
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(generate_instance("small", 10, seed=1))
+    data["costs"][field] = value
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst), "--config", "a"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_negative_costs_solve_and_check(tmp_path, capsys):
+    """Negative costs are accepted: a negative holding cost solves, and the
+    schedule passes `check` at the heuristic's own total."""
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    data = instance_to_dict(generate_instance("small", 10, seed=1))
+    data["costs"]["holding"] = -1
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    total = json.loads(capsys.readouterr().out)["total_cost"]
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["feasible"] is True
+    assert verdict["objective"] == pytest.approx(total, abs=1e-6)
+
+
+@pytest.mark.parametrize("volume", [1000001.0, 1.234567])
+def test_solve_writes_volumes_that_check_reads_back_exactly(tmp_path, capsys,
+                                                            volume):
+    """`:g` kept six digits: the flow of a volume of 1000001 was written as
+    1e+06, and `check` found the flow rows broken.  17 digits read back
+    exactly."""
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    data = instance_to_dict(generate_instance("small", 10, seed=1))
+    data["commodities"][0]["volume"] = volume
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    capsys.readouterr()
+    assert f" {volume:.17g}\n" in sol.read_text()
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 def test_literal_shift_without_lambda_exits_1(tmp_path, capsys):

@@ -1,0 +1,88 @@
+"""The input contract, as a property: every instance either solves to a
+schedule that its own checker accepts at the heuristic's total, or exits 1
+with a message.  Examples are one-field mutations of small k=10 instances."""
+
+from __future__ import annotations
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
+
+import pytest
+
+from cssnd.cli import main
+from cssnd.instgen import generate_instance
+from cssnd.io import instance_to_dict
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+BASES = {seed: instance_to_dict(generate_instance("small", 10, seed=seed))
+         for seed in (1, 7)}
+
+# Where one field is mutated: top-level fields, cost fields, a field of one
+# commodity and one distance entry.  Integers stay small: a valid instance
+# with a horizon of thousands of periods is large work, not a broken input.
+FIELDS = st.one_of(
+    st.sampled_from(["n_physical", "periods", "owned", "leasable", "seed",
+                     "distance", "commodities", "costs"]).map(lambda k: (k,)),
+    st.sampled_from(["f", "g", "holding", "r_e", "r_l", "routing_seed"]).map(
+        lambda k: ("costs", k)),
+    st.tuples(st.just("commodities"), st.integers(0, 9),
+              st.sampled_from(["id", "origin", "dest", "release", "due",
+                               "volume"])),
+    st.tuples(st.just("distance"), st.integers(0, 4), st.integers(0, 4)),
+)
+DELETE = object()
+VALUES = st.one_of(
+    st.just(DELETE), st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(),
+    st.sampled_from([0, 0.0, -1, -0.5, 0.5, 2.5, 1e300, -1e300, 5e-324,
+                     1.7976931348623157e308]),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from(sorted(BASES)), where=FIELDS, value=VALUES)
+def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
+    seed, where, value
+):
+    data = copy.deepcopy(BASES[seed])
+    *path, last = where
+    target = data
+    for key in path:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with TemporaryDirectory() as tmp:
+        inst, sol = Path(tmp, "i.json"), Path(tmp, "i.sol")
+        inst.write_text(json.dumps(data))
+        code, out = run(["solve", "--in", str(inst), "--sol", str(sol)])
+        assert code in (0, 1)
+        if code == 1:
+            # the unmutated instance's schedule, checked against this one
+            base = Path(tmp, "base.json")
+            base.write_text(json.dumps(BASES[seed]))
+            assert run(["solve", "--in", str(base), "--sol", str(sol)])[0] == 0
+            assert run(["check", "--in", str(inst), "--sol", str(sol)])[0] in (0, 1)
+            return
+        total = json.loads(out)["total_cost"]
+        code, out = run(["check", "--in", str(inst), "--sol", str(sol)])
+        verdict = json.loads(out)
+        assert code == 0, verdict["violations"]
+        # 1e-6, relative once the total passes 1: costs may be as large as
+        # 1e290, where one rounding step is far above 1e-6
+        assert abs(verdict["objective"] - total) <= 1e-6 * max(1.0, abs(total))

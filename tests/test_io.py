@@ -83,6 +83,19 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         ("f", None, "cost f None is not a finite number"),
         ("r_l", float("nan"), "cost r_l nan is not a finite number"),
         ("routing_seed", 1.5, "routing_seed 1.5 is not an integer"),
+        # a zero multiplier divided a path's cost; huge costs overflowed
+        # DMaM's integer pair costs
+        ("r_e", 0, "penalty multipliers r_e and r_l must be positive"),
+        ("r_l", 0.0, "penalty multipliers r_e and r_l must be positive"),
+        ("r_e", -1.2, "penalty multipliers r_e and r_l must be positive"),
+        ("holding", 1e300, "costs too large"),
+        ("holding", -1e300, "costs too large"),
+        ("r_e", 1e300, "costs too large"),
+        ("r_l", 1e300, "costs too large"),
+        ("f", 1e300, "costs too large"),
+        ("volume", 1e300, "costs too large"),
+        # no variant could be delivered in the model, yet DMaM outsourced it
+        ("due", 3, "commodity 2 has a window of 0 periods, shorter than"),
     ):
         data = instance_to_dict(make_sample_instance())
         if field in ("periods", "n_physical"):
@@ -103,6 +116,13 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         costs.table.price("outsourced", 2, 1, 2, 1)
     data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, "0.75"]]
     with pytest.raises(CssndError, match="'0.75' is not a finite number"):
+        instance_from_dict(data)
+    data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, 1e300]]
+    with pytest.raises(CssndError, match="costs too large"):
+        instance_from_dict(data)
+    # a row of the wrong length raised a bare ValueError
+    data["costs"]["routing_table"] = [["service", 1, 2]]
+    with pytest.raises(CssndError, match="malformed instance document"):
         instance_from_dict(data)
 
 

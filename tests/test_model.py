@@ -214,7 +214,7 @@ def test_mps_export_renames_with_sidecar(sample_model, tmp_path):
     # every renamed row/column resolves back to a real name
     originals = set(sidecar.values())
     assert model.variables[0] in originals
-    assert model.constraints[0].name in originals
+    assert next(iter(model.constraints)).name in originals
 
 
 def test_read_solution_parses_and_rejects():
@@ -398,6 +398,11 @@ def reference_mps(model: ModelIR) -> str:
     return "\n".join(lines) + "\n"
 
 
+def add_row(model: ModelIR, name, coefs, cols, sense, rhs) -> None:
+    """A family of one row."""
+    model.add_rows(name, sense, (), lambda: [(coefs, cols, rhs)])
+
+
 def edge_case_model() -> ModelIR:
     model = ModelIR()
     model.add_family("b{}", "binary", [1, 2, 3])            # columns 0-2
@@ -406,27 +411,51 @@ def edge_case_model() -> ModelIR:
     # column 4 is listed twice; column 2 appears nowhere, column 6 in no row
     model.objective = [(2.5, 0), (0.0, 3), (-1.25, 4), (3.0, 4), (1e-7, 6),
                        (-0.0, 7)]
-    model.add_constraint("zeros", [0.0, -0.0, 0.0, 1.0], [0, 1, 3, 5], "<=", 1.5)
-    model.add_constraint("runs", [1.0, 1.0, -2.0, 1.0, 1.0, 1 / 3, 1 / 3],
-                         [3, 4, 0, 5, 1, 8, 7], ">=", -3.0)
-    model.add_constraint("empty", [], [], "=", 0.0)
-    model.add_constraint("tail", [-0.0, -0.0, 123456789.5], [8, 5, 4],
-                         "=", -0.0)
+    add_row(model, "zeros", [0.0, -0.0, 0.0, 1.0], [0, 1, 3, 5], "<=", 1.5)
+    add_row(model, "runs", [1.0, 1.0, -2.0, 1.0, 1.0, 1 / 3, 1 / 3],
+            [3, 4, 0, 5, 1, 8, 7], ">=", -3.0)
+    add_row(model, "empty", [], [], "=", 0.0)
+    add_row(model, "tail", [-0.0, -0.0, 123456789.5], [8, 5, 4], "=", -0.0)
     return model
 
 
-@pytest.mark.parametrize("coefs, cols, message", [
-    ([1.0, 1.0], [0, 9], "unknown column"),
-    ([1.0], [-1], "unknown column"),
-    ([1.0], [0, 1], "1 coefficients for 2 columns"),
-])
-def test_add_constraint_rejects_a_bad_row_and_keeps_the_arrays(coefs, cols,
-                                                               message):
+@pytest.mark.parametrize("coefs, cols, count, message", [
+    ([1.0, 1.0], [0, 9], 2, "row bad_r2 has 2 coefficients for columns [0, 9] of 9"),
+    ([1.0], [-1], 2, "row bad_r2 has 1 coefficients for columns [-1] of 9"),
+    ([1.0], [0, 1], 2, "row bad_r2 has 1 coefficients for columns [0, 1] of 9"),
+    ([1.0], [0], 3, "row family bad_r{} does not yield one row for each"),
+    ([1.0], [0], 1, "row family bad_r{} does not yield one row for each"),
+], ids=["column-past-the-end", "negative-column", "length-mismatch",
+        "one-row-too-many", "one-row-too-few"])
+def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
+                                                      count, message):
+    """Keys 1 and 2 of family bad_r{}: the family yields a good row and then
+    `count - 1` copies of (coefs, cols); every reader of rows raises."""
     model = edge_case_model()
-    before = (len(model.constraints), len(model.coefs), len(model.cols))
-    with pytest.raises(CssndError, match=message):
-        model.add_constraint("bad", coefs, cols, "<=", 0.0)
-    assert (len(model.constraints), len(model.coefs), len(model.cols)) == before
+    rows = [([2.0], [1], 0.0)] + [(coefs, cols, 0.0)] * (count - 1)
+    model.add_rows("bad_r{}", "<=", ([1, 2],), lambda: rows)
+    readers = {
+        "lp": lambda: export_lp(model, tmp_path / "m.lp"),
+        "mps": lambda: export_mps(model, tmp_path / "m.mps"),
+        "check": lambda: check_solution(None, None, [], model, {}),
+        "constraints": lambda: list(model.constraints),
+    }
+    for name, read in readers.items():
+        with pytest.raises(CssndError, match=re.escape(message)):
+            read()
+            pytest.fail(f"{name} read the bad row")
+
+
+def test_a_model_reads_alike_twice(sample_model, tmp_path):
+    """Rows are made afresh at every read: a family whose rows could be
+    read only once would write an empty second text."""
+    instance, tsn, tcs = sample_model
+    model = build_mip(instance, tsn, tcs,
+                      options=ModelOptions(strong_forcing=True))
+    first, second = list(model.constraints), list(model.constraints)
+    assert len(first) == len(model.constraints) > 0
+    assert first == second
+    assert lp_text(model, tmp_path / "a.lp") == lp_text(model, tmp_path / "b.lp")
 
 
 @pytest.mark.parametrize("chunk_chars", [1 << 18, 1, 40])
@@ -445,7 +474,7 @@ def test_mps_sidecar_escapes_names_as_json_does(tmp_path):
     model = ModelIR()
     model.add_family('q"{}\\é', "binary", [1, 2])
     model.add_family("x{}", "continuous", [3])
-    model.add_constraint('r"\\ö', [1.0, 2.0], [0, 2], "<=", 1.0)
+    add_row(model, 'r"\\ö', [1.0, 2.0], [0, 2], "<=", 1.0)
     mps_text(model, tmp_path / "m.mps")
     expected = {"C0000001": 'q"1\\é', "C0000002": 'q"2\\é',
                 "C0000003": "x3", "R0000001": 'r"\\ö'}
@@ -566,15 +595,24 @@ def test_checker_matches_a_term_by_term_reference(name):
 
 def test_plain_model_of_the_large_golden_instance_holds_under_20_mib():
     """Memory held after `build_mip` on large k=30 seed 13, by tracemalloc:
-    38.4 MiB with a tuple per term, 14.3 MiB with rows in flat arrays."""
+    38.4 MiB with a tuple per term, 14.3 MiB with rows in flat arrays, about
+    7 MiB with no rows stored.  The strong-forcing rows, 0.69M nonzeros
+    more, must then cost no memory either: 26.9 MiB when they were stored."""
     instance = generate_instance("large", 30, seed=13)
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
-    tracemalloc.start()
-    try:
-        model = build_mip(instance, tsn, tcs)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(model.constraints) == count_schema(instance, tsn, tcs)["rows"]
-    assert held < 20 * 2**20, f"{held / 2**20:.1f} MiB"
+    held = {}
+    for strong in (False, True):
+        options = ModelOptions(strong_forcing=strong)
+        tracemalloc.start()
+        try:
+            model = build_mip(instance, tsn, tcs, options=options)
+            held[strong], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = count_schema(instance, tsn, tcs, options)["rows"]
+        assert len(model.constraints) == rows
+        del model
+    assert held[False] < 20 * 2**20, f"{held[False] / 2**20:.1f} MiB"
+    assert held[True] < held[False] + 2**20, (
+        f"{held[True] / 2**20:.1f} MiB strong, {held[False] / 2**20:.1f} plain")
