@@ -299,9 +299,11 @@ class CostTable:
     depart) is a + b * rng.unit_at(seed, "svc", i, j, depart, tc), and
     likewise with "out" on an outsourced arc.  Only the TC key varies
     between the TCs of one arc, so the rng state after the arc's keys is
-    memoized on the arc's first price and each price costs two splitmix64
-    steps.  With a routing table the price is a lookup, and a missing key
-    is a CssndError.  Holding arcs cost `holding_cost` for every TC.
+    memoized the first time a pricer covers the arc and each price costs
+    two splitmix64 steps.  With a routing table the price is a lookup, and
+    a missing key is a CssndError.  Holding arcs cost `holding_cost` for
+    every TC.  `pricer` is the one entry point: paths and the exact model
+    both price through it.
     """
 
     def __init__(self, params: CostParams):
@@ -328,13 +330,6 @@ class CostTable:
             state = rng.absorb(self.routing_seed, label, i, j, depart)
             self._prefix[key] = state
         return state
-
-    def price(self, kind: str, tc_id: int, i: int, j: int, depart: int) -> float:
-        """Price of one TC on the service or outsourced arc (i, j, depart)."""
-        if self.routing_table is not None:
-            return self._lookup((kind, i, j, depart, tc_id))
-        _, a, b = PRICE_RULES[kind]
-        return a + b * rng.unit_after(self._prefix_of(kind, i, j, depart), tc_id)
 
     def pricer(self, arcs: list[Arc]):
         """A function of a TC id giving its price on each arc of `arcs`."""
@@ -466,6 +461,13 @@ class Instance:
         ) + (len(self.commodities) + 2) * path
         if not worst * COST_SCALE < math.inf:
             raise CssndError(f"costs too large: a schedule could cost {worst:.3g}")
+        if costs.routing_table is not None:
+            # the exact model prices every TC on every service and outsourced
+            # arc, not only the legs the heuristic reads
+            tsn = build_time_space_network(self.physical, self.period_count)
+            pricer = costs.table.pricer(tsn.service_arcs + tsn.outsourced_arcs)
+            for tc in expand_commodities(self)[0]:
+                pricer(tc.id)
 
 
 def expand_commodities(

@@ -492,20 +492,13 @@ def _walk(
 
 
 def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> None:
-    """Deliver old's commodity by the offered path `new` instead: release
-    old's service slot and claim new's.  `_reselect(solution, new, old)`
-    undoes it."""
+    """Deliver the commodity of the offered path `old` by `new` instead:
+    release old's service slot, and claim new's when `new` is offered.
+    Between offered paths, `_reselect(solution, new, old)` undoes it."""
     del solution.svc_registry[old.arcs[old.lead_holds]]
-    solution.svc_registry[new.arcs[new.lead_holds]] = new.id
+    if new.mode == OFFERED:
+        solution.svc_registry[new.arcs[new.lead_holds]] = new.id
     solution.selected[new.oc_id] = new
-
-
-def _outsource(solution: Solution, path: CommodityPath) -> None:
-    """Release the service slot of the offered path `path` and deliver its
-    commodity by the cheapest outsourced path."""
-    fallback = solution.book.cheapest_outsourced(path.oc_id)
-    del solution.svc_registry[path.arcs[path.lead_holds]]
-    solution.selected[path.oc_id] = fallback
 
 
 def _commit(
@@ -787,7 +780,8 @@ def resolve_capacity(solution: Solution) -> None:
         if conversions and (conversions[0][0] < g or not can_lease):
             cycle = conversions[0][2]
             for leg in cycle.legs:
-                _outsource(solution, solution.book.by_id[leg.path_id])
+                path = solution.book.by_id[leg.path_id]
+                _reselect(solution, path, solution.book.cheapest_outsourced(path.oc_id))
             for arc_id, _ in cycle.rep_plan:
                 del solution.svc_registry[arc_id]   # repositioning marker
             solution.cycles.remove(cycle)
@@ -832,7 +826,8 @@ def finalize_cycles(solution: Solution) -> None:
             )
             cycle = _close_cycle(solution, [leg], "lone cycle failed its walk")
             if cycle is None:
-                _outsource(solution, path)   # no conflict-free return slot
+                # no conflict-free return slot
+                _reselect(solution, path, solution.book.cheapest_outsourced(path.oc_id))
                 continue
         survivors.append(cycle)
     solution.cycles = survivors

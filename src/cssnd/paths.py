@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    OUTSOURCED,
-    SERVICE,
     Arc,
     CostParams,
     TimeSpaceNetwork,
@@ -83,84 +81,61 @@ def enumerate_paths(
     ascending.  The list always ends with the outsourced path, which is
     the only one when the window is too tight for any offered leg or the
     service capacity is below the TC's volume: a third party can always be
-    paid to carry the commodity.
+    paid to carry the commodity.  The outsourced shape is the outsourced
+    arc at release with no holding arcs around it.
     """
     period_count = tsn.period_count
     span = tc.window_span(period_count)
-    service = tsn.service_arc(tc.origin_physical, tc.dest_physical, 1)
+    o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
+    service = tsn.service_arc(o, dest, 1)
     d = service.duration
+    slack = span - d
+    legs: list[Arc] = []
+    if service.capacity >= tc.volume:
+        legs = [
+            tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
+            for lead in range(slack + 1)
+        ]
+    out = tsn.outsourced_arc(o, dest, release)
+    *prices, out_price = costs.table.pricer(legs + [out])(tc.id)
+    # (mode, leg, lead, trail, leg charge): service legs are billed per unit
+    # of volume, the outsourced leg once per shipment
+    shapes = [
+        (OFFERED, leg, lead, trail, tc.volume * price)
+        for lead, (leg, price) in enumerate(zip(legs, prices))
+        for trail in range(slack - lead + 1)
+    ]
+    shapes.append((OUTSOURCED_MODE, out, 0, 0, out_price))
     multiplier = costs.multiplier(tc.kind)
-    paths: list[CommodityPath] = []
-    next_id = id_start
 
     def chain_arcs(lead: int, trail: int, leg: Arc) -> tuple[int, ...]:
         arcs: list[int] = []
         for step in range(lead):
-            t = wrap_period(tc.release_period + step, period_count)
-            arcs.append(tsn.holding_arc(tc.origin_physical, t).id)
+            t = wrap_period(release + step, period_count)
+            arcs.append(tsn.holding_arc(o, t).id)
         arcs.append(leg.id)
         for step in range(trail):
             t = wrap_period(leg.arrive + step, period_count)
-            arcs.append(tsn.holding_arc(tc.dest_physical, t).id)
+            arcs.append(tsn.holding_arc(dest, t).id)
         return tuple(arcs)
 
-    if span >= d and service.capacity >= tc.volume:
-        slack = span - d
-        for lead in range(slack + 1):
-            depart = wrap_period(tc.release_period + lead, period_count)
-            leg = tsn.service_arc(tc.origin_physical, tc.dest_physical, depart)
-            leg_cost = costs.table.price(
-                SERVICE, tc.id, tc.origin_physical, tc.dest_physical, depart
-            )
-            for trail in range(slack - lead + 1):
-                paths.append(
-                    CommodityPath(
-                        id=next_id,
-                        tc_id=tc.id,
-                        oc_id=tc.parent_id,
-                        kind=tc.kind,
-                        mode=OFFERED,
-                        arcs=chain_arcs(lead, trail, leg),
-                        origin_physical=tc.origin_physical,
-                        dest_physical=tc.dest_physical,
-                        depart_period=tc.release_period,
-                        arrival_period=wrap_period(leg.arrive + trail, period_count),
-                        leg_duration=d,
-                        lead_holds=lead,
-                        trail_holds=trail,
-                        busy_periods=lead + d + trail,
-                        cost=path_cost(
-                            tc.volume * leg_cost, costs.holding_cost, span, d,
-                            multiplier, tc.volume,
-                        ),
-                    )
-                )
-                next_id += 1
-
-    leg = tsn.outsourced_arc(tc.origin_physical, tc.dest_physical, tc.release_period)
-    leg_cost = costs.table.price(
-        OUTSOURCED, tc.id, tc.origin_physical, tc.dest_physical, tc.release_period
-    )
-    paths.append(
+    return [
         CommodityPath(
-            id=next_id,
+            id=id_start + n,
             tc_id=tc.id,
             oc_id=tc.parent_id,
             kind=tc.kind,
-            mode=OUTSOURCED_MODE,
-            arcs=(leg.id,),
-            origin_physical=tc.origin_physical,
-            dest_physical=tc.dest_physical,
-            depart_period=tc.release_period,
-            arrival_period=leg.arrive,
+            mode=mode,
+            arcs=chain_arcs(lead, trail, leg),
+            origin_physical=o,
+            dest_physical=dest,
+            depart_period=release,
+            arrival_period=wrap_period(leg.arrive + trail, period_count),
             leg_duration=d,
-            lead_holds=0,
-            trail_holds=0,
-            busy_periods=d,
-            cost=path_cost(
-                leg_cost, costs.holding_cost, span, d, multiplier, tc.volume
-            ),
+            lead_holds=lead,
+            trail_holds=trail,
+            busy_periods=lead + d + trail,
+            cost=path_cost(charge, costs.holding_cost, span, d, multiplier, tc.volume),
         )
-    )
-    return paths
-
+        for n, (mode, leg, lead, trail, charge) in enumerate(shapes)
+    ]

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from cssnd.core import CostParams, Instance, OriginalCommodity, PhysicalNetwork
+from cssnd.core import (
+    CostParams,
+    Instance,
+    OriginalCommodity,
+    PhysicalNetwork,
+    build_time_space_network,
+    expand_commodities,
+)
 
 # (id, origin, dest, release, due); the worked 5-node, 7-period sample.
 SAMPLE_COMMODITIES = [
@@ -90,6 +97,19 @@ def make_sample_instance(routing_seed: int = 424242) -> Instance:
         costs=CostParams(routing_seed=routing_seed),
         seed=1,
     )
+
+
+def routing_rows(instance: Instance) -> list[list]:
+    """The [kind, i, j, depart, tc, cost] row of every pair the exact model
+    prices, at the costs the instance's own pricer gives."""
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    arcs = tsn.service_arcs + tsn.outsourced_arcs
+    pricer = instance.costs.table.pricer(arcs)
+    return [
+        [arc.kind, arc.phys_from, arc.phys_to, arc.depart, tc.id, price]
+        for tc in tcs for arc, price in zip(arcs, pricer(tc.id))
+    ]
 
 
 @pytest.fixture

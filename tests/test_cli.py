@@ -7,9 +7,11 @@ import json
 import pytest
 
 from cssnd.cli import main
+from cssnd.core import build_time_space_network
+from cssnd.dmam import PathBook
 from cssnd.instgen import generate_instance
 from cssnd.io import instance_to_dict
-from tests.conftest import make_sample_instance
+from tests.conftest import make_sample_instance, routing_rows
 
 
 def run(argv):
@@ -148,13 +150,8 @@ def test_partial_routing_table_exits_1(tmp_path, capsys, command, missing):
     instance = make_sample_instance()
     data = instance_to_dict(instance)
     data["costs"].pop("routing_seed")
-    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
-    price = instance.costs.table.price
     data["costs"]["routing_table"] = [
-        [kind, i, j, t, tc, price(kind, tc, i, j, t)]
-        for kind in ("service", "outsourced")
-        for i, j in pairs for t in range(1, 8) for tc in range(1, 31)
-        if (kind, i, j, t, tc) != missing
+        row for row in routing_rows(instance) if tuple(row[:5]) != missing
     ]
     inst = tmp_path / "i.json"
     inst.write_text(json.dumps(data))
@@ -162,6 +159,30 @@ def test_partial_routing_table_exits_1(tmp_path, capsys, command, missing):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert repr(missing) in err
+
+
+def test_a_table_of_only_the_heuristic_legs_exits_1(tmp_path, capsys):
+    """`solve` reads only each TC's service legs and its outsourced leg at
+    release; a table of just those rows once solved while `check` and
+    `export` rejected it."""
+    instance = generate_instance("small", 10, seed=1)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    legs = {
+        (arc.kind, arc.phys_from, arc.phys_to, arc.depart, path.tc_id)
+        for path in PathBook(instance, tsn).by_id.values()
+        for arc in [tsn.arcs[path.arcs[path.lead_holds] - 1]]
+    }
+    data = instance_to_dict(instance)
+    data["costs"].pop("routing_seed")
+    data["costs"]["routing_table"] = [
+        row for row in routing_rows(instance) if tuple(row[:5]) in legs
+    ]
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst), "--sol", str(tmp_path / "i.sol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: routing table has no cost for ('service', ")
+    assert not (tmp_path / "i.sol").exists()
 
 
 def test_usage_error_exits_2():

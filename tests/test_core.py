@@ -202,26 +202,27 @@ def test_cost_table_equals_the_rule_for_every_pair(make):
             want = _rule_price(costs, arc.kind, tc.id, arc.phys_from,
                                arc.phys_to, arc.depart)
             assert price == want
-            assert costs.table.price(
-                arc.kind, tc.id, arc.phys_from, arc.phys_to, arc.depart
-            ) == want
+            assert costs.table.pricer([arc])(tc.id) == [want]
 
 
 def test_cost_table_memoizes_prefixes_lazily():
-    costs = make_sample_instance().costs
+    instance = make_sample_instance()
+    costs = instance.costs
     table = costs.table
     assert costs.table is table
-    costs.table.price("service", 2, 2, 1, 2)
-    costs.table.price("service", 3, 2, 1, 2)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    arcs = [tsn.holding_arc(2, 1), tsn.service_arc(2, 1, 2)]
+    costs.table.pricer(arcs)(2)
+    costs.table.pricer(arcs)(3)
     assert list(table._prefix) == [("service", 2, 1, 2)]
 
 
 def test_cost_table_names_a_missing_routing_key():
     table = CostParams(routing_table={("service", 1, 2, 1, 2): 0.75}).table
-    assert table.price("service", 2, 1, 2, 1) == 0.75
-    with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
-        table.price("outsourced", 2, 1, 2, 1)
     network = PhysicalNetwork(node_count=2, distance=((0, 1), (1, 0)))
     tsn = build_time_space_network(network, 2)
+    assert table.pricer([tsn.service_arc(1, 2, 1)])(2) == [0.75]
+    with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
+        table.pricer([tsn.outsourced_arc(1, 2, 1)])(2)
     with pytest.raises(CssndError, match=r"\('service', 1, 2, 2, 2\)"):
         table.pricer(tsn.service_arcs)(2)

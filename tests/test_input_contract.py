@@ -1,6 +1,7 @@
 """The input contract, as a property: every instance either solves to a
 schedule that its own checker accepts at the heuristic's total, or exits 1
-with a message.  Examples are one-field mutations of small k=10 instances."""
+with a message.  Examples are one-field mutations of small k=10 instances,
+and one-row mutations of a full routing table."""
 
 from __future__ import annotations
 
@@ -16,12 +17,19 @@ import pytest
 from cssnd.cli import main
 from cssnd.instgen import generate_instance
 from cssnd.io import instance_to_dict
+from tests.conftest import routing_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 BASES = {seed: instance_to_dict(generate_instance("small", 10, seed=seed))
          for seed in (1, 7)}
+# small k=10 seed 1 priced by a routing table of every pair the model prices
+TABLE_BASE = copy.deepcopy(BASES[1])
+TABLE_BASE["costs"].pop("routing_seed")
+TABLE_BASE["costs"]["routing_table"] = routing_rows(
+    generate_instance("small", 10, seed=1)
+)
 
 # Where one field is mutated: top-level fields, cost fields, a field of one
 # commodity and one distance entry.  Integers stay small: a valid instance
@@ -67,6 +75,26 @@ def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
         del target[last]
     else:
         target[last] = value
+    solves_to_a_checked_schedule_or_exits_1(data, BASES[seed])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(row=st.integers(0, len(TABLE_BASE["costs"]["routing_table"]) - 1),
+       value=VALUES)
+def test_a_mutated_routing_table_solves_to_a_checked_schedule_or_exits_1(
+    row, value
+):
+    data = copy.copy(TABLE_BASE)
+    data["costs"] = dict(TABLE_BASE["costs"])
+    table = data["costs"]["routing_table"] = list(TABLE_BASE["costs"]["routing_table"])
+    if value is DELETE:
+        del table[row]
+    else:
+        table[row] = [*table[row][:5], value]
+    solves_to_a_checked_schedule_or_exits_1(data, TABLE_BASE)
+
+
+def solves_to_a_checked_schedule_or_exits_1(data: dict, unmutated: dict) -> None:
     with TemporaryDirectory() as tmp:
         inst, sol = Path(tmp, "i.json"), Path(tmp, "i.sol")
         inst.write_text(json.dumps(data))
@@ -75,7 +103,7 @@ def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
         if code == 1:
             # the unmutated instance's schedule, checked against this one
             base = Path(tmp, "base.json")
-            base.write_text(json.dumps(BASES[seed]))
+            base.write_text(json.dumps(unmutated))
             assert run(["solve", "--in", str(base), "--sol", str(sol)])[0] == 0
             assert run(["check", "--in", str(inst), "--sol", str(sol)])[0] in (0, 1)
             return

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cssnd.core import CssndError
+from cssnd.core import CssndError, build_time_space_network
 from cssnd.instgen import generate_instance
 from cssnd.io import (
     dumps_instance,
@@ -16,7 +16,7 @@ from cssnd.io import (
     load_instance,
     save_instance,
 )
-from tests.conftest import make_sample_instance
+from tests.conftest import make_sample_instance, routing_rows
 
 
 def test_round_trip_preserves_instance(tmp_path):
@@ -46,13 +46,16 @@ def test_explicit_routing_table_round_trip(tmp_path):
     instance = make_sample_instance()
     data = instance_to_dict(instance)
     data["costs"].pop("routing_seed")
-    data["costs"]["routing_table"] = [
-        ["service", 1, 2, 1, 2, 0.75],
-        ["outsourced", 1, 2, 1, 2, 26.4],
-    ]
+    rows = {tuple(row[:5]): row for row in routing_rows(instance)}
+    rows["service", 1, 2, 1, 2][5] = 0.75
+    rows["outsourced", 1, 2, 1, 2][5] = 26.4
+    data["costs"]["routing_table"] = list(rows.values())
     loaded = instance_from_dict(data)
-    assert loaded.costs.table.price("service", 2, 1, 2, 1) == 0.75
-    assert loaded.costs.table.price("outsourced", 2, 1, 2, 1) == 26.4
+    tsn = build_time_space_network(loaded.physical, loaded.period_count)
+    pricer = loaded.costs.table.pricer(
+        [tsn.service_arc(1, 2, 1), tsn.outsourced_arc(1, 2, 1)]
+    )
+    assert pricer(2) == [0.75, 26.4]
     path = tmp_path / "table.json"
     save_instance(loaded, path)
     again = load_instance(path)
@@ -106,14 +109,13 @@ def test_malformed_documents_are_domain_errors(tmp_path):
             data["commodities"][1][field] = value
         with pytest.raises(CssndError, match=message):
             instance_from_dict(data)
-    # a partial routing table loads, but pricing a pair it lacks is an error
+    # a routing table that lacks a pair the model prices is rejected at load
     data = instance_to_dict(make_sample_instance())
     data["costs"].pop("routing_seed")
     data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, 0.75]]
-    costs = instance_from_dict(data).costs
-    assert costs.table.price("service", 2, 1, 2, 1) == 0.75
-    with pytest.raises(CssndError, match=r"\('outsourced', 1, 2, 1, 2\)"):
-        costs.table.price("outsourced", 2, 1, 2, 1)
+    with pytest.raises(CssndError, match=r"routing table has no cost for "
+                                         r"\('service', 1, 2, 1, 1\)"):
+        instance_from_dict(data)
     data["costs"]["routing_table"] = [["service", 1, 2, 1, 2, "0.75"]]
     with pytest.raises(CssndError, match="'0.75' is not a finite number"):
         instance_from_dict(data)

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from cssnd.core import (
     build_time_space_network,
     expand_commodities,
 )
-from cssnd.dmam import run_dmam, solution_to_assignment
+from cssnd.dmam import PathBook, Solution, run_dmam, solution_to_assignment
 from cssnd.instgen import generate_instance
 from cssnd.io import save_instance
 from cssnd.model import (
@@ -348,6 +349,44 @@ def test_vi_phi_can_cut_heavily_merged_schedules():
     profile = [v for v in result.violations if v.startswith("vi_")]
     assert base == []
     assert profile, "expected this seed to expose the profile boundary"
+
+
+def vi_verdicts(instance, assignment, options):
+    """Violations of `assignment` in the plain model and in the model with
+    `options`' strengthening rows."""
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    return [
+        check_solution(instance, tsn, tcs, build_mip(instance, tsn, tcs, opts),
+                       assignment).violations
+        for opts in (ModelOptions(), options)
+    ]
+
+
+@pytest.mark.xfail(strict=True, reason="vi_gamma ignores outsourced deliveries "
+                                        "(ROADMAP item 1)")
+def test_vi_gamma_accepts_the_all_outsourced_schedule():
+    instance = generate_instance("small", 10, seed=3)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    book = PathBook(instance, tsn)
+    solution = Solution(instance=instance, tsn=tsn, book=book, selected={
+        oc.id: book.cheapest_outsourced(oc.id) for oc in instance.commodities
+    })
+    plain, with_vi = vi_verdicts(instance, solution_to_assignment(solution),
+                                 ModelOptions(add_vi_gamma=True))
+    assert plain == []
+    assert with_vi == []      # today: ["vi_gamma: 0.0 < 1.0"]
+
+
+@pytest.mark.xfail(strict=True, reason="vi_phi cuts off the sample optimum "
+                                        "(ROADMAP item 1)")
+def test_vi_phi_accepts_the_sample_optimum():
+    optimum = Path(__file__).parent / "data" / "sample_optimum.sol"
+    plain, with_vi = vi_verdicts(make_sample_instance(),
+                                 read_solution(optimum.read_text()),
+                                 ModelOptions(add_vi_phi=True))
+    assert plain == []
+    assert with_vi == []      # today: ["vi_phi_t1: 2.0 < 4.0", ...]
 
 
 def test_in_transit_profile_is_tighter():
