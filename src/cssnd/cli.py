@@ -24,7 +24,7 @@ from .analysis import compute_requirements
 from .core import CssndError, build_time_space_network, expand_commodities
 from .dmam import run_dmam, solution_to_assignment
 from .instgen import generate_instance, size_class
-from .io import instance_digest, load_instance, save_instance
+from .io import load_instance, save_instance
 from .model import (
     ModelOptions,
     build_mip,
@@ -39,25 +39,16 @@ def _file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _versions() -> dict[str, str]:
-    return {"cssnd": __version__, "python": platform.python_version()}
-
-
 def _run(args: argparse.Namespace) -> int:
     """Run one subcommand, timed, and write its manifest.
 
-    Every `cmd_*` takes (args, elapsed), where elapsed() reads the seconds
-    since the command started, and returns (exit code, primary output path
+    Every `cmd_*` takes args and returns (exit code, primary output path
     or None, instance hash, wall-clock entries besides the total).  The
     manifest goes to --manifest, else next to the primary output, else
     nowhere.
     """
     started = time.perf_counter()
-
-    def elapsed() -> float:
-        return time.perf_counter() - started
-
-    code, out_path, instance_hash, wall_clock = args.func(args, elapsed)
+    code, out_path, instance_hash, wall_clock = args.func(args)
     target = args.manifest or (
         f"{out_path}.manifest.json" if out_path else None
     )
@@ -73,20 +64,20 @@ def _run(args: argparse.Namespace) -> int:
         "instance_hash": instance_hash,
         "seed": getattr(args, "seed", None),
         "flags": flags,
-        "versions": _versions(),
-        "wall_clock": {**wall_clock, "total": elapsed()},
+        "versions": {"cssnd": __version__, "python": platform.python_version()},
+        "wall_clock": {**wall_clock, "total": time.perf_counter() - started},
     }
     Path(target).write_text(json.dumps(manifest, indent=2) + "\n")
     return code
 
 
-def cmd_gen(args, elapsed):
+def cmd_gen(args):
     instance = generate_instance(args.size, args.k, args.seed)
     save_instance(instance, args.out)
-    return 0, args.out, instance_digest(instance), {}
+    return 0, args.out, _file_digest(args.out), {}
 
 
-def cmd_analyze(args, elapsed):
+def cmd_analyze(args):
     instance = load_instance(args.input)
     summary = compute_requirements(instance, in_transit=args.in_transit)
     lines = ["kind,period,value"]
@@ -117,7 +108,7 @@ def _load_model(args, options: ModelOptions):
     return instance, tsn, tcs, model
 
 
-def cmd_export(args, elapsed):
+def cmd_export(args):
     vi_gamma, vi_phi = _parse_vi(args.vi)
     options = ModelOptions(
         add_vi_gamma=vi_gamma,
@@ -220,7 +211,7 @@ def _report_row(instance, name, report) -> str:
     )
 
 
-def cmd_solve(args, elapsed):
+def cmd_solve(args):
     instance = load_instance(args.input)
     digest = _file_digest(args.input)
     solution, report = run_dmam(instance, args.config)
@@ -242,7 +233,7 @@ def cmd_solve(args, elapsed):
     return 0, args.out or args.report, digest, timings
 
 
-def cmd_check(args, elapsed):
+def cmd_check(args):
     instance, tsn, tcs, model = _load_model(args, ModelOptions())
     assignment = read_solution(Path(args.sol).read_text())
     result = check_solution(instance, tsn, tcs, model, assignment)
@@ -256,17 +247,12 @@ def cmd_check(args, elapsed):
         ).items())),
         "summary": result.summary,
         "instance_hash": _file_digest(args.input),
-        "manifest": {
-            "command": "check",
-            "versions": _versions(),
-            "wall_clock": {"total": elapsed()},
-        },
     }
     print(json.dumps(verdict, indent=2))
     return 0 if result.feasible else 1, None, verdict["instance_hash"], {}
 
 
-def cmd_bench(args, elapsed):
+def cmd_bench(args):
     sizes = [s.strip() for s in args.sizes.split(",") if s.strip()]
     header = [
         "instance",

@@ -317,8 +317,6 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
                 break
             solution.selected[oc.id] = path
             break
-        else:
-            raise CssndError(f"commodity {oc.id} has no candidate path")
     return solution
 
 
@@ -876,18 +874,18 @@ def solution_to_assignment(solution: Solution) -> dict[str, float]:
 
 
 def run_dmam(
-    instance: Instance,
-    config: str = CONFIG_ADVANCED,
-    tsn: TimeSpaceNetwork | None = None,
+    instance: Instance, config: str = CONFIG_ADVANCED
 ) -> tuple[Solution, dict]:
-    """Run all phases; returns the solution and a flat report row."""
+    """Run all phases; returns the solution and a flat report row.
+
+    `instance` is taken as valid, as `build_mip` and `check_solution` take
+    it: `load_instance` and `generate_instance` validate what they return.
+    """
     if config not in (CONFIG_RANDOM, CONFIG_CUSTOM, CONFIG_ADVANCED):
         raise CssndError(f"unknown configuration '{config}'")
-    instance.validate()
     timings = {}
     t0 = time.perf_counter()
-    if tsn is None:
-        tsn = build_time_space_network(instance.physical, instance.period_count)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
     book = PathBook(instance, tsn)
     timings["paths"] = time.perf_counter() - t0
 

@@ -15,7 +15,6 @@ Serialization is deterministic: same instance, same bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -127,8 +126,3 @@ def load_instance(path: str | Path) -> Instance:
     except json.JSONDecodeError as exc:
         raise CssndError(f"{path}: not valid JSON ({exc})") from exc
     return instance_from_dict(data)
-
-
-def instance_digest(instance: Instance) -> str:
-    """Stable content hash of an instance, independent of file layout."""
-    return hashlib.sha256(dumps_instance(instance).encode("utf-8")).hexdigest()

@@ -215,9 +215,7 @@ def test_criterion_7_end_to_end_feasibility():
                 instance.physical, instance.period_count
             )
             tcs, _ = expand_commodities(instance)
-            solution, run_report = run_dmam(
-                instance, configs[index % 3], tsn=tsn
-            )
+            solution, run_report = run_dmam(instance, configs[index % 3])
             breakdown = solution.cost_breakdown()
             assert sum(breakdown.values()) == pytest.approx(
                 run_report["total_cost"], abs=1e-6

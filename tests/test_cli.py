@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from cssnd.cli import main
-from cssnd.core import build_time_space_network
+from cssnd.core import Instance, build_time_space_network
 from cssnd.dmam import PathBook
 from cssnd.instgen import generate_instance
 from cssnd.io import instance_to_dict
@@ -28,7 +29,7 @@ def test_gen_writes_instance_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "i.json.manifest.json").read_text())
     assert manifest["command"] == "gen"
     assert manifest["seed"] == 1
-    assert len(manifest["instance_hash"]) == 64
+    assert manifest["instance_hash"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_gen_rejects_k_above_pair_bound(tmp_path, capsys):
@@ -185,6 +186,25 @@ def test_a_table_of_only_the_heuristic_legs_exits_1(tmp_path, capsys):
     assert not (tmp_path / "i.sol").exists()
 
 
+@pytest.mark.parametrize("priced_by", ["routing_seed", "routing_table"])
+def test_solve_validates_its_instance_once(tmp_path, monkeypatch, priced_by):
+    """With a routing table a validation builds the network and prices every
+    pair, so `solve` validates once, in `load_instance`."""
+    instance = generate_instance("small", 10, seed=1)
+    data = instance_to_dict(instance)
+    if priced_by == "routing_table":
+        data["costs"].pop("routing_seed")
+        data["costs"]["routing_table"] = routing_rows(instance)
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(data))
+    calls = []
+    validate = Instance.validate
+    monkeypatch.setattr(Instance, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    assert run(["solve", "--in", str(inst)]) == 0
+    assert len(calls) == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--size", "nope", "--k", "1", "--seed", "1", "--out", "x"])
@@ -280,6 +300,23 @@ def test_solve_outputs_are_deterministic(tmp_path):
              "--out", str(schedule), "--report", str(report)])
         outs.append((schedule.read_bytes(), report.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_check_prints_the_same_bytes_twice(tmp_path, capsys):
+    """The verdict carries no wall-clock time; that goes to --manifest."""
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    run(["gen", "--size", "small", "--k", "10", "--seed", "1", "--out", str(inst)])
+    assert run(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    capsys.readouterr()
+    outs = []
+    for name in ("one", "two"):
+        manifest = tmp_path / f"{name}.json"
+        assert run(["check", "--in", str(inst), "--sol", str(sol),
+                    "--manifest", str(manifest)]) == 0
+        outs.append(capsys.readouterr().out)
+        assert json.loads(manifest.read_text())["wall_clock"]["total"] > 0
+    assert outs[0] == outs[1]
+    assert "manifest" not in json.loads(outs[0])
 
 
 def test_check_flags_infeasible_solution(tmp_path, capsys):

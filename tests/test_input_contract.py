@@ -1,7 +1,8 @@
 """The input contract, as a property: every instance either solves to a
 schedule that its own checker accepts at the heuristic's total, or exits 1
 with a message.  Examples are one-field mutations of small k=10 instances,
-and one-row mutations of a full routing table."""
+one-row mutations of a full routing table, and redraws of many fields of
+an instance at once."""
 
 from __future__ import annotations
 
@@ -92,6 +93,56 @@ def test_a_mutated_routing_table_solves_to_a_checked_schedule_or_exits_1(
     else:
         table[row] = [*table[row][:5], value]
     solves_to_a_checked_schedule_or_exits_1(data, TABLE_BASE)
+
+
+# quarter steps from 0.25 to 2.0: above 1.0 a commodity outgrows an asset
+VOLUMES = st.sampled_from([q / 4 for q in range(1, 9)])
+COSTS = {
+    "f": st.floats(-10.0, 100.0),
+    "g": st.floats(-10.0, 150.0),
+    "holding": st.floats(-1.0, 5.0),
+    "r_e": st.floats(0.05, 5.0),
+    "r_l": st.floats(0.05, 5.0),
+}
+
+
+@st.composite
+def redrawn_instances(draw) -> tuple[dict, dict]:
+    """A base instance with its horizon, distances, windows, volumes, fleet
+    and costs redrawn together, and the base itself.  Distances are drawn
+    symmetric in 1..horizon/2 and repaired to shortest paths, so they keep
+    the triangle inequality; each window spans at least its distance."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    data = copy.deepcopy(base)
+    periods = data["periods"] = draw(st.integers(5, 9))
+    n = data["n_physical"]
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.integers(1, periods // 2))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    data["distance"] = d
+    for c in data["commodities"]:
+        span = draw(st.integers(d[c["origin"] - 1][c["dest"] - 1], periods - 1))
+        c["release"] = draw(st.integers(1, periods))
+        c["due"] = (c["release"] + span - 1) % periods + 1
+        c["volume"] = draw(VOLUMES)
+    data["owned"] = draw(st.integers(1, 8))
+    data["leasable"] = draw(st.integers(0, 6))
+    for key, values in COSTS.items():
+        data["costs"][key] = draw(values)
+    data["costs"]["routing_seed"] = draw(st.integers(0, 2**31 - 1))
+    return data, base
+
+
+# 60 examples stay under 5 s: each one solves and checks, about 70 ms
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(pair=redrawn_instances())
+def test_a_redrawn_instance_solves_to_a_checked_schedule_or_exits_1(pair):
+    solves_to_a_checked_schedule_or_exits_1(*pair)
 
 
 def solves_to_a_checked_schedule_or_exits_1(data: dict, unmutated: dict) -> None:

@@ -247,7 +247,7 @@ def test_all_zero_assignment_violates_cover(sample_model):
 def test_dmam_schedule_checks_out(sample_model):
     instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
-    solution, report = run_dmam(instance, "a", tsn=tsn)
+    solution, report = run_dmam(instance, "a")
     assignment = solution_to_assignment(solution)
     result = check_solution(instance, tsn, tcs, model, assignment)
     assert result.feasible, result.violations[:5]
@@ -260,7 +260,7 @@ def test_dmam_schedule_checks_out(sample_model):
 def test_double_selection_is_feasible_but_flagged(sample_model):
     instance, tsn, tcs = sample_model
     model = build_mip(instance, tsn, tcs)
-    solution, _ = run_dmam(instance, "r", tsn=tsn)
+    solution, _ = run_dmam(instance, "r")
     assignment = solution_to_assignment(solution)
     # additionally deliver commodity 1 through its tardy variant, outsourced
     spare = next(
@@ -341,7 +341,7 @@ def test_vi_phi_can_cut_heavily_merged_schedules():
         instance, tsn, tcs,
         options=ModelOptions(add_vi_gamma=True, add_vi_phi=True),
     )
-    solution, _ = run_dmam(instance, "a", tsn=tsn)
+    solution, _ = run_dmam(instance, "a")
     result = check_solution(
         instance, tsn, tcs, model, solution_to_assignment(solution)
     )
