@@ -8,14 +8,18 @@ plain `name value` lines and are replayed row by row against the IR.
 Columns and rows are catalogued by families (`Family`: one column or row
 per key of a product of axes, in row-major order), so a column or row is
 an integer and its name is made from its family's template only where
-text is written.  The model stores no rows: a row family holds a
-function that makes its rows, as (coefs, cols, rhs) in key order, each
-time they are read.  `_rows` is the one reader; it checks every row's
-columns and every family's row count as it goes, and the LP and MPS
-writers, `check_solution` and the `ModelIR.constraints` view all read
-through it.  The writers stream their text, the MPS names sidecar too,
-to files in chunks of characters, so the whole text never sits in
-memory.
+text is written.  The model stores neither rows nor prices: a row family
+holds a function that makes the rows at given positions, and the
+objective is a function that prices its (coef, col) terms, each time
+they are read.  `_rows` is the one reader of rows; it checks every row's
+columns as it goes, and on a full read every family's row count.  The
+LP and MPS writers and the `ModelIR.constraints` view read the whole
+model.  `check_solution` reads it against the assignment's support, the
+columns at a nonzero value: a row family may then leave out a row whose
+rhs is 0 and which holds no support column (its activity, 0, meets its
+rhs), and the objective prices only support columns.  The writers
+stream their text, the MPS names sidecar too, to files in chunks of
+characters, so the whole text never sits in memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -35,12 +39,13 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, count, product, starmap
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .analysis import beta_support, compute_requirements
 from .core import (
@@ -90,14 +95,20 @@ class Family:
     """A block of columns or rows: one per key of the product of `axes`
     (tuples of distinct ints), in row-major order from index `base`, named
     by filling `template`'s `{}` fields with the key.  `kind` is a column's
-    domain or a row's sense; a row family's `rows()` makes each row's
-    (coefs, cols, rhs) in key order, afresh at every call."""
+    domain or a row's sense.  A row family's `make(positions)` makes the
+    rows at ascending `positions` (offsets from `base`) as (position,
+    coefs, cols, rhs), afresh at every call; its `touched(support)` gives,
+    ascending, the positions of at least every row that holds a column of
+    `support` (a sorted list of columns) or has a nonzero rhs, and None
+    stands for a family whose rows are all made at every read."""
 
-    def __init__(self, template: str, kind: str, base: int, axes, rows=None):
+    def __init__(self, template: str, kind: str, base: int, axes,
+                 make=None, touched=None):
         self.template = template
         self.kind = kind
         self.base = base
-        self.rows = rows
+        self.make = make
+        self.touched = touched
         self.axes = tuple(tuple(axis) for axis in axes)
         self._position = [{key: i for i, key in enumerate(axis)}
                           for axis in self.axes]
@@ -112,6 +123,14 @@ class Family:
 
     def names(self) -> Iterator[str]:
         return starmap(self.template.format, product(*self.axes))
+
+    def key(self, position: int) -> tuple[int, ...]:
+        """The key at `position` (an offset from `base`)."""
+        key = []
+        for axis in reversed(self.axes):
+            position, i = divmod(position, len(axis))
+            key.append(axis[i])
+        return tuple(reversed(key))
 
     def column(self, *key: int) -> int:
         offset = 0
@@ -130,11 +149,25 @@ class Family:
         return self.column(*key)
 
 
+def _between(support: list[int], lo: int, hi: int) -> list[int]:
+    """The columns of `support`, a sorted list, in [lo, hi)."""
+    start = bisect_left(support, lo)
+    return support[start:bisect_left(support, hi, start)]
+
+
+def _no_terms(support: list[int] | None) -> Iterable[tuple[float, int]]:
+    return ()
+
+
 @dataclass
 class ModelIR:
     families: list[Family] = field(default_factory=list)        # columns
     row_families: list[Family] = field(default_factory=list)
-    objective: list[tuple[float, int]] = field(default_factory=list)
+    # The minimized objective as a function of a support (None: all
+    # columns) giving its (coef, col) terms in term order, afresh at every
+    # call: every term, or with a support at least those of support columns.
+    objective_terms: Callable[[list[int] | None],
+                              Iterable[tuple[float, int]]] = _no_terms
     column_count: int = 0
     row_count: int = 0
 
@@ -147,17 +180,24 @@ class ModelIR:
     def constraints(self) -> Rows:
         return Rows(self)
 
+    @property
+    def objective(self) -> list[tuple[float, int]]:
+        """Every objective term, priced afresh at each read."""
+        return list(self.objective_terms(None))
+
     def add_family(self, template: str, kind: str, *axes) -> Family:
         family = Family(template, kind, self.column_count, axes)
         self.families.append(family)
         self.column_count += family.size
         return family
 
-    def add_rows(self, template: str, sense: str, axes, rows) -> Family:
+    def add_rows(self, template: str, sense: str, axes, make,
+                 touched=None) -> Family:
         """Append a family of rows, one per key of the product of `axes`;
-        `rows()` makes them, each the sum of coefs[i] * column cols[i] with
-        its sense and rhs, and must give them afresh at every call."""
-        family = Family(template, sense, self.row_count, axes, rows)
+        `make(positions)` makes those at `positions`, each the sum of
+        coefs[i] * column cols[i] with its sense and rhs, and `touched`
+        finds the ones a support reaches (see `Family`)."""
+        family = Family(template, sense, self.row_count, axes, make, touched)
         self.row_families.append(family)
         self.row_count += family.size
         return family
@@ -166,22 +206,31 @@ class ModelIR:
         return next(f for f in self.families if f.template == template)
 
 
-def _rows(model: ModelIR) -> Iterator[tuple]:
-    """Every row as (family, key, coefs, cols, rhs), in row order, made by
-    its family as it is read.  A row must give one coefficient per column,
-    all of the model, and a family one row per key."""
+def _rows(model: ModelIR, support: list[int] | None = None) -> Iterator[tuple]:
+    """Rows as (family, key, coefs, cols, rhs), in row order, made by their
+    families as they are read.  With `support` (a sorted list of columns),
+    a family with a `touched` function makes only the rows it names, so a
+    row left out holds no support column and has rhs 0.  A row must give
+    one coefficient per column, all of the model, at a position past the
+    family's last; a family read whole must give one row per key."""
     n = model.column_count
     for family in model.row_families:
-        rows = iter(family.rows())
-        made = 0
-        for key, (coefs, cols, rhs) in zip(product(*family.axes), rows):
+        full = support is None or family.touched is None
+        keys = product(*family.axes)
+        made = family.make(range(family.size) if full else family.touched(support))
+        follows = 0         # the least position the next row may take
+        for position, coefs, cols, rhs in made:
+            if not follows <= position < family.size or full and position != follows:
+                raise CssndError(f"row family {family.template} does not yield one "
+                                 f"row for each of its {family.size} keys")
+            key = next(keys) if full else family.key(position)
             if len(coefs) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
                 raise CssndError(f"row {family.template.format(*key)} has "
                                  f"{len(coefs)} coefficients for columns "
                                  f"{list(cols)} of {n}")
-            made += 1
+            follows = position + 1
             yield family, key, coefs, cols, rhs
-        if made < family.size or next(rows, None) is not None:
+        if full and follows < family.size:
             raise CssndError(f"row family {family.template} does not yield one "
                              f"row for each of its {family.size} keys")
 
@@ -248,52 +297,85 @@ def build_mip(
 
     model = ModelIR()
     tc_ids = [tc.id for tc in tcs]
-    y0 = model.add_family(Y_NAME, BINARY, assets, [a.id for a in asset_arcs]).base
-    d0 = model.add_family(D_NAME, BINARY, assets).base
-    p0 = model.add_family(P_NAME, BINARY, tc_ids).base
-    s0 = model.add_family(
-        S_NAME, BINARY, tc_ids, [a.id for a in outsourced_arcs]
-    ).base
-    x0 = model.add_family(X_NAME, CONTINUOUS, tc_ids, [a.id for a in tsn.arcs]).base
+    y = model.add_family(Y_NAME, BINARY, assets, [a.id for a in asset_arcs])
+    d = model.add_family(D_NAME, BINARY, assets)
+    p = model.add_family(P_NAME, BINARY, tc_ids)
+    s = model.add_family(S_NAME, BINARY, tc_ids, [a.id for a in outsourced_arcs])
+    x = model.add_family(X_NAME, CONTINUOUS, tc_ids, [a.id for a in tsn.arcs])
 
-    # Column arithmetic: y of asset v on asset arc i is y_col[v] + i, x of
-    # the q-th TC on arc position a is x_col[q] + a, s likewise with the
-    # position among the outsourced arcs.
+    # Column arithmetic, assets and variants counted from 0: y of asset v
+    # on asset arc i is y_col[v] + i, x of the q-th TC on arc position a is
+    # x_col[q] + a, s likewise with the position among the outsourced arcs.
     n_asset, n_out, n_arcs = len(asset_arcs), len(outsourced_arcs), len(tsn.arcs)
-    y_col = {v: y0 + (v - 1) * n_asset for v in assets}
-    d_col = {v: d0 + v - 1 for v in assets}
-    x_col = [x0 + q * n_arcs for q in range(len(tcs))]
-    s_col = [s0 + q * n_out for q in range(len(tcs))]
-    position = {arc.id: i for i, arc in enumerate(tsn.arcs)}
-    asset_pos = [position[a.id] for a in asset_arcs]       # asset arc -> x
-    out_pos = [position[a.id] for a in outsourced_arcs]    # outsourced -> x
-    service_first = len(tsn.holding_arcs)                  # in asset_arcs
-    p_col = {tc_id: p0 + q for q, tc_id in enumerate(tc_ids)}
+    n_tc, n_nodes = len(tcs), tsn.ts_node_count
+    y_col = [y.base + v * n_asset for v in range(v_total)]
+    d_col = [d.base + v for v in range(v_total)]
+    p_col = [p.base + q for q in range(n_tc)]
+    x_col = [x.base + q * n_arcs for q in range(n_tc)]
+    s_col = [s.base + q * n_out for q in range(n_tc)]
+    position = {arc.id: a for a, arc in enumerate(tsn.arcs)}
+    asset_pos = [position[arc.id] for arc in asset_arcs]        # asset arc -> x
+    out_pos = [position[arc.id] for arc in outsourced_arcs]     # outsourced -> x
+    asset_at = {a: i for i, a in enumerate(asset_pos)}          # and back
+    out_at = {a: o for o, a in enumerate(out_pos)}
+    service_first = len(tsn.holding_arcs)                       # in asset_arcs
+    service_at = {asset_pos[i]: i - service_first               # x -> cap row
+                  for i in range(service_first, n_asset)}
 
-    objective: list[tuple[float, int]] = []
-    for v in assets:
-        fixed = costs.fixed_owned if v <= instance.owned_assets else costs.fixed_leased
-        objective.append((fixed, d_col[v]))
-    asset_prices = costs.table.pricer(asset_arcs)
-    out_prices = costs.table.pricer(outsourced_arcs)
-    for q, tc in enumerate(tcs):
-        m = costs.multiplier(tc.kind)
-        xq, sq = x_col[q], s_col[q]
-        objective += [
-            (m * price, xq + a) for price, a in zip(asset_prices(tc.id), asset_pos)
-        ]
-        objective += [
-            (m * price, sq + o) for o, price in enumerate(out_prices(tc.id))
-        ]
-    model.objective = objective
+    def cells(support: list[int], family: Family, width: int) -> list:
+        """(row, column) of each support column in `family`, laid out in
+        rows of `width` columns."""
+        top = family.base + family.size
+        return [divmod(c - family.base, width)
+                for c in _between(support, family.base, top)]
 
-    # Row families, each made by a function when read (default arguments
-    # bind a loop's values into its function).
+    def ends(arc) -> tuple[int, int]:
+        return tsn.arc_tail(arc), tsn.arc_head(arc)
+
+    # The objective: d columns, then each TC's x columns on asset arcs and
+    # its s columns.  A support read prices only the support's columns.
+    table = costs.table
+    fixed = [(costs.fixed_owned if v < instance.owned_assets else costs.fixed_leased,
+              d_col[v]) for v in range(v_total)]
+
+    def objective(support: list[int] | None):
+        if support is None:
+            yield from fixed
+            asset_prices = table.pricer(asset_arcs)
+            out_prices = table.pricer(outsourced_arcs)
+            picked = ((q, range(n_asset), range(n_out)) for q in range(n_tc))
+        else:
+            yield from (fixed[v] for v, _ in cells(support, d, 1))
+            on: dict[int, tuple[list, list]] = {}
+            for q, a in cells(support, x, n_arcs):
+                if a in asset_at:
+                    on.setdefault(q, ([], []))[0].append(asset_at[a])
+            for q, o in cells(support, s, n_out):
+                on.setdefault(q, ([], []))[1].append(o)
+            picked = ((q, sorted(on_assets), on_out)
+                      for q, (on_assets, on_out) in sorted(on.items()))
+        for q, on_assets, on_out in picked:
+            tc = tcs[q]
+            if support is not None:
+                asset_prices = table.pricer([asset_arcs[i] for i in on_assets])
+                out_prices = table.pricer([outsourced_arcs[o] for o in on_out])
+            m = costs.multiplier(tc.kind)
+            xq, sq = x_col[q], s_col[q]
+            for i, price in zip(on_assets, asset_prices(tc.id)):
+                yield m * price, xq + asset_pos[i]
+            for o, price in zip(on_out, out_prices(tc.id)):
+                yield m * price, sq + o
+
+    model.objective_terms = objective
+
+    # Row families: each makes its rows at given positions when read and,
+    # where every rhs is 0, finds the rows a support reaches (default
+    # arguments bind a loop's values into its functions).
     asset_spans = _spanning(asset_arcs, period_count)
     periods = range(1, period_count + 1)
-    nodes = range(1, tsn.ts_node_count + 1)
-    service = list(enumerate(tsn.service_arcs, start=service_first))
+    nodes = range(1, n_nodes + 1)
     service_ids = [arc.id for arc in tsn.service_arcs]
+    n_service = len(service_ids)
     add = model.add_rows
 
     def ones(cols: list[int], rhs: float = 0.0):
@@ -303,93 +385,158 @@ def build_mip(
     for q, tc in enumerate(tcs):
         allowed = beta_support(tc, period_count)
         banned = [t for t in periods if t not in allowed]
-        add("transit_k{}_t{}", "<=", ([tc.id], banned),
-            lambda xq=x_col[q], banned=banned: (
-                ones([xq + asset_pos[i] for i in asset_spans[t]]) for t in banned))
+
+        def transit(positions, xq=x_col[q], banned=banned):
+            return ((j, *ones([xq + asset_pos[i] for i in asset_spans[banned[j]]]))
+                    for j in positions)
+
+        def transit_touched(support, xq=x_col[q], banned=banned):
+            used = [asset_arcs[asset_at[c - xq]]
+                    for c in _between(support, xq, xq + n_arcs) if c - xq in asset_at]
+            return [j for j, t in enumerate(banned)
+                    if any(arc.spans(t, period_count) for arc in used)]
+
+        add("transit_k{}_t{}", "<=", ([tc.id], banned), transit, transit_touched)
 
     # one activity per utilized asset and period, wrap-aware
-    add("assign_v{}_t{}", "=", (assets, periods), lambda: (
-        ([1.0] * len(asset_spans[t]) + [-1.0],
-         [y_col[v] + i for i in asset_spans[t]] + [d_col[v]], 0.0)
-        for v in assets for t in periods))
+    def assign(positions):
+        for at in positions:
+            v, t = divmod(at, period_count)
+            span = asset_spans[t + 1]
+            yield (at, [1.0] * len(span) + [-1.0],
+                   [y_col[v] + i for i in span] + [d_col[v]], 0.0)
+
+    def assign_touched(support):    # by asset: a used asset is busy throughout
+        used = {v for v, _ in cells(support, y, n_asset)}
+        used.update(v for v, _ in cells(support, d, 1))
+        return [at for v in sorted(used)
+                for at in range(v * period_count, (v + 1) * period_count)]
+
+    add("assign_v{}_t{}", "=", (assets, periods), assign, assign_touched)
 
     # asset conservation at every time-space node
-    asset_incidence = _incidence(tsn, asset_arcs)
-    add("balance_v{}_n{}", "=", (assets, nodes), lambda: (
-        (coefs, [y_col[v] + i for i in ends], 0.0)
-        for v in assets for ends, coefs in asset_incidence.values()))
+    asset_incidence = list(_incidence(tsn, asset_arcs).values())
+
+    def balance(positions):
+        for at in positions:
+            v, n = divmod(at, n_nodes)
+            arcs, coefs = asset_incidence[n]
+            yield at, coefs, [y_col[v] + i for i in arcs], 0.0
+
+    add("balance_v{}_n{}", "=", (assets, nodes), balance, lambda support: sorted({
+        v * n_nodes + node - 1
+        for v, i in cells(support, y, n_asset) for node in ends(asset_arcs[i])}))
 
     # a service is operated by at most one asset
-    add("svc_once_a{}", "<=", (service_ids,), lambda: (
-        ones([y_col[v] + i for v in assets], 1.0) for i, _ in service))
+    add("svc_once_a{}", "<=", (service_ids,), lambda positions: (
+        (at, *ones([yv + service_first + at for yv in y_col], 1.0))
+        for at in positions))
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
-    for tc in tcs:
-        incidence.setdefault(tc.parent_id, []).append(tc.id)
-    add("cover_k{}", ">=", ([oc.id for oc in instance.commodities],), lambda: (
-        ones([p_col[t] for t in incidence[oc.id]], 1.0)
-        for oc in instance.commodities))
+    for q, tc in enumerate(tcs):
+        incidence.setdefault(tc.parent_id, []).append(q)
+    commodity_ids = [oc.id for oc in instance.commodities]
+    add("cover_k{}", ">=", (commodity_ids,), lambda positions: (
+        (at, *ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
+        for at in positions))
 
     # flow conservation, demand switched on by the variant selection
-    arc_incidence = _incidence(tsn, tsn.arcs)
+    arc_incidence = list(_incidence(tsn, tsn.arcs).values())
+    demand = [{tc.origin_node(period_count) - 1: -tc.volume,
+               tc.dest_node(period_count) - 1: tc.volume} for tc in tcs]
 
-    def flow():
-        for q, tc in enumerate(tcs):
-            ends_of = {tc.origin_node(period_count): -tc.volume,
-                       tc.dest_node(period_count): tc.volume}
-            for node, (ends, coefs) in arc_incidence.items():
-                cols = [x_col[q] + a for a in ends]
-                if node in ends_of:
-                    coefs = coefs + [ends_of[node]]
-                    cols.append(p_col[tc.id])
-                yield coefs, cols, 0.0
+    def flow(positions):
+        for at in positions:
+            q, n = divmod(at, n_nodes)
+            arcs, coefs = arc_incidence[n]
+            cols = [x_col[q] + a for a in arcs]
+            if n in demand[q]:
+                coefs = coefs + [demand[q][n]]
+                cols.append(p_col[q])
+            yield at, coefs, cols, 0.0
 
-    add("flow_k{}_n{}", "=", (tc_ids, nodes), flow)
+    def flow_touched(support):
+        rows = {q * n_nodes + node - 1
+                for q, a in cells(support, x, n_arcs) for node in ends(tsn.arcs[a])}
+        rows.update(q * n_nodes + n for q, _ in cells(support, p, 1) for n in demand[q])
+        return sorted(rows)
+
+    add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, flow_touched)
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
-    add("cap_a{}", "<=", (service_ids,), lambda: (
-        ([1.0] * len(x_col) + [-arc.capacity] * v_total,
-         [xq + asset_pos[i] for xq in x_col] + [y_col[v] + i for v in assets],
-         0.0)
-        for i, arc in service))
+    def cap(positions):
+        for at in positions:
+            i = service_first + at
+            yield (at, [1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
+                   [xq + asset_pos[i] for xq in x_col] + [yv + i for yv in y_col], 0.0)
+
+    def cap_touched(support):
+        used = {service_at[a] for _, a in cells(support, x, n_arcs) if a in service_at}
+        used.update(i - service_first for _, i in cells(support, y, n_asset)
+                    if i >= service_first)
+        return sorted(used)
+
+    add("cap_a{}", "<=", (service_ids,), cap, cap_touched)
 
     if options.strong_forcing:
-        y_cols = {i: [y_col[v] + i for v in assets] for i, _ in service}
-        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), lambda: (
-            ([1.0] + [-min(tc.volume, arc.capacity)] * v_total,
-             [x_col[q] + asset_pos[i], *y_cols[i]], 0.0)
-            for q, tc in enumerate(tcs) for i, arc in service))
+        y_cols = [[yv + i for yv in y_col] for i in range(service_first, n_asset)]
+
+        def strong(positions):
+            for at in positions:
+                q, j = divmod(at, n_service)
+                strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
+                yield (at, [1.0] + [-strength] * v_total,
+                       [x_col[q] + asset_pos[service_first + j], *y_cols[j]], 0.0)
+
+        def strong_touched(support):
+            rows = {q * n_service + service_at[a]
+                    for q, a in cells(support, x, n_arcs) if a in service_at}
+            for _, i in cells(support, y, n_asset):
+                if i >= service_first:
+                    rows.update(range(i - service_first, n_tc * n_service, n_service))
+            return sorted(rows)
+
+        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong, strong_touched)
 
     # outsourced flow only on selected outsourced services
+    def outsource(positions):
+        for at in positions:
+            q, o = divmod(at, n_out)
+            yield at, [1.0, -tcs[q].volume], [x_col[q] + out_pos[o], s_col[q] + o], 0.0
+
+    def outsource_touched(support):
+        rows = {q * n_out + out_at[a] for q, a in cells(support, x, n_arcs) if a in out_at}
+        rows.update(q * n_out + o for q, o in cells(support, s, n_out))
+        return sorted(rows)
+
     add("outsource_k{}_a{}", "<=", (tc_ids, [a.id for a in outsourced_arcs]),
-        lambda: (([1.0, -tc.volume], [x_col[q] + out_pos[o], s_col[q] + o], 0.0)
-                 for q, tc in enumerate(tcs) for o in range(n_out)))
+        outsource, outsource_touched)
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)
-    fleet = [d_col[v] for v in assets]
 
     def single(name: str, sense: str, cols: list[int], rhs: float) -> None:
-        add(name, sense, (), lambda row=ones(cols, float(rhs)): [row])
+        row = ones(cols, float(rhs))
+        add(name, sense, (), lambda positions: ((at, *row) for at in positions))
 
     if options.add_vi_gamma:
-        single("vi_gamma", ">=", fleet, analysis.gamma)
+        single("vi_gamma", ">=", d_col, analysis.gamma)
 
     if options.add_vi_phi:
         out_spans = _spanning(outsourced_arcs, period_count)
-        add("vi_phi_t{}", ">=", (periods,), lambda: (
-            ones([y_col[v] + i for v in assets for i in asset_spans[t]]
-                 + [sq + o for sq in s_col for o in out_spans[t]],
-                 float(analysis.phi_at(t)))
-            for t in periods))
+        add("vi_phi_t{}", ">=", (periods,), lambda positions: (
+            (at, *ones([yv + i for yv in y_col for i in asset_spans[at + 1]]
+                       + [sq + o for sq in s_col for o in out_spans[at + 1]],
+                       float(analysis.phi_at(at + 1))))
+            for at in positions))
 
     if options.near_opt == 21:
-        single("near_opt_low", ">=", fleet, analysis.theta)
+        single("near_opt_low", ">=", d_col, analysis.theta)
     elif options.near_opt == 22:
-        single("near_opt_high", "<=", fleet, analysis.theta)
+        single("near_opt_high", "<=", d_col, analysis.theta)
     elif options.near_opt == 23:
-        cols = fleet + [sq + o for sq in s_col for o in range(n_out)]
+        cols = d_col + [sq + o for sq in s_col for o in range(n_out)]
         single("near_opt_mixed", ">=", cols, analysis.theta)
 
     if options.shift_restriction is not None:
@@ -397,10 +544,10 @@ def build_mip(
         if options.literal_shift_rule:
             # verbatim variant: counts everything but the first variant kind
             # against a budget over the whole variant set
-            cols = [p_col[tc.id] for tc in tcs if tc.kind != EARLY]
+            cols = [p_col[q] for q, tc in enumerate(tcs) if tc.kind != EARLY]
             rhs = lam * len(tcs)
         else:
-            cols = [p_col[tc.id] for tc in tcs if tc.kind != ORIGINAL]
+            cols = [p_col[q] for q, tc in enumerate(tcs) if tc.kind != ORIGINAL]
             rhs = lam * len(instance.commodities)
         single("shift_cap", "<=", cols, rhs)
 
@@ -453,10 +600,8 @@ def _lp_lines(model: ModelIR) -> Iterator[str]:
     names = model.variables
     heads: dict[float, str] = {}
     yield "Minimize"
-    obj_parts = (
-        _term_parts(model.objective, names, heads) if model.objective else ["0"]
-    )
-    yield from _wrapped(" obj:", obj_parts)
+    obj_parts = _term_parts(model.objective_terms(None), names, heads)
+    yield from _wrapped(" obj:", obj_parts or ["0"])
     yield "Subject To"
     for family, key, coefs, cols, rhs in _rows(model):
         parts = _term_parts(zip(coefs, cols), names, heads)
@@ -511,7 +656,7 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
     # coefficient shares one cell string.  The RHS lines are made in the
     # same pass.
     cells: list[list[str] | None] = [[] for _ in range(model.column_count)]
-    for coef, col in model.objective:
+    for coef, col in model.objective_terms(None):
         cells[col].append(f"COST      {coef:.9g}")
     rhs_lines: list[str] = []
     for r, (_, _, coefs, cols, rhs) in enumerate(_rows(model), start=1):
@@ -612,7 +757,7 @@ def export_mps(model: ModelIR, path: str | Path) -> tuple[Written, Written]:
 
 def read_solution(text: str) -> dict[str, float]:
     """Parse `name value` lines; blanks and #-comments are skipped, and a
-    value that is not a finite number is an error."""
+    value that is not a finite number or a name given twice is an error."""
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -627,6 +772,8 @@ def read_solution(text: str) -> dict[str, float]:
             x = math.nan
         if not math.isfinite(x):
             raise CssndError(f"solution line {lineno}: bad number")
+        if parts[0] in values:
+            raise CssndError(f"solution line {lineno}: {parts[0]} given twice")
         values[parts[0]] = x
     return values
 
@@ -649,9 +796,11 @@ def check_solution(
     model: ModelIR,
     assignment: dict[str, float],
 ) -> CheckResult:
-    """Replay every row and domain at tolerance; recompute the objective
-    from the assignment alone.  Missing variables count as zero, and names
-    the model lacks are ignored."""
+    """Replay the rows and domains at tolerance that the assignment can
+    break, and recompute the objective from the assignment alone.  Missing
+    variables count as zero, and names the model lacks are ignored.  Only
+    the support, the columns at a nonzero value, is read: a row left out
+    holds no support column and has rhs 0, so it holds at equality."""
     violations: list[str] = []
     values = [0.0] * model.column_count
     named: dict[int, tuple[str, str]] = {}      # column -> (name, kind)
@@ -664,7 +813,8 @@ def check_solution(
                 break
 
     # zero lies in every column's domain, so only named columns can fail
-    for col in sorted(named):
+    columns = sorted(named)
+    for col in columns:
         name, kind = named[col]
         x = values[col]
         if kind == BINARY:
@@ -672,9 +822,10 @@ def check_solution(
                 violations.append(f"{name}: {x} is not binary")
         elif x < -TOLERANCE:
             violations.append(f"{name}: {x} below zero")
+    support = [col for col in columns if values[col]]
 
     # each row's terms at a nonzero value, summed in term order
-    for family, key, coefs, cols, rhs in _rows(model):
+    for family, key, coefs, cols, rhs in _rows(model, support):
         lhs = 0.0
         for coef, col in zip(coefs, cols):
             x = values[col]
@@ -691,7 +842,7 @@ def check_solution(
             violations.append(f"{name}: {lhs} != {rhs}")
 
     objective = 0.0
-    for coef, col in model.objective:
+    for coef, col in model.objective_terms(support):
         x = values[col]
         if x:
             objective += coef * x
@@ -705,9 +856,10 @@ def check_solution(
     for tc in tcs:
         if values[p.column(tc.id)] > 0.5:
             chosen.setdefault(tc.parent_id, []).append(tc)
+    outsourced = {s.key(col - s.base)[0] for col in named
+                  if s.base <= col < s.base + s.size and values[col] > 0.5}
     ways = Counter(
-        "outsourced" if any(values[s.column(tc.id, arc.id)] > 0.5
-                            for arc in tsn.outsourced_arcs) else tc.kind
+        "outsourced" if tc.id in outsourced else tc.kind
         for variants in chosen.values() for tc in variants
     )
     summary = {

@@ -351,6 +351,23 @@ def test_check_rejects_a_non_finite_value(tmp_path, capsys):
     assert captured.err == "error: solution line 1: bad number\n"
 
 
+def test_check_rejects_a_name_given_twice(tmp_path, capsys):
+    """`d_v1 0` appended to a schedule that uses asset 1: `check` exits 1
+    naming the line, and does not report the assign rows that the second
+    value alone would break."""
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    run(["gen", "--size", "small", "--k", "10", "--seed", "1", "--out", str(inst)])
+    assert run(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    assert "d_v1 1" in lines
+    sol.write_text("\n".join(lines + ["d_v1 0"]) + "\n")
+    capsys.readouterr()
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: solution line {len(lines) + 1}: d_v1 given twice\n"
+
+
 def test_bench_emits_table(tmp_path):
     out = tmp_path / "bench.csv"
     assert run(["bench", "--sizes", "small", "--per-size", "2",

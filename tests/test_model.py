@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cssnd.analysis import compute_requirements
 from cssnd.cli import main
@@ -27,6 +31,7 @@ from cssnd.model import (
     X_NAME,
     ModelIR,
     ModelOptions,
+    _rows,
     build_mip,
     check_solution,
     count_schema,
@@ -228,6 +233,15 @@ def test_read_solution_parses_and_rejects():
     for bad in ("nan", "NaN", "inf", "-inf", "Infinity"):
         with pytest.raises(CssndError, match="solution line 2: bad number"):
             read_solution(f"d_v1 1\nx_k1_a2 {bad}\n")
+
+
+@pytest.mark.parametrize("second", ["d_v1 0", "d_v1 1", "  d_v1   1.0"])
+def test_read_solution_rejects_a_name_given_twice(second):
+    """A repeated name is an error, whatever its values: keeping one of
+    them would check a schedule the file does not state."""
+    text = f"d_v1 1\n# comment\nx_k1_a2 0.5\n\n{second}\n"
+    with pytest.raises(CssndError, match=r"^solution line 5: d_v1 given twice$"):
+        read_solution(text)
 
 
 def test_all_zero_assignment_violates_cover(sample_model):
@@ -439,7 +453,7 @@ def reference_mps(model: ModelIR) -> str:
 
 def add_row(model: ModelIR, name, coefs, cols, sense, rhs) -> None:
     """A family of one row."""
-    model.add_rows(name, sense, (), lambda: [(coefs, cols, rhs)])
+    model.add_rows(name, sense, (), lambda positions: [(0, coefs, cols, rhs)])
 
 
 def edge_case_model() -> ModelIR:
@@ -448,8 +462,8 @@ def edge_case_model() -> ModelIR:
     model.add_family("x{}", "continuous", [1, 2, 3, 4])     # columns 3-6
     model.add_family("z{}", "binary", [7, 8])               # columns 7-8
     # column 4 is listed twice; column 2 appears nowhere, column 6 in no row
-    model.objective = [(2.5, 0), (0.0, 3), (-1.25, 4), (3.0, 4), (1e-7, 6),
-                       (-0.0, 7)]
+    model.objective_terms = lambda support: [
+        (2.5, 0), (0.0, 3), (-1.25, 4), (3.0, 4), (1e-7, 6), (-0.0, 7)]
     add_row(model, "zeros", [0.0, -0.0, 0.0, 1.0], [0, 1, 3, 5], "<=", 1.5)
     add_row(model, "runs", [1.0, 1.0, -2.0, 1.0, 1.0, 1 / 3, 1 / 3],
             [3, 4, 0, 5, 1, 8, 7], ">=", -3.0)
@@ -471,8 +485,8 @@ def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
     """Keys 1 and 2 of family bad_r{}: the family yields a good row and then
     `count - 1` copies of (coefs, cols); every reader of rows raises."""
     model = edge_case_model()
-    rows = [([2.0], [1], 0.0)] + [(coefs, cols, 0.0)] * (count - 1)
-    model.add_rows("bad_r{}", "<=", ([1, 2],), lambda: rows)
+    rows = [(0, [2.0], [1], 0.0)] + [(at, coefs, cols, 0.0) for at in range(1, count)]
+    model.add_rows("bad_r{}", "<=", ([1, 2],), lambda positions: rows)
     readers = {
         "lp": lambda: export_lp(model, tmp_path / "m.lp"),
         "mps": lambda: export_mps(model, tmp_path / "m.mps"),
@@ -630,6 +644,129 @@ def test_checker_matches_a_term_by_term_reference(name):
         assert result.violations == violations
         assert result.feasible == (not violations)
         assert repr(result.objective) == repr(objective)
+
+
+SKIP_INSTANCES = {
+    "sample": make_sample_instance,
+    "small10.s7": lambda: generate_instance("small", 10, seed=7),
+}
+SKIP_OPTIONS = {
+    "plain": ModelOptions(),
+    "strong": ModelOptions(strong_forcing=True),
+    "vi": ModelOptions(add_vi_gamma=True, add_vi_phi=True),
+    "near21": ModelOptions(near_opt=21),
+    "near22": ModelOptions(near_opt=22),
+    "near23": ModelOptions(near_opt=23),
+    "shift": ModelOptions(shift_restriction=0.25),
+    "shift.literal": ModelOptions(shift_restriction=0.25, literal_shift_rule=True),
+}
+
+
+@pytest.mark.parametrize("options_name", SKIP_OPTIONS)
+@pytest.mark.parametrize("instance_name", SKIP_INSTANCES)
+def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
+                                                              options_name):
+    """Against the full read, a read of `_rows` with a support keeps rows
+    in model order, each equal to the full read's row at its position, and
+    leaves out only rows with rhs 0 and no support column; the objective
+    keeps, in term order, every term of a support column.  Supports: none,
+    the heuristic schedule's, a seeded random sparse one, every column."""
+    instance = SKIP_INSTANCES[instance_name]()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    model = build_mip(instance, tsn, tcs, options=SKIP_OPTIONS[options_name])
+    full = [(coefs, cols, rhs) for _, _, coefs, cols, rhs in _rows(model)]
+    at = {(id(family), key): family.base + position
+          for family in model.row_families
+          for position, key in enumerate(itertools.product(*family.axes))}
+    terms = model.objective
+    column = {name: col for col, name in enumerate(model.variables)}
+    schedule = solution_to_assignment(run_dmam(instance, "a")[0])
+    rng = random.Random(f"support-read/{instance_name}/{options_name}")
+    supports = {
+        "empty": [],
+        "schedule": sorted(column[name] for name, x in schedule.items() if x),
+        "sparse": [c for c in range(model.column_count) if rng.random() < 0.02],
+        "all": list(range(model.column_count)),
+    }
+    for name, support in supports.items():
+        held = set(support)
+        kept = [at[id(family), key]
+                for family, key, _, _, _ in _rows(model, support)]
+        assert kept == sorted(set(kept)), name
+        for r, (family, key, coefs, cols, rhs) in zip(kept, _rows(model, support)):
+            assert (coefs, cols, rhs) == full[r], (name, family.template, key)
+        for r in sorted(set(range(len(full))) - set(kept)):
+            coefs, cols, rhs = full[r]
+            assert rhs == 0 and held.isdisjoint(cols), (name, r)
+        if name == "all":
+            assert kept == list(range(len(full)))
+        priced = list(model.objective_terms(support))
+        assert priced == [term for term in terms if term[1] in held], name
+
+
+@pytest.fixture(scope="module")
+def schedules(tmp_path_factory):
+    """Small k=10 seeds 1 and 7: instance, network, TCs, model, the model's
+    fields as the reference reads them, and the lines of the `.sol` that
+    `cssnd solve` writes."""
+    made = {}
+    for seed in (1, 7):
+        inst = tmp_path_factory.mktemp("sol") / "i.json"
+        sol = inst.with_suffix(".sol")
+        assert main(["gen", "--size", "small", "--k", "10", "--seed", str(seed),
+                     "--out", str(inst)]) == 0
+        assert main(["solve", "--in", str(inst), "--sol", str(sol)]) == 0
+        instance = generate_instance("small", 10, seed=seed)
+        tsn = build_time_space_network(instance.physical, instance.period_count)
+        tcs, _ = expand_commodities(instance)
+        model = build_mip(instance, tsn, tcs)
+        # the reference reads these fields only; made once, not per example
+        frozen = SimpleNamespace(
+            variables=model.variables, families=model.families,
+            column_count=model.column_count,
+            constraints=list(model.constraints), objective=model.objective)
+        made[seed] = (instance, tsn, tcs, model, frozen,
+                      sol.read_text().splitlines())
+    return made
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 10**6)),
+    st.tuples(st.just("set"), st.integers(0, 10**6),
+              st.sampled_from([0.0, 0.5, 2.0, -1.0])),
+    st.tuples(st.just("add"), st.integers(0, 10**6),
+              st.sampled_from([1.0, 0.5, 2.0, -1.0])),
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.sampled_from([1, 7]), mutation=MUTATIONS)
+def test_checker_matches_the_reference_on_mutated_schedules(schedules, seed,
+                                                             mutation):
+    """The heuristic's `.sol` with one line dropped, one value set to
+    0/0.5/2/-1, or one stray name of the model added at a nonzero value:
+    the support-read check gives the reference's violations, in order, its
+    verdict and its objective repr."""
+    instance, tsn, tcs, model, frozen, lines = schedules[seed]
+    lines = list(lines)
+    kind, pick, *value = mutation
+    if kind == "add":
+        given_names = {line.split()[0] for line in lines}
+        stray = [name for name in model.variables if name not in given_names]
+        lines.append(f"{stray[pick % len(stray)]} {value[0]!r}")
+    elif kind == "drop":
+        del lines[pick % len(lines)]
+    else:
+        name = lines[pick % len(lines)].split()[0]
+        lines[pick % len(lines)] = f"{name} {value[0]!r}"
+    assignment = read_solution("\n".join(lines) + "\n")
+    violations, objective = reference_check(frozen, assignment)
+    result = check_solution(instance, tsn, tcs, model, assignment)
+    assert result.violations == violations
+    assert result.feasible == (not violations)
+    assert repr(result.objective) == repr(objective)
 
 
 def test_plain_model_of_the_large_golden_instance_holds_under_20_mib():
