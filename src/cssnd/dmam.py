@@ -25,11 +25,12 @@ takes it from back, so a pair that overruns by one or two periods is retried
 with the early/tardy sibling paths whose offsets absorb it.
 
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
-particle cut from one, or a lone cycle's service leg.  A merge and a mix
-both place two legs on one axis and hand them to `_commit`, which swaps the
-new paths in, closes the cycle, and undoes the swaps when it is refused.
-A cycle is walked once, when it closes: `_walk` checks it and returns the
-arc sequence the asset runs.
+particle cut from one, or a lone cycle's service leg.  `_lag` is the one
+rule that places a second leg on a cycle's axis.  A merge and a mix both
+hand `_commit` the placed legs and the paths they replace; it swaps the new
+paths in, closes the cycle, and undoes the swaps when it is refused.  A
+cycle is walked once, when it closes: `_walk` checks it and returns the arc
+sequence the asset runs.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -65,20 +66,15 @@ CONFIG_RANDOM = "r"
 CONFIG_CUSTOM = "c"
 CONFIG_ADVANCED = "a"
 
-# Shifting alternatives: (path-one offset, path-two offset); 0 leaves both
-# chains where they are, the next four move a single chain one period, the
-# last two move both in opposite directions for a combined shift of two.
-ALTERNATIVES = {
-    0: (0, 0),
-    1: (1, 0),
-    2: (-1, 0),
-    3: (0, 1),
-    4: (0, -1),
-    5: (1, -1),
-    6: (-1, 1),
-}
-# The alternatives tried for a pair that overruns by 0, 1 or 2 periods.
-TRIES = ((0,), (1, 2, 3, 4), (5, 6))
+# The shifting alternatives, (path-one offset, path-two offset), tried for a
+# pair that overruns by 0, 1 or 2 periods: both chains where they are; a
+# single chain moved one period; both moved in opposite directions for a
+# combined shift of two.
+TRIES = (
+    ((0, 0),),
+    ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    ((1, -1), (-1, 1)),
+)
 
 
 class Leg(NamedTuple):
@@ -88,7 +84,6 @@ class Leg(NamedTuple):
     normalized period and may exceed |T|."""
 
     path_id: int
-    oc_id: int
     phys_from: int
     phys_to: int
     start: int
@@ -102,26 +97,21 @@ class Leg(NamedTuple):
 
 def leg_view(path: CommodityPath) -> Leg:
     return Leg(
-        path.id, path.oc_id, path.origin_physical, path.dest_physical,
+        path.id, path.origin_physical, path.dest_physical,
         path.depart_period, path.busy_periods, path.arcs,
     )
 
 
-def adjust_times(leg1: Leg, leg2: Leg, period_count: int):
-    """Normalize the two chains onto one forward timeline.
+def _lag(leg1: Leg, leg2: Leg, period_count: int) -> int:
+    """How far `leg2` moves to run after `leg1` on the cycle's axis: not at
+    all when it starts after `leg1`, else one horizon.  The cycle closes one
+    horizon after `leg1` starts."""
+    return 0 if leg2.start > leg1.start else period_count
 
-    Returns (t_o1, t_d1, t_o2, t_d2, t_wrap) where t_wrap = t_o1 + |T| is
-    the moment the cycle must close.
-    """
-    t_o1, t_d1 = leg1.start, leg1.end
-    t_o2, t_d2 = leg2.start, leg2.end
-    # busy spans already encode any due-before-release wrap, so the first
-    # two prerequisites hold by construction; the third aligns path two
-    # after path one.
-    if t_o1 >= t_o2:
-        t_o2 += period_count
-        t_d2 += period_count
-    return t_o1, t_d1, t_o2, t_d2, t_o1 + period_count
+
+def _place(leg1: Leg, leg2: Leg, period_count: int) -> Leg:
+    """`leg2` moved onto `leg1`'s axis."""
+    return leg2._replace(start=leg2.start + _lag(leg1, leg2, period_count))
 
 
 def _overruns(leg1: Leg, leg2: Leg, instance: Instance) -> tuple[int, int]:
@@ -129,13 +119,12 @@ def _overruns(leg1: Leg, leg2: Leg, instance: Instance) -> tuple[int, int]:
     the second origin, and the second chain plus the trip back to the first
     origin, overrun the next start on the normalized axis.  The chains fit
     one cycle when neither is positive."""
-    t_o1, t_d1, t_o2, t_d2, t_wrap = adjust_times(
-        leg1, leg2, instance.period_count
-    )
+    period_count = instance.period_count
+    t_o2 = leg2.start + _lag(leg1, leg2, period_count)
     d = instance.physical.d     # 0 on the diagonal
     return (
-        d(leg1.phys_to, leg2.phys_from) + t_d1 - t_o2,
-        d(leg2.phys_to, leg1.phys_from) + t_d2 - t_wrap,
+        d(leg1.phys_to, leg2.phys_from) + leg1.end - t_o2,
+        d(leg2.phys_to, leg1.phys_from) + t_o2 + leg2.busy - leg1.start - period_count,
     )
 
 
@@ -146,17 +135,25 @@ def check_regular_merge(leg1: Leg, leg2: Leg, instance: Instance) -> bool:
 
 class MergeCandidate(NamedTuple):
     """A feasible pair: `path_one` and `path_two` are replaced by `new_one`
-    and `new_two` (themselves when `alternative` is 0), whose legs start at
+    and `new_two` (themselves in a regular merge), whose legs start at
     `start_one` and `start_two` on the cycle's axis."""
 
     path_one: CommodityPath
     path_two: CommodityPath
-    alternative: int            # key of ALTERNATIVES, 0 for regular merges
     combined_cost: float
     new_one: CommodityPath
     new_two: CommodityPath
     start_one: int
     start_two: int
+
+    @property
+    def legs(self) -> list[Leg]:
+        """The new paths' legs where `explore_pair` placed them.  Shifted
+        sibling chains keep their shape, so the offsets move them rigidly."""
+        return [
+            leg_view(self.new_one)._replace(start=self.start_one),
+            leg_view(self.new_two)._replace(start=self.start_two),
+        ]
 
 
 class PathBook:
@@ -357,8 +354,7 @@ def explore_pair(
     if overrun > 2:
         return None
     best = None
-    for m in TRIES[overrun]:
-        a1, a2 = ALTERNATIVES[m]
+    for a1, a2 in TRIES[overrun]:
         if forth + a1 - a2 > 0 or back - a1 + a2 > 0:
             continue
         new1 = solution.book.sibling(path1, a1) if a1 else path1
@@ -367,15 +363,12 @@ def explore_pair(
             continue
         cost = new1.cost + new2.cost
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, m, new1, new2)
+            best = (cost, new1, new2, a1, a2)
     if best is None:
         return None
-    cost, m, new1, new2 = best
-    a1, a2 = ALTERNATIVES[m]
-    t_o1, _, t_o2, _, _ = adjust_times(leg1, leg2, instance.period_count)
-    return MergeCandidate(
-        path1, path2, m, cost, new1, new2, t_o1 + a1, t_o2 + a2
-    )
+    cost, new1, new2, a1, a2 = best
+    start_two = leg2.start + _lag(leg1, leg2, instance.period_count) + a2
+    return MergeCandidate(path1, path2, cost, new1, new2, leg1.start + a1, start_two)
 
 
 def _plan_repositioning(
@@ -502,17 +495,21 @@ def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> Non
 def _commit(
     solution: Solution,
     legs: list[Leg],
-    swaps: list[tuple[CommodityPath, CommodityPath]],
+    replaced: list[CommodityPath],
     failure: str,
 ) -> bool:
-    """Replace the cycles carrying the legs' or the swapped paths' ids by one
-    cycle running `legs`, delivering each swap's commodity by its new path.
+    """Replace the cycles carrying the legs' or the replaced paths' ids by
+    one cycle running `legs`.  The path of `legs[i]` delivers the commodity
+    of `replaced[i]`, and is swapped in where it is another path.
 
     Refused, changing nothing, when a new path's service slot is held by
     any path but the one it replaces, when two new paths share a slot, or
     when some empty trip of the cycle finds no free slot.
     """
-    swaps = [(old, new) for old, new in swaps if new.id != old.id]
+    swaps = [
+        (old, solution.book.by_id[leg.path_id])
+        for leg, old in zip(legs, replaced) if leg.path_id != old.id
+    ]
     registry = solution.svc_registry
     incoming = [new.arcs[new.lead_holds] for _, new in swaps]
     if len(set(incoming)) != len(incoming) or any(
@@ -527,7 +524,7 @@ def _commit(
         for old, new in swaps:
             _reselect(solution, new, old)
         return False
-    drop = {leg.path_id for leg in legs} | {old.id for old, _ in swaps}
+    drop = {leg.path_id for leg in legs} | {old.id for old in replaced}
     solution.cycles = [
         c for c in solution.cycles if drop.isdisjoint(c.carried_paths)
     ]
@@ -536,16 +533,10 @@ def _commit(
 
 
 def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
-    """Commit the merged cycle of a feasible candidate: its new paths' legs
-    start where `explore_pair` checked them.  Shifted sibling chains keep
-    their shape, so the offsets move them rigidly."""
-    c = candidate
-    legs = [
-        leg_view(c.new_one)._replace(start=c.start_one),
-        leg_view(c.new_two)._replace(start=c.start_two),
-    ]
+    """Commit the merged cycle of a feasible candidate: its legs start
+    where `explore_pair` checked them."""
     return _commit(
-        solution, legs, [(c.path_one, c.new_one), (c.path_two, c.new_two)],
+        solution, candidate.legs, [candidate.path_one, candidate.path_two],
         "merged cycle failed its walk",
     )
 
@@ -729,34 +720,16 @@ def _try_mix_cycle(
             for target in targets:
                 if not check_regular_merge(target, particle, instance):
                     continue
-                if _execute_mix(
-                    solution, current, target, particle, dominant_ids[0]
+                # a particle cut from another path of `current`'s
+                # commodity swaps that path in
+                legs = [target, _place(target, particle, instance.period_count)]
+                if _commit(
+                    solution, legs, [book.by_id[target.path_id], current],
+                    "mix produced an invalid cycle",
                 ):
+                    solution.dominant.add(dominant_ids[0])
                     return True
     return False
-
-
-def _execute_mix(
-    solution: Solution,
-    current: CommodityPath,
-    target: Leg,
-    particle: Leg,
-    dominant_id: int,
-) -> bool:
-    """Commit the cycle running `target` and then `particle`; when the
-    particle is cut from another path of `current`'s commodity, that path
-    replaces `current`."""
-    _, _, t_o2, _, _ = adjust_times(
-        target, particle, solution.instance.period_count
-    )
-    legs = [target, particle._replace(start=t_o2)]
-    new = solution.book.by_id[particle.path_id]
-    if not _commit(
-        solution, legs, [(current, new)], "mix produced an invalid cycle"
-    ):
-        return False
-    solution.dominant.add(dominant_id)
-    return True
 
 
 def resolve_capacity(solution: Solution) -> None:

@@ -306,6 +306,8 @@ def build_mip(
     # Column arithmetic, assets and variants counted from 0: y of asset v
     # on asset arc i is y_col[v] + i, x of the q-th TC on arc position a is
     # x_col[q] + a, s likewise with the position among the outsourced arcs.
+    # The network lays its arcs out as holding, service, then outsourced, so
+    # asset arc i is at x position i and outsourced arc o at n_asset + o.
     n_asset, n_out, n_arcs = len(asset_arcs), len(outsourced_arcs), len(tsn.arcs)
     n_tc, n_nodes = len(tcs), tsn.ts_node_count
     y_col = [y.base + v * n_asset for v in range(v_total)]
@@ -313,14 +315,7 @@ def build_mip(
     p_col = [p.base + q for q in range(n_tc)]
     x_col = [x.base + q * n_arcs for q in range(n_tc)]
     s_col = [s.base + q * n_out for q in range(n_tc)]
-    position = {arc.id: a for a, arc in enumerate(tsn.arcs)}
-    asset_pos = [position[arc.id] for arc in asset_arcs]        # asset arc -> x
-    out_pos = [position[arc.id] for arc in outsourced_arcs]     # outsourced -> x
-    asset_at = {a: i for i, a in enumerate(asset_pos)}          # and back
-    out_at = {a: o for o, a in enumerate(out_pos)}
-    service_first = len(tsn.holding_arcs)                       # in asset_arcs
-    service_at = {asset_pos[i]: i - service_first               # x -> cap row
-                  for i in range(service_first, n_asset)}
+    service_first = len(tsn.holding_arcs)   # service arc j: asset arc service_first + j
 
     def cells(support: list[int], family: Family, width: int) -> list:
         """(row, column) of each support column in `family`, laid out in
@@ -348,8 +343,8 @@ def build_mip(
             yield from (fixed[v] for v, _ in cells(support, d, 1))
             on: dict[int, tuple[list, list]] = {}
             for q, a in cells(support, x, n_arcs):
-                if a in asset_at:
-                    on.setdefault(q, ([], []))[0].append(asset_at[a])
+                if a < n_asset:
+                    on.setdefault(q, ([], []))[0].append(a)
             for q, o in cells(support, s, n_out):
                 on.setdefault(q, ([], []))[1].append(o)
             picked = ((q, sorted(on_assets), on_out)
@@ -362,7 +357,7 @@ def build_mip(
             m = costs.multiplier(tc.kind)
             xq, sq = x_col[q], s_col[q]
             for i, price in zip(on_assets, asset_prices(tc.id)):
-                yield m * price, xq + asset_pos[i]
+                yield m * price, xq + i
             for o, price in zip(on_out, out_prices(tc.id)):
                 yield m * price, sq + o
 
@@ -387,12 +382,11 @@ def build_mip(
         banned = [t for t in periods if t not in allowed]
 
         def transit(positions, xq=x_col[q], banned=banned):
-            return ((j, *ones([xq + asset_pos[i] for i in asset_spans[banned[j]]]))
+            return ((j, *ones([xq + i for i in asset_spans[banned[j]]]))
                     for j in positions)
 
         def transit_touched(support, xq=x_col[q], banned=banned):
-            used = [asset_arcs[asset_at[c - xq]]
-                    for c in _between(support, xq, xq + n_arcs) if c - xq in asset_at]
+            used = [asset_arcs[c - xq] for c in _between(support, xq, xq + n_asset)]
             return [j for j, t in enumerate(banned)
                     if any(arc.spans(t, period_count) for arc in used)]
 
@@ -469,10 +463,11 @@ def build_mip(
         for at in positions:
             i = service_first + at
             yield (at, [1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
-                   [xq + asset_pos[i] for xq in x_col] + [yv + i for yv in y_col], 0.0)
+                   [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
 
     def cap_touched(support):
-        used = {service_at[a] for _, a in cells(support, x, n_arcs) if a in service_at}
+        used = {a - service_first for _, a in cells(support, x, n_arcs)
+                if service_first <= a < n_asset}
         used.update(i - service_first for _, i in cells(support, y, n_asset)
                     if i >= service_first)
         return sorted(used)
@@ -487,11 +482,12 @@ def build_mip(
                 q, j = divmod(at, n_service)
                 strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
                 yield (at, [1.0] + [-strength] * v_total,
-                       [x_col[q] + asset_pos[service_first + j], *y_cols[j]], 0.0)
+                       [x_col[q] + service_first + j, *y_cols[j]], 0.0)
 
         def strong_touched(support):
-            rows = {q * n_service + service_at[a]
-                    for q, a in cells(support, x, n_arcs) if a in service_at}
+            rows = {q * n_service + a - service_first
+                    for q, a in cells(support, x, n_arcs)
+                    if service_first <= a < n_asset}
             for _, i in cells(support, y, n_asset):
                 if i >= service_first:
                     rows.update(range(i - service_first, n_tc * n_service, n_service))
@@ -503,10 +499,11 @@ def build_mip(
     def outsource(positions):
         for at in positions:
             q, o = divmod(at, n_out)
-            yield at, [1.0, -tcs[q].volume], [x_col[q] + out_pos[o], s_col[q] + o], 0.0
+            yield at, [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
 
     def outsource_touched(support):
-        rows = {q * n_out + out_at[a] for q, a in cells(support, x, n_arcs) if a in out_at}
+        rows = {q * n_out + a - n_asset
+                for q, a in cells(support, x, n_arcs) if a >= n_asset}
         rows.update(q * n_out + o for q, o in cells(support, s, n_out))
         return sorted(rows)
 

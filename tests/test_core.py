@@ -91,6 +91,23 @@ def test_arc_counts_hold_for_random_networks():
         assert len(tsn.arcs) == n * (n - 1) * 7 * 2 + n * 7
 
 
+def test_arcs_are_laid_out_holding_service_outsourced():
+    """The layout the model's column arithmetic and `tsn.arcs[id - 1]`
+    lookups rely on."""
+    d = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+    for physical in (uniform_network(4, 3),
+                     PhysicalNetwork(3, tuple(tuple(r) for r in d))):
+        tsn = build_time_space_network(physical, 7)
+        assert tsn.arcs == tsn.holding_arcs + tsn.service_arcs + tsn.outsourced_arcs
+        assert [arc.id for arc in tsn.arcs] == list(range(1, len(tsn.arcs) + 1))
+        assert len(tsn.outsourced_arcs) == len(tsn.service_arcs)
+        for svc, out in zip(tsn.service_arcs, tsn.outsourced_arcs):
+            assert (svc.kind, out.kind) == ("service", "outsourced")
+            assert (out.phys_from, out.phys_to, out.depart, out.duration) == (
+                svc.phys_from, svc.phys_to, svc.depart, svc.duration
+            )
+
+
 def test_service_arc_arrival_and_wrap():
     d = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
     tsn = build_time_space_network(

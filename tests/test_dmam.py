@@ -20,18 +20,18 @@ from cssnd.core import (
     wrap_period,
 )
 from cssnd.dmam import (
-    ALTERNATIVES,
     Leg,
     MergeCandidate,
     PathBook,
     Solution,
-    adjust_times,
+    TRIES,
     check_regular_merge,
     construct_initial,
     _commit,
     _execute_merge,
     _overruns,
     _pair_order,
+    _place,
     _plan_repositioning,
     _walk,
     explore_pair,
@@ -54,7 +54,6 @@ from tests.conftest import make_sample_instance
 def leg(oc, frm, to, start, busy, pid=None):
     return Leg(
         path_id=pid if pid is not None else oc,
-        oc_id=oc,
         phys_from=frm,
         phys_to=to,
         start=start,
@@ -87,23 +86,38 @@ def make_instance(commodities, n=5, d_value=2, owned=7, leasable=5, seed=5):
 # --- time normalization -----------------------------------------------------
 
 
-def test_adjust_times_pushes_wrapping_due():
+def axis_times(leg1, leg2, period_count=7):
+    """(t_o1, t_d1, t_o2, t_d2, t_wrap) with `leg2` placed after `leg1`,
+    checking that placing moves nothing but the start."""
+    placed = _place(leg1, leg2, period_count)
+    assert placed == leg2._replace(start=placed.start)
+    return leg1.start, leg1.end, placed.start, placed.end, leg1.start + period_count
+
+
+def test_place_pushes_wrapping_due():
     # release 5, due 3 spans five periods past the horizon edge
-    times = adjust_times(leg(1, 1, 2, 5, 5), leg(2, 2, 1, 6, 1), 7)
+    times = axis_times(leg(1, 1, 2, 5, 5), leg(2, 2, 1, 6, 1))
     assert times == (5, 10, 6, 7, 12)
 
 
-def test_adjust_times_orders_second_after_first():
-    times = adjust_times(leg(1, 1, 2, 2, 2), leg(2, 2, 1, 1, 2), 7)
+def test_place_orders_second_after_first():
+    times = axis_times(leg(1, 1, 2, 2, 2), leg(2, 2, 1, 1, 2))
     t_o1, t_d1, t_o2, t_d2, t_wrap = times
     assert (t_o1, t_d1) == (2, 4)
     assert (t_o2, t_d2) == (8, 10)
     assert t_wrap == 9
 
 
-def test_adjust_times_leaves_ordered_pair_alone():
-    assert adjust_times(leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2), 7) == (
+def test_place_leaves_ordered_pair_alone():
+    assert axis_times(leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2)) == (
         1, 3, 4, 6, 8,
+    )
+
+
+def test_place_pushes_a_second_leg_starting_together():
+    # two chains cannot start together on one asset
+    assert axis_times(leg(1, 1, 2, 3, 2), leg(2, 2, 1, 3, 2)) == (
+        3, 5, 10, 12, 10,
     )
 
 
@@ -221,10 +235,13 @@ def four_type_slacks(leg1, leg2, instance, a1=0, a2=0):
     """The paper's rule: classify the pair by which repositioning legs it
     needs, then list how far each of that type's time-wise conditions is
     from holding with the chains moved by a1 and a2 (a strict x < y is
-    x - y + 1 <= 0 on integer periods)."""
-    t_o1, t_d1, t_o2, t_d2, t_wrap = adjust_times(
-        leg1, leg2, instance.period_count
-    )
+    x - y + 1 <= 0 on integer periods).  The second chain starts in the
+    horizon after the first one's start, t_o1 < t_o2 <= t_wrap."""
+    period_count = instance.period_count
+    t_o1, t_d1 = leg1.start, leg1.start + leg1.busy
+    t_wrap = t_o1 + period_count
+    t_o2 = t_o1 + (leg2.start - t_o1 - 1) % period_count + 1
+    t_d2 = t_o2 + leg2.busy
     t_o1, t_d1, t_wrap = t_o1 + a1, t_d1 + a1, t_wrap + a1
     t_o2, t_d2 = t_o2 + a2, t_d2 + a2
     forth_matches = leg1.phys_to == leg2.phys_from
@@ -274,7 +291,7 @@ def test_two_overruns_equal_the_four_type_rule():
             start_two = wrap_period(start + busy1 + gap, period_count)
             leg2 = leg(2, origin_two, dest_two, start_two, busy2)
             forth, back = _overruns(leg1, leg2, instance)
-            for a1, a2 in ALTERNATIVES.values():
+            for a1, a2 in itertools.chain(*TRIES):
                 expected = max(four_type_slacks(leg1, leg2, instance, a1, a2))
                 assert max(forth + a1 - a2, back - a1 + a2) == expected
                 checked += 1
@@ -298,13 +315,6 @@ def shifted_fixture(kind_one="original", kind_two="original", specs=None):
     return Solution(instance=instance, tsn=book.tsn, book=book), p1, p2
 
 
-def placed_legs(candidate):
-    return [
-        leg_view(candidate.new_one)._replace(start=candidate.start_one),
-        leg_view(candidate.new_two)._replace(start=candidate.start_two),
-    ]
-
-
 def test_shifted_merge_finds_single_period_alternative():
     solution, p1, p2 = shifted_fixture()
     instance = solution.instance
@@ -312,9 +322,13 @@ def test_shifted_merge_finds_single_period_alternative():
     assert _overruns(leg_view(p1), leg_view(p2), instance) == (1, -4)
     candidate = explore_pair(p1, p2, solution)
     assert candidate is not None
-    assert candidate.alternative in (2, 3)
+    # path one a period earlier, or path two a period later
+    book = solution.book
+    assert (candidate.new_one, candidate.new_two) in (
+        (book.sibling(p1, -1), p2), (p1, book.sibling(p2, 1)),
+    )
     # the shifted chains meet end to end: no repositioning trip
-    assert _plan_repositioning(solution, placed_legs(candidate)) == []
+    assert _plan_repositioning(solution, candidate.legs) == []
 
 
 def test_shifted_merge_skips_missing_siblings():
@@ -358,7 +372,7 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
     for p1, p2 in _pair_order(solution):
         candidate = explore_pair(p1, p2, solution)
         if candidate is not None:
-            assert cycle_oracle(*placed_legs(candidate), instance), candidate
+            assert cycle_oracle(*candidate.legs, instance), candidate
 
 
 # --- merged cycle construction ----------------------------------------------
@@ -375,7 +389,6 @@ def test_merge_paths_builds_closed_cycle():
     assert candidate == MergeCandidate(
         path_one=p1,
         path_two=p2,
-        alternative=0,
         combined_cost=p1.cost + p2.cost,
         new_one=p1,
         new_two=p2,
@@ -421,8 +434,33 @@ def test_refused_commit_for_a_held_slot_changes_nothing():
     )
     before = _state(solution)
     legs = [leg_view(stolen), leg_view(solution.selected[2])]
-    assert not _commit(solution, legs, [(current, stolen)], "unused")
+    assert not _commit(
+        solution, legs, [current, solution.selected[2]], "unused"
+    )
     assert _state(solution) == before
+
+
+def test_refused_mix_commit_for_a_held_slot_changes_nothing(monkeypatch):
+    # the mix form: the target leg keeps its own path, and the particle's
+    # path would replace commodity 3's but its slot is held by commodity 1
+    book, solution = rollback_fixture()
+    target_path, current = solution.selected[2], solution.selected[3]
+    holder = solution.selected[1]
+    stolen = next(
+        p for p in book.oc_paths(3)
+        if p.mode == "offered" and slot(p) == slot(holder)
+    )
+    reselected = []
+    monkeypatch.setattr(
+        "cssnd.dmam._reselect", lambda _, old, new: reselected.append((old, new))
+    )
+    before = _state(solution)
+    target = leg_view(target_path)
+    legs = [target, _place(target, leg_view(stolen), 7)]
+    assert not _commit(solution, legs, [target_path, current], "unused")
+    assert _state(solution) == before
+    assert reselected == []
+    assert solution.selected[2] is target_path
 
 
 def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
@@ -438,7 +476,7 @@ def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
     # first one ends, so the swap to `alt` must be rolled back
     first = leg_view(alt)._replace(start=1, busy=2)
     legs = [first, leg_view(other)._replace(start=first.end)]
-    assert not _commit(solution, legs, [(current, alt)], "unused")
+    assert not _commit(solution, legs, [current, other], "unused")
     assert _state(solution) == before
 
 
@@ -451,8 +489,8 @@ def test_simulation_rejects_window_violations():
 
     def walk_with_second_start(start):
         legs = [
-            Leg(p1.id, p1.oc_id, 1, 2, 1, 2, p1.arcs),
-            Leg(p2.id, p2.oc_id, 2, 1, start, 2, p2.arcs),
+            Leg(p1.id, 1, 2, 1, 2, p1.arcs),
+            Leg(p2.id, 2, 1, start, 2, p2.arcs),
         ]
         return _walk(solution, legs, [], "test cycle")
 
@@ -519,7 +557,7 @@ def test_partition_by_busy_span():
 
 def cand(i, j, cost=1.0):
     one, two = SimpleNamespace(id=i), SimpleNamespace(id=j)
-    return MergeCandidate(one, two, 0, cost, one, two, 0, 0)
+    return MergeCandidate(one, two, cost, one, two, 0, 0)
 
 
 def test_scopf_single_candidate():
