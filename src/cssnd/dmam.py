@@ -183,28 +183,19 @@ class PathBook:
         ]
 
     def sibling(self, path: CommodityPath, offset: int) -> CommodityPath | None:
-        """Same-shape offered path of the TC shifted by `offset` periods."""
-        if path.mode != OFFERED:
-            return None
+        """Same-shape offered path of the TC shifted by `offset` periods.
+        A commodity's variants share one window span, so `enumerate_paths`
+        gives them one list of shapes: the sibling sits at the same index."""
         shift = KIND_SHIFT[path.kind] + offset
-        if shift not in (-1, 0, 1):
+        if path.mode != OFFERED or shift not in (-1, 0, 1):
             return None
-        kind_index = shift + 1     # early, original, tardy
-        sibling_tc = self.incidence[path.oc_id][kind_index]
-        for p in self.by_tc[sibling_tc]:
-            if (
-                p.mode == OFFERED
-                and p.lead_holds == path.lead_holds
-                and p.trail_holds == path.trail_holds
-            ):
-                return p
-        return None
+        tc_id = self.incidence[path.oc_id][shift + 1]     # early, original, tardy
+        return self.by_tc[tc_id][path.id - self.by_tc[path.tc_id][0].id]
 
     def cheapest_outsourced(self, oc_id: int) -> CommodityPath:
-        return min(
-            (p for p in self.oc_paths(oc_id) if p.mode == OUTSOURCED_MODE),
-            key=lambda p: (p.cost, p.id),
-        )
+        """Each variant's outsourced path ends its list."""
+        return min((self.by_tc[tc_id][-1] for tc_id in self.incidence[oc_id]),
+                   key=lambda p: (p.cost, p.id))
 
 
 @dataclass

@@ -9,15 +9,15 @@ Columns and rows are catalogued by families (`Family`: one column or row
 per key of a product of axes, in row-major order), so a column or row is
 an integer and its name is made from its family's template only where
 text is written.  The model stores neither rows nor prices: a row family
-holds a function that makes the rows at given positions, and the
-objective is a function that prices its (coef, col) terms, each time
-they are read.  `_rows` is the one reader of rows; it checks every row's
-columns as it goes, and on a full read every family's row count.  The
-LP and MPS writers and the `ModelIR.constraints` view read the whole
-model.  `check_solution` reads it against the assignment's support, the
-columns at a nonzero value: a row family may then leave out a row whose
-rhs is 0 and which holds no support column (its activity, 0, meets its
-rhs), and the objective prices only support columns.  The writers
+holds a function that makes its row at one position, and the objective
+is a function that prices its (coef, col) terms, each time they are
+read.  `_rows` is the one reader of rows and the one loop over their
+positions; it checks every row's columns as it goes.  The LP and MPS
+writers and the `ModelIR.constraints` view read the whole model.
+`check_solution` reads it against the assignment's support, the columns
+at a nonzero value: a row family may then leave out a row that holds no
+support column and whose activity there, 0, meets its sense, and the
+objective prices only support columns.  The writers
 stream their text, the MPS names sidecar too, to files in chunks of
 characters, so the whole text never sits in memory.
 
@@ -95,12 +95,12 @@ class Family:
     """A block of columns or rows: one per key of the product of `axes`
     (tuples of distinct ints), in row-major order from index `base`, named
     by filling `template`'s `{}` fields with the key.  `kind` is a column's
-    domain or a row's sense.  A row family's `make(positions)` makes the
-    rows at ascending `positions` (offsets from `base`) as (position,
-    coefs, cols, rhs), afresh at every call; its `touched(support)` gives,
-    ascending, the positions of at least every row that holds a column of
-    `support` (a sorted list of columns) or has a nonzero rhs, and None
-    stands for a family whose rows are all made at every read."""
+    domain or a row's sense.  A row family's `make(at)` makes the row at
+    position `at` (an offset from `base`) as (coefs, cols, rhs), afresh at
+    every call; its `touched(support)` gives, ascending, the positions of
+    at least every row that holds a column of `support` (a sorted list of
+    columns) or whose zero activity breaks its sense, and None stands for
+    a family whose rows are all made at every read."""
 
     def __init__(self, template: str, kind: str, base: int, axes,
                  make=None, touched=None):
@@ -194,9 +194,9 @@ class ModelIR:
     def add_rows(self, template: str, sense: str, axes, make,
                  touched=None) -> Family:
         """Append a family of rows, one per key of the product of `axes`;
-        `make(positions)` makes those at `positions`, each the sum of
-        coefs[i] * column cols[i] with its sense and rhs, and `touched`
-        finds the ones a support reaches (see `Family`)."""
+        `make(at)` makes the one at position `at`, the sum of coefs[i] *
+        column cols[i] with its sense and rhs, and `touched` finds the ones
+        a support reaches (see `Family`)."""
         family = Family(template, sense, self.row_count, axes, make, touched)
         self.row_families.append(family)
         self.row_count += family.size
@@ -207,32 +207,29 @@ class ModelIR:
 
 
 def _rows(model: ModelIR, support: list[int] | None = None) -> Iterator[tuple]:
-    """Rows as (family, key, coefs, cols, rhs), in row order, made by their
-    families as they are read.  With `support` (a sorted list of columns),
-    a family with a `touched` function makes only the rows it names, so a
-    row left out holds no support column and has rhs 0.  A row must give
-    one coefficient per column, all of the model, at a position past the
-    family's last; a family read whole must give one row per key."""
+    """Rows as (family, key, coefs, cols, rhs), in row order, each made by
+    its family's `make` as it is read.  With `support` (a sorted list of
+    columns), a family with a `touched` function makes only the rows it
+    names, so a row left out holds no support column and its zero activity
+    meets its sense.  Named positions must ascend and lie in the family; a
+    row must give one coefficient per column, all of the model."""
     n = model.column_count
     for family in model.row_families:
         full = support is None or family.touched is None
         keys = product(*family.axes)
-        made = family.make(range(family.size) if full else family.touched(support))
         follows = 0         # the least position the next row may take
-        for position, coefs, cols, rhs in made:
-            if not follows <= position < family.size or full and position != follows:
-                raise CssndError(f"row family {family.template} does not yield one "
-                                 f"row for each of its {family.size} keys")
-            key = next(keys) if full else family.key(position)
+        for at in range(family.size) if full else family.touched(support):
+            if not follows <= at < family.size:
+                raise CssndError(f"row family {family.template} names position "
+                                 f"{at} out of order or past its {family.size} keys")
+            follows = at + 1
+            coefs, cols, rhs = family.make(at)
+            key = next(keys) if full else family.key(at)
             if len(coefs) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
                 raise CssndError(f"row {family.template.format(*key)} has "
                                  f"{len(coefs)} coefficients for columns "
                                  f"{list(cols)} of {n}")
-            follows = position + 1
             yield family, key, coefs, cols, rhs
-        if full and follows < family.size:
-            raise CssndError(f"row family {family.template} does not yield one "
-                             f"row for each of its {family.size} keys")
 
 
 @dataclass(frozen=True)
@@ -363,9 +360,9 @@ def build_mip(
 
     model.objective_terms = objective
 
-    # Row families: each makes its rows at given positions when read and,
-    # where every rhs is 0, finds the rows a support reaches (default
-    # arguments bind a loop's values into its functions).
+    # Row families: each makes its row at one position when read and, where
+    # a row without support columns cannot fail, finds the rows a support
+    # reaches (default arguments bind a loop's values into its functions).
     asset_spans = _spanning(asset_arcs, period_count)
     periods = range(1, period_count + 1)
     nodes = range(1, n_nodes + 1)
@@ -381,9 +378,8 @@ def build_mip(
         allowed = beta_support(tc, period_count)
         banned = [t for t in periods if t not in allowed]
 
-        def transit(positions, xq=x_col[q], banned=banned):
-            return ((j, *ones([xq + i for i in asset_spans[banned[j]]]))
-                    for j in positions)
+        def transit(j, xq=x_col[q], banned=banned):
+            return ones([xq + i for i in asset_spans[banned[j]]])
 
         def transit_touched(support, xq=x_col[q], banned=banned):
             used = [asset_arcs[c - xq] for c in _between(support, xq, xq + n_asset)]
@@ -393,12 +389,11 @@ def build_mip(
         add("transit_k{}_t{}", "<=", ([tc.id], banned), transit, transit_touched)
 
     # one activity per utilized asset and period, wrap-aware
-    def assign(positions):
-        for at in positions:
-            v, t = divmod(at, period_count)
-            span = asset_spans[t + 1]
-            yield (at, [1.0] * len(span) + [-1.0],
-                   [y_col[v] + i for i in span] + [d_col[v]], 0.0)
+    def assign(at):
+        v, t = divmod(at, period_count)
+        span = asset_spans[t + 1]
+        return ([1.0] * len(span) + [-1.0],
+                [y_col[v] + i for i in span] + [d_col[v]], 0.0)
 
     def assign_touched(support):    # by asset: a used asset is busy throughout
         used = {v for v, _ in cells(support, y, n_asset)}
@@ -411,44 +406,46 @@ def build_mip(
     # asset conservation at every time-space node
     asset_incidence = list(_incidence(tsn, asset_arcs).values())
 
-    def balance(positions):
-        for at in positions:
-            v, n = divmod(at, n_nodes)
-            arcs, coefs = asset_incidence[n]
-            yield at, coefs, [y_col[v] + i for i in arcs], 0.0
+    def balance(at):
+        v, n = divmod(at, n_nodes)
+        arcs, coefs = asset_incidence[n]
+        return coefs, [y_col[v] + i for i in arcs], 0.0
 
     add("balance_v{}_n{}", "=", (assets, nodes), balance, lambda support: sorted({
         v * n_nodes + node - 1
         for v, i in cells(support, y, n_asset) for node in ends(asset_arcs[i])}))
 
+    def y_services(support) -> set[int]:
+        """Service positions of the support's y columns."""
+        return {i - service_first for _, i in cells(support, y, n_asset)
+                if i >= service_first}
+
     # a service is operated by at most one asset
-    add("svc_once_a{}", "<=", (service_ids,), lambda positions: (
-        (at, *ones([yv + service_first + at for yv in y_col], 1.0))
-        for at in positions))
+    add("svc_once_a{}", "<=", (service_ids,),
+        lambda at: ones([yv + service_first + at for yv in y_col], 1.0),
+        lambda support: sorted(y_services(support)))
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
     for q, tc in enumerate(tcs):
         incidence.setdefault(tc.parent_id, []).append(q)
     commodity_ids = [oc.id for oc in instance.commodities]
-    add("cover_k{}", ">=", (commodity_ids,), lambda positions: (
-        (at, *ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
-        for at in positions))
+    add("cover_k{}", ">=", (commodity_ids,),
+        lambda at: ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
 
     # flow conservation, demand switched on by the variant selection
     arc_incidence = list(_incidence(tsn, tsn.arcs).values())
     demand = [{tc.origin_node(period_count) - 1: -tc.volume,
                tc.dest_node(period_count) - 1: tc.volume} for tc in tcs]
 
-    def flow(positions):
-        for at in positions:
-            q, n = divmod(at, n_nodes)
-            arcs, coefs = arc_incidence[n]
-            cols = [x_col[q] + a for a in arcs]
-            if n in demand[q]:
-                coefs = coefs + [demand[q][n]]
-                cols.append(p_col[q])
-            yield at, coefs, cols, 0.0
+    def flow(at):
+        q, n = divmod(at, n_nodes)
+        arcs, coefs = arc_incidence[n]
+        cols = [x_col[q] + a for a in arcs]
+        if n in demand[q]:
+            coefs = coefs + [demand[q][n]]
+            cols.append(p_col[q])
+        return coefs, cols, 0.0
 
     def flow_touched(support):
         rows = {q * n_nodes + node - 1
@@ -459,47 +456,41 @@ def build_mip(
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, flow_touched)
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
-    def cap(positions):
-        for at in positions:
-            i = service_first + at
-            yield (at, [1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
-                   [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
+    def cap(at):
+        i = service_first + at
+        return ([1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
+                [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
 
     def cap_touched(support):
-        used = {a - service_first for _, a in cells(support, x, n_arcs)
-                if service_first <= a < n_asset}
-        used.update(i - service_first for _, i in cells(support, y, n_asset)
-                    if i >= service_first)
-        return sorted(used)
+        return sorted(y_services(support).union(
+            a - service_first for _, a in cells(support, x, n_arcs)
+            if service_first <= a < n_asset))
 
     add("cap_a{}", "<=", (service_ids,), cap, cap_touched)
 
     if options.strong_forcing:
         y_cols = [[yv + i for yv in y_col] for i in range(service_first, n_asset)]
 
-        def strong(positions):
-            for at in positions:
-                q, j = divmod(at, n_service)
-                strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
-                yield (at, [1.0] + [-strength] * v_total,
-                       [x_col[q] + service_first + j, *y_cols[j]], 0.0)
+        def strong(at):
+            q, j = divmod(at, n_service)
+            strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
+            return ([1.0] + [-strength] * v_total,
+                    [x_col[q] + service_first + j, *y_cols[j]], 0.0)
 
         def strong_touched(support):
             rows = {q * n_service + a - service_first
                     for q, a in cells(support, x, n_arcs)
                     if service_first <= a < n_asset}
-            for _, i in cells(support, y, n_asset):
-                if i >= service_first:
-                    rows.update(range(i - service_first, n_tc * n_service, n_service))
+            for j in y_services(support):
+                rows.update(range(j, n_tc * n_service, n_service))
             return sorted(rows)
 
         add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong, strong_touched)
 
     # outsourced flow only on selected outsourced services
-    def outsource(positions):
-        for at in positions:
-            q, o = divmod(at, n_out)
-            yield at, [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
+    def outsource(at):
+        q, o = divmod(at, n_out)
+        return [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
 
     def outsource_touched(support):
         rows = {q * n_out + a - n_asset
@@ -515,18 +506,17 @@ def build_mip(
 
     def single(name: str, sense: str, cols: list[int], rhs: float) -> None:
         row = ones(cols, float(rhs))
-        add(name, sense, (), lambda positions: ((at, *row) for at in positions))
+        add(name, sense, (), lambda at: row)
 
     if options.add_vi_gamma:
         single("vi_gamma", ">=", d_col, analysis.gamma)
 
     if options.add_vi_phi:
         out_spans = _spanning(outsourced_arcs, period_count)
-        add("vi_phi_t{}", ">=", (periods,), lambda positions: (
-            (at, *ones([yv + i for yv in y_col for i in asset_spans[at + 1]]
-                       + [sq + o for sq in s_col for o in out_spans[at + 1]],
-                       float(analysis.phi_at(at + 1))))
-            for at in positions))
+        add("vi_phi_t{}", ">=", (periods,), lambda at: ones(
+            [yv + i for yv in y_col for i in asset_spans[at + 1]]
+            + [sq + o for sq in s_col for o in out_spans[at + 1]],
+            float(analysis.phi_at(at + 1))))
 
     if options.near_opt == 21:
         single("near_opt_low", ">=", d_col, analysis.theta)
@@ -797,7 +787,7 @@ def check_solution(
     break, and recompute the objective from the assignment alone.  Missing
     variables count as zero, and names the model lacks are ignored.  Only
     the support, the columns at a nonzero value, is read: a row left out
-    holds no support column and has rhs 0, so it holds at equality."""
+    holds no support column, and its activity there, 0, meets its sense."""
     violations: list[str] = []
     values = [0.0] * model.column_count
     named: dict[int, tuple[str, str]] = {}      # column -> (name, kind)

@@ -331,6 +331,28 @@ def test_shifted_merge_finds_single_period_alternative():
     assert _plan_repositioning(solution, candidate.legs) == []
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_path_book_finds_siblings_and_outsourced_paths_by_position(seed):
+    """Against a scan of every path: the sibling is the offered path of the
+    shifted variant with the same lead and trail holds, and the cheapest
+    outsourced path is the least by (cost, id) over the three variants."""
+    instance = generate_instance("small", 15, seed=seed)
+    book = PathBook(instance, build_time_space_network(instance.physical,
+                                                       instance.period_count))
+    for oc_id, variants in book.incidence.items():
+        paths = [p for tc_id in variants for p in book.by_tc[tc_id]]
+        assert book.cheapest_outsourced(oc_id) == min(
+            (p for p in paths if p.mode == "outsourced"), key=lambda p: (p.cost, p.id))
+        for path, offset in itertools.product(paths, (-2, -1, 0, 1, 2)):
+            shift = ("early", "original", "tardy").index(path.kind) - 1 + offset
+            expected = next((p for p in paths if path.mode == p.mode == "offered"
+                             and shift in (-1, 0, 1)
+                             and p.tc_id == variants[shift + 1]
+                             and (p.lead_holds, p.trail_holds)
+                             == (path.lead_holds, path.trail_holds)), None)
+            assert book.sibling(path, offset) == expected
+
+
 def test_shifted_merge_skips_missing_siblings():
     # path one already early and path two already tardy overrun by one
     # period, which only an earlier path one or a later path two absorbs:

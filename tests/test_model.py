@@ -453,7 +453,7 @@ def reference_mps(model: ModelIR) -> str:
 
 def add_row(model: ModelIR, name, coefs, cols, sense, rhs) -> None:
     """A family of one row."""
-    model.add_rows(name, sense, (), lambda positions: [(0, coefs, cols, rhs)])
+    model.add_rows(name, sense, (), lambda at: (coefs, cols, rhs))
 
 
 def edge_case_model() -> ModelIR:
@@ -472,21 +472,19 @@ def edge_case_model() -> ModelIR:
     return model
 
 
-@pytest.mark.parametrize("coefs, cols, count, message", [
-    ([1.0, 1.0], [0, 9], 2, "row bad_r2 has 2 coefficients for columns [0, 9] of 9"),
-    ([1.0], [-1], 2, "row bad_r2 has 1 coefficients for columns [-1] of 9"),
-    ([1.0], [0, 1], 2, "row bad_r2 has 1 coefficients for columns [0, 1] of 9"),
-    ([1.0], [0], 3, "row family bad_r{} does not yield one row for each"),
-    ([1.0], [0], 1, "row family bad_r{} does not yield one row for each"),
-], ids=["column-past-the-end", "negative-column", "length-mismatch",
-        "one-row-too-many", "one-row-too-few"])
+@pytest.mark.parametrize("coefs, cols, message", [
+    ([1.0, 1.0], [0, 9], "row bad_r2 has 2 coefficients for columns [0, 9] of 9"),
+    ([1.0], [-1], "row bad_r2 has 1 coefficients for columns [-1] of 9"),
+    ([1.0], [0, 1], "row bad_r2 has 1 coefficients for columns [0, 1] of 9"),
+], ids=["column-past-the-end", "negative-column", "length-mismatch"])
 def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
-                                                      count, message):
-    """Keys 1 and 2 of family bad_r{}: the family yields a good row and then
-    `count - 1` copies of (coefs, cols); every reader of rows raises."""
+                                                      message):
+    """Keys 1 and 2 of family bad_r{}: the family makes a good row at
+    position 0 and (coefs, cols) at position 1; every reader of rows
+    raises."""
     model = edge_case_model()
-    rows = [(0, [2.0], [1], 0.0)] + [(at, coefs, cols, 0.0) for at in range(1, count)]
-    model.add_rows("bad_r{}", "<=", ([1, 2],), lambda positions: rows)
+    rows = [([2.0], [1], 0.0), (coefs, cols, 0.0)]
+    model.add_rows("bad_r{}", "<=", ([1, 2],), lambda at: rows[at])
     readers = {
         "lp": lambda: export_lp(model, tmp_path / "m.lp"),
         "mps": lambda: export_mps(model, tmp_path / "m.mps"),
@@ -497,6 +495,19 @@ def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
         with pytest.raises(CssndError, match=re.escape(message)):
             read()
             pytest.fail(f"{name} read the bad row")
+
+
+@pytest.mark.parametrize("touched", [[1, 1], [2, 1], [0, 3], [-1]],
+                         ids=["twice", "out-of-order", "past-the-end", "negative"])
+def test_a_bad_touched_position_is_an_error(touched):
+    """Family bad_r{} has 3 keys; a support read makes the rows its
+    `touched` names, which must ascend and lie within the family."""
+    model = edge_case_model()
+    model.add_rows("bad_r{}", "<=", ([1, 2, 3],), lambda at: ([1.0], [at], 0.0),
+                   lambda support: touched)
+    with pytest.raises(CssndError, match=re.escape(
+            "row family bad_r{} names position")):
+        check_solution(None, None, [], model, {"b1": 1.0})
 
 
 def test_a_model_reads_alike_twice(sample_model, tmp_path):
@@ -668,14 +679,17 @@ def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
                                                               options_name):
     """Against the full read, a read of `_rows` with a support keeps rows
     in model order, each equal to the full read's row at its position, and
-    leaves out only rows with rhs 0 and no support column; the objective
-    keeps, in term order, every term of a support column.  Supports: none,
-    the heuristic schedule's, a seeded random sparse one, every column."""
+    leaves out only rows with no support column whose zero activity meets
+    their sense (`<=` with rhs >= 0, `=` with rhs 0, `>=` with rhs <= 0);
+    the objective keeps, in term order, every term of a support column.
+    Supports: none, the heuristic schedule's, a seeded random sparse one,
+    every column."""
     instance = SKIP_INSTANCES[instance_name]()
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
     model = build_mip(instance, tsn, tcs, options=SKIP_OPTIONS[options_name])
     full = [(coefs, cols, rhs) for _, _, coefs, cols, rhs in _rows(model)]
+    senses = [family.kind for family, *_ in _rows(model)]
     at = {(id(family), key): family.base + position
           for family in model.row_families
           for position, key in enumerate(itertools.product(*family.axes))}
@@ -698,7 +712,8 @@ def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
             assert (coefs, cols, rhs) == full[r], (name, family.template, key)
         for r in sorted(set(range(len(full))) - set(kept)):
             coefs, cols, rhs = full[r]
-            assert rhs == 0 and held.isdisjoint(cols), (name, r)
+            assert held.isdisjoint(cols), (name, r)
+            assert {"<=": rhs >= 0, "=": rhs == 0, ">=": rhs <= 0}[senses[r]], (name, r)
         if name == "all":
             assert kept == list(range(len(full)))
         priced = list(model.objective_terms(support))
