@@ -8,6 +8,12 @@ The implementation follows the standard staged scheme: grow alternating
 trees from free vertices, shrink odd cycles into blossoms, augment when two
 trees meet, and adjust dual variables between substages.  Dual variables
 are kept doubled so every quantity stays integral.
+
+Order-preservation invariant: every comparison, tie-break and iteration
+order is the textbook scheme's, so the mate array is a fixed function of
+the edge list, ties included (`tests/test_matching.py` pins it; config a's
+schedules depend on which optimum comes back).  It serves DMaM conflict
+graphs of 9-90 vertices and up to about 2100 edges, each one component.
 """
 
 from __future__ import annotations
@@ -30,12 +36,19 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
 
     maxweight = max(0, max(w for _, _, w in edges))
 
+    # edge k's slack is dualvar[eu[k]] + dualvar[ev[k]] - w2[k], inlined
+    eu = [i for i, _, _ in edges]
+    ev = [j for _, j, _ in edges]
+    w2 = [2 * w for _, _, w in edges]
     # endpoint p of edge k: p // 2 == k, p % 2 picks the side
-    endpoint = [edges[p // 2][p % 2] for p in range(2 * nedge)]
-    neighbend: list[list[int]] = [[] for _ in range(nvertex)]
+    endpoint = [v for i, j, _ in edges for v in (i, j)]
+    # the edges at each vertex: far endpoint p, edge k and far vertex
+    nbp, nbk, nbw = ([[] for _ in range(nvertex)] for _ in range(3))
     for k, (i, j, _) in enumerate(edges):
-        neighbend[i].append(2 * k + 1)
-        neighbend[j].append(2 * k)
+        for v, p, w in ((i, 2 * k + 1, j), (j, 2 * k, i)):
+            nbp[v].append(p)
+            nbk[v].append(k)
+            nbw[v].append(w)
 
     mate = [-1] * nvertex
     label = [0] * (2 * nvertex)
@@ -52,19 +65,19 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
     allowedge = [False] * nedge
     queue: list[int] = []
 
-    def slack(k: int) -> int:
-        i, j, wt = edges[k]
-        return dualvar[i] + dualvar[j] - 2 * wt
-
-    def blossom_leaves(b: int):
+    def blossom_leaves(b: int) -> list[int]:
+        """The vertices of b in depth-first order of its child lists."""
         if b < nvertex:
-            yield b
-        else:
-            for t in blossomchilds[b]:
-                if t < nvertex:
-                    yield t
-                else:
-                    yield from blossom_leaves(t)
+            return [b]
+        leaves = []
+        stack = [b]
+        while stack:
+            t = stack.pop()
+            if t < nvertex:
+                leaves.append(t)
+            else:
+                stack.extend(reversed(blossomchilds[t]))
+        return leaves
 
     def assign_label(w: int, t: int, p: int) -> None:
         b = inblossom[w]
@@ -101,7 +114,8 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
         return base
 
     def add_blossom(base: int, k: int) -> None:
-        v, w, _ = edges[k]
+        v = eu[k]
+        w = ev[k]
         bb = inblossom[base]
         bv = inblossom[v]
         bw = inblossom[w]
@@ -136,37 +150,31 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
             if label[inblossom[leaf]] == 2:
                 queue.append(leaf)
             inblossom[leaf] = b
-        bestedgeto = [-1] * (2 * nvertex)
+        # least-slack edge (and its slack) to each S-blossom outside b
+        bestto: dict[int, int] = {}
+        slackto: dict[int, int] = {}
         for bv in path:
-            if blossombestedges[bv] is None:
-                nblists = [
-                    [p // 2 for p in neighbend[leaf]]
-                    for leaf in blossom_leaves(bv)
+            nblist = blossombestedges[bv]
+            if nblist is None:
+                nblist = nbk[bv] if bv < nvertex else [
+                    kk for leaf in blossom_leaves(bv) for kk in nbk[leaf]
                 ]
-            else:
-                nblists = [blossombestedges[bv]]
-            for nblist in nblists:
-                for kk in nblist:
-                    i, j, _ = edges[kk]
-                    if inblossom[j] == b:
-                        i, j = j, i
-                    bj = inblossom[j]
-                    if (
-                        bj != b
-                        and label[bj] == 1
-                        and (
-                            bestedgeto[bj] == -1
-                            or slack(kk) < slack(bestedgeto[bj])
-                        )
-                    ):
-                        bestedgeto[bj] = kk
+            for kk in nblist:
+                i = eu[kk]
+                j = ev[kk]
+                bj = inblossom[j]
+                if bj == b:
+                    bj = inblossom[i]
+                if bj != b and label[bj] == 1:
+                    kslack = dualvar[i] + dualvar[j] - w2[kk]
+                    if bj not in slackto or kslack < slackto[bj]:
+                        bestto[bj] = kk
+                        slackto[bj] = kslack
             blossombestedges[bv] = None
             bestedge[bv] = -1
-        blossombestedges[b] = [kk for kk in bestedgeto if kk != -1]
-        bestedge[b] = -1
-        for kk in blossombestedges[b]:
-            if bestedge[b] == -1 or slack(kk) < slack(bestedge[b]):
-                bestedge[b] = kk
+        order = sorted(bestto)
+        blossombestedges[b] = [bestto[bj] for bj in order]
+        bestedge[b] = bestto[min(order, key=slackto.get)] if order else -1
 
     def expand_blossom(b: int, endstage: bool) -> None:
         for s in blossomchilds[b]:
@@ -256,8 +264,7 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
         blossombase[b] = blossombase[blossomchilds[b][0]]
 
     def augment_matching(k: int) -> None:
-        v, w, _ = edges[k]
-        for s, p in ((v, 2 * k + 1), (w, 2 * k)):
+        for s, p in ((eu[k], 2 * k + 1), (ev[k], 2 * k)):
             while True:
                 bs = inblossom[s]
                 if bs >= nvertex:
@@ -287,22 +294,27 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
         while True:
             while queue and not augmented:
                 v = queue.pop()
-                for p in neighbend[v]:
-                    k = p // 2
-                    w = endpoint[p]
-                    if inblossom[v] == inblossom[w]:
+                bv = inblossom[v]
+                dv = dualvar[v]
+                # bv's least-slack edge to another S-blossom and its slack
+                # (unused while kb is -1); duals stand still in this loop
+                kb = bestedge[bv]
+                sb = dualvar[eu[kb]] + dualvar[ev[kb]] - w2[kb]
+                for p, k, w in zip(nbp[v], nbk[v], nbw[v]):
+                    bw = inblossom[w]
+                    if bv == bw:
                         continue
-                    if not allowedge[k]:
-                        kslack = slack(k)
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label[inblossom[w]] == 0:
+                    if allowedge[k] or (kslack := dv + dualvar[w] - w2[k]) <= 0:
+                        allowedge[k] = True
+                        if label[bw] == 0:
                             assign_label(w, 2, p ^ 1)
-                        elif label[inblossom[w]] == 1:
+                        elif label[bw] == 1:
                             base = scan_blossom(v, w)
                             if base >= 0:
                                 add_blossom(base, k)
+                                bv = inblossom[v]
+                                kb = bestedge[bv]
+                                sb = dualvar[eu[kb]] + dualvar[ev[kb]] - w2[kb]
                             else:
                                 augment_matching(k)
                                 augmented = True
@@ -310,36 +322,34 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                         elif label[w] == 0:
                             label[w] = 2
                             labelend[w] = p ^ 1
-                    elif label[inblossom[w]] == 1:
-                        b = inblossom[v]
-                        if bestedge[b] == -1 or kslack < slack(bestedge[b]):
-                            bestedge[b] = k
+                    elif label[bw] == 1:
+                        if kb == -1 or kslack < sb:
+                            bestedge[bv] = kb = k
+                            sb = kslack
                     elif label[w] == 0:
-                        if bestedge[w] == -1 or kslack < slack(bestedge[w]):
+                        kk = bestedge[w]
+                        if kk == -1 or kslack < (
+                            dualvar[eu[kk]] + dualvar[ev[kk]] - w2[kk]
+                        ):
                             bestedge[w] = k
             if augmented:
                 break
             deltatype = -1
             delta = deltaedge = deltablossom = None
-            for v in range(nvertex):
-                if label[inblossom[v]] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
+            for kk, bv in zip(bestedge, inblossom):
+                if kk != -1 and label[bv] == 0:
+                    d = dualvar[eu[kk]] + dualvar[ev[kk]] - w2[kk]
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
-                        deltaedge = bestedge[v]
-            for b in range(2 * nvertex):
-                if (
-                    blossomparent[b] == -1
-                    and label[b] == 1
-                    and bestedge[b] != -1
-                ):
-                    kslack = slack(bestedge[b])
-                    d = kslack // 2
+                        deltaedge = kk
+            for b, kk in enumerate(bestedge):
+                if kk != -1 and blossomparent[b] == -1 and label[b] == 1:
+                    d = (dualvar[eu[kk]] + dualvar[ev[kk]] - w2[kk]) // 2
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 3
-                        deltaedge = bestedge[b]
+                        deltaedge = kk
             for b in range(nvertex, 2 * nvertex):
                 if (
                     blossombase[b] >= 0
@@ -353,29 +363,28 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
             if deltatype == -1:
                 deltatype = 1
                 delta = max(0, min(dualvar[:nvertex]))
-            for v in range(nvertex):
-                lbl = label[inblossom[v]]
-                if lbl == 1:
-                    dualvar[v] -= delta
-                elif lbl == 2:
-                    dualvar[v] += delta
-            for b in range(nvertex, 2 * nvertex):
-                if blossombase[b] >= 0 and blossomparent[b] == -1:
-                    if label[b] == 1:
-                        dualvar[b] += delta
-                    elif label[b] == 2:
-                        dualvar[b] -= delta
+            if delta:
+                step = (0, -delta, delta)     # by label: free, S, T
+                dualvar[:nvertex] = [
+                    d + step[label[b]] for d, b in zip(dualvar, inblossom)
+                ]
+                for b in range(nvertex, 2 * nvertex):
+                    if blossombase[b] >= 0 and blossomparent[b] == -1:
+                        if label[b] == 1:
+                            dualvar[b] += delta
+                        elif label[b] == 2:
+                            dualvar[b] -= delta
             if deltatype == 1:
                 break
             elif deltatype == 2:
                 allowedge[deltaedge] = True
-                i, j, _ = edges[deltaedge]
+                i, j = eu[deltaedge], ev[deltaedge]
                 if label[inblossom[i]] == 0:
                     i, j = j, i
                 queue.append(i)
             elif deltatype == 3:
                 allowedge[deltaedge] = True
-                queue.append(edges[deltaedge][0])
+                queue.append(eu[deltaedge])
             else:
                 expand_blossom(deltablossom, False)
         if not augmented:
