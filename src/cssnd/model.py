@@ -42,7 +42,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count, product, starmap
+from itertools import islice, product, starmap
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -544,6 +544,7 @@ def build_mip(
 # --- text formats -----------------------------------------------------------
 
 CHUNK_CHARS = 1 << 18
+SIDECAR_BATCH = 4096           # names sidecar lines per item
 
 
 def _num(value: float) -> str:
@@ -689,15 +690,26 @@ def _mps_lines(model: ModelIR) -> Iterator[str]:
 def _sidecar_lines(model: ModelIR) -> Iterator[str]:
     """The MPS names sidecar as `json.dumps` writes it with indent 2 and
     sorted keys (an empty model's braces aside): C keys in column order,
-    then R keys in row order, the key order while names have seven digits."""
-    names = chain.from_iterable(family.names() for family in
-                                chain(model.families, model.row_families))
-    shorts = chain(map("C{:07d}".format, range(1, model.column_count + 1)),
-                   map("R{:07d}".format, range(1, model.row_count + 1)))
+    then R keys in row order, the key order while names have seven digits.
+    Lines go out in batches of SIDECAR_BATCH; a family whose template needs
+    no JSON escaping needs none for any name, as its keys are ints."""
     last = model.column_count + model.row_count
+    done = 0
     yield "{"
-    for n, short, name in zip(count(1), shorts, names):
-        yield f'  "{short}": {quote(name)}' + ("," if n < last else "")
+    for letter, families in (("C", model.families),
+                             ("R", model.row_families)):
+        first = 1
+        for family in families:
+            names, line = family.names(), f'  "{letter}%07d": "%s"'
+            if quote(family.template) != f'"{family.template}"':
+                names, line = map(quote, names), f'  "{letter}%07d": %s'
+            for lo in range(first, first + family.size, SIDECAR_BATCH):
+                hi = min(lo + SIDECAR_BATCH, first + family.size)
+                done += hi - lo
+                text = ",\n".join(map(line.__mod__, zip(
+                    range(lo, hi), islice(names, hi - lo))))
+                yield text + "," if done < last else text
+            first += family.size
     yield "}"
 
 

@@ -547,6 +547,18 @@ def test_mps_sidecar_escapes_names_as_json_does(tmp_path):
     )
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_mps_sidecar_is_the_same_in_any_batch_size(
+    sample_model, tmp_path, monkeypatch, batch
+):
+    model = build_mip(*sample_model)
+    mps_text(model, tmp_path / "a.mps")
+    monkeypatch.setattr("cssnd.model.SIDECAR_BATCH", batch)
+    mps_text(model, tmp_path / "b.mps")
+    assert (tmp_path / "a.mps.names.json").read_bytes() == (
+        tmp_path / "b.mps.names.json").read_bytes()
+
+
 def test_strong_rows_use_each_variant_strength(tmp_path, capsys):
     """Half the commodities at volume 0.5: every strong row's y terms carry
     -min(volume, capacity) of its own variant, and the heuristic's schedule
