@@ -297,10 +297,11 @@ class CostTable:
 
     With a routing seed, the price of TC `tc` on a service arc (i, j,
     depart) is a + b * rng.unit_at(seed, "svc", i, j, depart, tc), and
-    likewise with "out" on an outsourced arc.  Only the TC key varies
-    between the TCs of one arc, so the rng state after the arc's keys is
-    memoized the first time a pricer covers the arc and each price costs
-    two splitmix64 steps.  With a routing table the price is a lookup, and
+    likewise with "out" on an outsourced arc.  Each label is absorbed once
+    per table, and the arc's ints are folded onto that state the first time
+    a pricer covers the arc (`absorb` is a left fold).  Only the TC key
+    varies between the TCs of one arc, so each price costs two splitmix64
+    steps.  With a routing table the price is a lookup, and
     a missing key is a CssndError.  Holding arcs cost `holding_cost` for
     every TC.  `pricer` is the one entry point: paths and the exact model
     both price through it.
@@ -313,6 +314,10 @@ class CostTable:
         self.routing_table = params.routing_table
         self.holding_cost = params.holding_cost
         self._prefix: dict[tuple[str, int, int, int], int] = {}
+        self._label_state = {} if self.routing_seed is None else {
+            kind: rng.absorb(self.routing_seed, label)
+            for kind, (label, _, _) in PRICE_RULES.items()
+        }
 
     def _lookup(self, key: tuple) -> float:
         try:
@@ -326,8 +331,7 @@ class CostTable:
         if state is None:
             if self.routing_seed is None:
                 raise CssndError("cost params carry neither routing seed nor table")
-            label = PRICE_RULES[kind][0]
-            state = rng.absorb(self.routing_seed, label, i, j, depart)
+            state = rng.absorb(self._label_state[kind], i, j, depart)
             self._prefix[key] = state
         return state
 

@@ -19,10 +19,11 @@ top 53 bits of each output to a float in [0, 1).
 
 Bulk pricing splits the rule without changing it: `absorb` runs the loop
 over a key prefix once, and `unit_after` finishes one last int key from
-that state in two steps.  `core.CostTable` caches each arc's prefix state
-this way, so pricing a (commodity, arc) pair costs 2 steps instead of 8
-(Steele, Lea & Flood, "Fast splittable pseudorandom number generators",
-OOPSLA 2014).
+that state in two steps.  `core.CostTable` absorbs each 3-byte label once
+per table and caches each arc's prefix state on top of it, so an arc's
+prefix costs 3 steps instead of 6 and pricing a (commodity, arc) pair
+costs 2 steps instead of 8 (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA 2014).
 """
 
 from __future__ import annotations

@@ -234,6 +234,18 @@ def test_cost_table_memoizes_prefixes_lazily():
     assert list(table._prefix) == [("service", 2, 1, 2)]
 
 
+def test_cost_table_prefixes_fold_the_arc_onto_the_label_state():
+    instance = generate_instance("medium", 25, seed=3)
+    costs = instance.costs
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    costs.table.pricer(tsn.service_arcs + tsn.outsourced_arcs)
+    labels = {"service": "svc", "outsourced": "out"}
+    assert {kind for kind, *_ in costs.table._prefix} == set(labels)
+    for (kind, i, j, depart), state in costs.table._prefix.items():
+        assert state == rng.absorb(costs.routing_seed, labels[kind], i, j,
+                                   depart)
+
+
 def test_cost_table_names_a_missing_routing_key():
     table = CostParams(routing_table={("service", 1, 2, 1, 2): 0.75}).table
     network = PhysicalNetwork(node_count=2, distance=((0, 1), (1, 0)))
