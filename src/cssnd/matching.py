@@ -296,8 +296,7 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                 v = queue.pop()
                 bv = inblossom[v]
                 dv = dualvar[v]
-                # bv's least-slack edge to another S-blossom and its slack
-                # (unused while kb is -1); duals stand still in this loop
+                # bv's least-slack edge to an S-blossom (if kb != -1), slack sb
                 kb = bestedge[bv]
                 sb = dualvar[eu[kb]] + dualvar[ev[kb]] - w2[kb]
                 for p, k, w in zip(nbp[v], nbk[v], nbw[v]):
@@ -364,16 +363,13 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                 deltatype = 1
                 delta = max(0, min(dualvar[:nvertex]))
             if delta:
-                step = (0, -delta, delta)     # by label: free, S, T
+                step = (0, -delta, delta)  # by label; blossoms move by -step
                 dualvar[:nvertex] = [
                     d + step[label[b]] for d, b in zip(dualvar, inblossom)
                 ]
                 for b in range(nvertex, 2 * nvertex):
                     if blossombase[b] >= 0 and blossomparent[b] == -1:
-                        if label[b] == 1:
-                            dualvar[b] += delta
-                        elif label[b] == 2:
-                            dualvar[b] -= delta
+                        dualvar[b] -= step[label[b]]
             if deltatype == 1:
                 break
             elif deltatype == 2:
@@ -398,10 +394,7 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
             ):
                 expand_blossom(b, True)
 
-    result = [-1] * nvertex
-    for v in range(nvertex):
-        if mate[v] >= 0:
-            result[v] = endpoint[mate[v]]
+    result = [endpoint[p] if p >= 0 else -1 for p in mate]
     for v in range(nvertex):
         assert result[v] == -1 or result[result[v]] == v
     return result
