@@ -301,10 +301,10 @@ class CostTable:
     per table, and the arc's ints are folded onto that state the first time
     a pricer covers the arc (`absorb` is a left fold).  Only the TC key
     varies between the TCs of one arc, so each price costs two splitmix64
-    steps.  With a routing table the price is a lookup, and
-    a missing key is a CssndError.  Holding arcs cost `holding_cost` for
-    every TC.  `pricer` is the one entry point: paths and the exact model
-    both price through it.
+    steps.  With a routing table the price is a lookup, and a missing key
+    is a CssndError.  Holding arcs cost `holding_cost` for every TC.
+    `pricer` is the one entry point: paths and the exact model both price
+    through it.
     """
 
     def __init__(self, params: CostParams):

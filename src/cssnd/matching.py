@@ -42,13 +42,12 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
     w2 = [2 * w for _, _, w in edges]
     # endpoint p of edge k: p // 2 == k, p % 2 picks the side
     endpoint = [v for i, j, _ in edges for v in (i, j)]
-    # the edges at each vertex: far endpoint p, edge k and far vertex
-    nbp, nbk, nbw = ([[] for _ in range(nvertex)] for _ in range(3))
+    # the edges at each vertex: far endpoint p and edge k
+    nbp, nbk = ([[] for _ in range(nvertex)] for _ in range(2))
     for k, (i, j, _) in enumerate(edges):
-        for v, p, w in ((i, 2 * k + 1, j), (j, 2 * k, i)):
+        for v, p in ((i, 2 * k + 1), (j, 2 * k)):
             nbp[v].append(p)
             nbk[v].append(k)
-            nbw[v].append(w)
 
     mate = [-1] * nvertex
     label = [0] * (2 * nvertex)
@@ -299,7 +298,8 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                 # bv's least-slack edge to an S-blossom (if kb != -1), slack sb
                 kb = bestedge[bv]
                 sb = dualvar[eu[kb]] + dualvar[ev[kb]] - w2[kb]
-                for p, k, w in zip(nbp[v], nbk[v], nbw[v]):
+                for p, k in zip(nbp[v], nbk[v]):
+                    w = endpoint[p]
                     bw = inblossom[w]
                     if bv == bw:
                         continue
