@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,11 +18,12 @@ from cssnd.core import (
     expand_commodities,
     wrap_period,
 )
-from cssnd.dmam import run_dmam, solution_to_assignment
+from cssnd.dmam import PathBook, run_dmam, solution_to_assignment
+from cssnd.instgen import SIZE_CLASSES, generate_instance
 from cssnd.model import build_mip, check_solution
 from cssnd.paths import OFFERED, CommodityPath, enumerate_paths, path_cost
 from cssnd.rng import Stream
-from tests.conftest import make_sample_instance
+from tests.conftest import make_sample_instance, routing_rows
 
 
 def dfs_offered_paths(tc, tsn):
@@ -239,3 +242,53 @@ def test_volume_scales_per_unit_costs_only():
             assert other.cost == pytest.approx(one.cost - holding / 2)
     big = TransformedCommodity(6, 2, "tardy", 1, 3, 2, 6, 1.5)
     assert [p.mode for p in enumerate_paths(big, tsn, COSTS)] == ["outsourced"]
+
+
+def _priced_by_table(instance):
+    """`instance` priced from a routing table of its own seeded prices."""
+    table = {tuple(row[:5]): row[5] for row in routing_rows(instance)}
+    return replace(instance, costs=CostParams(routing_table=table))
+
+
+def _pin_instances():
+    for name, cls in SIZE_CLASSES.items():
+        yield name, generate_instance(cls, cls.k_options[0], 1)
+    yield "sample_above_capacity", _with_volumes({1: 2.0})
+    yield "small10_table", _priced_by_table(generate_instance("small", 10, 1))
+
+
+# sha256 over the path layer of `_pin_instances`: every arc of each network,
+# then every path of each book in `by_tc` order, as plain field tuples
+PATH_LAYER_SHA256 = (
+    "8c24ba9714bef7067aec811e85b0368c454c631cbab29ca809159a763bc2f2fe"
+)
+
+
+def _path_layer_digest():
+    digest = hashlib.sha256()
+
+    def feed(label, fields):
+        digest.update(json.dumps([label, *fields]).encode() + b"\n")
+
+    for name, instance in _pin_instances():
+        tsn = build_time_space_network(instance.physical, instance.period_count)
+        for arc in tsn.arcs:
+            feed(name, (
+                arc.id, arc.kind, arc.phys_from, arc.phys_to, arc.depart,
+                arc.arrive, arc.duration, arc.capacity.hex(),
+            ))
+        book = PathBook(instance, tsn)
+        for tc_id, paths in book.by_tc.items():
+            for p in paths:
+                feed(name, (
+                    tc_id, p.id, p.tc_id, p.oc_id, p.kind, p.mode, list(p.arcs),
+                    p.origin_physical, p.dest_physical, p.depart_period,
+                    p.arrival_period, p.leg_duration, p.lead_holds,
+                    p.trail_holds, p.busy_periods, p.cost.hex(),
+                ))
+    return digest.hexdigest()
+
+
+def test_path_layer_is_pinned():
+    """Arcs and paths, ids, order and cost bits, stay exactly as they are."""
+    assert _path_layer_digest() == PATH_LAYER_SHA256
