@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import rng
 
@@ -61,9 +62,12 @@ def ts_node(physical: int, period: int, period_count: int) -> int:
     return (physical - 1) * period_count + period
 
 
-@dataclass(frozen=True)
-class Arc:
-    """One time-space arc. `duration` is in periods, `capacity` may be inf."""
+class Arc(NamedTuple):
+    """One time-space arc. `duration` is in periods, `capacity` may be inf.
+
+    A value record: equal to (and hashed as) the tuple of its fields, so it
+    also equals a plain tuple of them; a changed copy is `arc._replace(...)`.
+    """
 
     id: int
     kind: str                  # hold | service | outsourced
@@ -183,45 +187,34 @@ def build_time_space_network(
 
     tsn = TimeSpaceNetwork(node_count=physical.node_count, period_count=period_count)
     arcs = tsn.arcs
-    next_id = 1
+    inf = float("inf")
 
-    def add(kind, i, j, depart, duration, capacity) -> Arc:
-        nonlocal next_id
-        arrive = wrap_period(depart + duration, period_count)
-        arc = Arc(
-            id=next_id,
-            kind=kind,
-            phys_from=i,
-            phys_to=j,
-            depart=depart,
-            arrive=arrive,
-            duration=duration,
-            capacity=capacity,
-        )
-        next_id += 1
-        arcs.append(arc)
-        return arc
+    def add(kind, i, j, duration, capacity) -> list[Arc]:
+        """One arc per departure period, numbered on from the last arc."""
+        first = len(arcs)
+        row = [
+            Arc(first + t, kind, i, j, t, (t + duration - 1) % period_count + 1,
+                duration, capacity)
+            for t in range(1, period_count + 1)
+        ]
+        arcs.extend(row)
+        return row
 
-    for i in range(1, physical.node_count + 1):
-        for t in range(1, period_count + 1):
-            arc = add(HOLD, i, i, t, 1, float("inf"))
-            tsn.holding_arcs.append(arc)
-            tsn._hold_index[(i, t)] = arc
-
-    for i in range(1, physical.node_count + 1):
-        for j in range(1, physical.node_count + 1):
-            if i == j:
-                continue
-            for t in range(1, period_count + 1):
-                arc = add(SERVICE, i, j, t, physical.d(i, j), 1.0)
-                tsn.service_arcs.append(arc)
-                tsn._service_index[(i, j, t)] = arc
-
-    for svc in tsn.service_arcs:
-        key = (svc.phys_from, svc.phys_to, svc.depart)
-        arc = add(OUTSOURCED, *key, svc.duration, float("inf"))
-        tsn.outsourced_arcs.append(arc)
-        tsn._outsourced_index[key] = arc
+    nodes = range(1, physical.node_count + 1)
+    pairs = [(i, j) for i in nodes for j in nodes if i != j]
+    for i in nodes:
+        tsn.holding_arcs += add(HOLD, i, i, 1, inf)
+    for i, j in pairs:
+        tsn.service_arcs += add(SERVICE, i, j, physical.d(i, j), 1.0)
+    for i, j in pairs:
+        tsn.outsourced_arcs += add(OUTSOURCED, i, j, physical.d(i, j), inf)
+    tsn._hold_index = {(a.phys_from, a.depart): a for a in tsn.holding_arcs}
+    tsn._service_index = {
+        (a.phys_from, a.phys_to, a.depart): a for a in tsn.service_arcs
+    }
+    tsn._outsourced_index = {
+        (a.phys_from, a.phys_to, a.depart): a for a in tsn.outsourced_arcs
+    }
     return tsn
 
 

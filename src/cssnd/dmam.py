@@ -157,7 +157,8 @@ class MergeCandidate(NamedTuple):
 
 
 class PathBook:
-    """All generated paths plus the lookups the phases need."""
+    """All generated paths plus the lookups the phases need.  `legs` holds
+    each path's `leg_view`, made once."""
 
     def __init__(self, instance: Instance, tsn: TimeSpaceNetwork):
         self.instance = instance
@@ -166,6 +167,7 @@ class PathBook:
         self.tc_by_id = {tc.id: tc for tc in self.tcs}
         self.by_id: dict[int, CommodityPath] = {}
         self.by_tc: dict[int, list[CommodityPath]] = {}
+        self.legs: dict[int, Leg] = {}
         next_id = 1
         for tc in self.tcs:
             tc_paths = enumerate_paths(tc, tsn, instance.costs, id_start=next_id)
@@ -173,6 +175,7 @@ class PathBook:
             self.by_tc[tc.id] = tc_paths
             for p in tc_paths:
                 self.by_id[p.id] = p
+                self.legs[p.id] = leg_view(p)
 
     def tc_of(self, path: CommodityPath) -> TransformedCommodity:
         return self.tc_by_id[path.tc_id]
@@ -301,7 +304,7 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
                     continue            # service slot already taken
                 solution.svc_registry[svc] = path.id
                 solution.selected[oc.id] = path
-                solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
+                solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
                 break
             solution.selected[oc.id] = path
             break
@@ -338,7 +341,7 @@ def explore_pair(
     """The cheapest way to run both paths on one asset: as they are when
     neither overruns, else by the shifting alternative whose sibling paths
     absorb an overrun of one or two periods."""
-    leg1, leg2 = leg_view(path1), leg_view(path2)
+    leg1, leg2 = solution.book.legs[path1.id], solution.book.legs[path2.id]
     instance = solution.instance
     forth, back = _overruns(leg1, leg2, instance)
     overrun = max(forth, back, 0)

@@ -13,6 +13,13 @@ holding, which makes the heuristic's totals agree with the exact objective
 to the last bit.  Shapes of one TC consequently differ in cost only through
 their service leg.
 
+A TC's chains share their holding arcs: its origin's wait arcs from
+release and its destination's holding arcs from the earliest arrival are
+looked up once, and each shape takes a prefix of the waits and a run of the
+destination's arcs starting where its leg arrives.  A path's cost depends
+only on its leg, so it is worked out once per leg and shared by the leg's
+shapes.
+
 Volume follows the exact model: holding and service arcs are billed per
 unit of flow, so their cost scales with the TC's volume, while an
 outsourced leg is billed once per shipment.  A service leg is offered only
@@ -21,10 +28,9 @@ when its capacity holds the whole volume; a larger commodity is outsourced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
-    Arc,
     CostParams,
     TimeSpaceNetwork,
     TransformedCommodity,
@@ -35,8 +41,10 @@ OFFERED = "offered"
 OUTSOURCED_MODE = "outsourced"
 
 
-@dataclass(frozen=True)
-class CommodityPath:
+class CommodityPath(NamedTuple):
+    """One path of one TC.  A value record like `Arc`: equal to (and hashed
+    as) the tuple of its fields; a changed copy is `path._replace(...)`."""
+
     id: int
     tc_id: int
     oc_id: int
@@ -90,7 +98,7 @@ def enumerate_paths(
     service = tsn.service_arc(o, dest, 1)
     d = service.duration
     slack = span - d
-    legs: list[Arc] = []
+    legs = []
     if service.capacity >= tc.volume:
         legs = [
             tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
@@ -98,44 +106,34 @@ def enumerate_paths(
         ]
     out = tsn.outsourced_arc(o, dest, release)
     *prices, out_price = costs.table.pricer(legs + [out])(tc.id)
-    # (mode, leg, lead, trail, leg charge): service legs are billed per unit
-    # of volume, the outsourced leg once per shipment
-    shapes = [
-        (OFFERED, leg, lead, trail, tc.volume * price)
-        for lead, (leg, price) in enumerate(zip(legs, prices))
-        for trail in range(slack - lead + 1)
-    ]
-    shapes.append((OUTSOURCED_MODE, out, 0, 0, out_price))
     multiplier = costs.multiplier(tc.kind)
 
-    def chain_arcs(lead: int, trail: int, leg: Arc) -> tuple[int, ...]:
-        arcs: list[int] = []
-        for step in range(lead):
-            t = wrap_period(release + step, period_count)
-            arcs.append(tsn.holding_arc(o, t).id)
-        arcs.append(leg.id)
-        for step in range(trail):
-            t = wrap_period(leg.arrive + step, period_count)
-            arcs.append(tsn.holding_arc(dest, t).id)
-        return tuple(arcs)
+    def priced(charge: float) -> float:
+        return path_cost(charge, costs.holding_cost, span, d, multiplier, tc.volume)
 
+    def holds(phys: int, first: int) -> tuple[int, ...]:
+        return tuple(
+            tsn.holding_arc(phys, wrap_period(first + step, period_count)).id
+            for step in range(slack)
+        )
+
+    # a leg `lead` periods after release starts its trail at trails[lead]
+    waits, trails = holds(o, release), holds(dest, release + d)
+    # (mode, leg, lead, trail, cost): service legs are billed per unit of
+    # volume, the outsourced leg once per shipment
+    leg_costs = [priced(tc.volume * price) for price in prices]
+    shapes = [
+        (OFFERED, leg, lead, trail, cost)
+        for lead, (leg, cost) in enumerate(zip(legs, leg_costs))
+        for trail in range(slack - lead + 1)
+    ]
+    shapes.append((OUTSOURCED_MODE, out, 0, 0, priced(out_price)))
     return [
         CommodityPath(
-            id=id_start + n,
-            tc_id=tc.id,
-            oc_id=tc.parent_id,
-            kind=tc.kind,
-            mode=mode,
-            arcs=chain_arcs(lead, trail, leg),
-            origin_physical=o,
-            dest_physical=dest,
-            depart_period=release,
-            arrival_period=wrap_period(leg.arrive + trail, period_count),
-            leg_duration=d,
-            lead_holds=lead,
-            trail_holds=trail,
-            busy_periods=lead + d + trail,
-            cost=path_cost(charge, costs.holding_cost, span, d, multiplier, tc.volume),
+            id_start + n, tc.id, tc.parent_id, tc.kind, mode,
+            (*waits[:lead], leg.id, *trails[lead:lead + trail]),
+            o, dest, release, wrap_period(leg.arrive + trail, period_count),
+            d, lead, trail, lead + d + trail, cost,
         )
-        for n, (mode, leg, lead, trail, charge) in enumerate(shapes)
+        for n, (mode, leg, lead, trail, cost) in enumerate(shapes)
     ]

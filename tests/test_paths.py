@@ -18,7 +18,7 @@ from cssnd.core import (
     expand_commodities,
     wrap_period,
 )
-from cssnd.dmam import PathBook, run_dmam, solution_to_assignment
+from cssnd.dmam import PathBook, leg_view, run_dmam, solution_to_assignment
 from cssnd.instgen import SIZE_CLASSES, generate_instance
 from cssnd.model import build_mip, check_solution
 from cssnd.paths import OFFERED, CommodityPath, enumerate_paths, path_cost
@@ -292,3 +292,12 @@ def _path_layer_digest():
 def test_path_layer_is_pinned():
     """Arcs and paths, ids, order and cost bits, stay exactly as they are."""
     assert _path_layer_digest() == PATH_LAYER_SHA256
+
+
+def test_book_legs_are_the_paths_leg_views():
+    for _, instance in _pin_instances():
+        tsn = build_time_space_network(instance.physical, instance.period_count)
+        book = PathBook(instance, tsn)
+        assert list(book.legs) == list(book.by_id)
+        for path_id, path in book.by_id.items():
+            assert book.legs[path_id] == leg_view(path)
