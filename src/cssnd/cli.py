@@ -24,7 +24,7 @@ from .analysis import compute_requirements
 from .core import CssndError, build_time_space_network, expand_commodities
 from .dmam import run_dmam, solution_to_assignment
 from .instgen import generate_instance, size_class
-from .io import load_instance, save_instance
+from .io import load_instance, read_text, save_instance
 from .model import (
     ModelOptions,
     build_mip,
@@ -235,7 +235,7 @@ def cmd_solve(args):
 
 def cmd_check(args):
     instance, tsn, tcs, model = _load_model(args, ModelOptions())
-    assignment = read_solution(Path(args.sol).read_text())
+    assignment = read_solution(read_text(args.sol))
     result = check_solution(instance, tsn, tcs, model, assignment)
     verdict = {
         "feasible": result.feasible,

@@ -120,9 +120,17 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(dumps_instance(instance))
 
 
+def read_text(path: str | Path) -> str:
+    """The text of `path`, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CssndError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_instance(path: str | Path) -> Instance:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CssndError(f"{path}: not valid JSON ({exc})") from exc
     return instance_from_dict(data)

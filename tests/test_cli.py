@@ -11,7 +11,7 @@ from cssnd.cli import main
 from cssnd.core import Instance, build_time_space_network
 from cssnd.dmam import PathBook
 from cssnd.instgen import generate_instance
-from cssnd.io import instance_to_dict
+from cssnd.io import instance_to_dict, save_instance
 from tests.conftest import make_sample_instance, routing_rows
 
 
@@ -46,6 +46,26 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     inst.write_text(json.dumps(data))
     assert run(["solve", "--in", str(inst)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+def test_non_utf8_instance_exits_1(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    inst.write_bytes(NOT_UTF8)
+    assert run(["solve", "--in", str(inst)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {inst}: not UTF-8 text")
+
+
+def test_non_utf8_solution_exits_1(tmp_path, capsys):
+    inst, sol = tmp_path / "i.json", tmp_path / "i.sol"
+    save_instance(make_sample_instance(), inst)
+    sol.write_bytes(NOT_UTF8)
+    assert run(["check", "--in", str(inst), "--sol", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {sol}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("field, value, message", [
