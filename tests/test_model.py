@@ -534,6 +534,104 @@ def test_mps_writer_matches_a_per_nonzero_reference(
     assert text == expected
 
 
+LP_WIDTH = 240
+
+
+def reference_lp(model: ModelIR) -> str:
+    """CPLEX-dialect LP written straight from `model.objective` and
+    `model.constraints`: an oracle for `export_lp` that shares none of its
+    code.
+
+    A number is printed as an integer when it is integral and below 1e15 in
+    magnitude, else with 12 significant digits.  A term is "+ c name", or
+    "- c name" with c = -coef when coef < 0 (so -0.0 prints "+ 0"); the
+    first term of a line drops its "+ ".  An objective without terms is
+    "0", a row without terms "0 <first column>", and a row ends in
+    "<sense> <rhs>".  Wrapping: the parts of a line follow its head (" obj:"
+    or " <row name>:") one space apart; a part that would take the line past
+    240 characters starts a new line, indented three spaces, unless the
+    line so far is the bare head, so a line of exactly 240 characters stays
+    whole and a part longer than 240 overruns on its own line.
+    """
+    names = model.variables
+
+    def number(value: float) -> str:
+        if float(value).is_integer() and abs(value) < 1e15:
+            return str(int(value))
+        return format(value, ".12g")
+
+    def terms(pairs) -> list[str]:
+        parts = [
+            f"- {number(-coef)} {names[col]}" if coef < 0
+            else f"+ {number(coef)} {names[col]}"
+            for coef, col in pairs
+        ]
+        if parts and parts[0].startswith("+ "):
+            parts[0] = parts[0][2:]
+        return parts
+
+    def wrapped(head: str, parts: list[str]) -> list[str]:
+        lines = [head]
+        for part in parts:
+            if lines[-1] != head and len(lines[-1]) + 1 + len(part) > LP_WIDTH:
+                lines.append("   " + part)
+            else:
+                lines[-1] += " " + part
+        return lines
+
+    lines = ["Minimize", *wrapped(" obj:", terms(model.objective) or ["0"]),
+             "Subject To"]
+    for row in model.constraints:
+        parts = terms(row.terms) or [f"0 {names[0]}"]
+        lines += wrapped(f" {row.name}:", [*parts, f"{row.sense} {number(row.rhs)}"])
+    binaries = [
+        name for family in model.families if family.kind == "binary"
+        for name in itertools.islice(names, family.base, family.base + family.size)
+    ]
+    if binaries:
+        lines.append("Binaries")
+        lines += [" " + " ".join(binaries[i : i + 8])
+                  for i in range(0, len(binaries), 8)]
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+def lp_width_model(objective: bool) -> ModelIR:
+    """`edge_case_model` plus rows at the wrap width: `fits` is exactly 240
+    characters, `over` wraps after its terms fill exactly 240, and `long`
+    has one term longer than 240.  Without `objective` the objective has no
+    terms."""
+    model = edge_case_model()
+    model.add_family("w{}" + "w" * 217, "continuous", [1])      # column 9
+    model.add_family("v{}" + "v" * 222, "continuous", [1])      # column 10
+    model.add_family("y{}" + "y" * 250, "binary", [1])          # column 11
+    add_row(model, "fits", [1.0, 1.0], [9, 1], "<=", 1.0)
+    add_row(model, "over", [1.0, 1.0], [10, 1], "<=", 10.0)
+    add_row(model, "long", [-2.0], [11], ">=", 0.5)
+    if not objective:
+        model.objective_terms = lambda support: []
+    return model
+
+
+@pytest.mark.parametrize("objective", [True, False],
+                         ids=["edge-cases", "empty-objective"])
+@pytest.mark.parametrize("chunk_chars", [1 << 18, 1, 40])
+def test_lp_writer_matches_a_reference(tmp_path, monkeypatch, chunk_chars,
+                                       objective):
+    monkeypatch.setattr("cssnd.model.CHUNK_CHARS", chunk_chars)
+    model = lp_width_model(objective)
+    expected = reference_lp(model)
+    lines = expected.splitlines()
+    fits = next(line for line in lines if line.startswith(" fits:"))
+    over = lines.index(next(line for line in lines if line.startswith(" over:")))
+    long = lines.index(next(line for line in lines if line.startswith(" long:")))
+    assert len(fits) == len(lines[over]) == LP_WIDTH
+    assert lines[over + 1] == "   <= 10"
+    assert len(lines[long]) > LP_WIDTH and lines[long + 1] == "   >= 0.5"
+    assert (lines[1] == " obj: 0") is not objective
+    assert lp_text(model, tmp_path / "m.lp") == expected
+
+
 def test_mps_sidecar_escapes_names_as_json_does(tmp_path):
     model = ModelIR()
     model.add_family('q"{}\\é', "binary", [1, 2])
