@@ -209,12 +209,9 @@ def build_time_space_network(
     for i, j in pairs:
         tsn.outsourced_arcs += add(OUTSOURCED, i, j, physical.d(i, j), inf)
     tsn._hold_index = {(a.phys_from, a.depart): a for a in tsn.holding_arcs}
-    tsn._service_index = {
-        (a.phys_from, a.phys_to, a.depart): a for a in tsn.service_arcs
-    }
-    tsn._outsourced_index = {
-        (a.phys_from, a.phys_to, a.depart): a for a in tsn.outsourced_arcs
-    }
+    for row, index in ((tsn.service_arcs, tsn._service_index),
+                       (tsn.outsourced_arcs, tsn._outsourced_index)):
+        index.update(((a.phys_from, a.phys_to, a.depart), a) for a in row)
     return tsn
 
 
