@@ -10,6 +10,7 @@ to the primary output as <output>.manifest.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -95,7 +96,8 @@ def _parse_vi(raw: str | None) -> tuple[bool, bool]:
     names = {piece.strip() for piece in raw.split(",") if piece.strip()}
     unknown = names - {"gamma", "phi"}
     if unknown:
-        raise CssndError(f"unknown valid-inequality family: {', '.join(unknown)}")
+        raise CssndError("unknown valid-inequality family: "
+                         + ", ".join(sorted(unknown)))
     return "gamma" in names, "phi" in names
 
 
@@ -173,44 +175,6 @@ def _schedule_document(solution, report, digest: str) -> dict:
     }
 
 
-REPORT_COLUMNS = [
-    "instance",
-    "n_physical",
-    "k",
-    "v1",
-    "v2",
-    "config",
-    "owned",
-    "leased",
-    "on_time",
-    "early",
-    "tardy",
-    "outsourced",
-    "total_cost",
-]
-
-
-def _report_row(instance, name, report) -> str:
-    return ",".join(
-        str(v)
-        for v in (
-            name,
-            instance.physical.node_count,
-            len(instance.commodities),
-            instance.owned_assets,
-            instance.leasable_assets,
-            report["config"],
-            report["owned_used"],
-            report["leased"],
-            report["on_time"],
-            report["early"],
-            report["tardy"],
-            report["outsourced"],
-            f"{report['total_cost']:.6f}",
-        )
-    )
-
-
 def cmd_solve(args):
     instance = load_instance(args.input)
     digest = _file_digest(args.input)
@@ -219,8 +183,22 @@ def cmd_solve(args):
         document = _schedule_document(solution, report, digest)
         Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
     if args.report:
-        lines = [",".join(REPORT_COLUMNS)]
-        lines.append(_report_row(instance, Path(args.input).stem, report))
+        row = {
+            "instance": Path(args.input).stem,
+            "n_physical": instance.physical.node_count,
+            "k": len(instance.commodities),
+            "v1": instance.owned_assets,
+            "v2": instance.leasable_assets,
+            "config": report["config"],
+            "owned": report["owned_used"],
+            "leased": report["leased"],
+            "on_time": report["on_time"],
+            "early": report["early"],
+            "tardy": report["tardy"],
+            "outsourced": report["outsourced"],
+            "total_cost": f"{report['total_cost']:.6f}",
+        }
+        lines = [",".join(row), ",".join(map(str, row.values()))]
         Path(args.report).write_text("\n".join(lines) + "\n")
     if args.sol:
         assignment = solution_to_assignment(solution)
@@ -302,7 +280,9 @@ def cmd_bench(args):
     return 0, args.out, "", {}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="cssnd",
         description=(

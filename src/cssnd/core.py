@@ -43,6 +43,18 @@ class CssndError(Exception):
     """Domain error: invalid instance data or unusable arguments."""
 
 
+def _require_int(what: str, value) -> None:
+    if type(value) is not int:
+        raise CssndError(f"{what} {value!r} is not an integer")
+
+
+def _require_number(what: str, value) -> None:
+    if type(value) is int:
+        return
+    if type(value) is not float or not math.isfinite(value):
+        raise CssndError(f"{what} {value!r} is not a finite number")
+
+
 def wrap_period(period: int, period_count: int) -> int:
     """Map an arbitrary integer onto the cyclic range 1..period_count."""
     return (period - 1) % period_count + 1
@@ -179,12 +191,9 @@ def build_time_space_network(
     One holding arc per node and period, one unit-capacity service arc per
     ordered physical pair and departure period, and one outsourced arc
     mirroring each service arc, in the same order.  Outsourced capacity is
-    unlimited; the third party absorbs whatever volume is sent.
+    unlimited; the third party absorbs whatever volume is sent.  The
+    distances are taken as valid: `Instance.validate` checks them.
     """
-    problems = validate_distances(physical, period_count)
-    if problems:
-        raise CssndError("invalid distance matrix: " + "; ".join(problems[:3]))
-
     tsn = TimeSpaceNetwork(node_count=physical.node_count, period_count=period_count)
     arcs = tsn.arcs
     inf = float("inf")
@@ -223,6 +232,19 @@ class OriginalCommodity:
     release_period: int
     due_period: int
     volume: float = 1.0
+
+
+# The instance file's commodity record, in file order: (file key,
+# attribute, check).  `io` writes and reads the keys from this table and
+# COST_FIELDS, and `Instance.validate` names them in its messages.
+COMMODITY_FIELDS = (
+    ("id", "id", _require_int),
+    ("origin", "origin_physical", _require_int),
+    ("dest", "dest_physical", _require_int),
+    ("release", "release_period", _require_int),
+    ("due", "due_period", _require_int),
+    ("volume", "volume", _require_number),
+)
 
 
 @dataclass(frozen=True)
@@ -269,6 +291,16 @@ class CostParams:
     def table(self) -> CostTable:
         """The one pricer of (TC, arc) pairs for these parameters."""
         return CostTable(self)
+
+
+# The instance file's cost record besides its routing seed or table.
+COST_FIELDS = (
+    ("f", "fixed_owned", _require_number),
+    ("g", "fixed_leased", _require_number),
+    ("holding", "holding_cost", _require_number),
+    ("r_e", "penalty_early", _require_number),
+    ("r_l", "penalty_tardy", _require_number),
+)
 
 
 # kind -> (rng label, a, b): a routing-seeded price is a + b * U[0, 1).
@@ -350,18 +382,6 @@ class CostTable:
         ]
 
 
-def _require_int(what: str, value) -> None:
-    if type(value) is not int:
-        raise CssndError(f"{what} {value!r} is not an integer")
-
-
-def _require_number(what: str, value) -> None:
-    if type(value) is int:
-        return
-    if type(value) is not float or not math.isfinite(value):
-        raise CssndError(f"{what} {value!r} is not a finite number")
-
-
 @dataclass(frozen=True)
 class Instance:
     physical: PhysicalNetwork
@@ -385,23 +405,11 @@ class Instance:
                 _require_int("distance entry", entry)
         for oc in self.commodities:
             _require_int("commodity id", oc.id)
-            for what, value in (
-                ("origin", oc.origin_physical),
-                ("dest", oc.dest_physical),
-                ("release", oc.release_period),
-                ("due", oc.due_period),
-            ):
-                _require_int(f"commodity {oc.id} {what}", value)
-            _require_number(f"commodity {oc.id} volume", oc.volume)
+            for key, attr, check in COMMODITY_FIELDS[1:]:   # past "id"
+                check(f"commodity {oc.id} {key}", getattr(oc, attr))
         costs = self.costs
-        for what, value in (
-            ("f", costs.fixed_owned),
-            ("g", costs.fixed_leased),
-            ("holding", costs.holding_cost),
-            ("r_e", costs.penalty_early),
-            ("r_l", costs.penalty_tardy),
-        ):
-            _require_number(f"cost {what}", value)
+        for key, attr, check in COST_FIELDS:
+            check(f"cost {key}", getattr(costs, attr))
         if costs.routing_table is None:
             _require_int("routing_seed", costs.routing_seed)
             prices = [SERVICE_COST_HI, OUTSOURCED_COST_BASE + OUTSOURCED_COST_HI]

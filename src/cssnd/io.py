@@ -8,6 +8,9 @@ A single JSON document with canonical field names:
     costs{f, g, holding, r_e, r_l, routing_seed | routing_table},
     seed
 
+The commodity and cost keys are stated once, in the tables
+`core.COMMODITY_FIELDS` and `core.COST_FIELDS`, which `instance_to_dict`
+and `instance_from_dict` read.  An absent `volume` reads as 1.0.
 `routing_table`, when present instead of `routing_seed`, is a list of
 [kind, i, j, depart, tc, cost] rows with kind "service" or "outsourced".
 Serialization is deterministic: same instance, same bytes.
@@ -19,6 +22,8 @@ import json
 from pathlib import Path
 
 from .core import (
+    COMMODITY_FIELDS,
+    COST_FIELDS,
     CostParams,
     CssndError,
     Instance,
@@ -28,13 +33,7 @@ from .core import (
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    costs: dict = {
-        "f": instance.costs.fixed_owned,
-        "g": instance.costs.fixed_leased,
-        "holding": instance.costs.holding_cost,
-        "r_e": instance.costs.penalty_early,
-        "r_l": instance.costs.penalty_tardy,
-    }
+    costs = {key: getattr(instance.costs, attr) for key, attr, _ in COST_FIELDS}
     if instance.costs.routing_table is not None:
         costs["routing_table"] = [
             [kind, i, j, depart, tc, cost]
@@ -49,14 +48,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "periods": instance.period_count,
         "distance": [list(row) for row in instance.physical.distance],
         "commodities": [
-            {
-                "id": oc.id,
-                "origin": oc.origin_physical,
-                "dest": oc.dest_physical,
-                "release": oc.release_period,
-                "due": oc.due_period,
-                "volume": oc.volume,
-            }
+            {key: getattr(oc, attr) for key, attr, _ in COMMODITY_FIELDS}
             for oc in instance.commodities
         ],
         "owned": instance.owned_assets,
@@ -76,11 +68,7 @@ def instance_from_dict(data: dict) -> Instance:
                 for kind, i, j, depart, tc, cost in costs_data["routing_table"]
             }
         costs = CostParams(
-            fixed_owned=costs_data["f"],
-            fixed_leased=costs_data["g"],
-            holding_cost=costs_data["holding"],
-            penalty_early=costs_data["r_e"],
-            penalty_tardy=costs_data["r_l"],
+            **{attr: costs_data[key] for key, attr, _ in COST_FIELDS},
             routing_seed=costs_data.get("routing_seed"),
             routing_table=routing_table,
         )
@@ -91,14 +79,10 @@ def instance_from_dict(data: dict) -> Instance:
             ),
             period_count=data["periods"],
             commodities=tuple(
-                OriginalCommodity(
-                    id=c["id"],
-                    origin_physical=c["origin"],
-                    dest_physical=c["dest"],
-                    release_period=c["release"],
-                    due_period=c["due"],
-                    volume=c.get("volume", 1.0),
-                )
+                OriginalCommodity(**{
+                    attr: c.get(key, 1.0) if key == "volume" else c[key]
+                    for key, attr, _ in COMMODITY_FIELDS
+                })
                 for c in data["commodities"]
             ),
             owned_assets=data["owned"],

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cssnd
 from cssnd.cli import main
 from cssnd.core import Instance, build_time_space_network
 from cssnd.dmam import PathBook
@@ -129,6 +134,24 @@ def test_literal_shift_without_lambda_exits_1(tmp_path, capsys):
     assert not out.exists()
     assert run(argv + ["--lambda", "0.25"]) == 0
     assert "shift_cap:" in out.read_text()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+def test_unknown_vi_families_are_named_in_sorted_order(tmp_path, hash_seed):
+    """The names came out in set order, which moves with the string hash
+    seed.  `--vi` is read before the instance, so `--in` need not exist."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(cssnd.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "cssnd.cli", "export",
+         "--in", str(tmp_path / "absent.json"), "--vi", "zeta,alpha,beta",
+         "--out", str(tmp_path / "m.lp")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: unknown valid-inequality family: alpha, beta, zeta\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["solve", "export"])

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from cssnd.core import CssndError, build_time_space_network
+from cssnd.core import (
+    COMMODITY_FIELDS,
+    COST_FIELDS,
+    CostParams,
+    CssndError,
+    OriginalCommodity,
+    build_time_space_network,
+)
 from cssnd.instgen import generate_instance
 from cssnd.io import (
     dumps_instance,
@@ -29,16 +37,39 @@ def test_round_trip_preserves_instance(tmp_path):
 
 def test_canonical_field_names():
     data = instance_to_dict(make_sample_instance())
-    assert set(data) == {
+    assert list(data) == [
         "n_physical", "periods", "distance", "commodities",
         "owned", "leasable", "costs", "seed",
-    }
-    assert set(data["commodities"][0]) == {
+    ]
+    assert list(data["commodities"][0]) == [
         "id", "origin", "dest", "release", "due", "volume",
-    }
-    assert set(data["costs"]) == {
+    ]
+    assert list(data["costs"]) == [
         "f", "g", "holding", "r_e", "r_l", "routing_seed",
-    }
+    ]
+
+
+def test_field_tables_name_every_record_field():
+    assert [attr for _, attr, _ in COMMODITY_FIELDS] == [
+        f.name for f in fields(OriginalCommodity)
+    ]
+    assert [attr for _, attr, _ in COST_FIELDS] == [
+        f.name for f in fields(CostParams)
+        if f.name not in ("routing_seed", "routing_table")
+    ]
+
+
+def test_an_absent_volume_reads_as_1_and_other_absent_keys_are_named():
+    data = instance_to_dict(make_sample_instance())
+    del data["commodities"][1]["volume"]
+    assert instance_from_dict(data).commodities[1].volume == 1.0
+    del data["commodities"][1]["due"]
+    with pytest.raises(CssndError, match="malformed instance document: 'due'"):
+        instance_from_dict(data)
+    data = instance_to_dict(make_sample_instance())
+    del data["costs"]["r_l"]
+    with pytest.raises(CssndError, match="malformed instance document: 'r_l'"):
+        instance_from_dict(data)
 
 
 def test_explicit_routing_table_round_trip(tmp_path):
@@ -59,6 +90,14 @@ def test_explicit_routing_table_round_trip(tmp_path):
     save_instance(loaded, path)
     again = load_instance(path)
     assert again.costs.routing_table == loaded.costs.routing_table
+
+
+def unit_distances(*entries):
+    """A 5x5 matrix, 1 off the diagonal, with (i, j, value) entries set."""
+    d = [[int(i != j) for j in range(5)] for i in range(5)]
+    for i, j, value in entries:
+        d[i][j] = value
+    return d
 
 
 def test_malformed_documents_are_domain_errors(tmp_path):
@@ -98,9 +137,17 @@ def test_malformed_documents_are_domain_errors(tmp_path):
         ("volume", 1e300, "costs too large"),
         # no variant could be delivered in the model, yet DMaM outsourced it
         ("due", 3, "commodity 2 has a window of 0 periods, shorter than"),
+        # the one check of the distances; networks are built from them
+        ("distance", [[0]], "invalid distances: distance matrix is not 5x5"),
+        ("distance", unit_distances((2, 2, 1)),
+         r"invalid distances: d\[3\]\[3\] = 1, diagonal must be 0"),
+        ("distance", unit_distances((0, 1, 4), (1, 0, 4)),
+         r"invalid distances: d\[1\]\[2\] = 4 exceeds floor\(\|T\|/2\) = 3"),
+        ("distance", unit_distances((0, 1, 3), (1, 0, 3)),
+         r"invalid distances: triangle violation: d\[1\]\[2\] = 3"),
     ):
         data = instance_to_dict(make_sample_instance())
-        if field in ("periods", "n_physical"):
+        if field in ("periods", "n_physical", "distance"):
             data[field] = value
         elif field in data["costs"]:
             data["costs"][field] = value
