@@ -232,50 +232,22 @@ def cmd_check(args):
 
 def cmd_bench(args):
     sizes = [s.strip() for s in args.sizes.split(",") if s.strip()]
-    header = [
-        "instance",
-        "size",
-        "n_physical",
-        "k",
-        "seed",
-        "obj_r",
-        "obj_c",
-        "obj_a",
-        "time_r",
-        "time_c",
-        "time_a",
-    ]
-    rows = [",".join(header)]
+    rows = ["instance,size,n_physical,k,seed,obj_r,obj_c,obj_a,time_r,time_c,time_a"]
     for size in sizes:
         cls = size_class(size)
         for index in range(args.per_size):
             k = cls.k_options[index % len(cls.k_options)]
             seed = args.seed + index
             instance = generate_instance(cls, k, seed)
-            objectives = {}
-            times = {}
+            row = [f"bench.{cls.label}.c{k}.s{seed}", cls.label,
+                   str(cls.n_physical), str(k), str(seed)]
+            times = []
             for config in "rca":
                 start = time.perf_counter()
                 _, report = run_dmam(instance, config)
-                times[config] = time.perf_counter() - start
-                objectives[config] = report["total_cost"]
-            rows.append(
-                ",".join(
-                    [
-                        f"bench.{cls.label}.c{k}.s{seed}",
-                        cls.label,
-                        str(cls.n_physical),
-                        str(k),
-                        str(seed),
-                        f"{objectives['r']:.6f}",
-                        f"{objectives['c']:.6f}",
-                        f"{objectives['a']:.6f}",
-                        f"{times['r']:.3f}",
-                        f"{times['c']:.3f}",
-                        f"{times['a']:.3f}",
-                    ]
-                )
-            )
+                times.append(f"{time.perf_counter() - start:.3f}")
+                row.append(f"{report['total_cost']:.6f}")
+            rows.append(",".join(row + times))
     Path(args.out).write_text("\n".join(rows) + "\n")
     return 0, args.out, "", {}
 

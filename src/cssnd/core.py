@@ -400,6 +400,10 @@ class Instance:
             ("leasable asset count", self.leasable_assets),
         ):
             _require_int(what, value)
+        for what, value in (("period count", self.period_count),
+                            ("n_physical", self.physical.node_count)):
+            if value < 1:
+                raise CssndError(f"{what} {value} is below 1")
         for row in self.physical.distance:
             for entry in row:
                 _require_int("distance entry", entry)

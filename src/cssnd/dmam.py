@@ -43,14 +43,20 @@ model where holding arcs appear in no forcing constraint.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (
     COST_SCALE,
     CssndError,
+    EARLY,
+    HOLD,
     Instance,
     KIND_SHIFT,
+    ORIGINAL,
+    OUTSOURCED,
+    TARDY,
     TimeSpaceNetwork,
     TransformedCommodity,
     build_time_space_network,
@@ -219,13 +225,6 @@ class AssetCycle:
 
 
 @dataclass
-class PhaseStat:
-    phase: str
-    cycles: int
-    seconds: float
-
-
-@dataclass
 class Solution:
     instance: Instance
     tsn: TimeSpaceNetwork
@@ -234,7 +233,6 @@ class Solution:
     cycles: list[AssetCycle] = field(default_factory=list)
     dominant: set[int] = field(default_factory=set)
     svc_registry: dict[int, int] = field(default_factory=dict)  # arc -> path
-    phase_log: list[PhaseStat] = field(default_factory=list)
 
     @property
     def outsourced(self) -> set[int]:
@@ -271,22 +269,15 @@ class Solution:
         return sum(self.cost_breakdown().values())
 
     def summary(self) -> dict[str, int | float]:
-        on_time = early = tardy = 0
-        for path in self.selected.values():
-            if path.mode != OFFERED:
-                continue
-            if path.kind == "original":
-                on_time += 1
-            elif path.kind == "early":
-                early += 1
-            else:
-                tardy += 1
+        kinds = Counter(
+            path.kind for path in self.selected.values() if path.mode == OFFERED
+        )
         return {
             "owned_used": self.owned_used(),
             "leased": self.leased(),
-            "on_time": on_time,
-            "early": early,
-            "tardy": tardy,
+            "on_time": kinds[ORIGINAL],
+            "early": kinds[EARLY],
+            "tardy": kinds[TARDY],
             "outsourced": len(self.outsourced),
             "total_cost": self.total_cost(),
         }
@@ -536,38 +527,23 @@ def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
 
 
 def merge_phase(solution: Solution, config: str) -> int:
-    """Phase III.  Returns the number of merges executed."""
-    executed = 0
-    if config == CONFIG_RANDOM:
-        progress = True
-        while progress:
-            progress = False
-            for p1, p2 in _pair_order(solution):
-                candidate = explore_pair(p1, p2, solution)
-                if candidate and _execute_merge(solution, candidate):
-                    executed += 1
-                    progress = True
-                    break
-        return executed
+    """Phase III.  Returns the number of merges executed.
 
-    candidates = []
-    for p1, p2 in _pair_order(solution):
-        candidate = explore_pair(p1, p2, solution)
-        if candidate:
-            candidates.append(candidate)
-    if config == CONFIG_CUSTOM:
-        chosen = scopf(candidates)
-    elif config == CONFIG_ADVANCED:
-        pairs = [(c.path_one.id, c.path_two.id) for c in candidates]
-        costs = {pair: c.combined_cost for pair, c in zip(pairs, candidates)}
-        matched = set(solve_p2(pairs, costs))
-        chosen = [c for pair, c in zip(pairs, candidates) if pair in matched]
-    else:
-        raise CssndError(f"unknown configuration '{config}'")
-    for candidate in chosen:
-        if _execute_merge(solution, candidate):
+    Candidates are explored lazily in `_pair_order`.  Config r commits the
+    first one that fits and explores afresh; configs c and a select among
+    all of them and commit the selection in order."""
+
+    def candidates():
+        explored = (explore_pair(p1, p2, solution) for p1, p2 in _pair_order(solution))
+        return filter(None, explored)
+
+    if config == CONFIG_RANDOM:
+        executed = 0
+        while any(_execute_merge(solution, c) for c in candidates()):
             executed += 1
-    return executed
+        return executed
+    select = {CONFIG_CUSTOM: scopf, CONFIG_ADVANCED: _matched}[config]
+    return sum(_execute_merge(solution, c) for c in select(list(candidates())))
 
 
 def scopf(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
@@ -629,6 +605,14 @@ def solve_p2(
         if mate[index[i]] == index[j]:
             selected.append(original[(i, j)])
     return sorted(selected)
+
+
+def _matched(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
+    """The candidates `solve_p2` selects, in exploration order."""
+    pairs = [(c.path_one.id, c.path_two.id) for c in candidates]
+    costs = {pair: c.combined_cost for pair, c in zip(pairs, candidates)}
+    matched = set(solve_p2(pairs, costs))
+    return [c for pair, c in zip(pairs, candidates) if pair in matched]
 
 
 def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork) -> Leg:
@@ -701,7 +685,7 @@ def _try_mix_cycle(
     ]
     for alt in alternatives:
         for drop_index, arc_id in enumerate(alt.arcs):
-            if tsn.arcs[arc_id - 1].kind != "hold":
+            if tsn.arcs[arc_id - 1].kind != HOLD:
                 continue
             dominant_ids = [
                 pid
@@ -835,7 +819,7 @@ def solution_to_assignment(solution: Solution) -> dict[str, float]:
             t = wrap_period(t + 1, period_count)
         for arc_id in flow_arcs:
             values[X_NAME.format(tc.id, arc_id)] = tc.volume
-            if tsn.arcs[arc_id - 1].kind == "outsourced":
+            if tsn.arcs[arc_id - 1].kind == OUTSOURCED:
                 values[S_NAME.format(tc.id, arc_id)] = 1.0
     return values
 
@@ -850,42 +834,34 @@ def run_dmam(
     """
     if config not in (CONFIG_RANDOM, CONFIG_CUSTOM, CONFIG_ADVANCED):
         raise CssndError(f"unknown configuration '{config}'")
-    timings = {}
-    t0 = time.perf_counter()
+    timings: dict[str, float] = {}
+    cycle_counts: dict[str, int] = {}
+    started = time.perf_counter()
+
+    def lap(phase: str, solution: Solution | None = None) -> None:
+        """Time the phase that ends now and count the cycles it leaves."""
+        nonlocal started
+        now = time.perf_counter()
+        timings[phase], started = now - started, now
+        if solution is not None:
+            cycle_counts[phase] = len(solution.cycles)
+
     tsn = build_time_space_network(instance.physical, instance.period_count)
     book = PathBook(instance, tsn)
-    timings["paths"] = time.perf_counter() - t0
-
-    def log(solution, phase, t_start):
-        solution.phase_log.append(
-            PhaseStat(
-                phase=phase,
-                cycles=len(solution.cycles),
-                seconds=time.perf_counter() - t_start,
-            )
-        )
-
-    t = time.perf_counter()
+    lap("paths")
     solution = construct_initial(instance, book)
-    log(solution, "construct", t)
-
-    t = time.perf_counter()
+    lap("construct", solution)
     merge_phase(solution, config)
-    log(solution, "merge", t)
-
-    t = time.perf_counter()
+    lap("merge", solution)
     mix_phase(solution)
-    log(solution, "mix", t)
-
-    t = time.perf_counter()
+    lap("mix", solution)
     resolve_capacity(solution)
     finalize_cycles(solution)
-    log(solution, "capacity", t)
-
+    lap("capacity", solution)
     report = {
         "config": config,
         **solution.summary(),
-        "timings": {**timings, **{s.phase: s.seconds for s in solution.phase_log}},
-        "cycle_counts": {s.phase: s.cycles for s in solution.phase_log},
+        "timings": timings,
+        "cycle_counts": cycle_counts,
     }
     return solution, report

@@ -53,6 +53,17 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_horizon_below_one_period_exits_1(tmp_path, capsys):
+    """A one-terminal document over -3 periods solved to a one-asset
+    schedule."""
+    inst = tmp_path / "i.json"
+    data = instance_to_dict(make_sample_instance())
+    data.update(n_physical=1, distance=[[0]], periods=-3, commodities=[])
+    inst.write_text(json.dumps(data))
+    assert run(["solve", "--in", str(inst)]) == 1
+    assert capsys.readouterr().err == "error: period count -3 is below 1\n"
+
+
 NOT_UTF8 = b"\xff\xfe\x00bad"
 
 

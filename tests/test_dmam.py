@@ -397,6 +397,32 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
             assert cycle_oracle(*candidate.legs, instance), candidate
 
 
+# --- Phase II ---------------------------------------------------------------
+
+
+def test_dedication_skips_a_service_slot_already_taken():
+    """Commodities 1 and 2 both go 1->2 over [1, 2].  Commodity 2's cheapest
+    path runs service arc 15, which commodity 1 holds, so it takes the
+    early arc 21, and the schedule checks out."""
+    instance = make_instance([(1, 2, 1, 2), (1, 2, 1, 2)], n=2, d_value=1, seed=7)
+    tsn = tsn_of(instance)
+    book = PathBook(instance, tsn)
+    solution = construct_initial(instance, book)
+    cheapest = min(book.oc_paths(2), key=lambda p: (p.cost, p.id))
+    first, second = solution.selected[1], solution.selected[2]
+    assert slot(cheapest) == slot(first) == 15
+    assert (slot(second), second.kind) == (21, "early")
+    assert solution.svc_registry == {15: first.id, 21: second.id}
+    solution, report = run_dmam(instance, "a")
+    tcs = list(solution.book.tcs)
+    result = check_solution(
+        instance, tsn, tcs, build_mip(instance, tsn, tcs),
+        solution_to_assignment(solution),
+    )
+    assert result.feasible, result.violations[:3]
+    assert result.objective == pytest.approx(report["total_cost"], abs=1e-6)
+
+
 # --- merged cycle construction ----------------------------------------------
 
 
@@ -509,10 +535,10 @@ def test_simulation_rejects_window_violations():
     solution = construct_initial(instance, book)
     p1, p2 = solution.selected[1], solution.selected[2]
 
-    def walk_with_second_start(start):
+    def walk_with_second_start(start, phys_from=2):
         legs = [
             Leg(p1.id, 1, 2, 1, 2, p1.arcs),
-            Leg(p2.id, 2, 1, start, 2, p2.arcs),
+            Leg(p2.id, phys_from, 1, start, 2, p2.arcs),
         ]
         return _walk(solution, legs, [], "test cycle")
 
@@ -524,6 +550,16 @@ def test_simulation_rejects_window_violations():
     # overlapping chains cannot share one asset
     with pytest.raises(CssndError, match="left over"):
         walk_with_second_start(2)
+    with pytest.raises(CssndError, match="two chains or trips start together"):
+        walk_with_second_start(1)
+    # the first chain ends at terminal 2, the second leaves terminal 3
+    with pytest.raises(CssndError, match="asset is not at terminal 3 to depart"):
+        walk_with_second_start(4, phys_from=3)
+
+
+def test_run_dmam_names_an_unknown_configuration():
+    with pytest.raises(CssndError, match="unknown configuration 'z'"):
+        run_dmam(make_sample_instance(), "z")
 
 
 def test_one_rep_merge_adds_single_empty_leg():

@@ -145,9 +145,17 @@ def test_malformed_documents_are_domain_errors(tmp_path):
          r"invalid distances: d\[1\]\[2\] = 4 exceeds floor\(\|T\|/2\) = 3"),
         ("distance", unit_distances((0, 1, 3), (1, 0, 3)),
          r"invalid distances: triangle violation: d\[1\]\[2\] = 3"),
+        # a horizon or network below one, checked before the distances
+        ("periods", 0, "period count 0 is below 1"),
+        ("n_physical", 0, "n_physical 0 is below 1"),
+        ("owned", 0, "at least one owned asset is required"),
+        ("leasable", -1, "leasable asset count cannot be negative"),
+        ("release", 8, "commodity 2 period 8 out of range"),
+        ("volume", 0.0, "commodity 2 has non-positive volume"),
+        ("volume", -1.0, "commodity 2 has non-positive volume"),
     ):
         data = instance_to_dict(make_sample_instance())
-        if field in ("periods", "n_physical", "distance"):
+        if field in ("periods", "n_physical", "distance", "owned", "leasable"):
             data[field] = value
         elif field in data["costs"]:
             data["costs"][field] = value
