@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -296,6 +297,73 @@ def test_two_overruns_equal_the_four_type_rule():
                 assert max(forth + a1 - a2, back - a1 + a2) == expected
                 checked += 1
     assert checked == 225_792
+
+
+# --- one cycle over several legs ---------------------------------------------
+
+
+def on_one_axis(legs, period_count):
+    """`legs` moved so that each one starts in the horizon after the start
+    of the one before it."""
+    placed = [legs[0]]
+    for leg_ in legs[1:]:
+        prev = placed[-1].start
+        placed.append(
+            leg_._replace(start=prev + (leg_.start - prev - 1) % period_count + 1)
+        )
+    return placed
+
+
+@functools.cache
+def drawn_book(seed):
+    instance = generate_instance("small", 10, seed)
+    book = PathBook(instance, tsn_of(instance))
+    return book, [p for p in book.by_id.values() if p.mode == "offered"]
+
+
+@st.composite
+def drawn_cycles(draw):
+    book, offered = drawn_book(draw(st.integers(1, 3)))
+    count = draw(st.integers(2, 2))
+    paths = draw(st.lists(
+        st.sampled_from(offered), min_size=count, max_size=count, unique=True
+    ))
+    legs = [book.legs[p.id] for p in paths]
+    return book, on_one_axis(legs, book.instance.period_count)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(drawn=drawn_cycles())
+def test_no_overrun_exactly_when_one_asset_runs_the_cycle(drawn):
+    """With every service slot free, the legs fit one cycle by the gap rule
+    exactly when its empty trips are planned and the walk closes it."""
+    book, legs = drawn
+    solution = Solution(instance=book.instance, tsn=book.tsn, book=book)
+    fits = max(_overruns(*legs, book.instance)) <= 0
+    plan = _plan_repositioning(solution, legs)
+    runs = plan is not None
+    if runs:
+        try:
+            _walk(solution, legs, plan, "drawn cycle")
+        except CssndError:
+            runs = False
+    assert fits == runs
+
+
+def test_three_legs_plan_the_trips_they_need():
+    """1->2 over [5, 6], 3->4 over [8, 9], 4->5 over [9, 10], all two
+    periods apart: the trip 2->3 leaves at 6 and arrives as the second leg
+    starts, the third leg leaves where the second ends, and the trip 5->1
+    leaves at 10 (period 3) and arrives at 12, a horizon after the first
+    leg's start."""
+    instance = make_instance([])
+    tsn = tsn_of(instance)
+    solution = Solution(instance=instance, tsn=tsn, book=PathBook(instance, tsn))
+    legs = [leg(1, 1, 2, 5, 1), leg(2, 3, 4, 8, 1), leg(3, 4, 5, 9, 1)]
+    assert _plan_repositioning(solution, legs) == [
+        (tsn.service_arc(2, 3, 6).id, 6),
+        (tsn.service_arc(5, 1, 3).id, 10),
+    ]
 
 
 # --- shifted merge ----------------------------------------------------------
