@@ -9,28 +9,30 @@ single paths into other cycles by letting a holding arc ride a dominant
 path.  Phase V resolves asset shortage by leasing or outsourcing unit by
 unit and finalizes asset cycles.
 
-Merge feasibility works on a normalized timeline: the second chain is
-pushed one horizon forward unless it starts after the first, so both chains
-and the wrap-back point t_O1 + |T| sit on one axis.  The pair fits one asset
-when neither of two overruns is positive: forth = d(D1, O2) + t_D1 - t_O2,
-how far the first chain and the trip to the second origin run into the
-second chain, and back = d(D2, O1) + t_D2 - t_wrap, the same for the trip
-home.  The paper sorts a pair into four types by the repositioning legs it
-needs (none, one after either chain, or two) and gives each type its own
-time-wise conditions; since a needed leg takes at least one period and an
-unneeded one none, each type's strict gap condition follows from its
-distance condition, and the four types collapse into the two overruns.
-Moving the chains by one-period offsets (a1, a2) adds a1 - a2 to forth and
-takes it from back, so a pair that overruns by one or two periods is retried
-with the early/tardy sibling paths whose offsets absorb it.
+Feasibility works on a normalized timeline: each leg of a cycle is lifted
+into the horizon after the start of the leg before it, and the cycle wraps
+at t_wrap, one horizon after the first leg's start.  `_gaps` lists the
+empty stretches from each leg's end to the next start, the last one ending
+at t_wrap.  A stretch overruns by d(from, to) + earliest - latest; the legs
+fit one asset when none is positive, and `_plan_repositioning` takes its
+trips from the same list.  A pair's two overruns are forth = d(D1, O2) +
+t_D1 - t_O2 and back = d(D2, O1) + t_D2 - t_wrap.  The paper sorts a pair
+into four types by the repositioning legs it needs (none, one after either
+chain, or two) and gives each type its own time-wise conditions; since a
+needed leg takes at least one period and an unneeded one none, each type's
+strict gap condition follows from its distance condition, and the four
+types collapse into the two overruns.  Moving the chains by one-period
+offsets (a1, a2) adds a1 - a2 to forth and takes it from back, so a pair
+that overruns by one or two periods is retried with the early/tardy sibling
+paths whose offsets absorb it.
 
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
-particle cut from one, or a lone cycle's service leg.  `_lag` is the one
-rule that places a second leg on a cycle's axis.  A merge and a mix both
-hand `_commit` the placed legs and the paths they replace; it swaps the new
-paths in, closes the cycle, and undoes the swaps when it is refused.  A
-cycle is walked once, when it closes: `_walk` checks it and returns the arc
-sequence the asset runs.
+particle cut from one, or a lone cycle's service leg.  `_lift` is the one
+rule that places a leg after another on a cycle's axis.  A merge and a mix
+both hand `_commit` the placed legs and the paths they replace; it swaps
+the new paths in, closes the cycle, and undoes the swaps when it is
+refused.  A cycle is walked once, when it closes: `_walk` checks it and
+returns the arc sequence the asset runs.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -108,35 +110,45 @@ def leg_view(path: CommodityPath) -> Leg:
     )
 
 
-def _lag(leg1: Leg, leg2: Leg, period_count: int) -> int:
-    """How far `leg2` moves to run after `leg1` on the cycle's axis: not at
-    all when it starts after `leg1`, else one horizon.  The cycle closes one
-    horizon after `leg1` starts."""
-    return 0 if leg2.start > leg1.start else period_count
+def _lift(prev: int, start: int, period_count: int) -> int:
+    """`start` moved into the horizon after `prev`: prev < lifted <= prev +
+    |T|.  A start already there stays put."""
+    return prev + (start - prev - 1) % period_count + 1
 
 
 def _place(leg1: Leg, leg2: Leg, period_count: int) -> Leg:
     """`leg2` moved onto `leg1`'s axis."""
-    return leg2._replace(start=leg2.start + _lag(leg1, leg2, period_count))
+    return leg2._replace(start=_lift(leg1.start, leg2.start, period_count))
 
 
-def _overruns(leg1: Leg, leg2: Leg, instance: Instance) -> tuple[int, int]:
-    """(forth, back): by how many periods the first chain plus the trip to
-    the second origin, and the second chain plus the trip back to the first
-    origin, overrun the next start on the normalized axis.  The chains fit
-    one cycle when neither is positive."""
-    period_count = instance.period_count
-    t_o2 = leg2.start + _lag(leg1, leg2, period_count)
+def _gaps(legs: list[Leg], period_count: int) -> list[tuple[int, int, int, int]]:
+    """(from, to, earliest, latest) of each empty stretch of a cycle that
+    runs `legs` in order, each lifted into the horizon after the start of
+    the one before it."""
+    first = legs[0]
+    start, end, at = first.start, first.end, first.phys_to
+    gaps = []
+    for leg in legs[1:]:
+        start = _lift(start, leg.start, period_count)
+        gaps.append((at, leg.phys_from, end, start))
+        end, at = start + leg.busy, leg.phys_to
+    gaps.append((at, first.phys_from, end, first.start + period_count))
+    return gaps
+
+
+def _overruns(legs: list[Leg], instance: Instance) -> list[int]:
+    """By how many periods the trip of each of the legs' `_gaps` overruns
+    it.  The legs fit one cycle when none is positive."""
     d = instance.physical.d     # 0 on the diagonal
-    return (
-        d(leg1.phys_to, leg2.phys_from) + leg1.end - t_o2,
-        d(leg2.phys_to, leg1.phys_from) + t_o2 + leg2.busy - leg1.start - period_count,
-    )
+    overruns = []
+    for phys_from, phys_to, earliest, latest in _gaps(legs, instance.period_count):
+        overruns.append(d(phys_from, phys_to) + earliest - latest)
+    return overruns
 
 
 def check_regular_merge(leg1: Leg, leg2: Leg, instance: Instance) -> bool:
     """Whether the chains fit one cycle without shifting."""
-    return max(_overruns(leg1, leg2, instance)) <= 0
+    return max(_overruns([leg1, leg2], instance)) <= 0
 
 
 class MergeCandidate(NamedTuple):
@@ -334,7 +346,7 @@ def explore_pair(
     absorb an overrun of one or two periods."""
     leg1, leg2 = solution.book.legs[path1.id], solution.book.legs[path2.id]
     instance = solution.instance
-    forth, back = _overruns(leg1, leg2, instance)
+    forth, back = _overruns([leg1, leg2], instance)
     overrun = max(forth, back, 0)
     if overrun > 2:
         return None
@@ -352,33 +364,25 @@ def explore_pair(
     if best is None:
         return None
     cost, new1, new2, a1, a2 = best
-    start_two = leg2.start + _lag(leg1, leg2, instance.period_count) + a2
+    start_two = _lift(leg1.start, leg2.start, instance.period_count) + a2
     return MergeCandidate(path1, path2, cost, new1, new2, leg1.start + a1, start_two)
 
 
 def _plan_repositioning(
     solution: Solution, legs: list[Leg]
 ) -> list[tuple[int, int]] | None:
-    """Choose the empty trips of a cycle that runs `legs` in order: from
-    each leg's destination to the next leg's origin, and from the last leg
-    back to the first one a horizon later.  Each trip takes the earliest
-    service arc no other asset operates, and the registry marks it taken.
-    Times are normalized; returns (arc_id, normalized depart) pairs, or
-    None, taking nothing, when some trip finds no free slot."""
+    """Choose the empty trips of a cycle that runs `legs` in order, one in
+    each of its `_gaps` whose ends are different terminals.  Each trip
+    takes the earliest service arc no other asset operates, and the
+    registry marks it taken.  Times are normalized; returns (arc_id,
+    normalized depart) pairs, or None, taking nothing, when some trip finds
+    no free slot."""
     instance = solution.instance
     tsn = solution.tsn
     period_count = instance.period_count
     plan: list[tuple[int, int]] = []
     taken = set(solution.svc_registry)
-    gaps = [
-        (leg.phys_to, nxt.phys_from, leg.end, nxt.start)
-        for leg, nxt in zip(legs, legs[1:])
-    ]
-    gaps.append(
-        (legs[-1].phys_to, legs[0].phys_from, legs[-1].end,
-         legs[0].start + period_count)
-    )
-    for phys_from, phys_to, earliest, latest in gaps:
+    for phys_from, phys_to, earliest, latest in _gaps(legs, period_count):
         if phys_from == phys_to:
             continue
         d = instance.physical.d(phys_from, phys_to)
@@ -542,7 +546,7 @@ def merge_phase(solution: Solution, config: str) -> int:
         while any(_execute_merge(solution, c) for c in candidates()):
             executed += 1
         return executed
-    select = {CONFIG_CUSTOM: scopf, CONFIG_ADVANCED: _matched}[config]
+    select = {CONFIG_CUSTOM: scopf, CONFIG_ADVANCED: solve_p2}[config]
     return sum(_execute_merge(solution, c) for c in select(list(candidates())))
 
 
@@ -574,45 +578,27 @@ def scopf(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
     return selected
 
 
-def solve_p2(
-    pairs: list[tuple[int, int]], costs: dict[tuple[int, int], float]
-) -> list[tuple[int, int]]:
+def solve_p2(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
     """Exact solution of the pair-selection program: maximum number of
-    vertex-disjoint pairs, minimum total cost among those.
+    vertex-disjoint candidates, minimum total cost among those, returned in
+    exploration order.  No two candidates join the same pair of paths.
 
     The iterated target scheme (start at floor(|M|/2) selections, drop one
     by one until feasible, then minimize cost at the first feasible rung)
     lands exactly on the maximum-cardinality minimum-cost matching, which
     is computed here by the blossom algorithm on negated costs; depth-first
     enumeration was measured hopeless already at forty-odd conflicting
-    paths.
+    paths.  Which optimum comes back among ties depends on the edge order,
+    ascending by the pair's (lower, higher) path id.
     """
-    if not pairs:
-        return []
-    unique = sorted({(min(i, j), max(i, j)) for i, j in pairs})
-    original = {}
-    for i, j in pairs:
-        original.setdefault((min(i, j), max(i, j)), (i, j))
-    vertices = sorted({v for pair in unique for v in pair})
-    index = {v: n for n, v in enumerate(vertices)}
-    edges = []
-    for i, j in unique:
-        cost = costs.get((i, j), costs.get((j, i)))
-        edges.append((index[i], index[j], -int(round(cost * COST_SCALE))))
-    mate = max_weight_matching(edges)
-    selected = []
-    for i, j in unique:
-        if mate[index[i]] == index[j]:
-            selected.append(original[(i, j)])
-    return sorted(selected)
-
-
-def _matched(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
-    """The candidates `solve_p2` selects, in exploration order."""
-    pairs = [(c.path_one.id, c.path_two.id) for c in candidates]
-    costs = {pair: c.combined_cost for pair, c in zip(pairs, candidates)}
-    matched = set(solve_p2(pairs, costs))
-    return [c for pair, c in zip(pairs, candidates) if pair in matched]
+    ids = sorted({p.id for c in candidates for p in (c.path_one, c.path_two)})
+    index = {v: n for n, v in enumerate(ids)}
+    ends = [(index[c.path_one.id], index[c.path_two.id]) for c in candidates]
+    mate = max_weight_matching(sorted(
+        (min(i, j), max(i, j), -int(round(c.combined_cost * COST_SCALE)))
+        for (i, j), c in zip(ends, candidates)
+    ))
+    return [c for (i, j), c in zip(ends, candidates) if mate[i] == j]
 
 
 def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork) -> Leg:
@@ -696,13 +682,13 @@ def _try_mix_cycle(
                 continue
             particle = _particle(alt, drop_index, tsn)
             for target in targets:
-                if not check_regular_merge(target, particle, instance):
+                placed = _place(target, particle, instance.period_count)
+                if not check_regular_merge(target, placed, instance):
                     continue
                 # a particle cut from another path of `current`'s
                 # commodity swaps that path in
-                legs = [target, _place(target, particle, instance.period_count)]
                 if _commit(
-                    solution, legs, [book.by_id[target.path_id], current],
+                    solution, [target, placed], [book.by_id[target.path_id], current],
                     "mix produced an invalid cycle",
                 ):
                     solution.dominant.add(dominant_ids[0])
@@ -728,15 +714,22 @@ def resolve_capacity(solution: Solution) -> None:
             conversions = _conversions(solution, solution.cycles)
         if conversions and (conversions[0][0] < g or not can_lease):
             cycle = conversions[0][2]
-            for leg in cycle.legs:
-                path = solution.book.by_id[leg.path_id]
-                _reselect(solution, path, solution.book.cheapest_outsourced(path.oc_id))
-            for arc_id, _ in cycle.rep_plan:
-                del solution.svc_registry[arc_id]   # repositioning marker
+            _outsource(solution, cycle)
             solution.cycles.remove(cycle)
         else:
             leased += 1
         shortage -= 1
+
+
+def _outsource(solution: Solution, cycle: AssetCycle) -> None:
+    """Deliver each commodity the cycle carries by its cheapest outsourced
+    path, and free the cycle's repositioning slots."""
+    book = solution.book
+    for leg in cycle.legs:
+        path = book.by_id[leg.path_id]
+        _reselect(solution, path, book.cheapest_outsourced(path.oc_id))
+    for arc_id, _ in cycle.rep_plan:
+        del solution.svc_registry[arc_id]   # repositioning marker
 
 
 def _conversions(
@@ -773,11 +766,12 @@ def finalize_cycles(solution: Solution) -> None:
             leg = cycle.legs[0]._replace(
                 start=svc_arc.depart, busy=svc_arc.duration, arcs=(svc_arc.id,)
             )
-            cycle = _close_cycle(solution, [leg], "lone cycle failed its walk")
-            if cycle is None:
+            closed = _close_cycle(solution, [leg], "lone cycle failed its walk")
+            if closed is None:
                 # no conflict-free return slot
-                _reselect(solution, path, solution.book.cheapest_outsourced(path.oc_id))
+                _outsource(solution, cycle)
                 continue
+            cycle = closed
         survivors.append(cycle)
     solution.cycles = survivors
     for index, cycle in enumerate(solution.cycles, start=1):
