@@ -232,6 +232,10 @@ def cmd_check(args):
 
 def cmd_bench(args):
     sizes = [s.strip() for s in args.sizes.split(",") if s.strip()]
+    if not sizes:
+        raise CssndError("--sizes names no size class")
+    if args.per_size < 0:
+        raise CssndError(f"--per-size must be 0 or more, not {args.per_size}")
     rows = ["instance,size,n_physical,k,seed,obj_r,obj_c,obj_a,time_r,time_c,time_a"]
     for size in sizes:
         cls = size_class(size)

@@ -435,6 +435,29 @@ def test_bench_emits_table(tmp_path):
         assert float(fields[5]) > 0
 
 
+def test_bench_of_no_instance_writes_the_header_alone(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run(["bench", "--sizes", "small", "--per-size", "0",
+                "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "instance,size,n_physical,k,seed,obj_r,obj_c,obj_a,time_r,time_c,time_a\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "small", "--per-size", "-2"], "--per-size must be 0 or more, not -2"),
+    (["--sizes", ",", "--per-size", "1"], "--sizes names no size class"),
+    (["--sizes", "", "--per-size", "1"], "--sizes names no size class"),
+])
+def test_bench_that_can_run_nothing_exits_1(tmp_path, capsys, argv, message):
+    """A negative count or an empty size list is an error, not a header-only
+    table, and no file is written."""
+    out = tmp_path / "bench.csv"
+    assert run(["bench", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["r", "c", "a"])
 def test_exhausted_fleet_outsources_merged_cycles(tmp_path, capsys, config):
     """One owned asset and none to lease: Phase V outsources merged cycles
