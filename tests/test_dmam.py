@@ -357,8 +357,8 @@ def test_no_overrun_exactly_when_one_asset_runs_the_cycle(drawn):
 
 
 def test_three_legs_plan_the_trips_they_need():
-    """1->2 over [5, 6], 3->4 over [8, 9], 4->5 over [9, 10], with every
-    two terminals two periods apart: the trip 2->3 leaves at 6 and arrives
+    """1->2 over [5, 6], 3->4 over [8, 9] and 4->5 over [9, 10], every pair
+    of terminals two periods apart: the trip 2->3 leaves at 6 and arrives
     as the second leg starts, the third leg leaves where the second ends,
     and the trip 5->1 leaves at 10 (period 3) and arrives at 12, a horizon
     after the first leg's start."""
