@@ -14,10 +14,8 @@ import functools
 import hashlib
 import json
 import platform
-import re
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -220,9 +218,7 @@ def cmd_check(args):
         "objective": result.objective,
         "violations": result.violations[:20],
         "violation_count": len(result.violations),
-        "violations_by_family": dict(sorted(Counter(
-            re.sub(r"\d+", "{}", v.split(":")[0]) for v in result.violations
-        ).items())),
+        "violations_by_family": result.violations_by_family,
         "summary": result.summary,
         "instance_hash": _file_digest(args.input),
     }

@@ -29,7 +29,7 @@ paths whose offsets absorb it.
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
 particle cut from one, or a lone cycle's service leg.  `_lift` is the one
 rule that places a leg after another on a cycle's axis.  A merge and a mix
-both hand `_commit` the placed legs and the paths they replace; it swaps
+both hand `_commit` the placed legs and the cycles they replace; it swaps
 the new paths in, closes the cycle, and undoes the swaps when it is
 refused.  A cycle is walked once, when it closes: `_walk` checks it and
 returns the arc sequence the asset runs.
@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import (
     COST_SCALE,
@@ -219,7 +219,7 @@ class PathBook:
                    key=lambda p: (p.cost, p.id))
 
 
-@dataclass
+@dataclass(eq=False)
 class AssetCycle:
     legs: list[Leg]
     rep_plan: list[tuple[int, int]] = field(default_factory=list)  # (arc, t)
@@ -484,20 +484,22 @@ def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> Non
 def _commit(
     solution: Solution,
     legs: list[Leg],
-    replaced: list[CommodityPath],
+    replaced: list[AssetCycle],
     failure: str,
 ) -> bool:
-    """Replace the cycles carrying the legs' or the replaced paths' ids by
-    one cycle running `legs`.  The path of `legs[i]` delivers the commodity
-    of `replaced[i]`, and is swapped in where it is another path.
+    """Replace the cycles `replaced` by one cycle running `legs`.  The path
+    of `legs[i]` delivers the commodity of the i-th leg of `replaced`, the
+    legs taken in order, and is swapped in where it is another path.
 
     Refused, changing nothing, when a new path's service slot is held by
     any path but the one it replaces, when two new paths share a slot, or
     when some empty trip of the cycle finds no free slot.
     """
+    by_id = solution.book.by_id
+    carried = [by_id[leg.path_id] for cycle in replaced for leg in cycle.legs]
     swaps = [
-        (old, solution.book.by_id[leg.path_id])
-        for leg, old in zip(legs, replaced) if leg.path_id != old.id
+        (old, by_id[leg.path_id])
+        for leg, old in zip(legs, carried) if leg.path_id != old.id
     ]
     registry = solution.svc_registry
     incoming = [new.arcs[new.lead_holds] for _, new in swaps]
@@ -508,26 +510,15 @@ def _commit(
         return False
     for old, new in swaps:
         _reselect(solution, old, new)
-    cycle = _close_cycle(solution, legs, failure)
-    if cycle is None:
+    closed = _close_cycle(solution, legs, failure)
+    if closed is None:
         for old, new in swaps:
             _reselect(solution, new, old)
         return False
-    drop = {leg.path_id for leg in legs} | {old.id for old in replaced}
-    solution.cycles = [
-        c for c in solution.cycles if drop.isdisjoint(c.carried_paths)
-    ]
-    solution.cycles.append(cycle)
+    for cycle in replaced:
+        solution.cycles.remove(cycle)
+    solution.cycles.append(closed)
     return True
-
-
-def _execute_merge(solution: Solution, candidate: MergeCandidate) -> bool:
-    """Commit the merged cycle of a feasible candidate: its legs start
-    where `explore_pair` checked them."""
-    return _commit(
-        solution, candidate.legs, [candidate.path_one, candidate.path_two],
-        "merged cycle failed its walk",
-    )
 
 
 def merge_phase(solution: Solution, config: str) -> int:
@@ -535,19 +526,26 @@ def merge_phase(solution: Solution, config: str) -> int:
 
     Candidates are explored lazily in `_pair_order`.  Config r commits the
     first one that fits and explores afresh; configs c and a select among
-    all of them and commit the selection in order."""
+    all of them and commit the selection in order.  A merge replaces the
+    lone cycles of its paths, mapped once: the phase makes no lone cycle,
+    r explores afresh, and the selections of c and a are vertex-disjoint."""
+    lone = {c.legs[0].path_id: c for c in solution.cycles if not c.merged}
 
     def candidates():
         explored = (explore_pair(p1, p2, solution) for p1, p2 in _pair_order(solution))
         return filter(None, explored)
 
+    def commit(c: MergeCandidate) -> bool:
+        replaced = [lone[c.path_one.id], lone[c.path_two.id]]
+        return _commit(solution, c.legs, replaced, "merged cycle failed its walk")
+
     if config == CONFIG_RANDOM:
         executed = 0
-        while any(_execute_merge(solution, c) for c in candidates()):
+        while any(commit(c) for c in candidates()):
             executed += 1
         return executed
     select = {CONFIG_CUSTOM: scopf, CONFIG_ADVANCED: solve_p2}[config]
-    return sum(_execute_merge(solution, c) for c in select(list(candidates())))
+    return sum(commit(c) for c in select(list(candidates())))
 
 
 def scopf(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
@@ -662,10 +660,8 @@ def _try_mix_cycle(
         for p in sorted(book.oc_paths(current.oc_id), key=lambda p: p.id)
         if p.mode == OFFERED and p.id != current.id
     ]
-    # a lone cycle's one leg is its path's leg_view
     targets = [
-        c.legs[0]
-        for c in solution.cycles
+        c for c in solution.cycles
         if not c.merged and c is not cycle
         and c.legs[0].path_id not in solution.dominant
     ]
@@ -682,13 +678,14 @@ def _try_mix_cycle(
                 continue
             particle = _particle(alt, drop_index, tsn)
             for target in targets:
-                placed = _place(target, particle, instance.period_count)
-                if not check_regular_merge(target, placed, instance):
+                leg = target.legs[0]
+                placed = _place(leg, particle, instance.period_count)
+                if not check_regular_merge(leg, placed, instance):
                     continue
                 # a particle cut from another path of `current`'s
                 # commodity swaps that path in
                 if _commit(
-                    solution, [target, placed], [book.by_id[target.path_id], current],
+                    solution, [leg, placed], [target, cycle],
                     "mix produced an invalid cycle",
                 ):
                     solution.dominant.add(dominant_ids[0])
@@ -707,13 +704,13 @@ def resolve_capacity(solution: Solution) -> None:
     leased = 0
     while shortage > 0:
         can_lease = leased < instance.leasable_assets
-        conversions = _conversions(
-            solution, [c for c in solution.cycles if not c.merged]
+        conversion = _cheapest_conversion(
+            solution, (c for c in solution.cycles if not c.merged)
         )
-        if not conversions and not can_lease:
-            conversions = _conversions(solution, solution.cycles)
-        if conversions and (conversions[0][0] < g or not can_lease):
-            cycle = conversions[0][2]
+        if conversion is None and not can_lease:
+            conversion = _cheapest_conversion(solution, solution.cycles)
+        if conversion is not None and (conversion[0] < g or not can_lease):
+            cycle = conversion[2]
             _outsource(solution, cycle)
             solution.cycles.remove(cycle)
         else:
@@ -732,11 +729,12 @@ def _outsource(solution: Solution, cycle: AssetCycle) -> None:
         del solution.svc_registry[arc_id]   # repositioning marker
 
 
-def _conversions(
-    solution: Solution, cycles: list[AssetCycle]
-) -> list[tuple[float, int, AssetCycle]]:
+def _cheapest_conversion(
+    solution: Solution, cycles: Iterable[AssetCycle]
+) -> tuple[float, int, AssetCycle] | None:
     """(cost increase of outsourcing every leg, first leg's path id, cycle)
-    for each of `cycles`, cheapest first."""
+    of the one of `cycles` cheapest to convert, ties by that path id; None
+    when there is none."""
     book = solution.book
     conversions = []
     for cycle in cycles:
@@ -745,8 +743,7 @@ def _conversions(
             path = book.by_id[leg.path_id]
             delta += book.cheapest_outsourced(path.oc_id).cost - path.cost
         conversions.append((delta, cycle.legs[0].path_id, cycle))
-    conversions.sort(key=lambda item: item[:2])
-    return conversions
+    return min(conversions, key=lambda item: item[:2], default=None)
 
 
 def finalize_cycles(solution: Solution) -> None:

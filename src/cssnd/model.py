@@ -786,6 +786,7 @@ class CheckResult:
     violations: list[str]
     objective: float
     summary: dict[str, float]
+    violations_by_family: dict[str, int]    # template -> count, sorted
 
 
 def check_solution(
@@ -799,28 +800,35 @@ def check_solution(
     break, and recompute the objective from the assignment alone.  Missing
     variables count as zero, and names the model lacks are ignored.  Only
     the support, the columns at a nonzero value, is read: a row left out
-    holds no support column, and its activity there, 0, meets its sense."""
+    holds no support column, and its activity there, 0, meets its sense.
+    Each violation is also counted under its family's template."""
     violations: list[str] = []
+    by_family: Counter[str] = Counter()
+
+    def violate(family: Family, text: str) -> None:
+        violations.append(text)
+        by_family[family.template] += 1
+
     values = [0.0] * model.column_count
-    named: dict[int, tuple[str, str]] = {}      # column -> (name, kind)
+    named: dict[int, tuple[str, Family]] = {}       # column -> (name, family)
     for name, x in assignment.items():
         for family in model.families:
             col = family.parse(name)
             if col is not None:
                 values[col] = x
-                named[col] = name, family.kind
+                named[col] = name, family
                 break
 
     # zero lies in every column's domain, so only named columns can fail
     columns = sorted(named)
     for col in columns:
-        name, kind = named[col]
+        name, family = named[col]
         x = values[col]
-        if kind == BINARY:
+        if family.kind == BINARY:
             if min(abs(x), abs(x - 1.0)) > TOLERANCE:
-                violations.append(f"{name}: {x} is not binary")
+                violate(family, f"{name}: {x} is not binary")
         elif x < -TOLERANCE:
-            violations.append(f"{name}: {x} below zero")
+            violate(family, f"{name}: {x} below zero")
     support = [col for col in columns if values[col]]
 
     # each row's terms at a nonzero value, summed in term order
@@ -834,11 +842,11 @@ def check_solution(
             continue
         name, sense = family.template.format(*key), family.kind
         if sense == "<=" and lhs > rhs + TOLERANCE:
-            violations.append(f"{name}: {lhs} > {rhs}")
+            violate(family, f"{name}: {lhs} > {rhs}")
         elif sense == ">=" and lhs < rhs - TOLERANCE:
-            violations.append(f"{name}: {lhs} < {rhs}")
+            violate(family, f"{name}: {lhs} < {rhs}")
         elif sense == "=" and abs(lhs - rhs) > TOLERANCE:
-            violations.append(f"{name}: {lhs} != {rhs}")
+            violate(family, f"{name}: {lhs} != {rhs}")
 
     objective = 0.0
     for coef, col in model.objective_terms(support):
@@ -876,6 +884,7 @@ def check_solution(
         violations=violations,
         objective=objective,
         summary=summary,
+        violations_by_family=dict(sorted(by_family.items())),
     )
 
 

@@ -29,7 +29,6 @@ from cssnd.dmam import (
     check_regular_merge,
     construct_initial,
     _commit,
-    _execute_merge,
     _overruns,
     _pair_order,
     _place,
@@ -505,6 +504,11 @@ def test_dedication_skips_a_service_slot_already_taken():
 # --- merged cycle construction ----------------------------------------------
 
 
+def lone(solution, path):
+    """The lone cycle that carries `path`."""
+    return next(c for c in solution.cycles if c.carried_paths == [path.id])
+
+
 def test_merge_paths_builds_closed_cycle():
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
     tsn = build_time_space_network(instance.physical, instance.period_count)
@@ -522,7 +526,9 @@ def test_merge_paths_builds_closed_cycle():
         start_one=1,
         start_two=4,
     )
-    assert _execute_merge(solution, candidate)
+    assert _commit(
+        solution, candidate.legs, [lone(solution, p1), lone(solution, p2)], "unused"
+    )
     cycle = solution.cycles[-1]
     assert sorted(cycle.carried_paths) == sorted([p1.id, p2.id])
     assert cycle.rep_plan == []       # perfect match needs no repositioning
@@ -562,7 +568,8 @@ def test_refused_commit_for_a_held_slot_changes_nothing():
     before = _state(solution)
     legs = [leg_view(stolen), leg_view(solution.selected[2])]
     assert not _commit(
-        solution, legs, [current, solution.selected[2]], "unused"
+        solution, legs, [lone(solution, current), lone(solution, solution.selected[2])],
+        "unused",
     )
     assert _state(solution) == before
 
@@ -584,7 +591,9 @@ def test_refused_mix_commit_for_a_held_slot_changes_nothing(monkeypatch):
     before = _state(solution)
     target = leg_view(target_path)
     legs = [target, _place(target, leg_view(stolen), 7)]
-    assert not _commit(solution, legs, [target_path, current], "unused")
+    assert not _commit(
+        solution, legs, [lone(solution, target_path), lone(solution, current)], "unused"
+    )
     assert _state(solution) == before
     assert reselected == []
     assert solution.selected[2] is target_path
@@ -603,7 +612,9 @@ def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
     # first one ends, so the swap to `alt` must be rolled back
     first = leg_view(alt)._replace(start=1, busy=2)
     legs = [first, leg_view(other)._replace(start=first.end)]
-    assert not _commit(solution, legs, [current, other], "unused")
+    assert not _commit(
+        solution, legs, [lone(solution, current), lone(solution, other)], "unused"
+    )
     assert _state(solution) == before
 
 

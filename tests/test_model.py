@@ -8,6 +8,7 @@ import json
 import random
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -892,6 +893,10 @@ def test_checker_matches_the_reference_on_mutated_schedules(schedules, seed,
     assert result.violations == violations
     assert result.feasible == (not violations)
     assert repr(result.objective) == repr(objective)
+    # each count is the family read off the name, its integers as {}
+    assert result.violations_by_family == dict(sorted(Counter(
+        re.sub(r"\d+", "{}", v.split(":")[0]) for v in violations
+    ).items()))
 
 
 def test_plain_model_of_the_large_golden_instance_holds_under_20_mib():
