@@ -22,12 +22,10 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
 import scipy
-from scipy import optimize, sparse
 
 from cssnd.cli import main
-from tests.oracle import read_mps
+from tests.oracle import read_mps, solve_mps
 
 DATA = Path(__file__).parent / "data"
 OPTIMA = {      # file stem -> (size, k, seed)
@@ -50,17 +48,8 @@ def solve(size: str, k: int, seed: int, out: Path) -> float:
                      "--out", str(mps_path)]) == 0
         mps = read_mps(mps_path.read_text())
         sidecar = json.loads(Path(f"{mps_path}.names.json").read_text())
-    r, c, v = zip(*mps.entries)
-    matrix = sparse.csr_array((v, (r, c)), shape=(len(mps.rows), len(mps.columns)))
-    lower, upper = mps.row_bounds()
     start = time.perf_counter()
-    result = optimize.milp(
-        np.array(mps.cost),
-        constraints=optimize.LinearConstraint(matrix, lower, upper),
-        integrality=np.array(mps.integer, dtype=int),
-        bounds=optimize.Bounds(0.0, np.array(mps.upper)),
-        options={"mip_rel_gap": 0.0},
-    )
+    result = solve_mps(mps)
     seconds = time.perf_counter() - start
     if result.status != 0:
         raise SystemExit(f"{out.name}: {result.message}")

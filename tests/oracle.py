@@ -1,8 +1,9 @@
-"""A fixed-field MPS reader for the exact-solver oracle.
+"""A fixed-field MPS reader and a HiGHS call for the exact-solver oracle.
 
 It reads the files `cssnd export --format mps` writes, and imports nothing
 from `cssnd.model`, so a test built on it checks what the MPS bytes mean,
-not what the model IR holds.
+not what the model IR holds.  `solve_mps` needs numpy and scipy; the reader
+needs neither.
 """
 
 from __future__ import annotations
@@ -87,3 +88,21 @@ def read_mps(text: str) -> Mps:
             c = col_of[fields[2]]
             mps.integer[c], mps.upper[c] = True, 1.0
     return mps
+
+
+def solve_mps(mps: Mps, relax: bool = False):
+    """HiGHS (`scipy.optimize.milp`, relative gap 0) on the model, or on its
+    LP relaxation with `relax`; returns scipy's `OptimizeResult`."""
+    import numpy as np
+    from scipy import optimize, sparse
+
+    r, c, v = zip(*mps.entries)
+    matrix = sparse.csr_array((v, (r, c)), shape=(len(mps.rows), len(mps.columns)))
+    lower, upper = mps.row_bounds()
+    return optimize.milp(
+        np.array(mps.cost),
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=None if relax else np.array(mps.integer, dtype=int),
+        bounds=optimize.Bounds(0.0, np.array(mps.upper)),
+        options={"mip_rel_gap": 0.0},
+    )

@@ -7,24 +7,39 @@ A corpus of exact optima, each solved once by HiGHS (`tests/make_optima.py`
 made those of the generated instances), is committed under `data/`: `check`
 must accept each at the objective HiGHS reported, both the plain and the
 strong-forcing model must hold it, no heuristic schedule may cost less, and
-the LP relaxation must not exceed it.
+the LP relaxation must not exceed it.  Instances drawn small enough for
+HiGHS to close in a fraction of a second must pass the same four checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cssnd.cli import main
-from cssnd.core import build_time_space_network, expand_commodities
+from cssnd.core import (
+    PRICE_RULES,
+    CostParams,
+    Instance,
+    OriginalCommodity,
+    PhysicalNetwork,
+    build_time_space_network,
+    expand_commodities,
+    wrap_period,
+)
 from cssnd.dmam import run_dmam
 from cssnd.instgen import generate_instance
 from cssnd.io import save_instance
 from cssnd.model import ModelOptions, build_mip, check_solution, read_solution
-from tests.conftest import make_sample_instance
-from tests.oracle import read_mps
+from tests.conftest import make_sample_instance, routing_rows
+from tests.oracle import read_mps, solve_mps
 
 TOLERANCE = 1e-6
 DATA = Path(__file__).parent / "data"
@@ -80,17 +95,8 @@ def test_schedule_satisfies_the_mps_rows(tmp_path, capsys, name):
 
 def lp_bound(mps) -> float:
     """The optimum of the MPS model's LP relaxation, by HiGHS."""
-    np = pytest.importorskip("numpy")
-    optimize = pytest.importorskip("scipy.optimize")
-    sparse = pytest.importorskip("scipy.sparse")
-    r, c, v = zip(*mps.entries)
-    matrix = sparse.csr_array((v, (r, c)), shape=(len(mps.rows), len(mps.columns)))
-    lower, upper = mps.row_bounds()
-    result = optimize.milp(
-        np.array(mps.cost),
-        constraints=optimize.LinearConstraint(matrix, lower, upper),
-        bounds=optimize.Bounds(0.0, np.array(mps.upper)),
-    )
+    pytest.importorskip("scipy")
+    result = solve_mps(mps, relax=True)
     assert result.status == 0, result.message
     return result.fun
 
@@ -164,3 +170,83 @@ def test_lp_relaxation_bounds_each_optimum(tmp_path, name):
     assert main(["export", "--in", str(inst), "--format", "mps",
                  "--out", str(mps)]) == 0
     assert lp_bound(read_mps(mps.read_text())) <= OPTIMA[name][1] + TOLERANCE
+
+
+@st.composite
+def tiny_instances(draw) -> Instance:
+    """2-3 terminals, 4-5 periods, 2-5 commodities of volume 0.5 or 1.0,
+    1-2 owned and 0-2 leasable assets, priced by a routing seed or by a
+    full routing table.  Distances lie within the return-trip bound, and
+    their shortest-path closure, which lowers no entry below 1, meets the
+    triangle inequality."""
+    n = draw(st.integers(2, 3))
+    periods = draw(st.integers(4, 5))
+    d = [[0 if i == j else draw(st.integers(1, periods // 2)) for j in range(n)]
+         for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    commodities = []
+    for oc_id in range(1, draw(st.integers(2, 5)) + 1):
+        origin, dest = draw(st.permutations(range(1, n + 1)))[:2]
+        release = draw(st.integers(1, periods))
+        span = draw(st.integers(d[origin - 1][dest - 1], periods - 1))
+        commodities.append(OriginalCommodity(
+            oc_id, origin, dest, release, wrap_period(release + span, periods),
+            draw(st.sampled_from([0.5, 1.0])),
+        ))
+    instance = Instance(
+        physical=PhysicalNetwork(n, tuple(map(tuple, d))),
+        period_count=periods,
+        commodities=tuple(commodities),
+        owned_assets=draw(st.integers(1, 2)),
+        leasable_assets=draw(st.integers(0, 2)),
+        costs=CostParams(routing_seed=draw(st.integers(0, 2**32 - 1))),
+    )
+    if draw(st.booleans()):
+        # every (TC, arc) price the model reads, drawn in the ranges the
+        # routing seed draws from
+        rnd = draw(st.randoms(use_true_random=False))
+        table = {}
+        for kind, i, j, depart, tc_id, _ in routing_rows(instance):
+            _, low, width = PRICE_RULES[kind]
+            table[kind, i, j, depart, tc_id] = round(low + width * rnd.random(), 3)
+        instance = dataclasses.replace(
+            instance, costs=CostParams(routing_table=table)
+        )
+    instance.validate()
+    return instance
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=tiny_instances())
+def test_every_tiny_instance_agrees_with_its_highs_optimum(instance):
+    """HiGHS solves each drawn instance's exported MPS to optimality.  `check`
+    accepts that optimum at its objective, the strong-forcing model holds it
+    too, no DMaM config costs less, and the LP relaxation bounds it."""
+    pytest.importorskip("scipy")
+    with tempfile.TemporaryDirectory() as scratch:
+        inst, mps_path = Path(scratch, "i.json"), Path(scratch, "m.mps")
+        save_instance(instance, inst)
+        assert main(["export", "--in", str(inst), "--format", "mps",
+                     "--out", str(mps_path)]) == 0
+        mps = read_mps(mps_path.read_text())
+        sidecar = json.loads(Path(f"{mps_path}.names.json").read_text())
+    result = solve_mps(mps)
+    assert result.status == 0, result.message
+    optimum = result.fun
+    assignment = {
+        sidecar[short]: round(x) if abs(x - round(x)) <= 1e-9 else x
+        for short, x in zip(mps.columns, result.x) if abs(x) > 1e-9
+    }
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    for options in (ModelOptions(), ModelOptions(strong_forcing=True)):
+        verdict = check_solution(instance, tsn, tcs,
+                                 build_mip(instance, tsn, tcs, options), assignment)
+        assert verdict.violations == []
+        assert verdict.objective == pytest.approx(optimum, abs=TOLERANCE)
+    for config in "rca":
+        solution, _ = run_dmam(instance, config)
+        assert solution.total_cost() >= optimum - TOLERANCE
+    assert lp_bound(mps) <= optimum + TOLERANCE
