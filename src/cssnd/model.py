@@ -802,13 +802,7 @@ def check_solution(
     the support, the columns at a nonzero value, is read: a row left out
     holds no support column, and its activity there, 0, meets its sense.
     Each violation is also counted under its family's template."""
-    violations: list[str] = []
-    by_family: Counter[str] = Counter()
-
-    def violate(family: Family, text: str) -> None:
-        violations.append(text)
-        by_family[family.template] += 1
-
+    violations: list[tuple[str, str]] = []     # (family template, text)
     values = [0.0] * model.column_count
     named: dict[int, tuple[str, Family]] = {}       # column -> (name, family)
     for name, x in assignment.items():
@@ -826,9 +820,9 @@ def check_solution(
         x = values[col]
         if family.kind == BINARY:
             if min(abs(x), abs(x - 1.0)) > TOLERANCE:
-                violate(family, f"{name}: {x} is not binary")
+                violations.append((family.template, f"{name}: {x} is not binary"))
         elif x < -TOLERANCE:
-            violate(family, f"{name}: {x} below zero")
+            violations.append((family.template, f"{name}: {x} below zero"))
     support = [col for col in columns if values[col]]
 
     # each row's terms at a nonzero value, summed in term order
@@ -842,11 +836,11 @@ def check_solution(
             continue
         name, sense = family.template.format(*key), family.kind
         if sense == "<=" and lhs > rhs + TOLERANCE:
-            violate(family, f"{name}: {lhs} > {rhs}")
+            violations.append((family.template, f"{name}: {lhs} > {rhs}"))
         elif sense == ">=" and lhs < rhs - TOLERANCE:
-            violate(family, f"{name}: {lhs} < {rhs}")
+            violations.append((family.template, f"{name}: {lhs} < {rhs}"))
         elif sense == "=" and abs(lhs - rhs) > TOLERANCE:
-            violate(family, f"{name}: {lhs} != {rhs}")
+            violations.append((family.template, f"{name}: {lhs} != {rhs}"))
 
     objective = 0.0
     for coef, col in model.objective_terms(support):
@@ -881,10 +875,10 @@ def check_solution(
     }
     return CheckResult(
         feasible=not violations,
-        violations=violations,
+        violations=[text for _, text in violations],
         objective=objective,
         summary=summary,
-        violations_by_family=dict(sorted(by_family.items())),
+        violations_by_family=dict(sorted(Counter(t for t, _ in violations).items())),
     )
 
 
