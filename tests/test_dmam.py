@@ -526,12 +526,30 @@ def test_merge_paths_builds_closed_cycle():
         start_one=1,
         start_two=4,
     )
-    assert _commit(
-        solution, candidate.legs, [lone(solution, p1), lone(solution, p2)], "unused"
-    )
+    replaced = [lone(solution, p1), lone(solution, p2)]
+    assert _commit(solution, candidate.legs, replaced, "merged cycle failed its walk")
     cycle = solution.cycles[-1]
     assert sorted(cycle.carried_paths) == sorted([p1.id, p2.id])
     assert cycle.rep_plan == []       # perfect match needs no repositioning
+
+
+def test_commit_removes_exactly_the_cycles_it_is_handed():
+    """The replaced cycles leave by identity, the others keep their order,
+    and the new cycle comes last; a record equal in every field to a
+    replaced cycle is another cycle and stays."""
+    instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6), (3, 4, 1, 3)])
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    solution = construct_initial(instance, PathBook(instance, tsn))
+    p1, p2 = solution.selected[1], solution.selected[2]
+    replaced = [lone(solution, p1), lone(solution, p2)]
+    twin = dataclasses.replace(replaced[0])
+    solution.cycles.insert(1, twin)
+    kept = [c for c in solution.cycles if c not in replaced]
+    assert kept[0] is twin
+    candidate = explore_pair(p1, p2, solution)
+    assert _commit(solution, candidate.legs, replaced, "unused")
+    assert solution.cycles[:-1] == kept
+    assert solution.cycles[-1].carried_paths == [p1.id, p2.id]
 
 
 def _state(solution):
