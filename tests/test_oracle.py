@@ -225,8 +225,8 @@ def test_every_tiny_instance_agrees_with_its_highs_optimum(instance):
     accepts that optimum at its objective, the strong-forcing model holds it
     too, no DMaM config costs less, and the LP relaxation bounds it."""
     pytest.importorskip("scipy")
-    with tempfile.TemporaryDirectory() as scratch:
-        inst, mps_path = Path(scratch, "i.json"), Path(scratch, "m.mps")
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, mps_path = Path(tmp, "i.json"), Path(tmp, "m.mps")
         save_instance(instance, inst)
         assert main(["export", "--in", str(inst), "--format", "mps",
                      "--out", str(mps_path)]) == 0
