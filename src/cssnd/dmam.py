@@ -27,12 +27,13 @@ that overruns by one or two periods is retried with the early/tardy sibling
 paths whose offsets absorb it.
 
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
-particle cut from one, or a lone cycle's service leg.  `_lift` is the one
-rule that places a leg after another on a cycle's axis.  A merge and a mix
-both hand `_commit` the placed legs and the cycles they replace; it swaps
-the new paths in, closes the cycle, and undoes the swaps when it is
-refused.  A cycle is walked once, when it closes: `_walk` checks it and
-returns the arc sequence the asset runs.
+particle cut from one, or a lone cycle's service leg.  A merge and a mix
+both hand `_commit` the legs as their paths run them and the cycles they
+replace; it swaps the new paths in, closes the cycle, and undoes the swaps
+when it is refused.  A cycle is placed and walked once, when it closes:
+`_close_cycle` lifts each leg after the start of the one before it by
+`_lift`, the rule `_gaps` applies for the fit test, and `_walk` checks the
+placed legs and returns the arc sequence the asset runs.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -98,10 +99,6 @@ class Leg(NamedTuple):
     busy: int
     arcs: tuple[int, ...]
 
-    @property
-    def end(self) -> int:
-        return self.start + self.busy
-
 
 def leg_view(path: CommodityPath) -> Leg:
     return Leg(
@@ -116,17 +113,13 @@ def _lift(prev: int, start: int, period_count: int) -> int:
     return prev + (start - prev - 1) % period_count + 1
 
 
-def _place(leg1: Leg, leg2: Leg, period_count: int) -> Leg:
-    """`leg2` moved onto `leg1`'s axis."""
-    return leg2._replace(start=_lift(leg1.start, leg2.start, period_count))
-
-
 def _gaps(legs: list[Leg], period_count: int) -> list[tuple[int, int, int, int]]:
     """(from, to, earliest, latest) of each empty stretch of a cycle that
     runs `legs` in order, each lifted into the horizon after the start of
     the one before it."""
     first = legs[0]
-    start, end, at = first.start, first.end, first.phys_to
+    start, at = first.start, first.phys_to
+    end = start + first.busy
     gaps = []
     for leg in legs[1:]:
         start = _lift(start, leg.start, period_count)
@@ -139,39 +132,24 @@ def _gaps(legs: list[Leg], period_count: int) -> list[tuple[int, int, int, int]]
 def _overruns(legs: list[Leg], instance: Instance) -> list[int]:
     """By how many periods the trip of each of the legs' `_gaps` overruns
     it.  The legs fit one cycle when none is positive."""
-    d = instance.physical.d     # 0 on the diagonal
-    overruns = []
-    for phys_from, phys_to, earliest, latest in _gaps(legs, instance.period_count):
-        overruns.append(d(phys_from, phys_to) + earliest - latest)
-    return overruns
-
-
-def check_regular_merge(leg1: Leg, leg2: Leg, instance: Instance) -> bool:
-    """Whether the chains fit one cycle without shifting."""
-    return max(_overruns([leg1, leg2], instance)) <= 0
+    distance = instance.physical.distance   # 0-indexed, 0 on the diagonal
+    return [
+        distance[phys_from - 1][phys_to - 1] + earliest - latest
+        for phys_from, phys_to, earliest, latest
+        in _gaps(legs, instance.period_count)
+    ]
 
 
 class MergeCandidate(NamedTuple):
     """A feasible pair: `path_one` and `path_two` are replaced by `new_one`
-    and `new_two` (themselves in a regular merge), whose legs start at
-    `start_one` and `start_two` on the cycle's axis."""
+    and `new_two` (themselves when neither overruns), whose legs, as the
+    new paths run them, fit one cycle once `_close_cycle` places them."""
 
     path_one: CommodityPath
     path_two: CommodityPath
     combined_cost: float
     new_one: CommodityPath
     new_two: CommodityPath
-    start_one: int
-    start_two: int
-
-    @property
-    def legs(self) -> list[Leg]:
-        """The new paths' legs where `explore_pair` placed them.  Shifted
-        sibling chains keep their shape, so the offsets move them rigidly."""
-        return [
-            leg_view(self.new_one)._replace(start=self.start_one),
-            leg_view(self.new_two)._replace(start=self.start_two),
-        ]
 
 
 class PathBook:
@@ -343,10 +321,10 @@ def explore_pair(
 ) -> MergeCandidate | None:
     """The cheapest way to run both paths on one asset: as they are when
     neither overruns, else by the shifting alternative whose sibling paths
-    absorb an overrun of one or two periods."""
-    leg1, leg2 = solution.book.legs[path1.id], solution.book.legs[path2.id]
-    instance = solution.instance
-    forth, back = _overruns([leg1, leg2], instance)
+    absorb an overrun of one or two periods.  Shifted sibling chains keep
+    their shape, so the new paths' own legs fit where they run."""
+    legs = solution.book.legs
+    forth, back = _overruns([legs[path1.id], legs[path2.id]], solution.instance)
     overrun = max(forth, back, 0)
     if overrun > 2:
         return None
@@ -360,12 +338,8 @@ def explore_pair(
             continue
         cost = new1.cost + new2.cost
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, new1, new2, a1, a2)
-    if best is None:
-        return None
-    cost, new1, new2, a1, a2 = best
-    start_two = _lift(leg1.start, leg2.start, instance.period_count) + a2
-    return MergeCandidate(path1, path2, cost, new1, new2, leg1.start + a1, start_two)
+            best = (cost, new1, new2)
+    return None if best is None else MergeCandidate(path1, path2, *best)
 
 
 def _plan_repositioning(
@@ -404,13 +378,20 @@ def _plan_repositioning(
 def _close_cycle(
     solution: Solution, legs: list[Leg], failure: str
 ) -> AssetCycle | None:
-    """The cycle running `legs` with its empty trips planned and its arc
-    sequence walked; None when some trip finds no free slot."""
-    plan = _plan_repositioning(solution, legs)
+    """The cycle that runs `legs` in order, each handed where its path runs
+    it (start in 1..|T|) and lifted after the start of the one before it,
+    with its empty trips planned and its arc sequence walked; None when
+    some trip finds no free slot.  `legs` itself is left as it is."""
+    period_count = solution.instance.period_count
+    placed = legs[:1]
+    for leg in legs[1:]:
+        start = _lift(placed[-1].start, leg.start, period_count)
+        placed.append(leg._replace(start=start))
+    plan = _plan_repositioning(solution, placed)
     if plan is None:
         return None
     return AssetCycle(
-        legs=legs, rep_plan=plan, arc_seq=_walk(solution, legs, plan, failure)
+        legs=placed, rep_plan=plan, arc_seq=_walk(solution, placed, plan, failure)
     )
 
 
@@ -441,7 +422,7 @@ def _walk(
         )
         if offset + leg.busy > tc.window_span(period_count):
             problems.append(f"path {leg.path_id} violates its delivery window")
-        steps[leg.start] = (leg.phys_from, leg.arcs, leg.end, leg.phys_to)
+        steps[leg.start] = (leg.phys_from, leg.arcs, leg.start + leg.busy, leg.phys_to)
     for arc_id, depart in plan:
         arc = tsn.arcs[arc_id - 1]
         steps[depart] = (arc.phys_from, (arc_id,), depart + arc.duration, arc.phys_to)
@@ -530,6 +511,7 @@ def merge_phase(solution: Solution, config: str) -> int:
     lone cycles of its paths, mapped once: the phase makes no lone cycle,
     r explores afresh, and the selections of c and a are vertex-disjoint."""
     lone = {c.legs[0].path_id: c for c in solution.cycles if not c.merged}
+    legs = solution.book.legs
 
     def candidates():
         explored = (explore_pair(p1, p2, solution) for p1, p2 in _pair_order(solution))
@@ -537,7 +519,10 @@ def merge_phase(solution: Solution, config: str) -> int:
 
     def commit(c: MergeCandidate) -> bool:
         replaced = [lone[c.path_one.id], lone[c.path_two.id]]
-        return _commit(solution, c.legs, replaced, "merged cycle failed its walk")
+        return _commit(
+            solution, [legs[c.new_one.id], legs[c.new_two.id]], replaced,
+            "merged cycle failed its walk",
+        )
 
     if config == CONFIG_RANDOM:
         executed = 0
@@ -679,13 +664,12 @@ def _try_mix_cycle(
             particle = _particle(alt, drop_index, tsn)
             for target in targets:
                 leg = target.legs[0]
-                placed = _place(leg, particle, instance.period_count)
-                if not check_regular_merge(leg, placed, instance):
+                if max(_overruns([leg, particle], instance)) > 0:
                     continue
                 # a particle cut from another path of `current`'s
                 # commodity swaps that path in
                 if _commit(
-                    solution, [leg, placed], [target, cycle],
+                    solution, [leg, particle], [target, cycle],
                     "mix produced an invalid cycle",
                 ):
                     solution.dominant.add(dominant_ids[0])

@@ -7,7 +7,9 @@ is what the merge-pair selection needs after negating costs.
 The implementation follows the standard staged scheme: grow alternating
 trees from free vertices, shrink odd cycles into blossoms, augment when two
 trees meet, and adjust dual variables between substages.  Dual variables
-are kept doubled so every quantity stays integral.
+are kept doubled so every quantity stays integral.  The textbook's final
+dual update, made when no delta candidate is left, only lets a verifier
+check the duals; nothing reads them here, so the search stops at once.
 
 Order-preservation invariant: every comparison, tie-break and iteration
 order is the textbook scheme's, so the mate array is a fixed function of
@@ -360,8 +362,7 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                     deltatype = 4
                     deltablossom = b
             if deltatype == -1:
-                deltatype = 1
-                delta = max(0, min(dualvar[:nvertex]))
+                break               # no improvement left: the optimum
             if delta:
                 step = (0, -delta, delta)  # by label; blossoms move by -step
                 dualvar[:nvertex] = [
@@ -370,9 +371,7 @@ def max_weight_matching(edges: list[tuple[int, int, int]]) -> list[int]:
                 for b in range(nvertex, 2 * nvertex):
                     if blossombase[b] >= 0 and blossomparent[b] == -1:
                         dualvar[b] -= step[label[b]]
-            if deltatype == 1:
-                break
-            elif deltatype == 2:
+            if deltatype == 2:
                 allowedge[deltaedge] = True
                 i, j = eu[deltaedge], ev[deltaedge]
                 if label[inblossom[i]] == 0:

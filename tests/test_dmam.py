@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cssnd.core import (
     CostParams,
     CssndError,
+    HOLD,
     Instance,
     OriginalCommodity,
     PhysicalNetwork,
@@ -21,17 +22,17 @@ from cssnd.core import (
     wrap_period,
 )
 from cssnd.dmam import (
+    AssetCycle,
     Leg,
     MergeCandidate,
     PathBook,
     Solution,
     TRIES,
-    check_regular_merge,
     construct_initial,
     _commit,
+    _lift,
     _overruns,
     _pair_order,
-    _place,
     _plan_repositioning,
     _walk,
     explore_pair,
@@ -87,11 +88,10 @@ def make_instance(commodities, n=5, d_value=2, owned=7, leasable=5, seed=5):
 
 
 def axis_times(leg1, leg2, period_count=7):
-    """(t_o1, t_d1, t_o2, t_d2, t_wrap) with `leg2` placed after `leg1`,
-    checking that placing moves nothing but the start."""
-    placed = _place(leg1, leg2, period_count)
-    assert placed == leg2._replace(start=placed.start)
-    return leg1.start, leg1.end, placed.start, placed.end, leg1.start + period_count
+    """(t_o1, t_d1, t_o2, t_d2, t_wrap) with `leg2` lifted after `leg1`."""
+    start = _lift(leg1.start, leg2.start, period_count)
+    return (leg1.start, leg1.start + leg1.busy, start, start + leg2.busy,
+            leg1.start + period_count)
 
 
 def test_place_pushes_wrapping_due():
@@ -127,7 +127,7 @@ def test_place_pushes_a_second_leg_starting_together():
 def test_perfect_match_merges_without_repositioning():
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
     legs = [leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2)]
-    assert check_regular_merge(*legs, instance)
+    assert max(_overruns(legs, instance)) <= 0
     # no trip: one idle period before the second chain, two before the wrap
     assert _overruns(legs, instance) == [-1, -2]
     solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
@@ -139,7 +139,7 @@ def test_one_repositioning_after_first_path():
     # first path 1->2 over periods 1..3, second 3->1 over 6..7 needs a
     # repositioning trip 2->3 of length 2 inside the 3..6 gap
     legs = [leg(1, 1, 2, 1, 2), leg(2, 3, 1, 6, 1)]
-    assert check_regular_merge(*legs, instance)
+    assert max(_overruns(legs, instance)) <= 0
     assert _overruns(legs, instance) == [-1, -1]
     tsn = tsn_of(instance)
     solution = construct_initial(instance, PathBook(instance, tsn))
@@ -150,9 +150,7 @@ def test_one_repositioning_after_first_path():
 
 def test_overlapping_windows_do_not_merge():
     instance = make_instance([(1, 2, 1, 4), (2, 1, 2, 5)])
-    assert not check_regular_merge(
-        leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3), instance
-    )
+    assert max(_overruns([leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3)], instance)) > 0
 
 
 def cycle_oracle(leg_a: Leg, leg_b: Leg, instance: Instance) -> bool:
@@ -220,7 +218,7 @@ def test_regular_merge_agrees_with_cycle_simulation():
         if len(legs) < 2:
             continue
         checked += 1
-        verdict = check_regular_merge(legs[0], legs[1], instance)
+        verdict = max(_overruns(legs, instance)) <= 0
         simulated = cycle_oracle(legs[0], legs[1], instance)
         assert verdict == simulated, (legs, instance.physical.distance)
         accepted += verdict
@@ -393,10 +391,16 @@ def shifted_fixture(kind_one="original", kind_two="original", specs=None):
     return Solution(instance=instance, tsn=book.tsn, book=book), p1, p2
 
 
+def new_legs(solution, candidate):
+    """The candidate's new paths' legs, as the paths run them."""
+    legs = solution.book.legs
+    return [legs[candidate.new_one.id], legs[candidate.new_two.id]]
+
+
 def test_shifted_merge_finds_single_period_alternative():
     solution, p1, p2 = shifted_fixture()
     instance = solution.instance
-    assert not check_regular_merge(leg_view(p1), leg_view(p2), instance)
+    assert max(_overruns([leg_view(p1), leg_view(p2)], instance)) > 0
     assert _overruns([leg_view(p1), leg_view(p2)], instance) == [1, -4]
     candidate = explore_pair(p1, p2, solution)
     assert candidate is not None
@@ -406,7 +410,7 @@ def test_shifted_merge_finds_single_period_alternative():
         (book.sibling(p1, -1), p2), (p1, book.sibling(p2, 1)),
     )
     # the shifted chains meet end to end: no repositioning trip
-    assert _plan_repositioning(solution, candidate.legs) == []
+    assert _plan_repositioning(solution, new_legs(solution, candidate)) == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -472,7 +476,7 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
     for p1, p2 in _pair_order(solution):
         candidate = explore_pair(p1, p2, solution)
         if candidate is not None:
-            assert cycle_oracle(*candidate.legs, instance), candidate
+            assert cycle_oracle(*new_legs(solution, candidate), instance), candidate
 
 
 # --- Phase II ---------------------------------------------------------------
@@ -523,11 +527,11 @@ def test_merge_paths_builds_closed_cycle():
         combined_cost=p1.cost + p2.cost,
         new_one=p1,
         new_two=p2,
-        start_one=1,
-        start_two=4,
     )
     replaced = [lone(solution, p1), lone(solution, p2)]
-    assert _commit(solution, candidate.legs, replaced, "merged cycle failed its walk")
+    assert _commit(
+        solution, new_legs(solution, candidate), replaced, "merged cycle failed its walk"
+    )
     cycle = solution.cycles[-1]
     assert sorted(cycle.carried_paths) == sorted([p1.id, p2.id])
     assert cycle.rep_plan == []       # perfect match needs no repositioning
@@ -547,9 +551,40 @@ def test_commit_removes_exactly_the_cycles_it_is_handed():
     kept = [c for c in solution.cycles if c not in replaced]
     assert kept[0] is twin
     candidate = explore_pair(p1, p2, solution)
-    assert _commit(solution, candidate.legs, replaced, "unused")
+    assert _commit(solution, new_legs(solution, candidate), replaced, "unused")
     assert solution.cycles[:-1] == kept
     assert solution.cycles[-1].carried_paths == [p1.id, p2.id]
+
+
+def test_merge_across_the_horizon_edge_places_the_early_chain_last_period():
+    """Path two is already tardy, so the one-period overrun moves path one a
+    period early: its sibling departs in period 7 = |T|, and the tardy chain
+    is lifted after it.  The chains meet end to end, then the asset idles."""
+    solution, p1, p2 = shifted_fixture(
+        "original", "tardy", specs=[(1, 2, 1, 3), (2, 1, 1, 3)]
+    )
+    book, tsn = solution.book, solution.tsn
+    assert _overruns([leg_view(p1), leg_view(p2)], solution.instance) == [1, -4]
+    candidate = explore_pair(p1, p2, solution)
+    early = book.sibling(p1, -1)
+    assert (candidate.new_one, candidate.new_two) == (early, p2)
+    assert early.depart_period == 7
+    for path in (p1, p2):
+        solution.selected[path.oc_id] = path
+        solution.svc_registry[slot(path)] = path.id
+        solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
+    replaced = list(solution.cycles)
+    handed = new_legs(solution, candidate)
+    assert _commit(solution, handed, replaced, "unused")
+    assert handed == new_legs(solution, candidate)    # placed in a new list
+    (cycle,) = solution.cycles
+    assert cycle.carried_paths == [early.id, p2.id]
+    assert [leg.start for leg in cycle.legs] == [7, 9]
+    assert cycle.rep_plan == []
+    assert sum(tsn.arcs[a - 1].duration for a in cycle.arc_seq) == 7
+    chains = early.arcs + p2.arcs
+    assert cycle.arc_seq[: len(chains)] == chains
+    assert all(tsn.arcs[a - 1].kind == HOLD for a in cycle.arc_seq[len(chains):])
 
 
 def _state(solution):
@@ -608,7 +643,7 @@ def test_refused_mix_commit_for_a_held_slot_changes_nothing(monkeypatch):
     )
     before = _state(solution)
     target = leg_view(target_path)
-    legs = [target, _place(target, leg_view(stolen), 7)]
+    legs = [target, leg_view(stolen)]
     assert not _commit(
         solution, legs, [lone(solution, target_path), lone(solution, current)], "unused"
     )
@@ -629,7 +664,7 @@ def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
     # the 2->3 trip needs two periods but the second leg starts as the
     # first one ends, so the swap to `alt` must be rolled back
     first = leg_view(alt)._replace(start=1, busy=2)
-    legs = [first, leg_view(other)._replace(start=first.end)]
+    legs = [first, leg_view(other)._replace(start=first.start + first.busy)]
     assert not _commit(
         solution, legs, [lone(solution, current), lone(solution, other)], "unused"
     )
@@ -723,7 +758,7 @@ def test_partition_by_busy_span():
 
 def cand(i, j, cost=1.0):
     one, two = SimpleNamespace(id=i), SimpleNamespace(id=j)
-    return MergeCandidate(one, two, cost, one, two, 0, 0)
+    return MergeCandidate(one, two, cost, one, two)
 
 
 def matched_pairs(pairs, costs):
