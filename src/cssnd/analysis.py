@@ -37,7 +37,6 @@ def beta_support(tc: TransformedCommodity, period_count: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class AnalysisSummary:
-    period_count: int
     occupancy: dict[int, frozenset[int]]   # oc id -> guaranteed busy periods
     phi: tuple[int, ...]                   # per-period resource requirement
     gamma: int                             # min over periods
@@ -79,7 +78,6 @@ def compute_requirements(
         for t in range(1, period_count + 1)
     )
     return AnalysisSummary(
-        period_count=period_count,
         occupancy=occupancy,
         phi=phi,
         gamma=min(phi) if phi else 0,

@@ -475,6 +475,11 @@ def _commit(
     Refused, changing nothing, when a new path's service slot is held by
     any path but the one it replaces, when two new paths share a slot, or
     when some empty trip of the cycle finds no free slot.
+
+    The empty trips of `replaced` keep their slots (`-1` in the registry):
+    merges and mixes replace only lone cycles, which plan no trip.  A
+    caller that replaces a cycle with trips must release those slots first,
+    as `_outsource` does, and restore them when the commit is refused.
     """
     by_id = solution.book.by_id
     carried = [by_id[leg.path_id] for cycle in replaced for leg in cycle.legs]

@@ -15,11 +15,12 @@ read.  `_rows` is the one reader of rows and the one loop over their
 positions; it checks every row's columns as it goes.  The LP and MPS
 writers and the `ModelIR.constraints` view read the whole model.
 `check_solution` reads it against the assignment's support, the columns
-at a nonzero value: a row family may then leave out a row that holds no
-support column and whose activity there, 0, meets its sense, and the
-objective prices only support columns.  The writers
-stream their text, the MPS names sidecar too, to files in chunks of
-characters, so the whole text never sits in memory.
+at a nonzero value: a row family whose rows all meet their sense at zero
+activity states, per column, the rows it enters (its `reach`), and only
+the rows that support columns reach are made; the objective prices only
+support columns.  The writers stream their text, the MPS names sidecar
+too, to files in chunks of characters, so the whole text never sits in
+memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -97,18 +98,19 @@ class Family:
     by filling `template`'s `{}` fields with the key.  `kind` is a column's
     domain or a row's sense.  A row family's `make(at)` makes the row at
     position `at` (an offset from `base`) as (coefs, cols, rhs), afresh at
-    every call; its `touched(support)` gives, ascending, the positions of
-    at least every row that holds a column of `support` (a sorted list of
-    columns) or whose zero activity breaks its sense, and None stands for
-    a family whose rows are all made at every read."""
+    every call.  Its `reach` is a list of (lo, hi, rows) entries, where
+    `rows(c - lo)` gives the positions of at least every row that column c
+    of the block [lo, hi) enters; None stands for a family whose rows are
+    all made at every read, as one with a row that zero activity breaks
+    must be."""
 
     def __init__(self, template: str, kind: str, base: int, axes,
-                 make=None, touched=None):
+                 make=None, reach=None):
         self.template = template
         self.kind = kind
         self.base = base
         self.make = make
-        self.touched = touched
+        self.reach = reach
         self.axes = tuple(tuple(axis) for axis in axes)
         self._position = [{key: i for i, key in enumerate(axis)}
                           for axis in self.axes]
@@ -192,12 +194,12 @@ class ModelIR:
         return family
 
     def add_rows(self, template: str, sense: str, axes, make,
-                 touched=None) -> Family:
+                 reach=None) -> Family:
         """Append a family of rows, one per key of the product of `axes`;
         `make(at)` makes the one at position `at`, the sum of coefs[i] *
-        column cols[i] with its sense and rhs, and `touched` finds the ones
-        a support reaches (see `Family`)."""
-        family = Family(template, sense, self.row_count, axes, make, touched)
+        column cols[i] with its sense and rhs, and `reach` states, per
+        column, the rows it enters (see `Family`)."""
+        family = Family(template, sense, self.row_count, axes, make, reach)
         self.row_families.append(family)
         self.row_count += family.size
         return family
@@ -209,20 +211,25 @@ class ModelIR:
 def _rows(model: ModelIR, support: list[int] | None = None) -> Iterator[tuple]:
     """Rows as (family, key, coefs, cols, rhs), in row order, each made by
     its family's `make` as it is read.  With `support` (a sorted list of
-    columns), a family with a `touched` function makes only the rows it
-    names, so a row left out holds no support column and its zero activity
-    meets its sense.  Named positions must ascend and lie in the family; a
-    row must give one coefficient per column, all of the model."""
+    columns), a family with a `reach` makes only the rows that support
+    columns reach, so a row left out holds no support column and its zero
+    activity meets its sense.  A reached position must lie in the family;
+    a row must give one coefficient per column, all of the model."""
     n = model.column_count
     for family in model.row_families:
-        full = support is None or family.touched is None
+        full = support is None or family.reach is None
         keys = product(*family.axes)
-        follows = 0         # the least position the next row may take
-        for at in range(family.size) if full else family.touched(support):
-            if not follows <= at < family.size:
+        positions = range(family.size)
+        if not full:        # what the support's columns reach, in order
+            reached: set[int] = set()
+            for lo, hi, rows in family.reach:
+                for c in _between(support, lo, hi):
+                    reached.update(rows(c - lo))
+            positions = sorted(reached)
+        for at in positions:
+            if not 0 <= at < family.size:
                 raise CssndError(f"row family {family.template} names position "
-                                 f"{at} out of order or past its {family.size} keys")
-            follows = at + 1
+                                 f"{at} outside its {family.size} keys")
             coefs, cols, rhs = family.make(at)
             key = next(keys) if full else family.key(at)
             if len(coefs) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
@@ -321,9 +328,6 @@ def build_mip(
         return [divmod(c - family.base, width)
                 for c in _between(support, family.base, top)]
 
-    def ends(arc) -> tuple[int, int]:
-        return tsn.arc_tail(arc), tsn.arc_head(arc)
-
     # The objective: d columns, then each TC's x columns on asset arcs and
     # its s columns.  A support read prices only the support's columns.
     table = costs.table
@@ -361,8 +365,8 @@ def build_mip(
     model.objective_terms = objective
 
     # Row families: each makes its row at one position when read and, where
-    # a row without support columns cannot fail, finds the rows a support
-    # reaches (default arguments bind a loop's values into its functions).
+    # a row without support columns cannot fail, states the rows each column
+    # enters (default arguments bind a loop's values into its functions).
     asset_spans = _spanning(asset_arcs, period_count)
     periods = range(1, period_count + 1)
     nodes = range(1, n_nodes + 1)
@@ -373,6 +377,19 @@ def build_mip(
     def ones(cols: list[int], rhs: float = 0.0):
         return [1.0] * len(cols), cols, rhs
 
+    def whole(family: Family, rows) -> tuple:    # a block of every column
+        return family.base, family.base + family.size, rows
+
+    def onto(first: int):       # column k of a block enters row first + k
+        return lambda k: (first + k,)
+
+    def ends(arc) -> tuple[int, int]:       # node positions of tail and head
+        return tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1
+
+    # the service arcs' y columns of each asset and x columns of each TC
+    y_service = [(yv + service_first, yv + n_asset) for yv in y_col]
+    x_service = [(xq + service_first, xq + n_asset) for xq in x_col]
+
     # no-transit rows: flow may not span a period outside the time window
     for q, tc in enumerate(tcs):
         allowed = beta_support(tc, period_count)
@@ -381,12 +398,12 @@ def build_mip(
         def transit(j, xq=x_col[q], banned=banned):
             return ones([xq + i for i in asset_spans[banned[j]]])
 
-        def transit_touched(support, xq=x_col[q], banned=banned):
-            used = [asset_arcs[c - xq] for c in _between(support, xq, xq + n_asset)]
+        def spanned(i, banned=banned):      # the banned periods arc i spans
             return [j for j, t in enumerate(banned)
-                    if any(arc.spans(t, period_count) for arc in used)]
+                    if asset_arcs[i].spans(t, period_count)]
 
-        add("transit_k{}_t{}", "<=", ([tc.id], banned), transit, transit_touched)
+        add("transit_k{}_t{}", "<=", ([tc.id], banned), transit,
+            [(x_col[q], x_col[q] + n_asset, spanned)])
 
     # one activity per utilized asset and period, wrap-aware
     def assign(at):
@@ -395,13 +412,11 @@ def build_mip(
         return ([1.0] * len(span) + [-1.0],
                 [y_col[v] + i for i in span] + [d_col[v]], 0.0)
 
-    def assign_touched(support):    # by asset: a used asset is busy throughout
-        used = {v for v, _ in cells(support, y, n_asset)}
-        used.update(v for v, _ in cells(support, d, 1))
-        return [at for v in sorted(used)
-                for at in range(v * period_count, (v + 1) * period_count)]
+    def busy(v):    # a used asset is busy throughout
+        return range(v * period_count, (v + 1) * period_count)
 
-    add("assign_v{}_t{}", "=", (assets, periods), assign, assign_touched)
+    add("assign_v{}_t{}", "=", (assets, periods), assign,
+        [whole(y, lambda k: busy(k // n_asset)), whole(d, busy)])
 
     # asset conservation at every time-space node
     asset_incidence = list(_incidence(tsn, asset_arcs).values())
@@ -411,19 +426,13 @@ def build_mip(
         arcs, coefs = asset_incidence[n]
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
-    add("balance_v{}_n{}", "=", (assets, nodes), balance, lambda support: sorted({
-        v * n_nodes + node - 1
-        for v, i in cells(support, y, n_asset) for node in ends(asset_arcs[i])}))
-
-    def y_services(support) -> set[int]:
-        """Service positions of the support's y columns."""
-        return {i - service_first for _, i in cells(support, y, n_asset)
-                if i >= service_first}
+    add("balance_v{}_n{}", "=", (assets, nodes), balance, [whole(y, lambda k: [
+        k // n_asset * n_nodes + n for n in ends(asset_arcs[k % n_asset])])])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
         lambda at: ones([yv + service_first + at for yv in y_col], 1.0),
-        lambda support: sorted(y_services(support)))
+        [(lo, hi, onto(0)) for lo, hi in y_service])
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
@@ -447,13 +456,10 @@ def build_mip(
             cols.append(p_col[q])
         return coefs, cols, 0.0
 
-    def flow_touched(support):
-        rows = {q * n_nodes + node - 1
-                for q, a in cells(support, x, n_arcs) for node in ends(tsn.arcs[a])}
-        rows.update(q * n_nodes + n for q, _ in cells(support, p, 1) for n in demand[q])
-        return sorted(rows)
-
-    add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, flow_touched)
+    add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
+        whole(x, lambda k: [k // n_arcs * n_nodes + n
+                            for n in ends(tsn.arcs[k % n_arcs])]),
+        whole(p, lambda q: [q * n_nodes + n for n in demand[q]])])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):
@@ -461,12 +467,8 @@ def build_mip(
         return ([1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
                 [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
 
-    def cap_touched(support):
-        return sorted(y_services(support).union(
-            a - service_first for _, a in cells(support, x, n_arcs)
-            if service_first <= a < n_asset))
-
-    add("cap_a{}", "<=", (service_ids,), cap, cap_touched)
+    add("cap_a{}", "<=", (service_ids,), cap,
+        [(lo, hi, onto(0)) for lo, hi in y_service + x_service])
 
     if options.strong_forcing:
         y_cols = [[yv + i for yv in y_col] for i in range(service_first, n_asset)]
@@ -477,29 +479,21 @@ def build_mip(
             return ([1.0] + [-strength] * v_total,
                     [x_col[q] + service_first + j, *y_cols[j]], 0.0)
 
-        def strong_touched(support):
-            rows = {q * n_service + a - service_first
-                    for q, a in cells(support, x, n_arcs)
-                    if service_first <= a < n_asset}
-            for j in y_services(support):
-                rows.update(range(j, n_tc * n_service, n_service))
-            return sorted(rows)
+        def every_variant(j):       # the rows of service j, one per TC
+            return range(j, n_tc * n_service, n_service)
 
-        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong, strong_touched)
+        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong,
+            [(lo, hi, onto(q * n_service)) for q, (lo, hi) in enumerate(x_service)]
+            + [(lo, hi, every_variant) for lo, hi in y_service])
 
     # outsourced flow only on selected outsourced services
     def outsource(at):
         q, o = divmod(at, n_out)
         return [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
 
-    def outsource_touched(support):
-        rows = {q * n_out + a - n_asset
-                for q, a in cells(support, x, n_arcs) if a >= n_asset}
-        rows.update(q * n_out + o for q, o in cells(support, s, n_out))
-        return sorted(rows)
-
     add("outsource_k{}_a{}", "<=", (tc_ids, [a.id for a in outsourced_arcs]),
-        outsource, outsource_touched)
+        outsource, [(xq + n_asset, xq + n_arcs, onto(q * n_out))
+                    for q, xq in enumerate(x_col)] + [whole(s, onto(0))])
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)

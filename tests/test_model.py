@@ -498,14 +498,15 @@ def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
             pytest.fail(f"{name} read the bad row")
 
 
-@pytest.mark.parametrize("touched", [[1, 1], [2, 1], [0, 3], [-1]],
-                         ids=["twice", "out-of-order", "past-the-end", "negative"])
-def test_a_bad_touched_position_is_an_error(touched):
-    """Family bad_r{} has 3 keys; a support read makes the rows its
-    `touched` names, which must ascend and lie within the family."""
+@pytest.mark.parametrize("reached", [[0, 3], [-1]],
+                         ids=["past-the-end", "negative"])
+def test_a_bad_touched_position_is_an_error(reached):
+    """Family bad_r{} has 3 keys; a support read makes the rows that the
+    support's columns reach by its `reach`, which must lie within the
+    family.  Column b1 reaches `reached`."""
     model = edge_case_model()
     model.add_rows("bad_r{}", "<=", ([1, 2, 3],), lambda at: ([1.0], [at], 0.0),
-                   lambda support: touched)
+                   [(0, 1, lambda k: reached)])
     with pytest.raises(CssndError, match=re.escape(
             "row family bad_r{} names position")):
         check_solution(None, None, [], model, {"b1": 1.0})
@@ -829,6 +830,43 @@ def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
             assert kept == list(range(len(full)))
         priced = list(model.objective_terms(support))
         assert priced == [term for term in terms if term[1] in held], name
+
+
+REACH_INSTANCES = {
+    "sample": make_sample_instance,
+    "small10.s1": lambda: generate_instance("small", 10, seed=1),
+}
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["plain", "strong"])
+@pytest.mark.parametrize("instance_name", REACH_INSTANCES)
+def test_reach_is_make_transposed(instance_name, strong):
+    """For every row family with a `reach`, against the transpose of its
+    `make` (each column's set of positions of the rows that hold it): the
+    entries give each column at least every row that holds it, and every
+    position they give lies inside the family."""
+    instance = REACH_INSTANCES[instance_name]()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    model = build_mip(instance, tsn, tcs,
+                      options=ModelOptions(strong_forcing=strong))
+    families = [family for family in model.row_families if family.reach]
+    # transit, one per variant; assign, balance, svc_once, flow, cap,
+    # outsource; strong when asked for
+    assert len(families) == len(tcs) + 6 + strong
+    for family in families:
+        holds: dict[int, set[int]] = {}
+        for at in range(family.size):
+            for col in family.make(at)[1]:
+                holds.setdefault(col, set()).add(at)
+        reached: dict[int, set[int]] = {}
+        for lo, hi, rows in family.reach:
+            for col in range(lo, hi):
+                reached.setdefault(col, set()).update(rows(col - lo))
+        for col, positions in holds.items():
+            assert positions <= reached.get(col, set()), (family.template, col)
+        given = set().union(*reached.values())
+        assert given <= set(range(family.size)), family.template
 
 
 @pytest.fixture(scope="module")
