@@ -27,13 +27,15 @@ that overruns by one or two periods is retried with the early/tardy sibling
 paths whose offsets absorb it.
 
 Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
-particle cut from one, or a lone cycle's service leg.  A merge and a mix
-both hand `_commit` the legs as their paths run them and the cycles they
-replace; it swaps the new paths in, closes the cycle, and undoes the swaps
-when it is refused.  A cycle is placed and walked once, when it closes:
-`_close_cycle` lifts each leg after the start of the one before it by
-`_lift`, the rule `_gaps` applies for the fit test, and `_walk` checks the
-placed legs and returns the arc sequence the asset runs.
+particle cut from one, or a lone cycle's service leg.  `_commit` is the one
+step that closes a cycle: a merge, a mix and Phase V's close of a lone cycle
+each hand it the legs as their paths run them and the cycles they replace.
+It frees the replaced cycles' trip slots, swaps the new paths in and closes
+the cycle, and undoes all of it when it is refused.  A cycle is placed and
+walked once, when it closes: `_commit` lifts each leg after the start of the
+one before it by `_lift`, the rule `_gaps` applies for the fit test, and
+`_walk` checks the placed legs and returns the arc sequence the asset runs.
+`_outsource` is the one step that drops a cycle.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -143,7 +145,7 @@ def _overruns(legs: list[Leg], instance: Instance) -> list[int]:
 class MergeCandidate(NamedTuple):
     """A feasible pair: `path_one` and `path_two` are replaced by `new_one`
     and `new_two` (themselves when neither overruns), whose legs, as the
-    new paths run them, fit one cycle once `_close_cycle` places them."""
+    new paths run them, fit one cycle once `_commit` places them."""
 
     path_one: CommodityPath
     path_two: CommodityPath
@@ -375,40 +377,17 @@ def _plan_repositioning(
     return plan
 
 
-def _close_cycle(
-    solution: Solution, legs: list[Leg], failure: str
-) -> AssetCycle | None:
-    """The cycle that runs `legs` in order, each handed where its path runs
-    it (start in 1..|T|) and lifted after the start of the one before it,
-    with its empty trips planned and its arc sequence walked; None when
-    some trip finds no free slot.  `legs` itself is left as it is."""
-    period_count = solution.instance.period_count
-    placed = legs[:1]
-    for leg in legs[1:]:
-        start = _lift(placed[-1].start, leg.start, period_count)
-        placed.append(leg._replace(start=start))
-    plan = _plan_repositioning(solution, placed)
-    if plan is None:
-        return None
-    return AssetCycle(
-        legs=placed, rep_plan=plan, arc_seq=_walk(solution, placed, plan, failure)
-    )
-
-
 def _walk(
-    solution: Solution,
-    legs: list[Leg],
-    plan: list[tuple[int, int]],
-    failure: str,
+    solution: Solution, legs: list[Leg], plan: list[tuple[int, int]]
 ) -> tuple[int, ...]:
     """The closed arc sequence of one asset that runs `legs` and the empty
     trips of `plan` where they start on the normalized axis, holding idle in
     between, for one horizon from the first leg's start.
 
-    Raises CssndError, prefixed by `failure`, when a leg leaves its delivery
-    window, the asset is not where a leg or trip departs, a leg or trip is
-    left over (as overlapping chains are), or the arcs do not close a cycle
-    of exactly |T| periods.
+    Raises CssndError, naming the legs' path ids, when a leg leaves its
+    delivery window, the asset is not where a leg or trip departs, a leg or
+    trip is left over (as overlapping chains are), or the arcs do not close
+    a cycle of exactly |T| periods.
     """
     tsn = solution.tsn
     book = solution.book
@@ -448,7 +427,10 @@ def _walk(
     if total != period_count or place != legs[0].phys_from:
         problems.append("asset cycle failed to close on itself")
     if problems:
-        raise CssndError(f"{failure}: " + "; ".join(problems))
+        paths = ", ".join(str(leg.path_id) for leg in legs)
+        raise CssndError(
+            f"cycle of paths {paths} failed its walk: " + "; ".join(problems)
+        )
     return tuple(seq)
 
 
@@ -463,23 +445,20 @@ def _reselect(solution: Solution, old: CommodityPath, new: CommodityPath) -> Non
 
 
 def _commit(
-    solution: Solution,
-    legs: list[Leg],
-    replaced: list[AssetCycle],
-    failure: str,
+    solution: Solution, legs: list[Leg], replaced: list[AssetCycle]
 ) -> bool:
-    """Replace the cycles `replaced` by one cycle running `legs`.  The path
-    of `legs[i]` delivers the commodity of the i-th leg of `replaced`, the
-    legs taken in order, and is swapped in where it is another path.
+    """Replace the cycles `replaced` by one cycle running `legs` in order,
+    each handed where its path runs it (start in 1..|T|).  The path of
+    `legs[i]` delivers the commodity of the i-th leg of `replaced`, the legs
+    taken in order, and is swapped in where it is another path.  The new
+    cycle lifts each leg after the start of the one before it, in a new
+    list, plans its empty trips, walks its arc sequence and comes last in
+    `solution.cycles`.
 
-    Refused, changing nothing, when a new path's service slot is held by
-    any path but the one it replaces, when two new paths share a slot, or
-    when some empty trip of the cycle finds no free slot.
-
-    The empty trips of `replaced` keep their slots (`-1` in the registry):
-    merges and mixes replace only lone cycles, which plan no trip.  A
-    caller that replaces a cycle with trips must release those slots first,
-    as `_outsource` does, and restore them when the commit is refused.
+    The empty trips of `replaced` free their slots (`-1` in the registry)
+    first.  Refused, changing nothing, when a new path's service slot is
+    held by any path but the one it replaces, when two new paths share a
+    slot, or when some empty trip of the cycle finds no free slot.
     """
     by_id = solution.book.by_id
     carried = [by_id[leg.path_id] for cycle in replaced for leg in cycle.legs]
@@ -487,24 +466,35 @@ def _commit(
         (old, by_id[leg.path_id])
         for leg, old in zip(legs, carried) if leg.path_id != old.id
     ]
+    period_count = solution.instance.period_count
+    placed = legs[:1]
+    for leg in legs[1:]:
+        start = _lift(placed[-1].start, leg.start, period_count)
+        placed.append(leg._replace(start=start))
     registry = solution.svc_registry
+    trips = [arc_id for cycle in replaced for arc_id, _ in cycle.rep_plan]
+    for arc_id in trips:
+        del registry[arc_id]
     incoming = [new.arcs[new.lead_holds] for _, new in swaps]
-    if len(set(incoming)) != len(incoming) or any(
-        registry.get(svc, old.id) != old.id
+    if len(set(incoming)) == len(incoming) and all(
+        registry.get(svc, old.id) == old.id
         for svc, (old, _) in zip(incoming, swaps)
     ):
-        return False
-    for old, new in swaps:
-        _reselect(solution, old, new)
-    closed = _close_cycle(solution, legs, failure)
-    if closed is None:
+        for old, new in swaps:
+            _reselect(solution, old, new)
+        plan = _plan_repositioning(solution, placed)
+        if plan is not None:
+            for cycle in replaced:
+                solution.cycles.remove(cycle)
+            solution.cycles.append(AssetCycle(
+                legs=placed, rep_plan=plan, arc_seq=_walk(solution, placed, plan)
+            ))
+            return True
         for old, new in swaps:
             _reselect(solution, new, old)
-        return False
-    for cycle in replaced:
-        solution.cycles.remove(cycle)
-    solution.cycles.append(closed)
-    return True
+    for arc_id in trips:
+        registry[arc_id] = -1               # repositioning marker
+    return False
 
 
 def merge_phase(solution: Solution, config: str) -> int:
@@ -524,10 +514,7 @@ def merge_phase(solution: Solution, config: str) -> int:
 
     def commit(c: MergeCandidate) -> bool:
         replaced = [lone[c.path_one.id], lone[c.path_two.id]]
-        return _commit(
-            solution, [legs[c.new_one.id], legs[c.new_two.id]], replaced,
-            "merged cycle failed its walk",
-        )
+        return _commit(solution, [legs[c.new_one.id], legs[c.new_two.id]], replaced)
 
     if config == CONFIG_RANDOM:
         executed = 0
@@ -673,10 +660,7 @@ def _try_mix_cycle(
                     continue
                 # a particle cut from another path of `current`'s
                 # commodity swaps that path in
-                if _commit(
-                    solution, [leg, particle], [target, cycle],
-                    "mix produced an invalid cycle",
-                ):
+                if _commit(solution, [leg, particle], [target, cycle]):
                     solution.dominant.add(dominant_ids[0])
                     return True
     return False
@@ -699,23 +683,22 @@ def resolve_capacity(solution: Solution) -> None:
         if conversion is None and not can_lease:
             conversion = _cheapest_conversion(solution, solution.cycles)
         if conversion is not None and (conversion[0] < g or not can_lease):
-            cycle = conversion[2]
-            _outsource(solution, cycle)
-            solution.cycles.remove(cycle)
+            _outsource(solution, conversion[2])
         else:
             leased += 1
         shortage -= 1
 
 
 def _outsource(solution: Solution, cycle: AssetCycle) -> None:
-    """Deliver each commodity the cycle carries by its cheapest outsourced
-    path, and free the cycle's repositioning slots."""
+    """Drop `cycle`: deliver each commodity it carries by its cheapest
+    outsourced path, and free its repositioning slots."""
     book = solution.book
     for leg in cycle.legs:
         path = book.by_id[leg.path_id]
         _reselect(solution, path, book.cheapest_outsourced(path.oc_id))
     for arc_id, _ in cycle.rep_plan:
         del solution.svc_registry[arc_id]   # repositioning marker
+    solution.cycles.remove(cycle)
 
 
 def _cheapest_conversion(
@@ -736,30 +719,30 @@ def _cheapest_conversion(
 
 
 def finalize_cycles(solution: Solution) -> None:
-    """Close each lone cycle with an empty return trip, outsourcing its
-    commodity when no return slot is free, then assign asset ids."""
+    """Close each lone cycle with an empty return trip through `_commit`,
+    in the order of the cycles' least carried path ids, outsourcing its
+    commodity when no return slot is free; then order the cycles the same
+    way and assign asset ids."""
     instance = solution.instance
     tsn = solution.tsn
-    solution.cycles.sort(key=lambda c: min(c.carried_paths))
-    survivors: list[AssetCycle] = []
-    for cycle in solution.cycles:
-        if not cycle.merged:
-            # a lone asset runs only its service leg plus the empty return
-            # trip; the commodity's own waiting happens on uncapacitated
-            # holding arcs
-            path = solution.book.by_id[cycle.legs[0].path_id]
-            svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
-            leg = cycle.legs[0]._replace(
-                start=svc_arc.depart, busy=svc_arc.duration, arcs=(svc_arc.id,)
-            )
-            closed = _close_cycle(solution, [leg], "lone cycle failed its walk")
-            if closed is None:
-                # no conflict-free return slot
-                _outsource(solution, cycle)
-                continue
-            cycle = closed
-        survivors.append(cycle)
-    solution.cycles = survivors
+
+    def first_path(cycle: AssetCycle) -> int:
+        return min(cycle.carried_paths)
+
+    for cycle in sorted(solution.cycles, key=first_path):
+        if cycle.merged:
+            continue
+        # a lone asset runs only its service leg plus the empty return
+        # trip; the commodity's own waiting happens on uncapacitated
+        # holding arcs
+        path = solution.book.by_id[cycle.legs[0].path_id]
+        svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
+        leg = cycle.legs[0]._replace(
+            start=svc_arc.depart, busy=svc_arc.duration, arcs=(svc_arc.id,)
+        )
+        if not _commit(solution, [leg], [cycle]):
+            _outsource(solution, cycle)     # no conflict-free return slot
+    solution.cycles.sort(key=first_path)
     for index, cycle in enumerate(solution.cycles, start=1):
         cycle.asset_id = index
         cycle.kind = "owned" if index <= instance.owned_assets else "leased"

@@ -182,11 +182,6 @@ class ModelIR:
     def constraints(self) -> Rows:
         return Rows(self)
 
-    @property
-    def objective(self) -> list[tuple[float, int]]:
-        """Every objective term, priced afresh at each read."""
-        return list(self.objective_terms(None))
-
     def add_family(self, template: str, kind: str, *axes) -> Family:
         family = Family(template, kind, self.column_count, axes)
         self.families.append(family)

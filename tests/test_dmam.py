@@ -46,7 +46,7 @@ from cssnd.dmam import (
     solution_to_assignment,
     solve_p2,
 )
-from cssnd.instgen import generate_instance
+from cssnd.instgen import generate_instance, size_class
 from cssnd.model import build_mip, check_solution
 from cssnd.rng import Stream
 from tests.conftest import make_sample_instance
@@ -347,7 +347,7 @@ def test_no_overrun_exactly_when_one_asset_runs_the_cycle(drawn):
     runs = plan is not None
     if runs:
         try:
-            _walk(solution, legs, plan, "drawn cycle")
+            _walk(solution, legs, plan)
         except CssndError:
             runs = False
     assert (max(overruns) <= 0) == runs
@@ -529,9 +529,7 @@ def test_merge_paths_builds_closed_cycle():
         new_two=p2,
     )
     replaced = [lone(solution, p1), lone(solution, p2)]
-    assert _commit(
-        solution, new_legs(solution, candidate), replaced, "merged cycle failed its walk"
-    )
+    assert _commit(solution, new_legs(solution, candidate), replaced)
     cycle = solution.cycles[-1]
     assert sorted(cycle.carried_paths) == sorted([p1.id, p2.id])
     assert cycle.rep_plan == []       # perfect match needs no repositioning
@@ -551,7 +549,7 @@ def test_commit_removes_exactly_the_cycles_it_is_handed():
     kept = [c for c in solution.cycles if c not in replaced]
     assert kept[0] is twin
     candidate = explore_pair(p1, p2, solution)
-    assert _commit(solution, new_legs(solution, candidate), replaced, "unused")
+    assert _commit(solution, new_legs(solution, candidate), replaced)
     assert solution.cycles[:-1] == kept
     assert solution.cycles[-1].carried_paths == [p1.id, p2.id]
 
@@ -575,7 +573,7 @@ def test_merge_across_the_horizon_edge_places_the_early_chain_last_period():
         solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
     replaced = list(solution.cycles)
     handed = new_legs(solution, candidate)
-    assert _commit(solution, handed, replaced, "unused")
+    assert _commit(solution, handed, replaced)
     assert handed == new_legs(solution, candidate)    # placed in a new list
     (cycle,) = solution.cycles
     assert cycle.carried_paths == [early.id, p2.id]
@@ -621,8 +619,7 @@ def test_refused_commit_for_a_held_slot_changes_nothing():
     before = _state(solution)
     legs = [leg_view(stolen), leg_view(solution.selected[2])]
     assert not _commit(
-        solution, legs, [lone(solution, current), lone(solution, solution.selected[2])],
-        "unused",
+        solution, legs, [lone(solution, current), lone(solution, solution.selected[2])]
     )
     assert _state(solution) == before
 
@@ -645,7 +642,7 @@ def test_refused_mix_commit_for_a_held_slot_changes_nothing(monkeypatch):
     target = leg_view(target_path)
     legs = [target, leg_view(stolen)]
     assert not _commit(
-        solution, legs, [lone(solution, target_path), lone(solution, current)], "unused"
+        solution, legs, [lone(solution, target_path), lone(solution, current)]
     )
     assert _state(solution) == before
     assert reselected == []
@@ -666,9 +663,50 @@ def test_refused_commit_for_a_missing_trip_slot_changes_nothing():
     first = leg_view(alt)._replace(start=1, busy=2)
     legs = [first, leg_view(other)._replace(start=first.start + first.busy)]
     assert not _commit(
-        solution, legs, [lone(solution, current), lone(solution, other)], "unused"
+        solution, legs, [lone(solution, current), lone(solution, other)]
     )
     assert _state(solution) == before
+
+
+def super_leg_fixture():
+    """Medium k=25 seed 4 after Phase III (config a): the merged cycle of
+    paths 266 and 309, whose one trip runs arc 110, and the lone cycle of
+    path 168, whose leg fits one cycle after theirs."""
+    instance = generate_instance("medium", 25, 4)
+    solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
+    merge_phase(solution, "a")
+    merged = next(c for c in solution.cycles if c.carried_paths == [266, 309])
+    assert merged.rep_plan == [(110, 5)]
+    single = next(c for c in solution.cycles if c.carried_paths == [168])
+    legs = [solution.book.legs[pid] for pid in (266, 309, 168)]
+    return solution, legs, [merged, single]
+
+
+def trip_markers(solution):
+    return {arc for arc, owner in solution.svc_registry.items() if owner == -1}
+
+
+def test_commit_frees_the_trip_slots_of_the_cycles_it_replaces():
+    solution, legs, replaced = super_leg_fixture()
+    assert _commit(solution, legs, replaced)
+    cycle = solution.cycles[-1]
+    assert cycle.carried_paths == [266, 309, 168]
+    assert cycle.rep_plan == [(141, 8)]
+    assert 110 not in solution.svc_registry
+    assert trip_markers(solution) == {
+        arc for c in solution.cycles for arc, _ in c.rep_plan
+    }
+
+
+def test_refused_commit_marks_the_trip_slots_it_freed_again():
+    """The new cycle's one trip can only run arc 141; held, the commit is
+    refused and arc 110 is the merged cycle's again."""
+    solution, legs, replaced = super_leg_fixture()
+    solution.svc_registry[141] = -1
+    before = _state(solution)
+    assert not _commit(solution, legs, replaced)
+    assert _state(solution) == before
+    assert solution.svc_registry[110] == -1
 
 
 def test_simulation_rejects_window_violations():
@@ -683,12 +721,15 @@ def test_simulation_rejects_window_violations():
             Leg(p1.id, 1, 2, 1, 2, p1.arcs),
             Leg(p2.id, phys_from, 1, start, 2, p2.arcs),
         ]
-        return _walk(solution, legs, [], "test cycle")
+        return _walk(solution, legs, [])
 
     seq = walk_with_second_start(4)
     assert sum(tsn.arcs[a - 1].duration for a in seq) == 7
     # pickup one period before release breaks the second delivery window
-    with pytest.raises(CssndError, match="delivery window"):
+    with pytest.raises(
+        CssndError, match=f"^cycle of paths {p1.id}, {p2.id} failed its walk: "
+        f"path {p2.id} violates its delivery window"
+    ):
         walk_with_second_start(3)
     # overlapping chains cannot share one asset
     with pytest.raises(CssndError, match="left over"):
@@ -1036,18 +1077,33 @@ def test_lone_cycle_without_a_return_slot_is_outsourced():
     assert result.objective == pytest.approx(solution.total_cost(), abs=1e-6)
 
 
-@pytest.mark.parametrize("config", ["r", "c", "a"])
-def test_phase_v_releases_the_slots_of_outsourced_cycles(config):
-    """With one owned asset and none to lease, the merged cycles Phase V
-    outsources give back their service slots and repositioning markers."""
-    instance = dataclasses.replace(
-        make_sample_instance(), owned_assets=1, leasable_assets=0
+@pytest.mark.parametrize("drawn, owned, leasable, config", [
+    pytest.param(None, 1, 0, config, id=config) for config in "rca"
+] + [
+    pytest.param(
+        (size, k, seed), owned, leasable, config,
+        id=f"{size}{k}-s{seed}-owned{owned}-leasable{leasable}-{config}",
     )
+    for size, k in (("small", 10), ("medium", 25))
+    for seed in (1, 2)
+    for owned, leasable in ((1, 0), (size_class(size).v1 // 3, 1))
+    for config in "rca"
+])
+def test_phase_v_releases_the_slots_of_outsourced_cycles(drawn, owned, leasable, config):
+    """With a fleet too small for the schedule (the worked sample, or a
+    drawn (size, k, seed) instance), the cycles Phase V outsources give back
+    their service slots and repositioning markers."""
+    instance = dataclasses.replace(
+        make_sample_instance() if drawn is None else generate_instance(*drawn),
+        owned_assets=owned, leasable_assets=leasable,
+    )
+    fleet = owned + leasable
     solution, report = run_dmam(instance, config)
-    assert len(solution.cycles) <= 1
-    assert report["outsourced"] >= len(instance.commodities) - 2
-    markers = {arc for arc, owner in solution.svc_registry.items() if owner == -1}
-    assert markers == {arc for c in solution.cycles for arc, _ in c.rep_plan}
+    assert len(solution.cycles) <= fleet
+    assert report["outsourced"] >= len(instance.commodities) - 2 * fleet
+    assert trip_markers(solution) == {
+        arc for c in solution.cycles for arc, _ in c.rep_plan
+    }
     served = {
         path.arcs[path.lead_holds]: path.id
         for path in solution.selected.values() if path.mode == "offered"

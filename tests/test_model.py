@@ -52,6 +52,11 @@ def sample_model():
     return instance, tsn, tcs
 
 
+def objective_of(model) -> list[tuple[float, int]]:
+    """Every objective term of `model`, in term order."""
+    return list(model.objective_terms(None))
+
+
 def lp_text(model, path):
     """LP text written to `path`; the writer reports its length."""
     written = export_lp(model, path)
@@ -421,7 +426,7 @@ def reference_mps(model: ModelIR) -> str:
     for short, row in zip(rows, model.constraints):
         lines.append(f" {codes[row.sense]}  {short}")
     entries = {col: [] for col in range(model.column_count)}
-    for coef, col in model.objective:
+    for coef, col in objective_of(model):
         entries[col].append(("COST    ", coef))
     for short, row in zip(rows, model.constraints):
         for coef, col in row.terms:
@@ -540,7 +545,7 @@ LP_WIDTH = 240
 
 
 def reference_lp(model: ModelIR) -> str:
-    """CPLEX-dialect LP written straight from `model.objective` and
+    """CPLEX-dialect LP written straight from the objective terms and
     `model.constraints`: an oracle for `export_lp` that shares none of its
     code.
 
@@ -581,7 +586,7 @@ def reference_lp(model: ModelIR) -> str:
                 lines[-1] += " " + part
         return lines
 
-    lines = ["Minimize", *wrapped(" obj:", terms(model.objective) or ["0"]),
+    lines = ["Minimize", *wrapped(" obj:", terms(objective_of(model)) or ["0"]),
              "Subject To"]
     for row in model.constraints:
         parts = terms(row.terms) or [f"0 {names[0]}"]
@@ -730,7 +735,7 @@ def reference_check(model: ModelIR, assignment: dict[str, float]):
         elif row.sense == "=" and abs(lhs - row.rhs) > 1e-6:
             violations.append(f"{row.name}: {lhs} != {row.rhs}")
     objective = 0.0
-    for coef, col in model.objective:
+    for coef, col in objective_of(model):
         objective += coef * values[col]
     return violations, objective
 
@@ -805,7 +810,7 @@ def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
     at = {(id(family), key): family.base + position
           for family in model.row_families
           for position, key in enumerate(itertools.product(*family.axes))}
-    terms = model.objective
+    terms = objective_of(model)
     column = {name: col for col, name in enumerate(model.variables)}
     schedule = solution_to_assignment(run_dmam(instance, "a")[0])
     rng = random.Random(f"support-read/{instance_name}/{options_name}")
@@ -886,10 +891,12 @@ def schedules(tmp_path_factory):
         tcs, _ = expand_commodities(instance)
         model = build_mip(instance, tsn, tcs)
         # the reference reads these fields only; made once, not per example
+        terms = objective_of(model)
         frozen = SimpleNamespace(
             variables=model.variables, families=model.families,
             column_count=model.column_count,
-            constraints=list(model.constraints), objective=model.objective)
+            constraints=list(model.constraints),
+            objective_terms=lambda support, terms=terms: terms)
         made[seed] = (instance, tsn, tcs, model, frozen,
                       sol.read_text().splitlines())
     return made
