@@ -6,8 +6,8 @@ cycles, either greedily (config "r"), via smallest-conflicted-pairs-first
 selection (config "c"), or via an exact maximum-cardinality minimum-cost
 matching over the explored pairs (config "a").  Phase IV mixes leftover
 single paths into other cycles by letting a holding arc ride a dominant
-path.  Phase V resolves asset shortage by leasing or outsourcing unit by
-unit and finalizes asset cycles.
+path.  Phase V ranks the cycles once, covers the asset shortage by leasing
+or outsourcing in that order, and finalizes asset cycles.
 
 Feasibility works on a normalized timeline: each leg of a cycle is lifted
 into the horizon after the start of the leg before it, and the cycle wraps
@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     COST_SCALE,
@@ -452,8 +452,8 @@ def _commit(
     `legs[i]` delivers the commodity of the i-th leg of `replaced`, the legs
     taken in order, and is swapped in where it is another path.  The new
     cycle lifts each leg after the start of the one before it, in a new
-    list, plans its empty trips, walks its arc sequence and comes last in
-    `solution.cycles`.
+    list, plans its empty trips, walks its arc sequence and takes the place
+    of `replaced[0]` in `solution.cycles`; the others leave it.
 
     The empty trips of `replaced` free their slots (`-1` in the registry)
     first.  Refused, changing nothing, when a new path's service slot is
@@ -484,11 +484,12 @@ def _commit(
             _reselect(solution, old, new)
         plan = _plan_repositioning(solution, placed)
         if plan is not None:
-            for cycle in replaced:
-                solution.cycles.remove(cycle)
-            solution.cycles.append(AssetCycle(
+            cycles = solution.cycles
+            cycles[cycles.index(replaced[0])] = AssetCycle(
                 legs=placed, rep_plan=plan, arc_seq=_walk(solution, placed, plan)
-            ))
+            )
+            for cycle in replaced[1:]:
+                cycles.remove(cycle)
             return True
         for old, new in swaps:
             _reselect(solution, new, old)
@@ -668,25 +669,35 @@ def _try_mix_cycle(
 
 def resolve_capacity(solution: Solution) -> None:
     """Phase V: cover any shortage beyond the owned fleet by leasing or by
-    outsourcing single-commodity cycles, whichever increases cost less.
-    With no lone cycle left and the lease budget spent, the merged cycle
-    that is cheapest to convert is outsourced leg by leg."""
+    outsourcing whole cycles.  Each cycle is ranked once: lone before
+    merged, then by the cost increase of outsourcing every leg, then by its
+    first leg's path id.  An increase stays as it is while other cycles are
+    dropped, since each commodity rides one cycle.  The lone cycles that
+    increase cost less than a lease are outsourced first, up to the
+    shortage; the lease budget covers what is still short, and the next
+    cycles in rank order the rest."""
     instance = solution.instance
-    g = instance.costs.fixed_leased
+    book = solution.book
     shortage = len(solution.cycles) - instance.owned_assets
-    leased = 0
-    while shortage > 0:
-        can_lease = leased < instance.leasable_assets
-        conversion = _cheapest_conversion(
-            solution, (c for c in solution.cycles if not c.merged)
-        )
-        if conversion is None and not can_lease:
-            conversion = _cheapest_conversion(solution, solution.cycles)
-        if conversion is not None and (conversion[0] < g or not can_lease):
-            _outsource(solution, conversion[2])
-        else:
-            leased += 1
-        shortage -= 1
+    if shortage <= 0:
+        return
+
+    def rank(cycle: AssetCycle) -> tuple[bool, float, int]:
+        delta = 0.0
+        for leg in cycle.legs:
+            path = book.by_id[leg.path_id]
+            delta += book.cheapest_outsourced(path.oc_id).cost - path.cost
+        return cycle.merged, delta, cycle.legs[0].path_id
+
+    ranked = sorted(
+        ((rank(c), c) for c in solution.cycles), key=lambda item: item[0]
+    )
+    g = instance.costs.fixed_leased
+    cheap = sum(not merged and delta < g for (merged, delta, _), _ in ranked)
+    dropped = min(shortage, cheap)
+    dropped += max(0, shortage - dropped - instance.leasable_assets)
+    for _, cycle in ranked[:dropped]:
+        _outsource(solution, cycle)
 
 
 def _outsource(solution: Solution, cycle: AssetCycle) -> None:
@@ -701,35 +712,15 @@ def _outsource(solution: Solution, cycle: AssetCycle) -> None:
     solution.cycles.remove(cycle)
 
 
-def _cheapest_conversion(
-    solution: Solution, cycles: Iterable[AssetCycle]
-) -> tuple[float, int, AssetCycle] | None:
-    """(cost increase of outsourcing every leg, first leg's path id, cycle)
-    of the one of `cycles` cheapest to convert, ties by that path id; None
-    when there is none."""
-    book = solution.book
-    conversions = []
-    for cycle in cycles:
-        delta = 0.0
-        for leg in cycle.legs:
-            path = book.by_id[leg.path_id]
-            delta += book.cheapest_outsourced(path.oc_id).cost - path.cost
-        conversions.append((delta, cycle.legs[0].path_id, cycle))
-    return min(conversions, key=lambda item: item[:2], default=None)
-
-
 def finalize_cycles(solution: Solution) -> None:
-    """Close each lone cycle with an empty return trip through `_commit`,
-    in the order of the cycles' least carried path ids, outsourcing its
-    commodity when no return slot is free; then order the cycles the same
-    way and assign asset ids."""
+    """Order the cycles by their least carried path ids, then close each
+    lone one in its place with an empty return trip through `_commit`,
+    outsourcing its commodity when no return slot is free, and assign
+    asset ids in that order."""
     instance = solution.instance
     tsn = solution.tsn
-
-    def first_path(cycle: AssetCycle) -> int:
-        return min(cycle.carried_paths)
-
-    for cycle in sorted(solution.cycles, key=first_path):
+    solution.cycles.sort(key=lambda cycle: min(cycle.carried_paths))
+    for cycle in list(solution.cycles):
         if cycle.merged:
             continue
         # a lone asset runs only its service leg plus the empty return
@@ -742,7 +733,6 @@ def finalize_cycles(solution: Solution) -> None:
         )
         if not _commit(solution, [leg], [cycle]):
             _outsource(solution, cycle)     # no conflict-free return slot
-    solution.cycles.sort(key=first_path)
     for index, cycle in enumerate(solution.cycles, start=1):
         cycle.asset_id = index
         cycle.kind = "owned" if index <= instance.owned_assets else "leased"

@@ -19,6 +19,7 @@ from cssnd.core import (
     OriginalCommodity,
     PhysicalNetwork,
     build_time_space_network,
+    expand_commodities,
     wrap_period,
 )
 from cssnd.dmam import (
@@ -49,7 +50,7 @@ from cssnd.dmam import (
 from cssnd.instgen import generate_instance, size_class
 from cssnd.model import build_mip, check_solution
 from cssnd.rng import Stream
-from tests.conftest import make_sample_instance
+from tests.conftest import make_sample_instance, routing_rows
 
 
 def leg(oc, frm, to, start, busy, pid=None):
@@ -537,21 +538,23 @@ def test_merge_paths_builds_closed_cycle():
 
 def test_commit_removes_exactly_the_cycles_it_is_handed():
     """The replaced cycles leave by identity, the others keep their order,
-    and the new cycle comes last; a record equal in every field to a
-    replaced cycle is another cycle and stays."""
+    and the new cycle takes the place of the first replaced cycle; a record
+    equal in every field to a replaced cycle is another cycle and stays."""
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6), (3, 4, 1, 3)])
     tsn = build_time_space_network(instance.physical, instance.period_count)
     solution = construct_initial(instance, PathBook(instance, tsn))
     p1, p2 = solution.selected[1], solution.selected[2]
     replaced = [lone(solution, p1), lone(solution, p2)]
     twin = dataclasses.replace(replaced[0])
-    solution.cycles.insert(1, twin)
+    solution.cycles.insert(0, twin)
     kept = [c for c in solution.cycles if c not in replaced]
     assert kept[0] is twin
+    at = solution.cycles.index(replaced[0])
+    assert at == 1
     candidate = explore_pair(p1, p2, solution)
     assert _commit(solution, new_legs(solution, candidate), replaced)
-    assert solution.cycles[:-1] == kept
-    assert solution.cycles[-1].carried_paths == [p1.id, p2.id]
+    assert solution.cycles[at].carried_paths == [p1.id, p2.id]
+    assert solution.cycles[:at] + solution.cycles[at + 1:] == kept
 
 
 def test_merge_across_the_horizon_edge_places_the_early_chain_last_period():
@@ -688,8 +691,10 @@ def trip_markers(solution):
 
 def test_commit_frees_the_trip_slots_of_the_cycles_it_replaces():
     solution, legs, replaced = super_leg_fixture()
+    # the new cycle takes the merged cycle's place among those that stay
+    stay = [c for c in solution.cycles if c is not replaced[1]]
     assert _commit(solution, legs, replaced)
-    cycle = solution.cycles[-1]
+    cycle = solution.cycles[stay.index(replaced[0])]
     assert cycle.carried_paths == [266, 309, 168]
     assert cycle.rep_plan == [(141, 8)]
     assert 110 not in solution.svc_registry
@@ -1005,6 +1010,61 @@ def test_shortage_leases_when_cheaper_than_outsourcing():
     assert len(solution.cycles) == 8
 
 
+def cheapest_lone_delta(solution):
+    """The least cost increase of outsourcing a lone cycle."""
+    book = solution.book
+    return min(
+        book.cheapest_outsourced(path.oc_id).cost - path.cost
+        for path in (book.by_id[c.legs[0].path_id]
+                     for c in solution.cycles if not c.merged)
+    )
+
+
+def test_shortage_leases_at_a_lease_price_equal_to_the_cheapest_delta():
+    """A lone cycle is outsourced only when that costs strictly less than a
+    lease."""
+    boundary = 25.423026668883473
+    instance = overlap_instance(leased_cost=boundary)
+    solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
+    merge_phase(solution, "r")
+    mix_phase(solution)
+    assert cheapest_lone_delta(solution) == boundary
+    _, report = run_dmam(instance, "r")
+    assert (report["leased"], report["outsourced"]) == (1, 0)
+
+
+def lone_first_instance():
+    """Paths 3 and 9 (commodities 1 and 2) share a cycle and path 13
+    (commodity 3) runs alone, with one owned asset and none to lease.  Every
+    outsourced price is 25.1 except commodity 3's, 100.0, so the lone cycle
+    costs more to outsource than the merged one."""
+    base = make_instance([(1, 2, 1, 3), (2, 1, 4, 6), (3, 4, 1, 3)],
+                         owned=1, leasable=0)
+    _, incidence = expand_commodities(base)
+    table = {
+        tuple(row[:5]): row[5] if row[0] != "outsourced"
+        else 100.0 if row[4] in incidence[3] else 25.1
+        for row in routing_rows(base)
+    }
+    costs = dataclasses.replace(base.costs, routing_seed=None, routing_table=table)
+    return dataclasses.replace(base, costs=costs)
+
+
+@pytest.mark.parametrize("config", "rca")
+def test_shortage_outsources_a_lone_cycle_before_a_merged_one(config):
+    """Ranked by cost increase alone, the merged cycle would go, at a total
+    of 76.11222028132748; lone cycles rank first."""
+    instance = lone_first_instance()
+    solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
+    merge_phase(solution, config)
+    mix_phase(solution)
+    assert sorted(c.carried_paths for c in solution.cycles) == [[3, 9], [13]]
+    solution, report = run_dmam(instance, config)
+    assert solution.outsourced == {3}
+    assert [c.carried_paths for c in solution.cycles] == [[3, 9]]
+    assert report["total_cost"] == pytest.approx(126.60620232448014, abs=1e-9)
+
+
 def test_non_interacting_instance_costs_decompose():
     # mutually unmergeable deliveries, enough owned assets: total cost is
     # exactly one fixed charge per commodity plus the selected path costs
@@ -1031,8 +1091,7 @@ def test_capacity_resolution_counts():
     solution, report = run_dmam(instance, "r")
     assert solution.leased() <= instance.leasable_assets
     assert len(solution.cycles) <= instance.owned_assets + instance.leasable_assets
-    if len(solution.cycles) < instance.owned_assets:
-        assert solution.leased() == 0
+    assert (report["leased"], report["outsourced"]) == (2, 2)
 
 
 def test_determinism_same_seed_same_report():
