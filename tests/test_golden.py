@@ -5,7 +5,9 @@ The corpus is the worked sample plus a generated small (k=10) and medium
 only), `analyze`, `solve` with configs r/c/a (schedule JSON, .sol and report
 CSV) and `export` as LP and as MPS with its names sidecar in plain mode,
 plus one LP with valid inequalities and one strong-forcing MPS.  A generated
-large (k=30) instance adds the plain LP, the plain MPS and the strong-forcing
+small (k=10) instance at seed 2 adds its three `solve` outputs with configs
+r/c/a: its closed lone cycles sit between merged ones, so it sees the order
+of a schedule's cycles.  A generated large (k=30) instance adds the plain LP, the plain MPS and the strong-forcing
 MPS of a model about six times the sample's, and its config-a `.sol`.
 A generated very_large (k=90) instance adds its plain MPS and sidecar, the
 largest model the toolkit is timed on.
@@ -35,6 +37,7 @@ from cssnd.io import save_instance
 from tests.conftest import make_sample_instance
 
 GENERATED = {"small10": ("small", 10, 7), "medium25": ("medium", 25, 11)}
+SOLVED = {"small10s2": ("small", 10, 2)}
 LARGE = {"large30": ("large", 30, 13)}
 VERY_LARGE = {"verylarge90": ("xlarge", 90, 42)}
 
@@ -181,6 +184,24 @@ GOLDEN = {
         "ea404f352eba8e5e70822321fc80c8204df908d1d89f2e4ee112d4885b068ac1",
     "small10.vi.lp":
         "a908ac51026b2633399a68cb99d77f62930182cce36357e4064bc9d1e69ae8d3",
+    "small10s2.a.csv":
+        "210e5115e9ea26769d2112b8b20e874eb525e1b750a95b2f9f9472e5a4e9bb63",
+    "small10s2.a.json":
+        "239ba8f53b5118ec81ab2c8acc91017bf078355a53dcd21910321c61777ed3fc",
+    "small10s2.a.sol":
+        "c36c1aa21cdd4b03b9a381c8a9939aa369d8ff069067f588c40dfe5d64e4f0e7",
+    "small10s2.c.csv":
+        "2504ed89de597949c2c84cfa246f8493e8e909c948255300f1df556549fd4483",
+    "small10s2.c.json":
+        "fb954dc1d25282e7d4c8d06ec60f81e2e09897126f51d34c1a7608950550cc76",
+    "small10s2.c.sol":
+        "421e299f62dd6fa3b4c4f7530e425be1464e6d183fb82e2242dfdafaba1d597d",
+    "small10s2.r.csv":
+        "0b5e83b13d061587bc7d9494021d30db1bf059226fa0bbe5108939d75c98ce96",
+    "small10s2.r.json":
+        "87ab5b68ebc8a2ff1bfb782f79b53e5e00634c1ae047668537065940c0f31138",
+    "small10s2.r.sol":
+        "42db8f972baa3dda3ecbf4adb07876269991004c73e2b151b6391b6928c7dec2",
     "verylarge90.plain.mps":
         "74b38a135c77757e49d7f61f29931895cd68e966a6f861c8184b60405a2a5c21",
     "verylarge90.plain.mps.names.json":
@@ -205,6 +226,20 @@ def _export(root, name, exports) -> list[str]:
         files.append(out)
         if fmt == "mps":
             files.append(f"{out}.names.json")
+    return files
+
+
+def _solve(root, name) -> list[str]:
+    """Solve with configs r/c/a, writing the schedule JSON, .sol and report
+    CSV of each."""
+    files = []
+    for config in "rca":
+        stem = f"{name}.{config}"
+        _run(["solve", "--in", str(root / f"{name}.json"), "--config", config,
+              "--out", str(root / f"{stem}.json"),
+              "--sol", str(root / f"{stem}.sol"),
+              "--report", str(root / f"{stem}.csv")])
+        files += [f"{stem}.json", f"{stem}.sol", f"{stem}.csv"]
     return files
 
 
@@ -237,14 +272,12 @@ def _produce(root) -> dict[str, str]:
         inst = str(root / f"{name}.json")
         _run(["analyze", "--in", inst, "--out", str(root / f"{name}.phi.csv")])
         files.append(f"{name}.phi.csv")
-        for config in "rca":
-            stem = f"{name}.{config}"
-            _run(["solve", "--in", inst, "--config", config,
-                  "--out", str(root / f"{stem}.json"),
-                  "--sol", str(root / f"{stem}.sol"),
-                  "--report", str(root / f"{stem}.csv")])
-            files += [f"{stem}.json", f"{stem}.sol", f"{stem}.csv"]
+        files += _solve(root, name)
         files += _export(root, name, EXPORTS)
+    for name, (size, k, seed) in SOLVED.items():
+        _run(["gen", "--size", size, "--k", str(k), "--seed", str(seed),
+              "--out", str(root / f"{name}.json")])
+        files += _solve(root, name)
     for name in LARGE:
         _run(["solve", "--in", str(root / f"{name}.json"), "--config", "a",
               "--sol", str(root / f"{name}.a.sol")])
