@@ -26,16 +26,18 @@ offsets (a1, a2) adds a1 - a2 to forth and takes it from back, so a pair
 that overruns by one or two periods is retried with the early/tardy sibling
 paths whose offsets absorb it.
 
-Every chain an asset runs is a `Leg`: a path's whole chain, a Phase IV
-particle cut from one, or a lone cycle's service leg.  `_commit` is the one
+Every chain an asset runs is a `Leg` that `leg_view` cuts from one path: a
+merge's whole chain, a Phase IV particle without the hold that rides a
+dominant path, or a lone cycle's service leg.  `_commit` is the one
 step that closes a cycle: a merge, a mix and Phase V's close of a lone cycle
 each hand it the legs as their paths run them and the cycles they replace.
 It frees the replaced cycles' trip slots, swaps the new paths in and closes
 the cycle, and undoes all of it when it is refused.  A cycle is placed and
 walked once, when it closes: `_commit` lifts each leg after the start of the
-one before it by `_lift`, the rule `_gaps` applies for the fit test, and
-`_walk` checks the placed legs and returns the arc sequence the asset runs.
-`_outsource` is the one step that drops a cycle.
+one before it (the first after period 0) by `_lift`, the rule `_gaps`
+applies for the fit test, and `_walk` checks the placed legs and returns
+the arc sequence the asset runs.  `_outsource` is the one step that drops
+a cycle.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -56,7 +58,6 @@ from .core import (
     COST_SCALE,
     CssndError,
     EARLY,
-    HOLD,
     Instance,
     KIND_SHIFT,
     ORIGINAL,
@@ -90,9 +91,9 @@ TRIES = (
 
 class Leg(NamedTuple):
     """A chain one asset runs for one commodity: `arcs`, from `phys_from`
-    at period `start` to `phys_to` `busy` periods later.  A path's leg
-    starts at its depart period (1..|T|); on a cycle's axis `start` is the
-    normalized period and may exceed |T|."""
+    at period `start` to `phys_to` `busy` periods later.  A leg cut from a
+    path starts at its first arc's period, unwrapped, so it may exceed |T|;
+    on a cycle's axis `start` is the normalized period."""
 
     path_id: int
     phys_from: int
@@ -102,10 +103,13 @@ class Leg(NamedTuple):
     arcs: tuple[int, ...]
 
 
-def leg_view(path: CommodityPath) -> Leg:
+def leg_view(path: CommodityPath, first: int = 0, last: int | None = None) -> Leg:
+    """The leg that runs `path.arcs[first:last]`, a cut that keeps the
+    path's service or outsourced leg; every other arc is a one-period hold."""
+    arcs = path.arcs[first:last]
     return Leg(
         path.id, path.origin_physical, path.dest_physical,
-        path.depart_period, path.busy_periods, path.arcs,
+        path.depart_period + first, path.leg_duration + len(arcs) - 1, arcs,
     )
 
 
@@ -279,18 +283,17 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
     """Phase II: cheapest path per original commodity, one cycle per offered
     path, outsourced fallback where no offered path exists."""
     solution = Solution(instance=instance, tsn=book.tsn, book=book)
+    registry = solution.svc_registry
     for oc in instance.commodities:
-        for path in sorted(book.oc_paths(oc.id), key=lambda p: (p.cost, p.id)):
-            if path.mode == OFFERED:
-                svc = path.arcs[path.lead_holds]
-                if svc in solution.svc_registry:
-                    continue            # service slot already taken
-                solution.svc_registry[svc] = path.id
-                solution.selected[oc.id] = path
-                solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
-                break
-            solution.selected[oc.id] = path
-            break
+        path = min(
+            (p for p in book.oc_paths(oc.id)
+             if p.mode != OFFERED or p.arcs[p.lead_holds] not in registry),
+            key=lambda p: (p.cost, p.id),
+        )
+        solution.selected[oc.id] = path
+        if path.mode == OFFERED:
+            registry[path.arcs[path.lead_holds]] = path.id
+            solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
     return solution
 
 
@@ -448,12 +451,12 @@ def _commit(
     solution: Solution, legs: list[Leg], replaced: list[AssetCycle]
 ) -> bool:
     """Replace the cycles `replaced` by one cycle running `legs` in order,
-    each handed where its path runs it (start in 1..|T|).  The path of
-    `legs[i]` delivers the commodity of the i-th leg of `replaced`, the legs
-    taken in order, and is swapped in where it is another path.  The new
-    cycle lifts each leg after the start of the one before it, in a new
-    list, plans its empty trips, walks its arc sequence and takes the place
-    of `replaced[0]` in `solution.cycles`; the others leave it.
+    each as `leg_view` cuts it from its path.  The path of `legs[i]` delivers
+    the commodity of the i-th leg of `replaced`, the legs taken in order, and
+    is swapped in where it is another path.  The new cycle lifts each leg
+    after the start of the one before it (the first after period 0), in a
+    new list, plans its empty trips, walks its arc sequence and takes the
+    place of `replaced[0]` in `solution.cycles`; the others leave it.
 
     The empty trips of `replaced` free their slots (`-1` in the registry)
     first.  Refused, changing nothing, when a new path's service slot is
@@ -467,9 +470,9 @@ def _commit(
         for leg, old in zip(legs, carried) if leg.path_id != old.id
     ]
     period_count = solution.instance.period_count
-    placed = legs[:1]
-    for leg in legs[1:]:
-        start = _lift(placed[-1].start, leg.start, period_count)
+    placed, start = [], 0
+    for leg in legs:
+        start = _lift(start, leg.start, period_count)
         placed.append(leg._replace(start=start))
     registry = solution.svc_registry
     trips = [arc_id for cycle in replaced for arc_id, _ in cycle.rep_plan]
@@ -577,23 +580,6 @@ def solve_p2(candidates: list[MergeCandidate]) -> list[MergeCandidate]:
     return [c for (i, j), c in zip(ends, candidates) if mate[i] == j]
 
 
-def _particle(path: CommodityPath, drop_index: int, tsn: TimeSpaceNetwork) -> Leg:
-    """The service-bearing remainder of `path` without its holding arc at
-    `drop_index`."""
-    period_count = tsn.period_count
-    if drop_index < path.lead_holds:
-        arcs = path.arcs[drop_index + 1 :]
-        lead_left = path.lead_holds - drop_index - 1
-        start = wrap_period(path.depart_period + drop_index + 1, period_count)
-        busy = lead_left + path.leg_duration + path.trail_holds
-    else:
-        hold_pos = drop_index - path.lead_holds - 1  # position in trail run
-        arcs = path.arcs[: path.lead_holds + 1 + hold_pos]
-        start = path.depart_period
-        busy = path.lead_holds + path.leg_duration + hold_pos
-    return leg_view(path)._replace(start=start, busy=busy, arcs=arcs)
-
-
 def mix_phase(solution: Solution) -> int:
     """Phase IV: drop a holding arc that rides another selected (dominant)
     path and merge the remaining particle, trying the commodity's variant
@@ -630,12 +616,10 @@ def _try_mix_cycle(
     solution: Solution, cycle: AssetCycle, current: CommodityPath
 ) -> bool:
     book = solution.book
-    tsn = solution.tsn
     instance = solution.instance
     hold_owners = _selected_arc_owners(solution)
     alternatives = [current] + [
-        p
-        for p in sorted(book.oc_paths(current.oc_id), key=lambda p: p.id)
+        p for p in book.oc_paths(current.oc_id)
         if p.mode == OFFERED and p.id != current.id
     ]
     targets = [
@@ -644,9 +628,9 @@ def _try_mix_cycle(
         and c.legs[0].path_id not in solution.dominant
     ]
     for alt in alternatives:
-        for drop_index, arc_id in enumerate(alt.arcs):
-            if tsn.arcs[arc_id - 1].kind != HOLD:
-                continue
+        for drop, arc_id in enumerate(alt.arcs):
+            if drop == alt.lead_holds:
+                continue                # a particle keeps its service leg
             dominant_ids = [
                 pid
                 for pid in hold_owners.get(arc_id, [])
@@ -654,7 +638,8 @@ def _try_mix_cycle(
             ]
             if not dominant_ids:
                 continue
-            particle = _particle(alt, drop_index, tsn)
+            particle = (leg_view(alt, drop + 1) if drop < alt.lead_holds
+                        else leg_view(alt, 0, drop))
             for target in targets:
                 leg = target.legs[0]
                 if max(_overruns([leg, particle], instance)) > 0:
@@ -718,19 +703,12 @@ def finalize_cycles(solution: Solution) -> None:
     outsourcing its commodity when no return slot is free, and assign
     asset ids in that order."""
     instance = solution.instance
-    tsn = solution.tsn
     solution.cycles.sort(key=lambda cycle: min(cycle.carried_paths))
     for cycle in list(solution.cycles):
         if cycle.merged:
             continue
-        # a lone asset runs only its service leg plus the empty return
-        # trip; the commodity's own waiting happens on uncapacitated
-        # holding arcs
         path = solution.book.by_id[cycle.legs[0].path_id]
-        svc_arc = tsn.arcs[path.arcs[path.lead_holds] - 1]
-        leg = cycle.legs[0]._replace(
-            start=svc_arc.depart, busy=svc_arc.duration, arcs=(svc_arc.id,)
-        )
+        leg = leg_view(path, path.lead_holds, path.lead_holds + 1)
         if not _commit(solution, [leg], [cycle]):
             _outsource(solution, cycle)     # no conflict-free return slot
     for index, cycle in enumerate(solution.cycles, start=1):

@@ -436,6 +436,33 @@ def test_path_book_finds_siblings_and_outsourced_paths_by_position(seed):
             assert book.sibling(path, offset) == expected
 
 
+@pytest.mark.parametrize("instance", [
+    generate_instance("small", 10, seed=1), make_sample_instance(),
+], ids=["small10-s1", "sample"])
+def test_leg_view_cuts_every_leg_by_one_rule(instance):
+    """Every cut of every path that keeps its service or outsourced leg runs
+    exactly the arcs it cuts: busy for their summed durations, starting
+    where its first arc departs, between the path's two terminals."""
+    tsn = tsn_of(instance)
+    book = PathBook(instance, tsn)
+    for path in book.by_id.values():
+        whole = leg_view(path)
+        assert (whole.start, whole.busy) == (path.depart_period, path.busy_periods)
+        lead = path.lead_holds
+        for first, last in itertools.product(
+            range(lead + 1), range(lead + 1, len(path.arcs) + 1)
+        ):
+            cut = leg_view(path, first, last)
+            arcs = [tsn.arcs[arc_id - 1] for arc_id in cut.arcs]
+            assert cut.arcs == path.arcs[first:last]
+            assert cut.busy == sum(arc.duration for arc in arcs)
+            assert wrap_period(cut.start, instance.period_count) == arcs[0].depart
+            assert (cut.path_id, cut.phys_from, cut.phys_to) == (
+                path.id, path.origin_physical, path.dest_physical)
+            assert (arcs[0].phys_from, arcs[-1].phys_to) == (
+                cut.phys_from, cut.phys_to)
+
+
 def test_shifted_merge_skips_missing_siblings():
     # path one already early and path two already tardy overrun by one
     # period, which only an earlier path one or a later path two absorbs:
