@@ -41,8 +41,16 @@ class Mutant(NamedTuple):
 
 DMAM = "cssnd/dmam.py"
 MODEL = "cssnd/model.py"
+MATCHING = "cssnd/matching.py"
 REACH = ("tests/test_model.py::test_reach_is_make_transposed",)
 ORACLE = ("tests/test_oracle.py::test_every_tiny_instance_agrees_with_its_highs_optimum",)
+MATES = ("tests/test_matching.py",)
+
+
+def golden(*outputs: str) -> tuple[str, ...]:
+    return tuple(f"tests/test_golden.py::test_output_is_byte_identical[{o}]"
+                 for o in outputs)
+
 
 CATALOGUE = (
     # Phase V ranks lone cycles before merged ones, and leases at a tie
@@ -57,8 +65,8 @@ CATALOGUE = (
         ("tests/test_dmam.py::test_shortage_leases_at_a_lease_price_equal_to_the_cheapest_delta",),
     ),
     # a commit that appends its cycle puts the closed lone cycles after the
-    # merged ones, so asset ids change; the 72-solve sweep sees it, while
-    # the per-file corpus holds no schedule where the order differs
+    # merged ones, so asset ids change: small k=10 seed 2 has a lone cycle
+    # between merged ones under every config
     Mutant(
         "commit-appends-its-cycle", DMAM,
         "            cycles[cycles.index(replaced[0])] = AssetCycle(\n"
@@ -71,7 +79,9 @@ CATALOGUE = (
         "            cycles.append(AssetCycle(\n"
         "                legs=placed, rep_plan=plan, arc_seq=_walk(solution, placed, plan)\n"
         "            ))\n",
-        ("tests/test_golden.py::test_solve_sweep_is_byte_identical",),
+        golden(*(f"small10s2.{config}.{ext}" for config in "rca"
+                 for ext in ("json", "sol")))
+        + ("tests/test_golden.py::test_solve_sweep_is_byte_identical",),
     ),
     Mutant(
         "outsource-keeps-its-trip-markers", DMAM,
@@ -79,6 +89,25 @@ CATALOGUE = (
         "        del solution.svc_registry[arc_id]   # repositioning marker\n",
         "",
         ("tests/test_dmam.py::test_phase_v_releases_the_slots_of_outsourced_cycles",),
+    ),
+    # one rule cuts every leg from its path; a Phase IV particle drops the
+    # hold that rides a dominant path, on either side of the service leg
+    Mutant(
+        "leg-cut-busy-one-long", DMAM,
+        "len(arcs) - 1", "len(arcs)",
+        ("tests/test_dmam.py::test_leg_view_cuts_every_leg_by_one_rule",),
+    ),
+    Mutant(
+        "particle-keeps-its-lead-hold", DMAM,
+        "leg_view(alt, drop + 1)", "leg_view(alt, drop)",
+        golden("large30.a.sol", "large30.a.check", "large30.a.nodv.check")
+        + ("tests/test_golden.py::test_solve_sweep_is_byte_identical",),
+    ),
+    Mutant(
+        "particle-keeps-its-trail-hold", DMAM,
+        "(alt, 0, drop)", "(alt, 0, drop + 1)",
+        golden("small10.c.json", "small10.c.sol", "small10.c.csv")
+        + ("tests/test_golden.py::test_solve_sweep_is_byte_identical",),
     ),
     Mutant(
         "routing-cost-scaled-by-0.97", DMAM,
@@ -97,7 +126,13 @@ CATALOGUE = (
         "if len(current) + 1 + len(part) >= width",
         ("tests/test_model.py::test_lp_writer_matches_a_reference",),
     ),
-    # one dropped `reach` entry per family that states more than one
+    Mutant(
+        "lp-continuation-two-spaces", MODEL,
+        'current = "   " + part', 'current = "  " + part',
+        ("tests/test_model.py::test_lp_writer_matches_a_reference",),
+    ),
+    # one dropped `reach` entry per family that states more than one, and
+    # an empty `reach` for each family that states one
     Mutant(
         "reach-assign-without-d", MODEL,
         "[whole(y, lambda k: busy(k // n_asset)), whole(d, busy)]",
@@ -125,6 +160,50 @@ CATALOGUE = (
         "for q, xq in enumerate(x_col)] + [whole(s, onto(0))])",
         "for q, xq in enumerate(x_col)])",
         REACH,
+    ),
+    Mutant(
+        "reach-transit-empty", MODEL,
+        "[(x_col[q], x_col[q] + n_asset, spanned)])", "[])",
+        REACH,
+    ),
+    Mutant(
+        "reach-balance-empty", MODEL,
+        "[whole(y, lambda k: [\n"
+        "        k // n_asset * n_nodes + n for n in ends(asset_arcs[k % n_asset])])])",
+        "[])",
+        REACH,
+    ),
+    Mutant(
+        "reach-svc-once-empty", MODEL,
+        "[(lo, hi, onto(0)) for lo, hi in y_service])", "[])",
+        REACH,
+    ),
+    # the matcher keeps the textbook scheme's every order and tie-break;
+    # each change below returns another optimum among ties
+    Mutant(
+        "matching-queue-fifo", MATCHING,
+        "queue.pop()", "queue.pop(0)", MATES,
+    ),
+    Mutant(
+        "matching-leaves-unreversed", MATCHING,
+        "stack.extend(reversed(blossomchilds[t]))",
+        "stack.extend(blossomchilds[t])", MATES,
+    ),
+    Mutant(
+        "matching-blossom-ids-fifo", MATCHING,
+        "unusedblossoms.pop()", "unusedblossoms.pop(0)", MATES,
+    ),
+    Mutant(
+        "matching-blossom-slack-tie", MATCHING,
+        "kslack < sb", "kslack <= sb", MATES,
+    ),
+    Mutant(
+        "matching-vertex-slack-tie", MATCHING,
+        "kslack < slackto[bj]", "kslack <= slackto[bj]", MATES,
+    ),
+    Mutant(
+        "matching-dual-delta-tie", MATCHING,
+        "dualvar[b] < delta", "dualvar[b] <= delta", MATES,
     ),
 )
 
