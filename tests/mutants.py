@@ -178,8 +178,8 @@ CATALOGUE = (
         "[(lo, hi, onto(0)) for lo, hi in y_service])", "[])",
         REACH,
     ),
-    # the matcher keeps the textbook scheme's every order and tie-break;
-    # each change below returns another optimum among ties
+    # the matcher keeps the textbook scheme's every order and tie-break,
+    # which the pinned mate arrays of `tests/test_matching.py` hold to
     Mutant(
         "matching-queue-fifo", MATCHING,
         "queue.pop()", "queue.pop(0)", MATES,
