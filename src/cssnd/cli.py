@@ -125,7 +125,6 @@ def cmd_export(args):
 
 def _schedule_document(solution, report, digest: str) -> dict:
     tsn = solution.tsn
-    book = solution.book
 
     def arc_entry(arc_id: int) -> dict:
         arc = tsn.arcs[arc_id - 1]
@@ -138,9 +137,7 @@ def _schedule_document(solution, report, digest: str) -> dict:
 
     cycles = []
     for cycle in solution.cycles:
-        carried = sorted(
-            book.by_id[pid].tc_id for pid in cycle.carried_paths
-        )
+        carried = sorted(leg.path.tc_id for leg in cycle.legs)
         cycles.append(
             {
                 "asset": cycle.asset_id,

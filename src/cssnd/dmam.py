@@ -26,18 +26,18 @@ offsets (a1, a2) adds a1 - a2 to forth and takes it from back, so a pair
 that overruns by one or two periods is retried with the early/tardy sibling
 paths whose offsets absorb it.
 
-Every chain an asset runs is a `Leg` that `leg_view` cuts from one path: a
-merge's whole chain, a Phase IV particle without the hold that rides a
-dominant path, or a lone cycle's service leg.  `_commit` is the one
-step that closes a cycle: a merge, a mix and Phase V's close of a lone cycle
-each hand it the legs as their paths run them and the cycles they replace.
-It frees the replaced cycles' trip slots, swaps the new paths in and closes
-the cycle, and undoes all of it when it is refused.  A cycle is placed and
-walked once, when it closes: `_commit` lifts each leg after the start of the
-one before it (the first after period 0) by `_lift`, the rule `_gaps`
-applies for the fit test, and `_walk` checks the placed legs and returns
-the arc sequence the asset runs.  `_outsource` is the one step that drops
-a cycle.
+Every chain an asset runs is a `Leg` that `leg_view` cuts, where the asset
+runs it, from the one path it holds: a whole chain, a Phase IV particle
+without the hold that rides a dominant path, or a lone cycle's service leg.
+`_commit` is the one step that closes a cycle: a merge, a mix and Phase V's
+close of a lone cycle each hand it the legs as their paths run them and the
+cycles they replace.  It frees the replaced cycles' trip slots, swaps the
+new paths in and closes the cycle, and undoes all of it when it is refused.
+A cycle is placed and walked once, when it closes: `_commit` lifts each leg
+after the start of the one before it (the first after period 0) by `_lift`,
+the rule `_gaps` applies for the fit test, and `_walk` checks the placed
+legs and returns the arc sequence the asset runs.  `_outsource` is the one
+step that drops a cycle.
 
 A merged cycle runs both carried chains, the repositioning legs between
 them, and idle holds in the gaps.  A lone cycle runs just its service leg,
@@ -90,12 +90,12 @@ TRIES = (
 
 
 class Leg(NamedTuple):
-    """A chain one asset runs for one commodity: `arcs`, from `phys_from`
-    at period `start` to `phys_to` `busy` periods later.  A leg cut from a
-    path starts at its first arc's period, unwrapped, so it may exceed |T|;
-    on a cycle's axis `start` is the normalized period."""
+    """A chain one asset runs for one commodity: `arcs` of `path`, from
+    `phys_from` at period `start` to `phys_to` `busy` periods later.  A leg
+    cut from a path starts at its first arc's period, unwrapped, so it may
+    exceed |T|; on a cycle's axis `start` is the normalized period."""
 
-    path_id: int
+    path: CommodityPath
     phys_from: int
     phys_to: int
     start: int
@@ -108,7 +108,7 @@ def leg_view(path: CommodityPath, first: int = 0, last: int | None = None) -> Le
     path's service or outsourced leg; every other arc is a one-period hold."""
     arcs = path.arcs[first:last]
     return Leg(
-        path.id, path.origin_physical, path.dest_physical,
+        path, path.origin_physical, path.dest_physical,
         path.depart_period + first, path.leg_duration + len(arcs) - 1, arcs,
     )
 
@@ -159,8 +159,8 @@ class MergeCandidate(NamedTuple):
 
 
 class PathBook:
-    """All generated paths plus the lookups the phases need.  `legs` holds
-    each path's `leg_view`, made once."""
+    """All generated paths plus the lookups the phases need.  A leg is cut
+    from its path only where an asset runs it, so the book keeps none."""
 
     def __init__(self, instance: Instance, tsn: TimeSpaceNetwork):
         self.instance = instance
@@ -169,7 +169,6 @@ class PathBook:
         self.tc_by_id = {tc.id: tc for tc in self.tcs}
         self.by_id: dict[int, CommodityPath] = {}
         self.by_tc: dict[int, list[CommodityPath]] = {}
-        self.legs: dict[int, Leg] = {}
         next_id = 1
         for tc in self.tcs:
             tc_paths = enumerate_paths(tc, tsn, instance.costs, id_start=next_id)
@@ -177,7 +176,6 @@ class PathBook:
             self.by_tc[tc.id] = tc_paths
             for p in tc_paths:
                 self.by_id[p.id] = p
-                self.legs[p.id] = leg_view(p)
 
     def tc_of(self, path: CommodityPath) -> TransformedCommodity:
         return self.tc_by_id[path.tc_id]
@@ -213,7 +211,7 @@ class AssetCycle:
 
     @property
     def carried_paths(self) -> list[int]:
-        return [leg.path_id for leg in self.legs]
+        return [leg.path.id for leg in self.legs]
 
     @property
     def merged(self) -> bool:
@@ -293,43 +291,40 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
         solution.selected[oc.id] = path
         if path.mode == OFFERED:
             registry[path.arcs[path.lead_holds]] = path.id
-            solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
+            solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
     return solution
 
 
 def _pair_order(solution: Solution):
-    """Exploration order over the unmerged paths: path one from longest to
-    shortest busy span (ties by id), so the primary paths, busy for more
-    than half the horizon, come before the secondary ones; path two over
-    strictly shorter (or equal, later-id) spans that can share a horizon
-    with it."""
+    """Exploration order over the lone cycles' legs: leg one from longest
+    to shortest busy span (ties by path id), so the primary paths, busy for
+    more than half the horizon, come first; leg two over strictly shorter
+    (or equal, later-id) spans that can share a horizon with it.  No two
+    lone cycles carry one commodity, so two legs carry two."""
     period_count = solution.instance.period_count
     ordered = sorted(
-        (solution.book.by_id[c.legs[0].path_id]
-         for c in solution.cycles if not c.merged),
-        key=lambda p: (-p.busy_periods, p.id),
+        (c.legs[0] for c in solution.cycles if not c.merged),
+        key=lambda leg: (-leg.busy, leg.path.id),
     )
-    for p1 in ordered:
-        cap = min(p1.busy_periods, period_count - p1.busy_periods)
-        for p2 in ordered:
-            if p2.id == p1.id or p2.oc_id == p1.oc_id:
+    for leg1 in ordered:
+        cap = min(leg1.busy, period_count - leg1.busy)
+        for leg2 in ordered:
+            if leg2 is leg1 or leg2.busy > cap:
                 continue
-            if p2.busy_periods > cap:
+            if leg2.busy == leg1.busy and leg2.path.id < leg1.path.id:
                 continue
-            if p2.busy_periods == p1.busy_periods and p2.id < p1.id:
-                continue
-            yield p1, p2
+            yield leg1, leg2
 
 
 def explore_pair(
-    path1: CommodityPath, path2: CommodityPath, solution: Solution
+    leg1: Leg, leg2: Leg, solution: Solution
 ) -> MergeCandidate | None:
-    """The cheapest way to run both paths on one asset: as they are when
-    neither overruns, else by the shifting alternative whose sibling paths
-    absorb an overrun of one or two periods.  Shifted sibling chains keep
-    their shape, so the new paths' own legs fit where they run."""
-    legs = solution.book.legs
-    forth, back = _overruns([legs[path1.id], legs[path2.id]], solution.instance)
+    """The cheapest way to run both legs' paths on one asset: as they are
+    when neither overruns, else by the shifting alternative whose sibling
+    paths absorb an overrun of one or two periods.  Shifted sibling chains
+    keep their shape, so the new paths' own legs fit where they run."""
+    path1, path2 = leg1.path, leg2.path
+    forth, back = _overruns([leg1, leg2], solution.instance)
     overrun = max(forth, back, 0)
     if overrun > 2:
         return None
@@ -393,17 +388,16 @@ def _walk(
     a cycle of exactly |T| periods.
     """
     tsn = solution.tsn
-    book = solution.book
     period_count = tsn.period_count
     problems = []
     steps = {}      # normalized start -> (from, arcs, end, to)
     for leg in legs:
-        tc = book.tc_of(book.by_id[leg.path_id])
+        tc = solution.book.tc_of(leg.path)
         offset = cyclic_span(
             tc.release_period, wrap_period(leg.start, period_count), period_count
         )
         if offset + leg.busy > tc.window_span(period_count):
-            problems.append(f"path {leg.path_id} violates its delivery window")
+            problems.append(f"path {leg.path.id} violates its delivery window")
         steps[leg.start] = (leg.phys_from, leg.arcs, leg.start + leg.busy, leg.phys_to)
     for arc_id, depart in plan:
         arc = tsn.arcs[arc_id - 1]
@@ -430,7 +424,7 @@ def _walk(
     if total != period_count or place != legs[0].phys_from:
         problems.append("asset cycle failed to close on itself")
     if problems:
-        paths = ", ".join(str(leg.path_id) for leg in legs)
+        paths = ", ".join(str(leg.path.id) for leg in legs)
         raise CssndError(
             f"cycle of paths {paths} failed its walk: " + "; ".join(problems)
         )
@@ -463,11 +457,9 @@ def _commit(
     held by any path but the one it replaces, when two new paths share a
     slot, or when some empty trip of the cycle finds no free slot.
     """
-    by_id = solution.book.by_id
-    carried = [by_id[leg.path_id] for cycle in replaced for leg in cycle.legs]
+    carried = [leg.path for cycle in replaced for leg in cycle.legs]
     swaps = [
-        (old, by_id[leg.path_id])
-        for leg, old in zip(legs, carried) if leg.path_id != old.id
+        (old, leg.path) for leg, old in zip(legs, carried) if leg.path is not old
     ]
     period_count = solution.instance.period_count
     placed, start = [], 0
@@ -509,16 +501,15 @@ def merge_phase(solution: Solution, config: str) -> int:
     all of them and commit the selection in order.  A merge replaces the
     lone cycles of its paths, mapped once: the phase makes no lone cycle,
     r explores afresh, and the selections of c and a are vertex-disjoint."""
-    lone = {c.legs[0].path_id: c for c in solution.cycles if not c.merged}
-    legs = solution.book.legs
+    lone = {c.legs[0].path.id: c for c in solution.cycles if not c.merged}
 
     def candidates():
-        explored = (explore_pair(p1, p2, solution) for p1, p2 in _pair_order(solution))
+        explored = (explore_pair(*pair, solution) for pair in _pair_order(solution))
         return filter(None, explored)
 
     def commit(c: MergeCandidate) -> bool:
         replaced = [lone[c.path_one.id], lone[c.path_two.id]]
-        return _commit(solution, [legs[c.new_one.id], legs[c.new_two.id]], replaced)
+        return _commit(solution, [leg_view(c.new_one), leg_view(c.new_two)], replaced)
 
     if config == CONFIG_RANDOM:
         executed = 0
@@ -586,15 +577,14 @@ def mix_phase(solution: Solution) -> int:
     paths when the current one cannot be placed.  Each unmerged single is
     visited once, in path-id order."""
     executed = 0
-    book = solution.book
     sources = sorted(
         (c for c in solution.cycles if not c.merged),
-        key=lambda c: c.legs[0].path_id,
+        key=lambda c: c.legs[0].path.id,
     )
     for cycle in sources:
         if cycle not in solution.cycles:
             continue                    # consumed as a target meanwhile
-        current = book.by_id[cycle.legs[0].path_id]
+        current = cycle.legs[0].path
         if current.id in solution.dominant:
             continue
         if _try_mix_cycle(solution, cycle, current):
@@ -602,13 +592,13 @@ def mix_phase(solution: Solution) -> int:
     return executed
 
 
-def _selected_arc_owners(solution: Solution) -> dict[int, list[int]]:
-    owners: dict[int, list[int]] = {}
+def _selected_arc_owners(solution: Solution) -> dict[int, list[CommodityPath]]:
+    owners: dict[int, list[CommodityPath]] = {}
     for path in solution.selected.values():
         if path.mode != OFFERED:
             continue
         for arc_id in path.arcs:
-            owners.setdefault(arc_id, []).append(path.id)
+            owners.setdefault(arc_id, []).append(path)
     return owners
 
 
@@ -625,16 +615,16 @@ def _try_mix_cycle(
     targets = [
         c for c in solution.cycles
         if not c.merged and c is not cycle
-        and c.legs[0].path_id not in solution.dominant
+        and c.legs[0].path.id not in solution.dominant
     ]
     for alt in alternatives:
         for drop, arc_id in enumerate(alt.arcs):
             if drop == alt.lead_holds:
                 continue                # a particle keeps its service leg
             dominant_ids = [
-                pid
-                for pid in hold_owners.get(arc_id, [])
-                if book.by_id[pid].oc_id != current.oc_id
+                owner.id
+                for owner in hold_owners.get(arc_id, [])
+                if owner.oc_id != current.oc_id
             ]
             if not dominant_ids:
                 continue
@@ -670,9 +660,9 @@ def resolve_capacity(solution: Solution) -> None:
     def rank(cycle: AssetCycle) -> tuple[bool, float, int]:
         delta = 0.0
         for leg in cycle.legs:
-            path = book.by_id[leg.path_id]
+            path = leg.path
             delta += book.cheapest_outsourced(path.oc_id).cost - path.cost
-        return cycle.merged, delta, cycle.legs[0].path_id
+        return cycle.merged, delta, cycle.legs[0].path.id
 
     ranked = sorted(
         ((rank(c), c) for c in solution.cycles), key=lambda item: item[0]
@@ -688,10 +678,9 @@ def resolve_capacity(solution: Solution) -> None:
 def _outsource(solution: Solution, cycle: AssetCycle) -> None:
     """Drop `cycle`: deliver each commodity it carries by its cheapest
     outsourced path, and free its repositioning slots."""
-    book = solution.book
     for leg in cycle.legs:
-        path = book.by_id[leg.path_id]
-        _reselect(solution, path, book.cheapest_outsourced(path.oc_id))
+        path = leg.path
+        _reselect(solution, path, solution.book.cheapest_outsourced(path.oc_id))
     for arc_id, _ in cycle.rep_plan:
         del solution.svc_registry[arc_id]   # repositioning marker
     solution.cycles.remove(cycle)
@@ -707,7 +696,7 @@ def finalize_cycles(solution: Solution) -> None:
     for cycle in list(solution.cycles):
         if cycle.merged:
             continue
-        path = solution.book.by_id[cycle.legs[0].path_id]
+        path = cycle.legs[0].path
         leg = leg_view(path, path.lead_holds, path.lead_holds + 1)
         if not _commit(solution, [leg], [cycle]):
             _outsource(solution, cycle)     # no conflict-free return slot

@@ -45,6 +45,11 @@ MATCHING = "cssnd/matching.py"
 REACH = ("tests/test_model.py::test_reach_is_make_transposed",)
 ORACLE = ("tests/test_oracle.py::test_every_tiny_instance_agrees_with_its_highs_optimum",)
 MATES = ("tests/test_matching.py",)
+LEG_SITES = (
+    "tests/test_golden.py::test_solve_sweep_is_byte_identical",
+    "tests/test_dmam.py::test_refused_commit_marks_the_trip_slots_it_freed_again",
+)
+LONE_CYCLES = "tests/test_dmam.py::test_each_offered_selection_rides_one_lone_cycle_of_its_own"
 
 
 def golden(*outputs: str) -> tuple[str, ...]:
@@ -108,6 +113,25 @@ CATALOGUE = (
         "(alt, 0, drop)", "(alt, 0, drop + 1)",
         golden("small10.c.json", "small10.c.sol", "small10.c.csv")
         + ("tests/test_golden.py::test_solve_sweep_is_byte_identical",),
+    ),
+    # a leg is cut where an asset runs it: Phase II's lone cycles run whole
+    # chains, a merge runs its new paths, and no leg is paired with itself
+    Mutant(
+        "lone-cycle-runs-its-service-leg", DMAM,
+        "AssetCycle(legs=[leg_view(path)])",
+        "AssetCycle(legs=[leg_view(path, path.lead_holds, path.lead_holds + 1)])",
+        LEG_SITES + (LONE_CYCLES,),
+    ),
+    Mutant(
+        "merge-commits-the-old-paths", DMAM,
+        "[leg_view(c.new_one), leg_view(c.new_two)]",
+        "[leg_view(c.path_one), leg_view(c.path_two)]",
+        LEG_SITES,
+    ),
+    Mutant(
+        "pair-order-pairs-a-leg-with-itself", DMAM,
+        "leg2 is leg1 or ", "",
+        LEG_SITES + (LONE_CYCLES,),
     ),
     Mutant(
         "routing-cost-scaled-by-0.97", DMAM,

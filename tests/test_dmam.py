@@ -53,9 +53,9 @@ from cssnd.rng import Stream
 from tests.conftest import make_sample_instance, routing_rows
 
 
-def leg(oc, frm, to, start, busy, pid=None):
+def leg(oc, frm, to, start, busy):
     return Leg(
-        path_id=pid if pid is not None else oc,
+        path=None,
         phys_from=frm,
         phys_to=to,
         start=start,
@@ -215,7 +215,7 @@ def test_regular_merge_agrees_with_cycle_simulation():
             busy = dist + stream.randint(0, 2)
             if busy >= 7:
                 break
-            legs.append(leg(oc, frm, to, stream.randint(1, 7), busy, pid=oc))
+            legs.append(leg(oc, frm, to, stream.randint(1, 7), busy))
         if len(legs) < 2:
             continue
         checked += 1
@@ -327,7 +327,7 @@ def drawn_cycles(draw):
         st.sampled_from(offered), min_size=count, max_size=count, unique=True
     ))
     # a cycle runs its legs in the order they start, from any one of them
-    legs = sorted((book.legs[p.id] for p in paths), key=lambda leg_: leg_.start)
+    legs = sorted(map(leg_view, paths), key=lambda leg_: leg_.start)
     turn = draw(st.integers(0, count - 1))
     return book, legs[turn:] + legs[:turn]
 
@@ -394,8 +394,7 @@ def shifted_fixture(kind_one="original", kind_two="original", specs=None):
 
 def new_legs(solution, candidate):
     """The candidate's new paths' legs, as the paths run them."""
-    legs = solution.book.legs
-    return [legs[candidate.new_one.id], legs[candidate.new_two.id]]
+    return [leg_view(candidate.new_one), leg_view(candidate.new_two)]
 
 
 def test_shifted_merge_finds_single_period_alternative():
@@ -403,7 +402,7 @@ def test_shifted_merge_finds_single_period_alternative():
     instance = solution.instance
     assert max(_overruns([leg_view(p1), leg_view(p2)], instance)) > 0
     assert _overruns([leg_view(p1), leg_view(p2)], instance) == [1, -4]
-    candidate = explore_pair(p1, p2, solution)
+    candidate = explore_pair(leg_view(p1), leg_view(p2), solution)
     assert candidate is not None
     # path one a period earlier, or path two a period later
     book = solution.book
@@ -457,8 +456,8 @@ def test_leg_view_cuts_every_leg_by_one_rule(instance):
             assert cut.arcs == path.arcs[first:last]
             assert cut.busy == sum(arc.duration for arc in arcs)
             assert wrap_period(cut.start, instance.period_count) == arcs[0].depart
-            assert (cut.path_id, cut.phys_from, cut.phys_to) == (
-                path.id, path.origin_physical, path.dest_physical)
+            assert (cut.path, cut.phys_from, cut.phys_to) == (
+                path, path.origin_physical, path.dest_physical)
             assert (arcs[0].phys_from, arcs[-1].phys_to) == (
                 cut.phys_from, cut.phys_to)
 
@@ -473,7 +472,7 @@ def test_shifted_merge_skips_missing_siblings():
     assert _overruns([leg_view(p1), leg_view(p2)], solution.instance) == [1, -4]
     assert solution.book.sibling(p1, -1) is None
     assert solution.book.sibling(p2, 1) is None
-    assert explore_pair(p1, p2, solution) is None
+    assert explore_pair(leg_view(p1), leg_view(p2), solution) is None
 
 
 def test_shifted_merge_rejects_three_period_gap():
@@ -485,7 +484,7 @@ def test_shifted_merge_rejects_three_period_gap():
     p1 = next(p for p in book.by_tc[2] if p.mode == "offered")
     p2 = next(p for p in book.by_tc[5] if p.mode == "offered")
     assert _overruns([leg_view(p1), leg_view(p2)], instance) == [-4, 3]
-    assert explore_pair(p1, p2, solution) is None
+    assert explore_pair(leg_view(p1), leg_view(p2), solution) is None
 
 
 @settings(
@@ -501,8 +500,8 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
     instance = generate_instance(size, k, seed)
     book = PathBook(instance, tsn_of(instance))
     solution = construct_initial(instance, book)
-    for p1, p2 in _pair_order(solution):
-        candidate = explore_pair(p1, p2, solution)
+    for leg1, leg2 in _pair_order(solution):
+        candidate = explore_pair(leg1, leg2, solution)
         if candidate is not None:
             assert cycle_oracle(*new_legs(solution, candidate), instance), candidate
 
@@ -533,6 +532,29 @@ def test_dedication_skips_a_service_slot_already_taken():
     assert result.objective == pytest.approx(report["total_cost"], abs=1e-6)
 
 
+@pytest.mark.parametrize("instance", [
+    make_sample_instance(), generate_instance("small", 10, seed=1),
+    generate_instance("medium", 25, seed=1),
+], ids=["sample", "small10-s1", "medium25-s1"])
+def test_each_offered_selection_rides_one_lone_cycle_of_its_own(instance):
+    """After Phase II each lone cycle runs the whole chain of one offered
+    selection, one cycle per selection, so Phase III never pairs a leg with
+    itself or two legs of one commodity."""
+    solution = construct_initial(instance, PathBook(instance, tsn_of(instance)))
+    offered = [p for p in solution.selected.values() if p.mode == "offered"]
+    assert sorted(c.carried_paths[0] for c in solution.cycles) == sorted(
+        p.id for p in offered)
+    for cycle in solution.cycles:
+        (leg_,) = cycle.legs
+        assert leg_ == leg_view(solution.selected[leg_.path.oc_id])
+    pairs = 0
+    for leg1, leg2 in _pair_order(solution):
+        assert leg1 is not leg2
+        assert leg1.path.oc_id != leg2.path.oc_id
+        pairs += 1
+    assert pairs > 0
+
+
 # --- merged cycle construction ----------------------------------------------
 
 
@@ -548,7 +570,7 @@ def test_merge_paths_builds_closed_cycle():
     solution = construct_initial(instance, book)
     p1 = solution.selected[1]
     p2 = solution.selected[2]
-    candidate = explore_pair(p1, p2, solution)
+    candidate = explore_pair(leg_view(p1), leg_view(p2), solution)
     assert candidate == MergeCandidate(
         path_one=p1,
         path_two=p2,
@@ -578,7 +600,7 @@ def test_commit_removes_exactly_the_cycles_it_is_handed():
     assert kept[0] is twin
     at = solution.cycles.index(replaced[0])
     assert at == 1
-    candidate = explore_pair(p1, p2, solution)
+    candidate = explore_pair(leg_view(p1), leg_view(p2), solution)
     assert _commit(solution, new_legs(solution, candidate), replaced)
     assert solution.cycles[at].carried_paths == [p1.id, p2.id]
     assert solution.cycles[:at] + solution.cycles[at + 1:] == kept
@@ -593,14 +615,14 @@ def test_merge_across_the_horizon_edge_places_the_early_chain_last_period():
     )
     book, tsn = solution.book, solution.tsn
     assert _overruns([leg_view(p1), leg_view(p2)], solution.instance) == [1, -4]
-    candidate = explore_pair(p1, p2, solution)
+    candidate = explore_pair(leg_view(p1), leg_view(p2), solution)
     early = book.sibling(p1, -1)
     assert (candidate.new_one, candidate.new_two) == (early, p2)
     assert early.depart_period == 7
     for path in (p1, p2):
         solution.selected[path.oc_id] = path
         solution.svc_registry[slot(path)] = path.id
-        solution.cycles.append(AssetCycle(legs=[book.legs[path.id]]))
+        solution.cycles.append(AssetCycle(legs=[leg_view(path)]))
     replaced = list(solution.cycles)
     handed = new_legs(solution, candidate)
     assert _commit(solution, handed, replaced)
@@ -708,7 +730,7 @@ def super_leg_fixture():
     merged = next(c for c in solution.cycles if c.carried_paths == [266, 309])
     assert merged.rep_plan == [(110, 5)]
     single = next(c for c in solution.cycles if c.carried_paths == [168])
-    legs = [solution.book.legs[pid] for pid in (266, 309, 168)]
+    legs = [leg_view(solution.book.by_id[pid]) for pid in (266, 309, 168)]
     return solution, legs, [merged, single]
 
 
@@ -750,8 +772,8 @@ def test_simulation_rejects_window_violations():
 
     def walk_with_second_start(start, phys_from=2):
         legs = [
-            Leg(p1.id, 1, 2, 1, 2, p1.arcs),
-            Leg(p2.id, phys_from, 1, start, 2, p2.arcs),
+            Leg(p1, 1, 2, 1, 2, p1.arcs),
+            Leg(p2, phys_from, 1, start, 2, p2.arcs),
         ]
         return _walk(solution, legs, [])
 
@@ -814,15 +836,15 @@ def test_partition_by_busy_span():
     tsn = build_time_space_network(instance.physical, instance.period_count)
     book = PathBook(instance, tsn)
     solution = construct_initial(instance, book)
-    singles = [book.by_id[c.legs[0].path_id] for c in solution.cycles]
+    singles = [c.legs[0].path for c in solution.cycles]
     key = lambda p: (-p.busy_periods, p.id)
     primary = sorted((p for p in singles if 2 * p.busy_periods > 7), key=key)
     secondary = sorted((p for p in singles if 2 * p.busy_periods <= 7), key=key)
     assert primary and secondary
     leads = []
-    for p1, _ in _pair_order(solution):
-        if not leads or leads[-1] is not p1:
-            leads.append(p1)
+    for leg1, _ in _pair_order(solution):
+        if not leads or leads[-1] is not leg1.path:
+            leads.append(leg1.path)
     assert leads == (primary + secondary)[:-1]
 
 
@@ -1042,8 +1064,7 @@ def cheapest_lone_delta(solution):
     book = solution.book
     return min(
         book.cheapest_outsourced(path.oc_id).cost - path.cost
-        for path in (book.by_id[c.legs[0].path_id]
-                     for c in solution.cycles if not c.merged)
+        for path in (c.legs[0].path for c in solution.cycles if not c.merged)
     )
 
 
@@ -1138,7 +1159,7 @@ def test_lone_cycle_without_a_return_slot_is_outsourced():
     mix_phase(solution)
     resolve_capacity(solution)
     lone = next(c for c in solution.cycles if not c.merged)
-    path = solution.book.by_id[lone.legs[0].path_id]
+    path = lone.legs[0].path
     svc = tsn.arcs[path.arcs[path.lead_holds] - 1]
     # take every slot of the empty trip home, from the service leg's
     # arrival to the last departure that still closes the horizon
