@@ -740,6 +740,11 @@ def reference_check(model: ModelIR, assignment: dict[str, float]):
     return violations, objective
 
 
+# Values with no exact binary form: a row's sum of them depends on the order
+# of its terms, so the checker must add them in term order, as the
+# reference does.  Every value of a committed `.sol` is dyadic.
+NOT_DYADIC = (0.1, 0.7, 1 / 3)
+
 REFERENCE_MODELS = {
     "sample.plain": (make_sample_instance, ModelOptions()),
     "sample.strong": (make_sample_instance, ModelOptions(strong_forcing=True)),
@@ -752,9 +757,9 @@ REFERENCE_MODELS = {
 
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 def test_checker_matches_a_term_by_term_reference(name):
-    """Seeded random assignments, dense and sparse, with some names absent:
-    the same violations in the same order, the same verdict and the same
-    objective, float repr included."""
+    """Seeded random assignments, dense and sparse, with some names absent
+    and some values not dyadic: the same violations in the same order, the
+    same verdict and the same objective, float repr included."""
     make, options = REFERENCE_MODELS[name]
     instance = make()
     tsn = build_time_space_network(instance.physical, instance.period_count)
@@ -763,7 +768,7 @@ def test_checker_matches_a_term_by_term_reference(name):
     rng = random.Random(f"reference-check/{name}")
     for density in (1.0, 0.05):
         assignment = {
-            column: rng.choice((0.0, 1.0, 0.5, -2.0, 3.25))
+            column: rng.choice((0.0, 1.0, 0.5, -2.0, 3.25, *NOT_DYADIC))
             for column in model.variables
             if rng.random() < 0.8 * density
         }
@@ -905,9 +910,9 @@ def schedules(tmp_path_factory):
 MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 10**6)),
     st.tuples(st.just("set"), st.integers(0, 10**6),
-              st.sampled_from([0.0, 0.5, 2.0, -1.0])),
+              st.sampled_from([0.0, 0.5, 2.0, -1.0, *NOT_DYADIC])),
     st.tuples(st.just("add"), st.integers(0, 10**6),
-              st.sampled_from([1.0, 0.5, 2.0, -1.0])),
+              st.sampled_from([1.0, 0.5, 2.0, -1.0, *NOT_DYADIC])),
 )
 
 
@@ -917,7 +922,8 @@ MUTATIONS = st.one_of(
 def test_checker_matches_the_reference_on_mutated_schedules(schedules, seed,
                                                              mutation):
     """The heuristic's `.sol` with one line dropped, one value set to
-    0/0.5/2/-1, or one stray name of the model added at a nonzero value:
+    0/0.5/2/-1 or a value that is not dyadic, or one stray name of the
+    model added at a nonzero value:
     the support-read check gives the reference's violations, in order, its
     verdict and its objective repr."""
     instance, tsn, tcs, model, frozen, lines = schedules[seed]
