@@ -3,7 +3,8 @@
 The model is held as a solver-agnostic IR (columns, linear rows, a
 minimization objective) and written out as CPLEX-dialect LP text or
 fixed-field MPS.  No solver is linked; external solutions come back as
-plain `name value` lines and are replayed row by row against the IR.
+plain `name value` lines and are replayed against the IR by their nonzero
+columns.
 
 Columns and rows are catalogued by families (`Family`: one column or row
 per key of a product of axes, in row-major order), so a column or row is
@@ -11,16 +12,19 @@ an integer and its name is made from its family's template only where
 text is written.  The model stores neither rows nor prices: a row family
 holds a function that makes its row at one position, and the objective
 is a function that prices its (coef, col) terms, each time they are
-read.  `_rows` is the one reader of rows and the one loop over their
-positions; it checks every row's columns as it goes.  The LP and MPS
-writers and the `ModelIR.constraints` view read the whole model.
-`check_solution` reads it against the assignment's support, the columns
-at a nonzero value: a row family whose rows all meet their sense at zero
-activity states, per column, the rows it enters (its `reach`), and only
-the rows that support columns reach are made; the objective prices only
-support columns.  The writers stream their text, the MPS names sidecar
-too, to files in chunks of characters, so the whole text never sits in
-memory.
+read.  `_rows` reads rows whole, in row order, and checks every row's
+columns as it goes; the LP and MPS writers and the `ModelIR.constraints`
+view read the whole model through it.  A row family whose rows all meet
+their sense at zero activity also states its rows by column (its
+`reach`): each column's coefficient and term index in every row it
+enters, computed per column, and the rhs of its rows.  `check_solution`
+reads the model against the assignment's support, the columns at a
+nonzero value: `_reached` adds each support column into the rows it
+enters, so those rows are summed without being made, in term order; only
+the families without a `reach` are made whole, and the objective prices
+only support columns.  The writers stream their text, the MPS names
+sidecar too, to files in chunks of characters, so the whole text never
+sits in memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -98,19 +102,22 @@ class Family:
     by filling `template`'s `{}` fields with the key.  `kind` is a column's
     domain or a row's sense.  A row family's `make(at)` makes the row at
     position `at` (an offset from `base`) as (coefs, cols, rhs), afresh at
-    every call.  Its `reach` is a list of (lo, hi, rows) entries, where
-    `rows(c - lo)` gives the positions of at least every row that column c
-    of the block [lo, hi) enters; None stands for a family whose rows are
-    all made at every read, as one with a row that zero activity breaks
-    must be."""
+    every call.  Its `reach` is the same rows stated by column: a list of
+    (lo, hi, rows) entries, where `rows(c - lo)` gives an (at, coef, term)
+    triple for each term of column c of the block [lo, hi): the row's
+    position, the coefficient, and the term's index among the row's terms.
+    Every row of a family with a `reach` has the rhs `rhs`, which its zero
+    activity meets.  None stands for a family whose rows are all made at
+    every read, as one with a row that zero activity breaks must be."""
 
     def __init__(self, template: str, kind: str, base: int, axes,
-                 make=None, reach=None):
+                 make=None, reach=None, rhs: float = 0.0):
         self.template = template
         self.kind = kind
         self.base = base
         self.make = make
         self.reach = reach
+        self.rhs = rhs
         self.axes = tuple(tuple(axis) for axis in axes)
         self._position = [{key: i for i, key in enumerate(axis)}
                           for axis in self.axes]
@@ -145,10 +152,33 @@ class Family:
         match = self._pattern.fullmatch(name)
         if match is None:
             return None
-        key = [int(g) for g in match.groups()]
-        if any(k not in p for k, p in zip(key, self._position)):
-            return None
-        return self.column(*key)
+        offset = 0
+        for field, position in zip(match.groups(), self._position):
+            i = position.get(int(field))
+            if i is None:
+                return None
+            offset = offset * len(position) + i
+        return self.base + offset
+
+
+def _holders(families: list[Family]) -> Callable[[str], Iterable[Family]]:
+    """A function of a name that gives the families, in family order, that
+    may hold it: those whose template's literal head (its text before the
+    first field) the name starts with.  Where the heads are distinct and of
+    one length, that is at most one family, found by one lookup."""
+    heads = [family.template.split("{}")[0] for family in families]
+    widths = {len(head) for head in heads}
+    if len(set(heads)) < len(heads) or len(widths) != 1:
+        return lambda name: [family for head, family in zip(heads, families)
+                             if name.startswith(head)]
+    (width,) = widths
+    by_head = dict(zip(heads, families))
+
+    def holders(name: str) -> tuple[Family, ...]:
+        family = by_head.get(name[:width])
+        return () if family is None else (family,)
+
+    return holders
 
 
 def _between(support: list[int], lo: int, hi: int) -> list[int]:
@@ -189,12 +219,13 @@ class ModelIR:
         return family
 
     def add_rows(self, template: str, sense: str, axes, make,
-                 reach=None) -> Family:
+                 reach=None, rhs: float = 0.0) -> Family:
         """Append a family of rows, one per key of the product of `axes`;
         `make(at)` makes the one at position `at`, the sum of coefs[i] *
         column cols[i] with its sense and rhs, and `reach` states, per
-        column, the rows it enters (see `Family`)."""
-        family = Family(template, sense, self.row_count, axes, make, reach)
+        column, its terms in the rows it enters, all of rhs `rhs` (see
+        `Family`)."""
+        family = Family(template, sense, self.row_count, axes, make, reach, rhs)
         self.row_families.append(family)
         self.row_count += family.size
         return family
@@ -203,35 +234,49 @@ class ModelIR:
         return next(f for f in self.families if f.template == template)
 
 
-def _rows(model: ModelIR, support: list[int] | None = None) -> Iterator[tuple]:
+def _rows(model: ModelIR,
+          families: Iterable[Family] | None = None) -> Iterator[tuple]:
     """Rows as (family, key, coefs, cols, rhs), in row order, each made by
-    its family's `make` as it is read.  With `support` (a sorted list of
-    columns), a family with a `reach` makes only the rows that support
-    columns reach, so a row left out holds no support column and its zero
-    activity meets its sense.  A reached position must lie in the family;
-    a row must give one coefficient per column, all of the model."""
+    its family's `make` as it is read: every row of the model, or of
+    `families`.  A row must give one coefficient per column, all of the
+    model."""
     n = model.column_count
-    for family in model.row_families:
-        full = support is None or family.reach is None
-        keys = product(*family.axes)
-        positions = range(family.size)
-        if not full:        # what the support's columns reach, in order
-            reached: set[int] = set()
-            for lo, hi, rows in family.reach:
-                for c in _between(support, lo, hi):
-                    reached.update(rows(c - lo))
-            positions = sorted(reached)
-        for at in positions:
-            if not 0 <= at < family.size:
-                raise CssndError(f"row family {family.template} names position "
-                                 f"{at} outside its {family.size} keys")
+    for family in model.row_families if families is None else families:
+        for at, key in enumerate(product(*family.axes)):
             coefs, cols, rhs = family.make(at)
-            key = next(keys) if full else family.key(at)
             if len(coefs) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
                 raise CssndError(f"row {family.template.format(*key)} has "
                                  f"{len(coefs)} coefficients for columns "
                                  f"{list(cols)} of {n}")
             yield family, key, coefs, cols, rhs
+
+
+def _reached(family: Family, support: list[int]) -> list[tuple[int, list]]:
+    """The rows of `family` that columns of `support` (a sorted list) enter,
+    by its `reach`, as (at, terms) in position order: terms are the (term,
+    coef, col) of the support's columns in the row at position `at`, in
+    term order.  A row left out holds no support column.  A reached
+    position must lie in the family."""
+    rows: dict[int, list] = {}
+    for lo, hi, enters in family.reach:
+        for c in _between(support, lo, hi):
+            for at, coef, term in enters(c - lo):
+                terms = rows.get(at)
+                if terms is None:
+                    rows[at] = [(term, coef, c)]
+                else:
+                    terms.append((term, coef, c))
+    if not rows:
+        return []
+    positions = sorted(rows)
+    if not (0 <= positions[0] and positions[-1] < family.size):
+        at = positions[0] if positions[0] < 0 else positions[-1]
+        raise CssndError(f"row family {family.template} names position "
+                         f"{at} outside its {family.size} keys")
+    for terms in rows.values():
+        if len(terms) > 1:
+            terms.sort()
+    return [(at, rows[at]) for at in positions]
 
 
 @dataclass(frozen=True)
@@ -256,6 +301,16 @@ def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
         t: [i for i, a in enumerate(arcs) if a.spans(t, period_count)]
         for t in range(1, period_count + 1)
     }
+
+
+def _spans_of(spanning: dict[int, list[int]], count: int) -> list[list[tuple]]:
+    """`_spanning` by arc: for each of `count` arcs, (period, index of the
+    arc in the period's list) for each period it spans, in period order."""
+    spans: list[list[tuple]] = [[] for _ in range(count)]
+    for t, on in spanning.items():
+        for term, i in enumerate(on):
+            spans[i].append((t, term))
+    return spans
 
 
 def _incidence(tsn: TimeSpaceNetwork, arcs) -> dict[int, tuple[list, list]]:
@@ -360,9 +415,11 @@ def build_mip(
     model.objective_terms = objective
 
     # Row families: each makes its row at one position when read and, where
-    # a row without support columns cannot fail, states the rows each column
-    # enters (default arguments bind a loop's values into its functions).
+    # a row without support columns cannot fail, states each column's terms
+    # in the rows it enters (default arguments bind a loop's values into its
+    # functions).
     asset_spans = _spanning(asset_arcs, period_count)
+    arc_spans = _spans_of(asset_spans, n_asset)
     periods = range(1, period_count + 1)
     nodes = range(1, n_nodes + 1)
     service_ids = [arc.id for arc in tsn.service_arcs]
@@ -375,15 +432,27 @@ def build_mip(
     def whole(family: Family, rows) -> tuple:    # a block of every column
         return family.base, family.base + family.size, rows
 
-    def onto(first: int):       # column k of a block enters row first + k
-        return lambda k: (first + k,)
+    def on_service(width: int, terms):
+        """Rows of a block of `width` columns per asset or TC, laid out as
+        the asset arcs are: the column of owner u on service arc j has the
+        terms `terms(u, j)`, and a column on a holding arc none."""
+        def rows(k):
+            owner, i = divmod(k, width)
+            j = i - service_first
+            return terms(owner, j) if 0 <= j < n_service else ()
+        return rows
 
-    def ends(arc) -> tuple[int, int]:       # node positions of tail and head
-        return tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1
-
-    # the service arcs' y columns of each asset and x columns of each TC
-    y_service = [(yv + service_first, yv + n_asset) for yv in y_col]
-    x_service = [(xq + service_first, xq + n_asset) for xq in x_col]
+    def ends(incidence: list, arcs, k: int):
+        """Column k of a block of one column per arc of `arcs` for each
+        asset or TC: +1 at its arc's tail node and -1 at its head node, in
+        that asset's or TC's rows, one per node; `incidence` is `arcs`'s
+        `_incidence`, where an arc's first place is among those leaving."""
+        owner, i = divmod(k, len(arcs))
+        tail, head = tsn.arc_tail(arcs[i]) - 1, tsn.arc_head(arcs[i]) - 1
+        at_tail = incidence[tail][0].index(i)
+        at_head = incidence[head][0].index(i, at_tail + 1 if head == tail else 0)
+        first = owner * n_nodes
+        return (first + tail, 1.0, at_tail), (first + head, -1.0, at_head)
 
     # no-transit rows: flow may not span a period outside the time window
     for q, tc in enumerate(tcs):
@@ -393,12 +462,12 @@ def build_mip(
         def transit(j, xq=x_col[q], banned=banned):
             return ones([xq + i for i in asset_spans[banned[j]]])
 
-        def spanned(i, banned=banned):      # the banned periods arc i spans
-            return [j for j, t in enumerate(banned)
-                    if asset_arcs[i].spans(t, period_count)]
+        def in_banned(i, banned=banned):    # the banned periods arc i spans
+            return [(banned.index(t), 1.0, term) for t, term in arc_spans[i]
+                    if t in banned]
 
         add("transit_k{}_t{}", "<=", ([tc.id], banned), transit,
-            [(x_col[q], x_col[q] + n_asset, spanned)])
+            [(x_col[q], x_col[q] + n_asset, in_banned)])
 
     # one activity per utilized asset and period, wrap-aware
     def assign(at):
@@ -407,11 +476,15 @@ def build_mip(
         return ([1.0] * len(span) + [-1.0],
                 [y_col[v] + i for i in span] + [d_col[v]], 0.0)
 
-    def busy(v):    # a used asset is busy throughout
-        return range(v * period_count, (v + 1) * period_count)
+    def in_periods(k):      # y of asset v on arc i, in each period i spans
+        v, i = divmod(k, n_asset)
+        return [(v * period_count + t - 1, 1.0, term) for t, term in arc_spans[i]]
+
+    def busy(v):    # d of asset v: -1 in every period, after the y terms
+        return [(v * period_count + t - 1, -1.0, len(asset_spans[t])) for t in periods]
 
     add("assign_v{}_t{}", "=", (assets, periods), assign,
-        [whole(y, lambda k: busy(k // n_asset)), whole(d, busy)])
+        [whole(y, in_periods), whole(d, busy)])
 
     # asset conservation at every time-space node
     asset_incidence = list(_incidence(tsn, asset_arcs).values())
@@ -421,13 +494,13 @@ def build_mip(
         arcs, coefs = asset_incidence[n]
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
-    add("balance_v{}_n{}", "=", (assets, nodes), balance, [whole(y, lambda k: [
-        k // n_asset * n_nodes + n for n in ends(asset_arcs[k % n_asset])])])
+    add("balance_v{}_n{}", "=", (assets, nodes), balance,
+        [whole(y, lambda k: ends(asset_incidence, asset_arcs, k))])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
         lambda at: ones([yv + service_first + at for yv in y_col], 1.0),
-        [(lo, hi, onto(0)) for lo, hi in y_service])
+        [whole(y, on_service(n_asset, lambda v, j: ((j, 1.0, v),)))], rhs=1.0)
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
@@ -451,10 +524,12 @@ def build_mip(
             cols.append(p_col[q])
         return coefs, cols, 0.0
 
+    def at_ends(q):     # p of the q-th TC, after the arcs at each end node
+        return [(q * n_nodes + n, volume, len(arc_incidence[n][0]))
+                for n, volume in demand[q].items()]
+
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
-        whole(x, lambda k: [k // n_arcs * n_nodes + n
-                            for n in ends(tsn.arcs[k % n_arcs])]),
-        whole(p, lambda q: [q * n_nodes + n for n in demand[q]])])
+        whole(x, lambda k: ends(arc_incidence, tsn.arcs, k)), whole(p, at_ends)])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):
@@ -462,33 +537,41 @@ def build_mip(
         return ([1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
                 [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
 
-    add("cap_a{}", "<=", (service_ids,), cap,
-        [(lo, hi, onto(0)) for lo, hi in y_service + x_service])
+    add("cap_a{}", "<=", (service_ids,), cap, [
+        whole(x, on_service(n_arcs, lambda q, j: ((j, 1.0, q),))),
+        whole(y, on_service(n_asset, lambda v, j: (
+            (j, -tsn.service_arcs[j].capacity, n_tc + v),)))])
 
     if options.strong_forcing:
         y_cols = [[yv + i for yv in y_col] for i in range(service_first, n_asset)]
 
+        def strength(q, j):
+            return min(tcs[q].volume, tsn.service_arcs[j].capacity)
+
         def strong(at):
             q, j = divmod(at, n_service)
-            strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
-            return ([1.0] + [-strength] * v_total,
+            return ([1.0] + [-strength(q, j)] * v_total,
                     [x_col[q] + service_first + j, *y_cols[j]], 0.0)
 
-        def every_variant(j):       # the rows of service j, one per TC
-            return range(j, n_tc * n_service, n_service)
+        def every_variant(v, j):    # y of asset v on service j, one row per TC
+            return [(q * n_service + j, -strength(q, j), 1 + v) for q in range(n_tc)]
 
-        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong,
-            [(lo, hi, onto(q * n_service)) for q, (lo, hi) in enumerate(x_service)]
-            + [(lo, hi, every_variant) for lo, hi in y_service])
+        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong, [
+            whole(x, on_service(n_arcs, lambda q, j: ((q * n_service + j, 1.0, 0),))),
+            whole(y, on_service(n_asset, every_variant))])
 
     # outsourced flow only on selected outsourced services
     def outsource(at):
         q, o = divmod(at, n_out)
         return [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
 
+    def outsourced(k):      # x of TC q on outsourced arc o, then its s
+        q, a = divmod(k, n_arcs)
+        return ((q * n_out + a - n_asset, 1.0, 0),) if a >= n_asset else ()
+
     add("outsource_k{}_a{}", "<=", (tc_ids, [a.id for a in outsourced_arcs]),
-        outsource, [(xq + n_asset, xq + n_arcs, onto(q * n_out))
-                    for q, xq in enumerate(x_col)] + [whole(s, onto(0))])
+        outsource, [whole(x, outsourced),
+                    whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)
@@ -788,14 +871,18 @@ def check_solution(
     """Replay the rows and domains at tolerance that the assignment can
     break, and recompute the objective from the assignment alone.  Missing
     variables count as zero, and names the model lacks are ignored.  Only
-    the support, the columns at a nonzero value, is read: a row left out
-    holds no support column, and its activity there, 0, meets its sense.
-    Each violation is also counted under its family's template."""
+    the support, the columns at a nonzero value, is read: a row family with
+    a `reach` is replayed by column, each support column added into the
+    rows it enters, and a row that none enters, at activity 0, meets its
+    sense; the other families' rows are made whole.  Each row's nonzero
+    terms are summed in term order, and violations come in row order.  Each
+    violation is also counted under its family's template."""
     violations: list[tuple[str, str]] = []     # (family template, text)
-    values = [0.0] * model.column_count
+    values: dict[int, float] = {}       # named column -> value
     named: dict[int, tuple[str, Family]] = {}       # column -> (name, family)
+    holders = _holders(model.families)
     for name, x in assignment.items():
-        for family in model.families:
+        for family in holders(name):
             col = family.parse(name)
             if col is not None:
                 values[col] = x
@@ -814,16 +901,10 @@ def check_solution(
             violations.append((family.template, f"{name}: {x} below zero"))
     support = [col for col in columns if values[col]]
 
-    # each row's terms at a nonzero value, summed in term order
-    for family, key, coefs, cols, rhs in _rows(model, support):
-        lhs = 0.0
-        for coef, col in zip(coefs, cols):
-            x = values[col]
-            if x:
-                lhs += coef * x
+    def judge(family: Family, at: int, lhs: float, rhs: float) -> None:
         if lhs == rhs:      # no sense is broken at equality
-            continue
-        name, sense = family.template.format(*key), family.kind
+            return
+        name, sense = family.template.format(*family.key(at)), family.kind
         if sense == "<=" and lhs > rhs + TOLERANCE:
             violations.append((family.template, f"{name}: {lhs} > {rhs}"))
         elif sense == ">=" and lhs < rhs - TOLERANCE:
@@ -831,20 +912,38 @@ def check_solution(
         elif sense == "=" and abs(lhs - rhs) > TOLERANCE:
             violations.append((family.template, f"{name}: {lhs} != {rhs}"))
 
+    # each row's terms at a nonzero value, summed in term order
+    for family in model.row_families:
+        if family.reach is None:
+            for at, (_, _, coefs, cols, rhs) in enumerate(_rows(model, (family,))):
+                lhs = 0.0
+                for coef, col in zip(coefs, cols):
+                    x = values.get(col)
+                    if x:
+                        lhs += coef * x
+                judge(family, at, lhs, rhs)
+            continue
+        for at, terms in _reached(family, support):
+            lhs = 0.0
+            for _, coef, col in terms:
+                lhs += coef * values[col]
+            if lhs != family.rhs:
+                judge(family, at, lhs, family.rhs)
+
     objective = 0.0
     for coef, col in model.objective_terms(support):
-        x = values[col]
+        x = values.get(col)
         if x:
             objective += coef * x
 
     # the schedule's shape: assets used, and how each selected variant goes
     d, p, s = (model.family(name) for name in (D_NAME, P_NAME, S_NAME))
     v_total = instance.owned_assets + instance.leasable_assets
-    used = [v for v in range(1, v_total + 1) if values[d.column(v)] > 0.5]
+    used = [v for v in range(1, v_total + 1) if values.get(d.column(v), 0.0) > 0.5]
     owned = sum(1 for v in used if v <= instance.owned_assets)
     chosen: dict[int, list[TransformedCommodity]] = {}
     for tc in tcs:
-        if values[p.column(tc.id)] > 0.5:
+        if values.get(p.column(tc.id), 0.0) > 0.5:
             chosen.setdefault(tc.parent_id, []).append(tc)
     outsourced = {s.key(col - s.base)[0] for col in named
                   if s.base <= col < s.base + s.size and values[col] > 0.5}

@@ -140,8 +140,8 @@ CATALOGUE = (
     ),
     Mutant(
         "strong-strength-halved", MODEL,
-        "strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)\n",
-        "strength = min(tcs[q].volume, tsn.service_arcs[j].capacity) / 2\n",
+        "return min(tcs[q].volume, tsn.service_arcs[j].capacity)\n",
+        "return min(tcs[q].volume, tsn.service_arcs[j].capacity) / 2\n",
         ORACLE,
     ),
     Mutant(
@@ -159,48 +159,69 @@ CATALOGUE = (
     # an empty `reach` for each family that states one
     Mutant(
         "reach-assign-without-d", MODEL,
-        "[whole(y, lambda k: busy(k // n_asset)), whole(d, busy)]",
-        "[whole(y, lambda k: busy(k // n_asset))]",
+        "[whole(y, in_periods), whole(d, busy)]", "[whole(y, in_periods)]",
         REACH,
     ),
     Mutant(
         "reach-flow-without-p", MODEL,
-        ",\n        whole(p, lambda q: [q * n_nodes + n for n in demand[q]])])",
-        "])",
+        ", whole(p, at_ends)])", "])",
         REACH,
     ),
     Mutant(
         "reach-cap-without-x", MODEL,
-        "for lo, hi in y_service + x_service])", "for lo, hi in y_service])",
+        "        whole(x, on_service(n_arcs, lambda q, j: ((j, 1.0, q),))),\n", "",
         REACH,
     ),
     Mutant(
         "reach-strong-without-y", MODEL,
-        "\n            + [(lo, hi, every_variant) for lo, hi in y_service])", ")",
+        ",\n            whole(y, on_service(n_asset, every_variant))])", "])",
         REACH,
     ),
     Mutant(
         "reach-outsource-without-s", MODEL,
-        "for q, xq in enumerate(x_col)] + [whole(s, onto(0))])",
-        "for q, xq in enumerate(x_col)])",
+        "[whole(x, outsourced),\n"
+        "                    whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])",
+        "[whole(x, outsourced)])",
         REACH,
     ),
     Mutant(
         "reach-transit-empty", MODEL,
-        "[(x_col[q], x_col[q] + n_asset, spanned)])", "[])",
+        "[(x_col[q], x_col[q] + n_asset, in_banned)])", "[])",
         REACH,
     ),
     Mutant(
         "reach-balance-empty", MODEL,
-        "[whole(y, lambda k: [\n"
-        "        k // n_asset * n_nodes + n for n in ends(asset_arcs[k % n_asset])])])",
-        "[])",
+        "[whole(y, lambda k: ends(asset_incidence, asset_arcs, k))])", "[])",
         REACH,
     ),
     Mutant(
         "reach-svc-once-empty", MODEL,
-        "[(lo, hi, onto(0)) for lo, hi in y_service])", "[])",
+        "[whole(y, on_service(n_asset, lambda v, j: ((j, 1.0, v),)))], rhs=1.0)",
+        "[], rhs=1.0)",
         REACH,
+    ),
+    # a `reach` entry states a column's coefficient and term index too, and
+    # its family the rhs of every row; the check sums each row in term order
+    Mutant(
+        "reach-assign-d-at-plus-one", MODEL,
+        "-1.0, len(asset_spans[t])", "1.0, len(asset_spans[t])",
+        REACH,
+    ),
+    Mutant(
+        "reach-flow-p-stated-first", MODEL,
+        "(q * n_nodes + n, volume, len(arc_incidence[n][0]))",
+        "(q * n_nodes + n, volume, 0)",
+        REACH,
+    ),
+    Mutant(
+        "reach-svc-once-rhs-zero", MODEL,
+        "rhs=1.0)", ")",
+        REACH,
+    ),
+    Mutant(
+        "replay-in-column-order", MODEL,
+        "terms.sort()", "terms.sort(key=lambda entry: entry[2])",
+        ("tests/test_model.py::test_checker_matches_a_term_by_term_reference",),
     ),
     # the matcher keeps the textbook scheme's every order and tie-break,
     # which the pinned mate arrays of `tests/test_matching.py` hold to

@@ -32,6 +32,7 @@ from cssnd.model import (
     X_NAME,
     ModelIR,
     ModelOptions,
+    _reached,
     _rows,
     build_mip,
     check_solution,
@@ -506,12 +507,12 @@ def test_a_bad_row_is_an_error_wherever_rows_are_read(tmp_path, coefs, cols,
 @pytest.mark.parametrize("reached", [[0, 3], [-1]],
                          ids=["past-the-end", "negative"])
 def test_a_bad_touched_position_is_an_error(reached):
-    """Family bad_r{} has 3 keys; a support read makes the rows that the
+    """Family bad_r{} has 3 keys; the check replays the rows that the
     support's columns reach by its `reach`, which must lie within the
-    family.  Column b1 reaches `reached`."""
+    family.  Column b1 is the first term of the rows at `reached`."""
     model = edge_case_model()
     model.add_rows("bad_r{}", "<=", ([1, 2, 3],), lambda at: ([1.0], [at], 0.0),
-                   [(0, 1, lambda k: reached)])
+                   [(0, 1, lambda k: [(at, 1.0, 0) for at in reached])])
     with pytest.raises(CssndError, match=re.escape(
             "row family bad_r{} names position")):
         check_solution(None, None, [], model, {"b1": 1.0})
@@ -799,22 +800,22 @@ SKIP_OPTIONS = {
 @pytest.mark.parametrize("instance_name", SKIP_INSTANCES)
 def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
                                                               options_name):
-    """Against the full read, a read of `_rows` with a support keeps rows
-    in model order, each equal to the full read's row at its position, and
-    leaves out only rows with no support column whose zero activity meets
-    their sense (`<=` with rhs >= 0, `=` with rhs 0, `>=` with rhs <= 0);
-    the objective keeps, in term order, every term of a support column.
-    Supports: none, the heuristic schedule's, a seeded random sparse one,
-    every column."""
+    """Against the full read, `_reached` gives, for every row family with a
+    `reach`, the rows in position order, each with the full read's terms of
+    support columns as (term, coef, col) in term order, and of the rhs that
+    the family states; it leaves out only rows with no support column
+    whose zero activity meets their sense (`<=` with rhs >= 0, `=` with rhs
+    0, `>=` with rhs <= 0), and with every column it leaves out only empty
+    rows.  The objective keeps, in term order, every term of a support
+    column.  Supports: none, the heuristic schedule's, a seeded random
+    sparse one, every column."""
     instance = SKIP_INSTANCES[instance_name]()
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
     model = build_mip(instance, tsn, tcs, options=SKIP_OPTIONS[options_name])
-    full = [(coefs, cols, rhs) for _, _, coefs, cols, rhs in _rows(model)]
-    senses = [family.kind for family, *_ in _rows(model)]
-    at = {(id(family), key): family.base + position
-          for family in model.row_families
-          for position, key in enumerate(itertools.product(*family.axes))}
+    full: dict[int, list] = {}
+    for family, _, coefs, cols, rhs in _rows(model):
+        full.setdefault(id(family), []).append((coefs, cols, rhs))
     terms = objective_of(model)
     column = {name: col for col, name in enumerate(model.variables)}
     schedule = solution_to_assignment(run_dmam(instance, "a")[0])
@@ -827,17 +828,24 @@ def test_a_support_read_leaves_out_only_rows_it_cannot_break(instance_name,
     }
     for name, support in supports.items():
         held = set(support)
-        kept = [at[id(family), key]
-                for family, key, _, _, _ in _rows(model, support)]
-        assert kept == sorted(set(kept)), name
-        for r, (family, key, coefs, cols, rhs) in zip(kept, _rows(model, support)):
-            assert (coefs, cols, rhs) == full[r], (name, family.template, key)
-        for r in sorted(set(range(len(full))) - set(kept)):
-            coefs, cols, rhs = full[r]
-            assert held.isdisjoint(cols), (name, r)
-            assert {"<=": rhs >= 0, "=": rhs == 0, ">=": rhs <= 0}[senses[r]], (name, r)
-        if name == "all":
-            assert kept == list(range(len(full)))
+        for family in model.row_families:
+            if family.reach is None:
+                continue
+            rows = full[id(family)]
+            reached = _reached(family, support)
+            kept = [at for at, _ in reached]
+            assert kept == sorted(set(kept)), (name, family.template)
+            for at, entries in reached:
+                coefs, cols, rhs = rows[at]
+                assert entries == [(term, coef, col) for term, (coef, col)
+                                   in enumerate(zip(coefs, cols)) if col in held]
+                assert rhs == family.rhs, (name, family.template, at)
+            for at in sorted(set(range(len(rows))) - set(kept)):
+                coefs, cols, rhs = rows[at]
+                assert held.isdisjoint(cols), (name, family.template, at)
+                assert {"<=": rhs >= 0, "=": rhs == 0, ">=": rhs <= 0}[family.kind]
+                if name == "all":
+                    assert not cols, (family.template, at)
         priced = list(model.objective_terms(support))
         assert priced == [term for term in terms if term[1] in held], name
 
@@ -852,9 +860,9 @@ REACH_INSTANCES = {
 @pytest.mark.parametrize("instance_name", REACH_INSTANCES)
 def test_reach_is_make_transposed(instance_name, strong):
     """For every row family with a `reach`, against the transpose of its
-    `make` (each column's set of positions of the rows that hold it): the
-    entries give each column at least every row that holds it, and every
-    position they give lies inside the family."""
+    `make`: the entries state the same (row position, column, coefficient,
+    term index) quadruples, each once, and every row's rhs is the family's
+    `rhs`."""
     instance = REACH_INSTANCES[instance_name]()
     tsn = build_time_space_network(instance.physical, instance.period_count)
     tcs, _ = expand_commodities(instance)
@@ -865,18 +873,15 @@ def test_reach_is_make_transposed(instance_name, strong):
     # outsource; strong when asked for
     assert len(families) == len(tcs) + 6 + strong
     for family in families:
-        holds: dict[int, set[int]] = {}
+        made = []
         for at in range(family.size):
-            for col in family.make(at)[1]:
-                holds.setdefault(col, set()).add(at)
-        reached: dict[int, set[int]] = {}
-        for lo, hi, rows in family.reach:
-            for col in range(lo, hi):
-                reached.setdefault(col, set()).update(rows(col - lo))
-        for col, positions in holds.items():
-            assert positions <= reached.get(col, set()), (family.template, col)
-        given = set().union(*reached.values())
-        assert given <= set(range(family.size)), family.template
+            coefs, cols, rhs = family.make(at)
+            assert rhs == family.rhs, (family.template, at)
+            made += [(at, col, coef, term)
+                     for term, (coef, col) in enumerate(zip(coefs, cols))]
+        stated = [(at, col, coef, term) for lo, hi, rows in family.reach
+                  for col in range(lo, hi) for at, coef, term in rows(col - lo)]
+        assert sorted(stated) == sorted(made), family.template
 
 
 @pytest.fixture(scope="module")
