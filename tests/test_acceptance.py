@@ -144,7 +144,7 @@ def test_criterion_4_merge_soundness_completeness():
             costs=CostParams(routing_seed=1),
         )
         legs = []
-        for oc in (1, 2):
+        for _ in range(2):
             frm = stream.randint(1, n)
             to = frm
             while to == frm:
@@ -152,7 +152,7 @@ def test_criterion_4_merge_soundness_completeness():
             busy = instance.physical.d(frm, to) + stream.randint(0, 2)
             if busy >= 7:
                 break
-            legs.append(leg(oc, frm, to, stream.randint(1, 7), busy))
+            legs.append(leg(frm, to, stream.randint(1, 7), busy))
         if len(legs) < 2:
             continue
         checked += 1

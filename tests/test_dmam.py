@@ -53,7 +53,7 @@ from cssnd.rng import Stream
 from tests.conftest import make_sample_instance, routing_rows
 
 
-def leg(oc, frm, to, start, busy):
+def leg(frm, to, start, busy):
     return Leg(
         path=None,
         phys_from=frm,
@@ -97,12 +97,12 @@ def axis_times(leg1, leg2, period_count=7):
 
 def test_place_pushes_wrapping_due():
     # release 5, due 3 spans five periods past the horizon edge
-    times = axis_times(leg(1, 1, 2, 5, 5), leg(2, 2, 1, 6, 1))
+    times = axis_times(leg(1, 2, 5, 5), leg(2, 1, 6, 1))
     assert times == (5, 10, 6, 7, 12)
 
 
 def test_place_orders_second_after_first():
-    times = axis_times(leg(1, 1, 2, 2, 2), leg(2, 2, 1, 1, 2))
+    times = axis_times(leg(1, 2, 2, 2), leg(2, 1, 1, 2))
     t_o1, t_d1, t_o2, t_d2, t_wrap = times
     assert (t_o1, t_d1) == (2, 4)
     assert (t_o2, t_d2) == (8, 10)
@@ -110,14 +110,14 @@ def test_place_orders_second_after_first():
 
 
 def test_place_leaves_ordered_pair_alone():
-    assert axis_times(leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2)) == (
+    assert axis_times(leg(1, 2, 1, 2), leg(2, 1, 4, 2)) == (
         1, 3, 4, 6, 8,
     )
 
 
 def test_place_pushes_a_second_leg_starting_together():
     # two chains cannot start together on one asset
-    assert axis_times(leg(1, 1, 2, 3, 2), leg(2, 2, 1, 3, 2)) == (
+    assert axis_times(leg(1, 2, 3, 2), leg(2, 1, 3, 2)) == (
         3, 5, 10, 12, 10,
     )
 
@@ -127,7 +127,7 @@ def test_place_pushes_a_second_leg_starting_together():
 
 def test_perfect_match_merges_without_repositioning():
     instance = make_instance([(1, 2, 1, 3), (2, 1, 4, 6)])
-    legs = [leg(1, 1, 2, 1, 2), leg(2, 2, 1, 4, 2)]
+    legs = [leg(1, 2, 1, 2), leg(2, 1, 4, 2)]
     assert max(_overruns(legs, instance)) <= 0
     # no trip: one idle period before the second chain, two before the wrap
     assert _overruns(legs, instance) == [-1, -2]
@@ -139,7 +139,7 @@ def test_one_repositioning_after_first_path():
     instance = make_instance([(1, 2, 1, 3), (3, 1, 6, 7)], d_value=2)
     # first path 1->2 over periods 1..3, second 3->1 over 6..7 needs a
     # repositioning trip 2->3 of length 2 inside the 3..6 gap
-    legs = [leg(1, 1, 2, 1, 2), leg(2, 3, 1, 6, 1)]
+    legs = [leg(1, 2, 1, 2), leg(3, 1, 6, 1)]
     assert max(_overruns(legs, instance)) <= 0
     assert _overruns(legs, instance) == [-1, -1]
     tsn = tsn_of(instance)
@@ -151,7 +151,7 @@ def test_one_repositioning_after_first_path():
 
 def test_overlapping_windows_do_not_merge():
     instance = make_instance([(1, 2, 1, 4), (2, 1, 2, 5)])
-    assert max(_overruns([leg(1, 1, 2, 1, 3), leg(2, 2, 1, 2, 3)], instance)) > 0
+    assert max(_overruns([leg(1, 2, 1, 3), leg(2, 1, 2, 3)], instance)) > 0
 
 
 def cycle_oracle(leg_a: Leg, leg_b: Leg, instance: Instance) -> bool:
@@ -206,7 +206,7 @@ def test_regular_merge_agrees_with_cycle_simulation():
             costs=CostParams(routing_seed=1),
         )
         legs = []
-        for oc in (1, 2):
+        for _ in range(2):
             frm = stream.randint(1, n)
             to = frm
             while to == frm:
@@ -215,7 +215,7 @@ def test_regular_merge_agrees_with_cycle_simulation():
             busy = dist + stream.randint(0, 2)
             if busy >= 7:
                 break
-            legs.append(leg(oc, frm, to, stream.randint(1, 7), busy))
+            legs.append(leg(frm, to, stream.randint(1, 7), busy))
         if len(legs) < 2:
             continue
         checked += 1
@@ -286,9 +286,9 @@ def test_two_overruns_equal_the_four_type_rule():
         for start, busy1, busy2, gap in itertools.product(
             range(1, 8), range(1, 7), range(1, 7), range(-3, 5)
         ):
-            leg1 = leg(1, 1, 2, start, busy1)
+            leg1 = leg(1, 2, start, busy1)
             start_two = wrap_period(start + busy1 + gap, period_count)
-            leg2 = leg(2, origin_two, dest_two, start_two, busy2)
+            leg2 = leg(origin_two, dest_two, start_two, busy2)
             forth, back = _overruns([leg1, leg2], instance)
             for a1, a2 in itertools.chain(*TRIES):
                 expected = max(four_type_slacks(leg1, leg2, instance, a1, a2))
@@ -363,7 +363,7 @@ def test_three_legs_plan_the_trips_they_need():
     instance = make_instance([])
     tsn = tsn_of(instance)
     solution = Solution(instance=instance, tsn=tsn, book=PathBook(instance, tsn))
-    legs = [leg(1, 1, 2, 5, 1), leg(2, 3, 4, 8, 1), leg(3, 4, 5, 9, 1)]
+    legs = [leg(1, 2, 5, 1), leg(3, 4, 8, 1), leg(4, 5, 9, 1)]
     assert _overruns(legs, instance) == [0, 0, 0]
     # the later legs given at their periods within the horizon lift there
     assert _overruns(
