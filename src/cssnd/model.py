@@ -313,15 +313,18 @@ def _spans_of(spanning: dict[int, list[int]], count: int) -> list[list[tuple]]:
     return spans
 
 
-def _incidence(tsn: TimeSpaceNetwork, arcs) -> dict[int, tuple[list, list]]:
-    """Node -> positions in `arcs` of the arcs leaving it, then of those
-    entering it, and their coefficients (+1 leaving, -1 entering)."""
-    ends = {node: ([], []) for node in range(1, tsn.ts_node_count + 1)}
-    for i, arc in enumerate(arcs):
-        ends[tsn.arc_tail(arc)][0].append(i)
-        ends[tsn.arc_head(arc)][1].append(i)
-    return {node: (out + into, [1.0] * len(out) + [-1.0] * len(into))
-            for node, (out, into) in ends.items()}
+def _incidence(tsn: TimeSpaceNetwork, arcs) -> tuple[list, list]:
+    """By node position (node - 1): positions in `arcs` of the arcs leaving
+    the node, then of those entering it, and their coefficients (+1
+    leaving, -1 entering).  By arc: the node positions of its tail and
+    head."""
+    ends = [(tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1) for arc in arcs]
+    nodes = [([], []) for _ in range(tsn.ts_node_count)]
+    for i, (tail, head) in enumerate(ends):
+        nodes[tail][0].append(i)
+        nodes[head][1].append(i)
+    return ([(out + into, [1.0] * len(out) + [-1.0] * len(into))
+             for out, into in nodes], ends)
 
 
 def build_mip(
@@ -442,15 +445,16 @@ def build_mip(
             return terms(owner, j) if 0 <= j < n_service else ()
         return rows
 
-    def ends(incidence: list, arcs, k: int):
-        """Column k of a block of one column per arc of `arcs` for each
-        asset or TC: +1 at its arc's tail node and -1 at its head node, in
-        that asset's or TC's rows, one per node; `incidence` is `arcs`'s
-        `_incidence`, where an arc's first place is among those leaving."""
-        owner, i = divmod(k, len(arcs))
-        tail, head = tsn.arc_tail(arcs[i]) - 1, tsn.arc_head(arcs[i]) - 1
-        at_tail = incidence[tail][0].index(i)
-        at_head = incidence[head][0].index(i, at_tail + 1 if head == tail else 0)
+    def ends(incidence: tuple[list, list], k: int):
+        """Column k of a block of one column per arc for each asset or TC:
+        +1 at its arc's tail node and -1 at its head node, in that asset's
+        or TC's rows, one per node.  `incidence` is the arcs' `_incidence`,
+        where an arc's first place at a node is among those leaving."""
+        by_node, by_arc = incidence
+        owner, i = divmod(k, len(by_arc))
+        tail, head = by_arc[i]
+        at_tail = by_node[tail][0].index(i)
+        at_head = by_node[head][0].index(i, at_tail + 1 if head == tail else 0)
         first = owner * n_nodes
         return (first + tail, 1.0, at_tail), (first + head, -1.0, at_head)
 
@@ -487,15 +491,15 @@ def build_mip(
         [whole(y, in_periods), whole(d, busy)])
 
     # asset conservation at every time-space node
-    asset_incidence = list(_incidence(tsn, asset_arcs).values())
+    asset_incidence = _incidence(tsn, asset_arcs)
 
     def balance(at):
         v, n = divmod(at, n_nodes)
-        arcs, coefs = asset_incidence[n]
+        arcs, coefs = asset_incidence[0][n]
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
     add("balance_v{}_n{}", "=", (assets, nodes), balance,
-        [whole(y, lambda k: ends(asset_incidence, asset_arcs, k))])
+        [whole(y, lambda k: ends(asset_incidence, k))])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
@@ -511,13 +515,13 @@ def build_mip(
         lambda at: ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
 
     # flow conservation, demand switched on by the variant selection
-    arc_incidence = list(_incidence(tsn, tsn.arcs).values())
+    arc_incidence = _incidence(tsn, tsn.arcs)
     demand = [{tc.origin_node(period_count) - 1: -tc.volume,
                tc.dest_node(period_count) - 1: tc.volume} for tc in tcs]
 
     def flow(at):
         q, n = divmod(at, n_nodes)
-        arcs, coefs = arc_incidence[n]
+        arcs, coefs = arc_incidence[0][n]
         cols = [x_col[q] + a for a in arcs]
         if n in demand[q]:
             coefs = coefs + [demand[q][n]]
@@ -525,11 +529,11 @@ def build_mip(
         return coefs, cols, 0.0
 
     def at_ends(q):     # p of the q-th TC, after the arcs at each end node
-        return [(q * n_nodes + n, volume, len(arc_incidence[n][0]))
+        return [(q * n_nodes + n, volume, len(arc_incidence[0][n][0]))
                 for n, volume in demand[q].items()]
 
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
-        whole(x, lambda k: ends(arc_incidence, tsn.arcs, k)), whole(p, at_ends)])
+        whole(x, lambda k: ends(arc_incidence, k)), whole(p, at_ends)])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):

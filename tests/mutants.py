@@ -191,7 +191,7 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-balance-empty", MODEL,
-        "[whole(y, lambda k: ends(asset_incidence, asset_arcs, k))])", "[])",
+        "[whole(y, lambda k: ends(asset_incidence, k))])", "[])",
         REACH,
     ),
     Mutant(
@@ -209,7 +209,7 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-flow-p-stated-first", MODEL,
-        "(q * n_nodes + n, volume, len(arc_incidence[n][0]))",
+        "(q * n_nodes + n, volume, len(arc_incidence[0][n][0]))",
         "(q * n_nodes + n, volume, 0)",
         REACH,
     ),
