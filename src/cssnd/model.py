@@ -445,12 +445,12 @@ def build_mip(
             return terms(owner, j) if 0 <= j < n_service else ()
         return rows
 
-    def ends(incidence: tuple[list, list], k: int):
+    def ends(by_node: list, by_arc: list, k: int):
         """Column k of a block of one column per arc for each asset or TC:
         +1 at its arc's tail node and -1 at its head node, in that asset's
-        or TC's rows, one per node.  `incidence` is the arcs' `_incidence`,
-        where an arc's first place at a node is among those leaving."""
-        by_node, by_arc = incidence
+        or TC's rows, one per node.  `by_node` and `by_arc` are the arcs'
+        `_incidence`, where an arc's first place at a node is among those
+        leaving."""
         owner, i = divmod(k, len(by_arc))
         tail, head = by_arc[i]
         at_tail = by_node[tail][0].index(i)
@@ -491,15 +491,15 @@ def build_mip(
         [whole(y, in_periods), whole(d, busy)])
 
     # asset conservation at every time-space node
-    asset_incidence = _incidence(tsn, asset_arcs)
+    asset_nodes, asset_ends = _incidence(tsn, asset_arcs)
 
     def balance(at):
         v, n = divmod(at, n_nodes)
-        arcs, coefs = asset_incidence[0][n]
+        arcs, coefs = asset_nodes[n]
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
     add("balance_v{}_n{}", "=", (assets, nodes), balance,
-        [whole(y, lambda k: ends(asset_incidence, k))])
+        [whole(y, lambda k: ends(asset_nodes, asset_ends, k))])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
@@ -515,13 +515,13 @@ def build_mip(
         lambda at: ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
 
     # flow conservation, demand switched on by the variant selection
-    arc_incidence = _incidence(tsn, tsn.arcs)
+    arc_nodes, arc_ends = _incidence(tsn, tsn.arcs)
     demand = [{tc.origin_node(period_count) - 1: -tc.volume,
                tc.dest_node(period_count) - 1: tc.volume} for tc in tcs]
 
     def flow(at):
         q, n = divmod(at, n_nodes)
-        arcs, coefs = arc_incidence[0][n]
+        arcs, coefs = arc_nodes[n]
         cols = [x_col[q] + a for a in arcs]
         if n in demand[q]:
             coefs = coefs + [demand[q][n]]
@@ -529,11 +529,11 @@ def build_mip(
         return coefs, cols, 0.0
 
     def at_ends(q):     # p of the q-th TC, after the arcs at each end node
-        return [(q * n_nodes + n, volume, len(arc_incidence[0][n][0]))
+        return [(q * n_nodes + n, volume, len(arc_nodes[n][0]))
                 for n, volume in demand[q].items()]
 
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
-        whole(x, lambda k: ends(arc_incidence, k)), whole(p, at_ends)])
+        whole(x, lambda k: ends(arc_nodes, arc_ends, k)), whole(p, at_ends)])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):

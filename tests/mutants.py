@@ -191,7 +191,7 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-balance-empty", MODEL,
-        "[whole(y, lambda k: ends(asset_incidence, k))])", "[])",
+        "[whole(y, lambda k: ends(asset_nodes, asset_ends, k))])", "[])",
         REACH,
     ),
     Mutant(
@@ -209,7 +209,7 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-flow-p-stated-first", MODEL,
-        "(q * n_nodes + n, volume, len(arc_incidence[0][n][0]))",
+        "(q * n_nodes + n, volume, len(arc_nodes[n][0]))",
         "(q * n_nodes + n, volume, 0)",
         REACH,
     ),
