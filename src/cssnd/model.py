@@ -161,22 +161,23 @@ class Family:
         return self.base + offset
 
 
-def _holders(families: list[Family]) -> Callable[[str], Iterable[Family]]:
-    """A function of a name that gives the families, in family order, that
-    may hold it: those whose template's literal head (its text before the
-    first field) the name starts with.  Where the heads are distinct and of
-    one length, that is at most one family, found by one lookup."""
+def _holders(families: list[Family]) -> Callable[[str], list[Family]]:
+    """A function of a name that gives the families, in family order, whose
+    template's literal head (its text before the first field) the name
+    starts with.  Each such head starts the longest of them, so the first
+    of the name's prefixes, one per head width and the widest first, that
+    is a head gives them all: one lookup where the heads are of one width."""
     heads = [family.template.split("{}")[0] for family in families]
-    widths = {len(head) for head in heads}
-    if len(set(heads)) < len(heads) or len(widths) != 1:
-        return lambda name: [family for head, family in zip(heads, families)
-                             if name.startswith(head)]
-    (width,) = widths
-    by_head = dict(zip(heads, families))
+    by_head = {head: [family for h, family in zip(heads, families)
+                      if head.startswith(h)] for head in heads}
+    widths = sorted({len(head) for head in heads}, reverse=True)
 
-    def holders(name: str) -> tuple[Family, ...]:
-        family = by_head.get(name[:width])
-        return () if family is None else (family,)
+    def holders(name: str) -> list[Family]:
+        for width in widths:
+            found = by_head.get(name[:width])
+            if found is not None:
+                return found
+        return []
 
     return holders
 
@@ -316,15 +317,20 @@ def _spans_of(spanning: dict[int, list[int]], count: int) -> list[list[tuple]]:
 def _incidence(tsn: TimeSpaceNetwork, arcs) -> tuple[list, list]:
     """By node position (node - 1): positions in `arcs` of the arcs leaving
     the node, then of those entering it, and their coefficients (+1
-    leaving, -1 entering).  By arc: the node positions of its tail and
-    head."""
-    ends = [(tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1) for arc in arcs]
-    nodes = [([], []) for _ in range(tsn.ts_node_count)]
-    for i, (tail, head) in enumerate(ends):
-        nodes[tail][0].append(i)
-        nodes[head][1].append(i)
-    return ([(out + into, [1.0] * len(out) + [-1.0] * len(into))
-             for out, into in nodes], ends)
+    leaving, -1 entering).  By arc: (tail, at_tail, head, at_head), the
+    node positions of its tail and head and its index among each one's
+    arcs."""
+    out: list[list[int]] = [[] for _ in range(tsn.ts_node_count)]
+    into: list[list[int]] = [[] for _ in range(tsn.ts_node_count)]
+    places = []
+    for i, arc in enumerate(arcs):
+        tail, head = tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1
+        places.append((tail, len(out[tail]), head, len(into[head])))
+        out[tail].append(i)
+        into[head].append(i)
+    return ([(o + n, [1.0] * len(o) + [-1.0] * len(n)) for o, n in zip(out, into)],
+            [(tail, at_tail, head, len(out[head]) + at_head)
+             for tail, at_tail, head, at_head in places])
 
 
 def build_mip(
@@ -445,16 +451,13 @@ def build_mip(
             return terms(owner, j) if 0 <= j < n_service else ()
         return rows
 
-    def ends(by_node: list, by_arc: list, k: int):
+    def ends(by_arc: list, k: int):
         """Column k of a block of one column per arc for each asset or TC:
         +1 at its arc's tail node and -1 at its head node, in that asset's
-        or TC's rows, one per node.  `by_node` and `by_arc` are the arcs'
-        `_incidence`, where an arc's first place at a node is among those
-        leaving."""
+        or TC's rows, one per node.  `by_arc` is the arcs' `_incidence`
+        places."""
         owner, i = divmod(k, len(by_arc))
-        tail, head = by_arc[i]
-        at_tail = by_node[tail][0].index(i)
-        at_head = by_node[head][0].index(i, at_tail + 1 if head == tail else 0)
+        tail, at_tail, head, at_head = by_arc[i]
         first = owner * n_nodes
         return (first + tail, 1.0, at_tail), (first + head, -1.0, at_head)
 
@@ -499,7 +502,7 @@ def build_mip(
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
     add("balance_v{}_n{}", "=", (assets, nodes), balance,
-        [whole(y, lambda k: ends(asset_nodes, asset_ends, k))])
+        [whole(y, lambda k: ends(asset_ends, k))])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
@@ -533,7 +536,7 @@ def build_mip(
                 for n, volume in demand[q].items()]
 
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
-        whole(x, lambda k: ends(arc_nodes, arc_ends, k)), whole(p, at_ends)])
+        whole(x, lambda k: ends(arc_ends, k)), whole(p, at_ends)])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):
@@ -906,8 +909,8 @@ def check_solution(
     support = [col for col in columns if values[col]]
 
     def judge(family: Family, at: int, lhs: float, rhs: float) -> None:
-        if lhs == rhs:      # no sense is broken at equality
-            return
+        """Record the row at `at` if it breaks its sense; called only where
+        lhs != rhs, as no sense is broken at equality."""
         name, sense = family.template.format(*family.key(at)), family.kind
         if sense == "<=" and lhs > rhs + TOLERANCE:
             violations.append((family.template, f"{name}: {lhs} > {rhs}"))
@@ -925,7 +928,8 @@ def check_solution(
                     x = values.get(col)
                     if x:
                         lhs += coef * x
-                judge(family, at, lhs, rhs)
+                if lhs != rhs:
+                    judge(family, at, lhs, rhs)
             continue
         for at, terms in _reached(family, support):
             lhs = 0.0

@@ -191,7 +191,7 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-balance-empty", MODEL,
-        "[whole(y, lambda k: ends(asset_nodes, asset_ends, k))])", "[])",
+        "[whole(y, lambda k: ends(asset_ends, k))])", "[])",
         REACH,
     ),
     Mutant(
@@ -214,6 +214,11 @@ CATALOGUE = (
         REACH,
     ),
     Mutant(
+        "reach-head-among-the-out-arcs", MODEL,
+        "len(out[head]) + at_head", "at_head",
+        REACH,
+    ),
+    Mutant(
         "reach-svc-once-rhs-zero", MODEL,
         "rhs=1.0)", ")",
         REACH,
@@ -222,6 +227,13 @@ CATALOGUE = (
         "replay-in-column-order", MODEL,
         "terms.sort()", "terms.sort(key=lambda entry: entry[2])",
         ("tests/test_model.py::test_checker_matches_a_term_by_term_reference",),
+    ),
+    # a name goes to the first family, in family order, that parses it
+    Mutant(
+        "holders-narrowest-head-first", MODEL,
+        "len(head) for head in heads}, reverse=True)",
+        "len(head) for head in heads})",
+        ("tests/test_model.py::test_a_name_goes_to_the_first_family_that_parses_it",),
     ),
     # the matcher keeps the textbook scheme's every order and tie-break,
     # which the pinned mate arrays of `tests/test_matching.py` hold to

@@ -27,6 +27,7 @@ from cssnd.dmam import PathBook, Solution, run_dmam, solution_to_assignment
 from cssnd.instgen import generate_instance
 from cssnd.io import save_instance
 from cssnd.model import (
+    D_NAME,
     P_NAME,
     S_NAME,
     X_NAME,
@@ -516,6 +517,40 @@ def test_a_bad_touched_position_is_an_error(reached):
     with pytest.raises(CssndError, match=re.escape(
             "row family bad_r{} names position")):
         check_solution(None, None, [], model, {"b1": 1.0})
+
+
+def test_a_name_goes_to_the_first_family_that_parses_it():
+    """Column templates whose literal heads (the text before the first
+    field) differ in width, are shared, or are empty: each name goes to the
+    first family in family order whose template parses it, as if every
+    family were tried in turn.  The objective prices column c at 2**c, so
+    it reads which columns took a value."""
+    model = ModelIR()
+    for template, axes in [("{}_w", [[5]]), ("x{}", [[1, 2, 12]]),
+                           ("x{}_t{}", [[1, 2], [3]]), ("xy{}", [[1]]),
+                           ("a{}", [[12]]), ("a1{}", [[2]]),
+                           ("b1{}", [[2]]), ("b{}", [[12]]),
+                           (D_NAME, [[]]), (P_NAME, [[]]), (S_NAME, [[], []])]:
+        model.add_family(template, "binary", *axes)
+    model.objective_terms = lambda support: [
+        (2.0 ** c, c) for c in range(model.column_count)]
+    names = ["5_w", "x1", "x12", "x2_t3", "xy1", "a12", "a2", "b12", "x1_t4",
+             "y1", "x", "", "a1"]
+
+    def first_holder(name):
+        return next((col for family in model.families
+                     if (col := family.parse(name)) is not None), None)
+
+    held = {name: first_holder(name) for name in names}
+    assert held["a12"] == model.family("a{}").column(12)
+    assert held["b12"] == model.family("b1{}").column(2)
+    assert [name for name, col in held.items() if col is None] == [
+        "a2", "x1_t4", "y1", "x", "", "a1"]
+    instance = SimpleNamespace(owned_assets=0, leasable_assets=0)
+    result = check_solution(instance, None, [], model, dict.fromkeys(names, 1.0))
+    assert result.feasible
+    assert result.objective == sum(2.0 ** col for col in held.values()
+                                   if col is not None)
 
 
 def test_a_model_reads_alike_twice(sample_model, tmp_path):
