@@ -47,6 +47,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, product, starmap
 from json.encoder import encode_basestring_ascii as quote
 from pathlib import Path
@@ -119,15 +120,22 @@ class Family:
         self.reach = reach
         self.rhs = rhs
         self.axes = tuple(tuple(axis) for axis in axes)
-        self._position = [{key: i for i, key in enumerate(axis)}
-                          for axis in self.axes]
-        if any(len(p) != len(a) for p, a in zip(self._position, self.axes)):
+        if any(len(set(axis)) != len(axis) for axis in self.axes):
             raise CssndError(f"duplicate key in family {template}")
         self.size = 1
         for axis in self.axes:
             self.size *= len(axis)
-        self._pattern = re.compile(
-            "(0|-?[1-9][0-9]*)".join(map(re.escape, template.split("{}")))
+
+    # Only column families look keys up or parse names, so the lookups are
+    # made at the first call.
+    @cached_property
+    def _position(self) -> list[dict[int, int]]:
+        return [{key: i for i, key in enumerate(axis)} for axis in self.axes]
+
+    @cached_property
+    def _pattern(self) -> re.Pattern:
+        return re.compile(
+            "(0|-?[1-9][0-9]*)".join(map(re.escape, self.template.split("{}")))
         )
 
     def names(self) -> Iterator[str]:

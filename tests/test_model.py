@@ -519,6 +519,16 @@ def test_a_bad_touched_position_is_an_error(reached):
         check_solution(None, None, [], model, {"b1": 1.0})
 
 
+def test_a_family_with_a_duplicate_key_is_refused_when_it_is_made():
+    """Row families too, though only column families look keys up."""
+    model = ModelIR()
+    with pytest.raises(CssndError, match=re.escape("duplicate key in family x{}_t{}")):
+        model.add_family("x{}_t{}", "binary", [1, 2], [3, 4, 3])
+    with pytest.raises(CssndError, match=re.escape("duplicate key in family r{}")):
+        model.add_rows("r{}", "<=", [[7, 7]], make=lambda at: ((), (), 0.0))
+    assert (model.families, model.row_families) == ([], [])
+
+
 def test_a_name_goes_to_the_first_family_that_parses_it():
     """Column templates whose literal heads (the text before the first
     field) differ in width, are shared, or are empty: each name goes to the
