@@ -123,51 +123,97 @@ def cmd_export(args):
     return 0, args.out, _file_digest(args.input), {}
 
 
-def _schedule_document(solution, report, digest: str) -> dict:
-    tsn = solution.tsn
+# The `solve --out` schedule as json.dumps(document, indent=2) lays it out,
+# written from templates: an arc entry under `cycles` sits four levels in,
+# a cycle or `selected` entry two.  Scalars other than ints go through
+# json.dumps, so floats and strings are encoded as the stdlib encodes them.
+_DOCUMENT = """\
+{
+  "instance_hash": %s,
+  "config": %s,
+  "summary": %s,
+  "cost_breakdown": %s,
+  "selected": %s,
+  "cycles": %s,
+  "outsourced": %s
+}
+"""
+_SELECTED = """{
+      "oc": %d,
+      "tc": %d,
+      "kind": %s,
+      "mode": %s,
+      "arcs": %s,
+      "cost": %s
+    }"""
+_CYCLE = """{
+      "asset": %d,
+      "kind": %s,
+      "carried_tcs": %s,
+      "arcs": %s
+    }"""
+_ARC = """{
+          "arc": %d,
+          "kind": %s,
+          "from": [
+            %d,
+            %d
+          ],
+          "to": [
+            %d,
+            %d
+          ]
+        }"""
 
-    def arc_entry(arc_id: int) -> dict:
-        arc = tsn.arcs[arc_id - 1]
-        return {
-            "arc": arc.id,
-            "kind": arc.kind,
-            "from": [arc.phys_from, arc.depart],
-            "to": [arc.phys_to, arc.arrive],
-        }
 
-    cycles = []
-    for cycle in solution.cycles:
-        carried = sorted(leg.path.tc_id for leg in cycle.legs)
-        cycles.append(
-            {
-                "asset": cycle.asset_id,
-                "kind": cycle.kind,
-                "carried_tcs": carried,
-                "arcs": [arc_entry(a) for a in cycle.arc_seq],
-            }
-        )
+def _block(items, depth: int, brackets: str = "[]") -> str:
+    """A JSON array, or with brackets "{}" an object, of encoded `items`
+    whose brackets sit `depth` levels in, laid out as json.dumps(indent=2)
+    lays it out.  An item's own inner lines carry their indent already."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _members(mapping: dict, depth: int) -> str:
+    dumps = json.dumps
+    return _block([f"{dumps(k)}: {dumps(v)}" for k, v in mapping.items()],
+                  depth, "{}")
+
+
+def _schedule_text(solution, report, digest: str) -> str:
+    """The schedule JSON that `solve --out` writes, newline-terminated."""
+    dumps = json.dumps
+    arcs = solution.tsn.arcs
+
+    @functools.cache
+    def arc_entry(arc_id: int) -> str:
+        arc = arcs[arc_id - 1]
+        return _ARC % (arc.id, dumps(arc.kind), arc.phys_from, arc.depart,
+                       arc.phys_to, arc.arrive)
+
     selected = []
     for oc_id in sorted(solution.selected):
         path = solution.selected[oc_id]
-        selected.append(
-            {
-                "oc": oc_id,
-                "tc": path.tc_id,
-                "kind": path.kind,
-                "mode": path.mode,
-                "arcs": list(path.arcs),
-                "cost": path.cost,
-            }
+        selected.append(_SELECTED % (
+            oc_id, path.tc_id, dumps(path.kind), dumps(path.mode),
+            _block([str(a) for a in path.arcs], 3), dumps(path.cost),
+        ))
+    cycles = [
+        _CYCLE % (
+            cycle.asset_id, dumps(cycle.kind),
+            _block([str(t) for t in sorted(leg.path.tc_id for leg in cycle.legs)], 3),
+            _block([arc_entry(a) for a in cycle.arc_seq], 3),
         )
-    return {
-        "instance_hash": digest,
-        "config": report["config"],
-        "summary": solution.summary(),
-        "cost_breakdown": solution.cost_breakdown(),
-        "selected": selected,
-        "cycles": cycles,
-        "outsourced": sorted(solution.outsourced),
-    }
+        for cycle in solution.cycles
+    ]
+    return _DOCUMENT % (
+        dumps(digest), dumps(report["config"]),
+        _members(solution.summary(), 1), _members(solution.cost_breakdown(), 1),
+        _block(selected, 1), _block(cycles, 1),
+        _block([str(oc) for oc in sorted(solution.outsourced)], 1),
+    )
 
 
 def cmd_solve(args):
@@ -175,8 +221,7 @@ def cmd_solve(args):
     digest = _file_digest(args.input)
     solution, report = run_dmam(instance, args.config)
     if args.out:
-        document = _schedule_document(solution, report, digest)
-        Path(args.out).write_text(json.dumps(document, indent=2) + "\n")
+        Path(args.out).write_text(_schedule_text(solution, report, digest))
     if args.report:
         row = {
             "instance": Path(args.input).stem,

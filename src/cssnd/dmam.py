@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,7 +73,13 @@ from .core import (
 )
 from .matching import max_weight_matching
 from .model import D_NAME, P_NAME, S_NAME, X_NAME, Y_NAME
-from .paths import OFFERED, OUTSOURCED_MODE, CommodityPath, enumerate_paths
+from .paths import (
+    OFFERED,
+    OUTSOURCED_MODE,
+    CommodityPath,
+    PathShapes,
+    PathsById,
+)
 
 CONFIG_RANDOM = "r"
 CONFIG_CUSTOM = "c"
@@ -159,46 +166,72 @@ class MergeCandidate(NamedTuple):
 
 
 class PathBook:
-    """All generated paths plus the lookups the phases need.  A leg is cut
-    from its path only where an asset runs it, so the book keeps none."""
+    """Every TC's paths, numbered from 1 in TC order, plus the lookups the
+    phases need.  A path is made the first time it is read (see
+    `PathShapes`), and each lookup makes only the paths it returns.
+    `by_id` maps every path id to its path.  A leg is cut from its path
+    only where an asset runs it, so the book keeps none."""
 
     def __init__(self, instance: Instance, tsn: TimeSpaceNetwork):
         self.instance = instance
         self.tsn = tsn
         self.tcs, self.incidence = expand_commodities(instance)
         self.tc_by_id = {tc.id: tc for tc in self.tcs}
-        self.by_id: dict[int, CommodityPath] = {}
-        self.by_tc: dict[int, list[CommodityPath]] = {}
+        self.shapes: dict[int, PathShapes] = {}
         next_id = 1
         for tc in self.tcs:
-            tc_paths = enumerate_paths(tc, tsn, instance.costs, id_start=next_id)
-            next_id += len(tc_paths)
-            self.by_tc[tc.id] = tc_paths
-            for p in tc_paths:
-                self.by_id[p.id] = p
+            shapes = self.shapes[tc.id] = PathShapes(
+                tc, tsn, instance.costs, next_id
+            )
+            next_id += shapes.count
+        self.by_id = PathsById(list(self.shapes.values()))
 
     def tc_of(self, path: CommodityPath) -> TransformedCommodity:
         return self.tc_by_id[path.tc_id]
 
+    def tc_paths(self, tc_id: int) -> list[CommodityPath]:
+        return self.shapes[tc_id].paths()
+
     def oc_paths(self, oc_id: int) -> list[CommodityPath]:
         return [
-            p for tc_id in self.incidence[oc_id] for p in self.by_tc[tc_id]
+            p for tc_id in self.incidence[oc_id] for p in self.tc_paths(tc_id)
         ]
 
     def sibling(self, path: CommodityPath, offset: int) -> CommodityPath | None:
         """Same-shape offered path of the TC shifted by `offset` periods.
-        A commodity's variants share one window span, so `enumerate_paths`
-        gives them one list of shapes: the sibling sits at the same index."""
+        A commodity's variants share one window span, so they share one
+        list of shapes: the sibling has the same shape index."""
         shift = KIND_SHIFT[path.kind] + offset
         if path.mode != OFFERED or shift not in (-1, 0, 1):
             return None
         tc_id = self.incidence[path.oc_id][shift + 1]     # early, original, tardy
-        return self.by_tc[tc_id][path.id - self.by_tc[path.tc_id][0].id]
+        return self.shapes[tc_id].path(path.id - self.shapes[path.tc_id].first_id)
+
+    def cheapest(self, oc_id: int, taken: Container[int]) -> CommodityPath:
+        """The first of `oc_paths(oc_id)` by (cost, id) that is outsourced
+        or whose service leg is not in `taken`.  A path costs what its leg
+        costs, and a lead's shapes are numbered from trail 0 up, so only
+        each free leg's shape with trail 0 and each variant's outsourced
+        path compete, and only the one picked is made."""
+        candidates = []     # (cost, id, shapes, shape index)
+        for tc_id in self.incidence[oc_id]:
+            shapes = self.shapes[tc_id]
+            for lead, (leg, cost) in enumerate(zip(shapes.legs, shapes.leg_costs)):
+                if leg.id not in taken:
+                    index = shapes.index(lead, 0)
+                    candidates.append((cost, shapes.first_id + index, shapes, index))
+            index = shapes.count - 1
+            candidates.append((shapes.out_cost, shapes.first_id + index, shapes, index))
+        _, _, shapes, index = min(candidates)
+        return shapes.path(index)
 
     def cheapest_outsourced(self, oc_id: int) -> CommodityPath:
-        """Each variant's outsourced path ends its list."""
-        return min((self.by_tc[tc_id][-1] for tc_id in self.incidence[oc_id]),
-                   key=lambda p: (p.cost, p.id))
+        """Each variant's outsourced path ends its shapes, and ids rise
+        with the variant."""
+        return min(
+            (self.shapes[tc_id] for tc_id in self.incidence[oc_id]),
+            key=lambda shapes: (shapes.out_cost, shapes.first_id),
+        ).outsourced()
 
 
 @dataclass(eq=False)
@@ -283,11 +316,7 @@ def construct_initial(instance: Instance, book: PathBook) -> Solution:
     solution = Solution(instance=instance, tsn=book.tsn, book=book)
     registry = solution.svc_registry
     for oc in instance.commodities:
-        path = min(
-            (p for p in book.oc_paths(oc.id)
-             if p.mode != OFFERED or p.arcs[p.lead_holds] not in registry),
-            key=lambda p: (p.cost, p.id),
-        )
+        path = book.cheapest(oc.id, registry)
         solution.selected[oc.id] = path
         if path.mode == OFFERED:
             registry[path.arcs[path.lead_holds]] = path.id

@@ -20,6 +20,14 @@ destination's arcs starting where its leg arrives.  A path's cost depends
 only on its leg, so it is worked out once per leg and shared by the leg's
 shapes.
 
+Paths are made on demand.  A TC keeps its shapes as arithmetic
+(`PathShapes`): its legs and their prices, its first path id and the shape
+index of each (lead, trail).  A path is made the first time it is read and
+kept, so one id always gives one object, and the holding arcs are looked
+up with the TC's first offered path.  A caller that needs only prices, as
+Phase II's cheapest-path choice does, reads the legs' prices and makes the
+one path it picks.
+
 Volume follows the exact model: holding and service arcs are billed per
 unit of flow, so their cost scales with the TC's volume, while an
 outsourced leg is billed once per shipment.  A service leg is offered only
@@ -28,6 +36,8 @@ when its capacity holds the whole volume; a larger commodity is outsourced.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from typing import NamedTuple
 
 from .core import (
@@ -76,64 +86,147 @@ def path_cost(
     return multiplier * (leg_cost + volume * holding_cost * residual)
 
 
+class PathShapes:
+    """The paths of one TC, numbered from `first_id`, as shape arithmetic.
+
+    Offered shapes are every split (lead, trail) of at most `slack` holding
+    arcs around the service leg, numbered lead-ascending then trail-
+    ascending; the outsourced shape comes last.  The outsourced shape is the
+    outsourced arc at release with no holding arcs around it, the only shape
+    when the window is too tight for any offered leg or the service capacity
+    is below the TC's volume: a third party can always be paid to carry the
+    commodity.
+
+    The shapes are kept as their legs and prices: `legs[lead]` departs
+    `lead` periods after release and costs `leg_costs[lead]`, shared by
+    every trail of the lead; the outsourced path costs `out_cost`.  A path
+    is made the first time `path` is asked for its shape index and kept,
+    so an index always gives the same object.  The holding arcs are looked
+    up when the first offered path is made.
+    """
+
+    __slots__ = ("tc", "tsn", "first_id", "legs", "leg_costs", "out",
+                 "out_cost", "count", "_duration", "_slack", "_holds", "_paths")
+
+    def __init__(self, tc: TransformedCommodity, tsn: TimeSpaceNetwork,
+                 costs: CostParams, first_id: int = 1):
+        period_count = tsn.period_count
+        span = tc.window_span(period_count)
+        o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
+        service = tsn.service_arc(o, dest, 1)
+        d = service.duration
+        slack = span - d
+        legs = []
+        if service.capacity >= tc.volume:
+            legs = [
+                tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
+                for lead in range(slack + 1)
+            ]
+        out = tsn.outsourced_arc(o, dest, release)
+        *prices, out_price = costs.table.pricer(legs + [out])(tc.id)
+        multiplier = costs.multiplier(tc.kind)
+
+        def priced(charge: float) -> float:
+            return path_cost(charge, costs.holding_cost, span, d, multiplier, tc.volume)
+
+        self.tc, self.tsn, self.first_id = tc, tsn, first_id
+        # service legs are billed per unit of volume, the outsourced leg
+        # once per shipment
+        self.legs, self.out = legs, out
+        self.leg_costs = [priced(tc.volume * price) for price in prices]
+        self.out_cost = priced(out_price)
+        self.count = len(legs) * (len(legs) + 1) // 2 + 1
+        self._duration, self._slack = d, slack
+        self._holds: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._paths: list[CommodityPath | None] = [None] * self.count
+
+    def index(self, lead: int, trail: int) -> int:
+        """The shape index of the offered shape (lead, trail)."""
+        return lead * len(self.legs) - lead * (lead - 1) // 2 + trail
+
+    def path(self, index: int) -> CommodityPath:
+        """The path of shape `index`, made on the first call."""
+        path = self._paths[index]
+        if path is None:
+            path = self._paths[index] = self._make(index)
+        return path
+
+    def outsourced(self) -> CommodityPath:
+        return self.path(self.count - 1)
+
+    def paths(self) -> list[CommodityPath]:
+        """Every path of the TC, in shape order."""
+        return [self.path(index) for index in range(self.count)]
+
+    def _make(self, index: int) -> CommodityPath:
+        tc, tsn = self.tc, self.tsn
+        period_count = tsn.period_count
+        o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
+        d = self._duration
+        if index == self.count - 1:
+            mode, leg, lead, trail, cost = OUTSOURCED_MODE, self.out, 0, 0, self.out_cost
+            arcs: tuple[int, ...] = (leg.id,)
+        else:
+            lead, trail, width = 0, index, len(self.legs)
+            while trail >= width - lead:
+                trail -= width - lead
+                lead += 1
+            mode, leg, cost = OFFERED, self.legs[lead], self.leg_costs[lead]
+            waits, trails = self._holds or self._look_up_holds()
+            arcs = (*waits[:lead], leg.id, *trails[lead:lead + trail])
+        return CommodityPath(
+            self.first_id + index, tc.id, tc.parent_id, tc.kind, mode, arcs,
+            o, dest, release, wrap_period(leg.arrive + trail, period_count),
+            d, lead, trail, lead + d + trail, cost,
+        )
+
+    def _look_up_holds(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The origin's wait arcs from release and the destination's holding
+        arcs from the earliest arrival, kept: a leg `lead` periods after
+        release starts its trail at trails[lead]."""
+        tc, tsn = self.tc, self.tsn
+        period_count = tsn.period_count
+
+        def holds(phys: int, first: int) -> tuple[int, ...]:
+            return tuple(
+                tsn.holding_arc(phys, wrap_period(first + step, period_count)).id
+                for step in range(self._slack)
+            )
+
+        self._holds = (holds(tc.origin_physical, tc.release_period),
+                       holds(tc.dest_physical, tc.release_period + self._duration))
+        return self._holds
+
+
+class PathsById(Mapping):
+    """Path id -> path over the shapes of TCs numbered back to back, each
+    path made the first time it is read.  Its length is the number of ids,
+    made or not."""
+
+    def __init__(self, shapes: list[PathShapes]):
+        self._shapes = shapes
+        self._firsts = [s.first_id for s in shapes]
+        self._count = shapes[-1].first_id + shapes[-1].count - 1 if shapes else 0
+
+    def __getitem__(self, path_id: int) -> CommodityPath:
+        if type(path_id) is not int or not 1 <= path_id <= self._count:
+            raise KeyError(path_id)
+        shapes = self._shapes[bisect_right(self._firsts, path_id) - 1]
+        return shapes.path(path_id - shapes.first_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, self._count + 1))
+
+    def __len__(self) -> int:
+        return self._count
+
+
 def enumerate_paths(
     tc: TransformedCommodity,
     tsn: TimeSpaceNetwork,
     costs: CostParams,
     id_start: int = 1,
 ) -> list[CommodityPath]:
-    """All single-leg paths of a TC, offered shapes first, then outsourced.
-
-    Offered shapes are every split (lead, trail) of at most `slack` holding
-    arcs around the service leg, enumerated lead-ascending then trail-
-    ascending.  The list always ends with the outsourced path, which is
-    the only one when the window is too tight for any offered leg or the
-    service capacity is below the TC's volume: a third party can always be
-    paid to carry the commodity.  The outsourced shape is the outsourced
-    arc at release with no holding arcs around it.
-    """
-    period_count = tsn.period_count
-    span = tc.window_span(period_count)
-    o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
-    service = tsn.service_arc(o, dest, 1)
-    d = service.duration
-    slack = span - d
-    legs = []
-    if service.capacity >= tc.volume:
-        legs = [
-            tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
-            for lead in range(slack + 1)
-        ]
-    out = tsn.outsourced_arc(o, dest, release)
-    *prices, out_price = costs.table.pricer(legs + [out])(tc.id)
-    multiplier = costs.multiplier(tc.kind)
-
-    def priced(charge: float) -> float:
-        return path_cost(charge, costs.holding_cost, span, d, multiplier, tc.volume)
-
-    def holds(phys: int, first: int) -> tuple[int, ...]:
-        return tuple(
-            tsn.holding_arc(phys, wrap_period(first + step, period_count)).id
-            for step in range(slack)
-        )
-
-    # a leg `lead` periods after release starts its trail at trails[lead]
-    waits, trails = holds(o, release), holds(dest, release + d)
-    # (mode, leg, lead, trail, cost): service legs are billed per unit of
-    # volume, the outsourced leg once per shipment
-    leg_costs = [priced(tc.volume * price) for price in prices]
-    shapes = [
-        (OFFERED, leg, lead, trail, cost)
-        for lead, (leg, cost) in enumerate(zip(legs, leg_costs))
-        for trail in range(slack - lead + 1)
-    ]
-    shapes.append((OUTSOURCED_MODE, out, 0, 0, priced(out_price)))
-    return [
-        CommodityPath(
-            id_start + n, tc.id, tc.parent_id, tc.kind, mode,
-            (*waits[:lead], leg.id, *trails[lead:lead + trail]),
-            o, dest, release, wrap_period(leg.arrive + trail, period_count),
-            d, lead, trail, lead + d + trail, cost,
-        )
-        for n, (mode, leg, lead, trail, cost) in enumerate(shapes)
-    ]
+    """Every shape of a TC made, offered shapes first, then the outsourced
+    one (see `PathShapes`), numbered from `id_start`."""
+    return PathShapes(tc, tsn, costs, id_start).paths()

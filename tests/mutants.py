@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 DMAM = "cssnd/dmam.py"
 MODEL = "cssnd/model.py"
 MATCHING = "cssnd/matching.py"
+PATHS = "cssnd/paths.py"
+CLI = "cssnd/cli.py"
 REACH = ("tests/test_model.py::test_reach_is_make_transposed",)
 ORACLE = ("tests/test_oracle.py::test_every_tiny_instance_agrees_with_its_highs_optimum",)
 MATES = ("tests/test_matching.py",)
@@ -50,6 +52,19 @@ LEG_SITES = (
     "tests/test_dmam.py::test_refused_commit_marks_the_trip_slots_it_freed_again",
 )
 LONE_CYCLES = "tests/test_dmam.py::test_each_offered_selection_rides_one_lone_cycle_of_its_own"
+# the template of an arc entry under a schedule's `cycles`, four levels in
+ARC_TEMPLATE = '''_ARC = """{
+          "arc": %d,
+          "kind": %s,
+          "from": [
+            %d,
+            %d
+          ],
+          "to": [
+            %d,
+            %d
+          ]
+        }"""'''
 
 
 def golden(*outputs: str) -> tuple[str, ...]:
@@ -234,6 +249,25 @@ CATALOGUE = (
         "len(head) for head in heads}, reverse=True)",
         "len(head) for head in heads})",
         ("tests/test_model.py::test_a_name_goes_to_the_first_family_that_parses_it",),
+    ),
+    # the book makes a path once, and Phase II picks from per-leg prices,
+    # where a lead's cheapest id is its shape with trail 0
+    Mutant(
+        "book-path-made-at-every-read", PATHS,
+        "path = self._paths[index] = self._make(index)",
+        "path = self._make(index)",
+        ("tests/test_paths.py::test_an_id_always_gives_the_same_path_object",),
+    ),
+    Mutant(
+        "dedication-takes-trail-one", DMAM,
+        "index = shapes.index(lead, 0)", "index = shapes.index(lead, 1)",
+        ("tests/test_dmam.py::test_dedication_picks_the_least_free_path_by_cost_and_id",),
+    ),
+    # the schedule writer lays out what json.dumps(indent=2) would
+    Mutant(
+        "schedule-arc-one-level-out", CLI,
+        ARC_TEMPLATE, ARC_TEMPLATE.replace("\n  ", "\n"),
+        ("tests/test_cli.py::test_schedule_writer_matches_the_stdlib_on_edge_inputs",),
     ),
     # the matcher keeps the textbook scheme's every order and tie-break,
     # which the pinned mate arrays of `tests/test_matching.py` hold to

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import cssnd
-from cssnd.cli import main
+from cssnd.cli import _schedule_text, main
 from cssnd.core import Instance, build_time_space_network
-from cssnd.dmam import PathBook
-from cssnd.instgen import generate_instance
+from cssnd.dmam import PathBook, run_dmam
+from cssnd.instgen import generate_instance, size_class
 from cssnd.io import instance_to_dict, save_instance
 from tests.conftest import make_sample_instance, routing_rows
 
@@ -476,3 +477,107 @@ def test_exhausted_fleet_outsources_merged_cycles(tmp_path, capsys, config):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["feasible"] is True
     assert verdict["objective"] == pytest.approx(summary["total_cost"], abs=1e-6)
+
+
+def _schedule_document(solution, report, digest: str) -> dict:
+    """The schedule that `solve --out` writes, as a dict for json.dumps."""
+    tsn = solution.tsn
+
+    def arc_entry(arc_id: int) -> dict:
+        arc = tsn.arcs[arc_id - 1]
+        return {
+            "arc": arc.id,
+            "kind": arc.kind,
+            "from": [arc.phys_from, arc.depart],
+            "to": [arc.phys_to, arc.arrive],
+        }
+
+    cycles = []
+    for cycle in solution.cycles:
+        carried = sorted(leg.path.tc_id for leg in cycle.legs)
+        cycles.append(
+            {
+                "asset": cycle.asset_id,
+                "kind": cycle.kind,
+                "carried_tcs": carried,
+                "arcs": [arc_entry(a) for a in cycle.arc_seq],
+            }
+        )
+    selected = []
+    for oc_id in sorted(solution.selected):
+        path = solution.selected[oc_id]
+        selected.append(
+            {
+                "oc": oc_id,
+                "tc": path.tc_id,
+                "kind": path.kind,
+                "mode": path.mode,
+                "arcs": list(path.arcs),
+                "cost": path.cost,
+            }
+        )
+    return {
+        "instance_hash": digest,
+        "config": report["config"],
+        "summary": solution.summary(),
+        "cost_breakdown": solution.cost_breakdown(),
+        "selected": selected,
+        "cycles": cycles,
+        "outsourced": sorted(solution.outsourced),
+    }
+
+
+def assert_written_as_the_stdlib_writes(solution, report):
+    digest = "0123456789abcdef" * 4
+    document = _schedule_document(solution, report, digest)
+    assert _schedule_text(solution, report, digest) == (
+        json.dumps(document, indent=2) + "\n")
+
+
+def test_schedule_writer_matches_the_stdlib_on_the_solve_sweep():
+    """Every schedule of the golden solve sweep: each size class and k
+    option at seeds 1-2, with configs r, c and a."""
+    for size in ("small", "medium", "large", "xlarge"):
+        for k in size_class(size).k_options:
+            for seed in (1, 2):
+                instance = generate_instance(size, k, seed)
+                for config in "rca":
+                    assert_written_as_the_stdlib_writes(*run_dmam(instance, config))
+
+
+def _no_cycles(solution):
+    solution.cycles.clear()
+
+
+def _one_arc_path(solution):
+    oc_id, path = next(iter(solution.selected.items()))
+    solution.selected[oc_id] = path._replace(arcs=(path.arcs[path.lead_holds],))
+
+
+def _odd_costs(solution):
+    for (oc_id, path), cost in zip(list(solution.selected.items()),
+                                   (-1.5e-07, 2.5e+16, -0.0, 1e-300, -3.25)):
+        solution.selected[oc_id] = path._replace(cost=cost)
+
+
+def _negative_costs(instance):
+    costs = dataclasses.replace(instance.costs, fixed_owned=-25, fixed_leased=-50.0,
+                                holding_cost=-0.15, penalty_early=1)
+    return dataclasses.replace(instance, costs=costs)
+
+
+@pytest.mark.parametrize("edit, priced", [
+    (None, None),                   # nothing outsourced
+    (_no_cycles, None),
+    (_one_arc_path, None),
+    (_odd_costs, None),
+    (None, _negative_costs),        # the input contract allows them
+], ids=["nothing-outsourced", "no-cycles", "one-arc-path", "exponent-costs",
+        "negative-costs"])
+def test_schedule_writer_matches_the_stdlib_on_edge_inputs(edit, priced):
+    instance = generate_instance("small", 10, 1)
+    solution, report = run_dmam(priced(instance) if priced else instance, "a")
+    assert not solution.outsourced
+    if edit:
+        edit(solution)
+    assert_written_as_the_stdlib_writes(solution, report)

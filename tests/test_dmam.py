@@ -387,8 +387,8 @@ def shifted_fixture(kind_one="original", kind_two="original", specs=None):
     kinds = {"early": 0, "original": 1, "tardy": 2}
     tc1 = book.incidence[1][kinds[kind_one]]
     tc2 = book.incidence[2][kinds[kind_two]]
-    p1 = next(p for p in book.by_tc[tc1] if p.mode == "offered")
-    p2 = next(p for p in book.by_tc[tc2] if p.mode == "offered")
+    p1 = next(p for p in book.tc_paths(tc1) if p.mode == "offered")
+    p2 = next(p for p in book.tc_paths(tc2) if p.mode == "offered")
     return Solution(instance=instance, tsn=book.tsn, book=book), p1, p2
 
 
@@ -422,7 +422,7 @@ def test_path_book_finds_siblings_and_outsourced_paths_by_position(seed):
     book = PathBook(instance, build_time_space_network(instance.physical,
                                                        instance.period_count))
     for oc_id, variants in book.incidence.items():
-        paths = [p for tc_id in variants for p in book.by_tc[tc_id]]
+        paths = [p for tc_id in variants for p in book.tc_paths(tc_id)]
         assert book.cheapest_outsourced(oc_id) == min(
             (p for p in paths if p.mode == "outsourced"), key=lambda p: (p.cost, p.id))
         for path, offset in itertools.product(paths, (-2, -1, 0, 1, 2)):
@@ -481,8 +481,8 @@ def test_shifted_merge_rejects_three_period_gap():
     instance = make_instance([(1, 2, 1, 4), (2, 1, 1, 4)], n=2, d_value=3)
     book = PathBook(instance, tsn_of(instance))
     solution = Solution(instance=instance, tsn=book.tsn, book=book)
-    p1 = next(p for p in book.by_tc[2] if p.mode == "offered")
-    p2 = next(p for p in book.by_tc[5] if p.mode == "offered")
+    p1 = next(p for p in book.tc_paths(2) if p.mode == "offered")
+    p2 = next(p for p in book.tc_paths(5) if p.mode == "offered")
     assert _overruns([leg_view(p1), leg_view(p2)], instance) == [-4, 3]
     assert explore_pair(leg_view(p1), leg_view(p2), solution) is None
 
@@ -507,6 +507,32 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
 
 
 # --- Phase II ---------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), size=st.sampled_from(["small", "medium"]),
+       seed=st.integers(min_value=1, max_value=4), flat=st.booleans())
+def test_dedication_picks_the_least_free_path_by_cost_and_id(data, size, seed, flat):
+    """Under a drawn registry, `PathBook.cheapest` gives the least path by
+    (cost, id) among a commodity's outsourced paths and its offered ones
+    whose service leg is free, and the same object.  With every route
+    priced alike (`flat`), costs tie across legs and the id decides."""
+    instance = generate_instance(size, size_class(size).k_options[0], seed)
+    if flat:
+        table = {tuple(row[:5]): 1.0 for row in routing_rows(instance)}
+        instance = dataclasses.replace(instance, costs=CostParams(routing_table=table))
+    book = PathBook(instance, tsn_of(instance))
+    for oc_id, variants in book.incidence.items():
+        legs = sorted({leg.id for tc_id in variants for leg in book.shapes[tc_id].legs})
+        taken = set(data.draw(st.lists(st.sampled_from(legs), unique=True))
+                    if legs else ())
+        picked = book.cheapest(oc_id, taken)
+        assert picked is min(
+            (p for p in book.oc_paths(oc_id)
+             if p.mode != "offered" or p.arcs[p.lead_holds] not in taken),
+            key=lambda p: (p.cost, p.id),
+        )
+
 
 
 def test_dedication_skips_a_service_slot_already_taken():

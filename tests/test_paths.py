@@ -258,7 +258,7 @@ def _pin_instances():
 
 
 # sha256 over the path layer of `_pin_instances`: every arc of each network,
-# then every path of each book in `by_tc` order, as plain field tuples
+# then every path of each book in TC order, as plain field tuples
 PATH_LAYER_SHA256 = (
     "8c24ba9714bef7067aec811e85b0368c454c631cbab29ca809159a763bc2f2fe"
 )
@@ -278,10 +278,10 @@ def _path_layer_digest():
                 arc.arrive, arc.duration, arc.capacity.hex(),
             ))
         book = PathBook(instance, tsn)
-        for tc_id, paths in book.by_tc.items():
-            for p in paths:
+        for tc in book.tcs:
+            for p in book.tc_paths(tc.id):
                 feed(name, (
-                    tc_id, p.id, p.tc_id, p.oc_id, p.kind, p.mode, list(p.arcs),
+                    tc.id, p.id, p.tc_id, p.oc_id, p.kind, p.mode, list(p.arcs),
                     p.origin_physical, p.dest_physical, p.depart_period,
                     p.arrival_period, p.leg_duration, p.lead_holds,
                     p.trail_holds, p.busy_periods, p.cost.hex(),
@@ -292,3 +292,49 @@ def _path_layer_digest():
 def test_path_layer_is_pinned():
     """Arcs and paths, ids, order and cost bits, stay exactly as they are."""
     assert _path_layer_digest() == PATH_LAYER_SHA256
+
+
+BOOK_INSTANCES = {
+    "sample": make_sample_instance,
+    **{f"small10-s{seed}": (lambda seed=seed: generate_instance("small", 10, seed))
+       for seed in (1, 2, 3)},
+    "medium25-s1": lambda: generate_instance("medium", 25, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOK_INSTANCES))
+def test_book_makes_each_path_as_enumeration_does(name):
+    """A path the book makes when its id is read, last id first, equals the
+    one `enumerate_paths` makes at that id: every field, the cost bits
+    included."""
+    instance = BOOK_INSTANCES[name]()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    expected = {}
+    for tc in expand_commodities(instance)[0]:
+        for path in enumerate_paths(tc, tsn, instance.costs, len(expected) + 1):
+            expected[path.id] = path
+    book = PathBook(instance, tsn)
+    assert len(book.by_id) == len(expected)
+    for path_id in sorted(expected, reverse=True):
+        made = book.by_id[path_id]
+        assert made == expected[path_id]
+        assert made.cost.hex() == expected[path_id].cost.hex()
+
+
+def test_an_id_always_gives_the_same_path_object():
+    """DMaM tells a swapped path by identity, so every lookup of an id
+    returns the one object made at its first read."""
+    instance = generate_instance("small", 10, 1)
+    book = PathBook(instance, build_time_space_network(instance.physical,
+                                                       instance.period_count))
+    for oc_id in book.incidence:
+        outsourced = book.cheapest_outsourced(oc_id)
+        assert book.by_id[outsourced.id] is outsourced
+        for path in book.oc_paths(oc_id):
+            assert book.by_id[path.id] is path
+            assert book.by_id[path.id] is path
+            if path.mode == OFFERED:
+                assert book.sibling(path, 0) is path
+    assert list(book.by_id) == list(range(1, len(book.by_id) + 1))
+    for missing in (0, len(book.by_id) + 1, True):
+        assert missing not in book.by_id
