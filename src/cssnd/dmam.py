@@ -228,10 +228,11 @@ class PathBook:
     def cheapest_outsourced(self, oc_id: int) -> CommodityPath:
         """Each variant's outsourced path ends its shapes, and ids rise
         with the variant."""
-        return min(
+        shapes = min(
             (self.shapes[tc_id] for tc_id in self.incidence[oc_id]),
             key=lambda shapes: (shapes.out_cost, shapes.first_id),
-        ).outsourced()
+        )
+        return shapes.path(shapes.count - 1)
 
 
 @dataclass(eq=False)

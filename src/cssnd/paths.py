@@ -151,9 +151,6 @@ class PathShapes:
             path = self._paths[index] = self._make(index)
         return path
 
-    def outsourced(self) -> CommodityPath:
-        return self.path(self.count - 1)
-
     def paths(self) -> list[CommodityPath]:
         """Every path of the TC, in shape order."""
         return [self.path(index) for index in range(self.count)]
