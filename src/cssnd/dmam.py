@@ -1,13 +1,14 @@
 """Multi-phase construction and improvement heuristic.
 
-Phase I enumerates commodity paths (see `paths`).  Phase II dedicates one
-asset per cheapest path.  Phase III merges pairs of paths into shared asset
-cycles, either greedily (config "r"), via smallest-conflicted-pairs-first
-selection (config "c"), or via an exact maximum-cardinality minimum-cost
-matching over the explored pairs (config "a").  Phase IV mixes leftover
-single paths into other cycles by letting a holding arc ride a dominant
-path.  Phase V ranks the cycles once, covers the asset shortage by leasing
-or outsourcing in that order, and finalizes asset cycles.
+Phase I numbers the commodity paths, each made when it is first read (see
+`paths`).  Phase II dedicates one asset per cheapest path.  Phase III
+merges pairs of paths into shared asset cycles, either greedily (config
+"r"), via smallest-conflicted-pairs-first selection (config "c"), or via
+an exact maximum-cardinality minimum-cost matching over the explored pairs
+(config "a").  Phase IV mixes leftover single paths into other cycles by
+letting a holding arc ride a dominant path.  Phase V ranks the cycles
+once, covers the asset shortage by leasing or outsourcing in that order,
+and finalizes asset cycles.
 
 Feasibility works on a normalized timeline: each leg of a cycle is lifted
 into the horizon after the start of the leg before it, and the cycle wraps
