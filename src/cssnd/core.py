@@ -320,13 +320,15 @@ class CostTable:
     With a routing seed, the price of TC `tc` on a service arc (i, j,
     depart) is a + b * rng.unit_at(seed, "svc", i, j, depart, tc), and
     likewise with "out" on an outsourced arc.  Each label is absorbed once
-    per table, and the arc's ints are folded onto that state the first time
-    a pricer covers the arc (`absorb` is a left fold).  Only the TC key
-    varies between the TCs of one arc, so each price costs two splitmix64
-    steps.  With a routing table the price is a lookup, and a missing key
+    per table, and the arc's ints are folded onto that state, in lanes
+    (`rng.Lanes`), the first time a price asks for the arc (`absorb` is a
+    left fold).  Only the TC key varies between the TCs of one arc, so each
+    price costs two splitmix64 steps, run for many pairs in one kernel
+    call.  With a routing table the price is a lookup, and a missing key
     is a CssndError.  Holding arcs cost `holding_cost` for every TC.
-    `pricer` is the one entry point: paths and the exact model both price
-    through it.
+    `pricer` (one arc list, a kernel call per TC) and `prices` (many
+    (arcs, TC) requests, one kernel call) are the entry points: paths and
+    the exact model both price through them.
     """
 
     def __init__(self, params: CostParams):
@@ -347,39 +349,67 @@ class CostTable:
         except KeyError:
             raise CssndError(f"routing table has no cost for {key!r}") from None
 
-    def _prefix_of(self, kind: str, i: int, j: int, depart: int) -> int:
-        key = (kind, i, j, depart)
-        state = self._prefix.get(key)
-        if state is None:
-            if self.routing_seed is None:
-                raise CssndError("cost params carry neither routing seed nor table")
-            state = rng.absorb(self._label_state[kind], i, j, depart)
-            self._prefix[key] = state
-        return state
-
-    def pricer(self, arcs: list[Arc]):
-        """A function of a TC id giving its price on each arc of `arcs`."""
-        hold = self.holding_cost
-        keys = [
+    def _keys(self, arcs: list[Arc]) -> list[tuple[str, int, int, int] | None]:
+        """Each arc's (kind, i, j, depart), None on a holding arc."""
+        return [
             None if arc.kind == HOLD
             else (arc.kind, arc.phys_from, arc.phys_to, arc.depart)
             for arc in arcs
         ]
+
+    def _rules(self, keys: list) -> list[tuple[float, float | None]]:
+        """(a, b) of each key's price a + b * U; b is None on a holding arc."""
+        hold = self.holding_cost
+        return [(hold, None) if key is None else PRICE_RULES[key[0]][1:]
+                for key in keys]
+
+    def _states(self, keys: list) -> list[int]:
+        """The prefix state of each priced key, the new ones folded in lanes."""
+        prefix = self._prefix
+        new = [key for key in dict.fromkeys(keys) if key is not None
+               and key not in prefix]
+        if new:
+            if self.routing_seed is None:
+                raise CssndError("cost params carry neither routing seed nor table")
+            lanes = rng.Lanes([self._label_state[key[0]] for key in new])
+            for place in (1, 2, 3):                 # i, j, depart
+                lanes.absorb([key[place] for key in new])
+            prefix.update(zip(new, lanes.states()))
+        return [prefix[key] for key in keys if key is not None]
+
+    def pricer(self, arcs: list[Arc]):
+        """A function of a TC id giving its price on each arc of `arcs`:
+        the arcs' prefix states are packed once, and each call is one
+        kernel call."""
+        keys = self._keys(arcs)
         if self.routing_table is not None:
-            lookup = self._lookup
-            return lambda tc_id: [
-                hold if key is None else lookup((*key, tc_id)) for key in keys
-            ]
-        unit_after = rng.unit_after
-        rules = [
-            (None, hold, 0.0) if key is None
-            else (self._prefix_of(*key), *PRICE_RULES[key[0]][1:])
-            for key in keys
-        ]
-        return lambda tc_id: [
-            a if state is None else a + b * unit_after(state, tc_id)
-            for state, a, b in rules
-        ]
+            return lambda tc_id: self._looked_up(keys, tc_id)
+        rules = self._rules(keys)
+        lanes = rng.Lanes(self._states(keys))
+        return lambda tc_id: _priced(rules, iter(lanes.units_after(tc_id)))
+
+    def prices(self, requests: list[tuple[list[Arc], int]]) -> list[list[float]]:
+        """`pricer(arcs)(tc_id)` of each (arcs, tc_id) in `requests`, from
+        one kernel call."""
+        keyed = [(self._keys(arcs), tc_id) for arcs, tc_id in requests]
+        if self.routing_table is not None:
+            return [self._looked_up(keys, tc_id) for keys, tc_id in keyed]
+        every = [key for keys, _ in keyed for key in keys]
+        lanes = rng.Lanes(self._states(every))
+        units = iter(lanes.units_after([
+            tc_id for keys, tc_id in keyed for key in keys if key is not None
+        ]))
+        return [_priced(self._rules(keys), units) for keys, _ in keyed]
+
+    def _looked_up(self, keys: list, tc_id: int) -> list[float]:
+        hold, lookup = self.holding_cost, self._lookup
+        return [hold if key is None else lookup((*key, tc_id)) for key in keys]
+
+
+def _priced(rules: list[tuple[float, float | None]], units) -> list[float]:
+    """Each rule's price, drawing the next of `units` for each priced one."""
+    draw = units.__next__
+    return [a if b is None else a + b * draw() for a, b in rules]
 
 
 @dataclass(frozen=True)

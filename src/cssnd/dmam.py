@@ -80,6 +80,7 @@ from .paths import (
     CommodityPath,
     PathShapes,
     PathsById,
+    priced_shapes,
 )
 
 CONFIG_RANDOM = "r"
@@ -168,8 +169,9 @@ class MergeCandidate(NamedTuple):
 
 class PathBook:
     """Every TC's paths, numbered from 1 in TC order, plus the lookups the
-    phases need.  A path is made the first time it is read (see
-    `PathShapes`), and each lookup makes only the paths it returns.
+    phases need.  Every TC's legs are priced in one call, a path is made
+    the first time it is read (see `PathShapes`), and each lookup makes
+    only the paths it returns.
     `by_id` maps every path id to its path.  A leg is cut from its path
     only where an asset runs it, so the book keeps none."""
 
@@ -178,14 +180,9 @@ class PathBook:
         self.tsn = tsn
         self.tcs, self.incidence = expand_commodities(instance)
         self.tc_by_id = {tc.id: tc for tc in self.tcs}
-        self.shapes: dict[int, PathShapes] = {}
-        next_id = 1
-        for tc in self.tcs:
-            shapes = self.shapes[tc.id] = PathShapes(
-                tc, tsn, instance.costs, next_id
-            )
-            next_id += shapes.count
-        self.by_id = PathsById(list(self.shapes.values()))
+        every = priced_shapes(self.tcs, tsn, instance.costs)
+        self.shapes: dict[int, PathShapes] = {s.tc.id: s for s in every}
+        self.by_id = PathsById(every)
 
     def tc_of(self, path: CommodityPath) -> TransformedCommodity:
         return self.tc_by_id[path.tc_id]

@@ -396,7 +396,8 @@ def build_mip(
                 for c in _between(support, family.base, top)]
 
     # The objective: d columns, then each TC's x columns on asset arcs and
-    # its s columns.  A support read prices only the support's columns.
+    # its s columns.  A whole read prices one TC at a time; a support read
+    # prices only the support's columns, all in one call.
     table = costs.table
     fixed = [(costs.fixed_owned if v < instance.owned_assets else costs.fixed_leased,
               d_col[v]) for v in range(v_total)]
@@ -406,7 +407,9 @@ def build_mip(
             yield from fixed
             asset_prices = table.pricer(asset_arcs)
             out_prices = table.pricer(outsourced_arcs)
-            picked = ((q, range(n_asset), range(n_out)) for q in range(n_tc))
+            picked = ((q, range(n_asset), range(n_out),
+                       asset_prices(tc.id), out_prices(tc.id))
+                      for q, tc in enumerate(tcs))
         else:
             yield from (fixed[v] for v, _ in cells(support, d, 1))
             on: dict[int, tuple[list, list]] = {}
@@ -415,18 +418,21 @@ def build_mip(
                     on.setdefault(q, ([], []))[0].append(a)
             for q, o in cells(support, s, n_out):
                 on.setdefault(q, ([], []))[1].append(o)
-            picked = ((q, sorted(on_assets), on_out)
-                      for q, (on_assets, on_out) in sorted(on.items()))
-        for q, on_assets, on_out in picked:
-            tc = tcs[q]
-            if support is not None:
-                asset_prices = table.pricer([asset_arcs[i] for i in on_assets])
-                out_prices = table.pricer([outsourced_arcs[o] for o in on_out])
-            m = costs.multiplier(tc.kind)
+            read = [(q, sorted(on_assets), on_out)
+                    for q, (on_assets, on_out) in sorted(on.items())]
+            priced = iter(table.prices([
+                request for q, on_assets, on_out in read
+                for request in (([asset_arcs[i] for i in on_assets], tcs[q].id),
+                                ([outsourced_arcs[o] for o in on_out], tcs[q].id))
+            ]))
+            picked = ((q, on_assets, on_out, next(priced), next(priced))
+                      for q, on_assets, on_out in read)
+        for q, on_assets, on_out, asset_priced, out_priced in picked:
+            m = costs.multiplier(tcs[q].kind)
             xq, sq = x_col[q], s_col[q]
-            for i, price in zip(on_assets, asset_prices(tc.id)):
+            for i, price in zip(on_assets, asset_priced):
                 yield m * price, xq + i
-            for o, price in zip(on_out, out_prices(tc.id)):
+            for o, price in zip(on_out, out_priced):
                 yield m * price, sq + o
 
     model.objective_terms = objective

@@ -18,7 +18,8 @@ release and its destination's holding arcs from the earliest arrival are
 looked up once, and each shape takes a prefix of the waits and a run of the
 destination's arcs starting where its leg arrives.  A path's cost depends
 only on its leg, so it is worked out once per leg and shared by the leg's
-shapes.
+shapes; `priced_shapes` prices the legs of every TC it is given in one
+call of the cost table.
 
 Paths are made on demand.  A TC keeps its shapes as arithmetic
 (`PathShapes`): its legs and their prices, its first path id and the shape
@@ -41,6 +42,7 @@ from collections.abc import Iterator, Mapping
 from typing import NamedTuple
 
 from .core import (
+    Arc,
     CostParams,
     TimeSpaceNetwork,
     TransformedCommodity,
@@ -86,6 +88,21 @@ def path_cost(
     return multiplier * (leg_cost + volume * holding_cost * residual)
 
 
+def shape_arcs(tc: TransformedCommodity,
+               tsn: TimeSpaceNetwork) -> tuple[list[Arc], Arc]:
+    """A TC's service legs, by lead, and its outsourced arc at release."""
+    period_count = tsn.period_count
+    o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
+    service = tsn.service_arc(o, dest, 1)
+    legs = []
+    if service.capacity >= tc.volume:
+        legs = [
+            tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
+            for lead in range(tc.window_span(period_count) - service.duration + 1)
+        ]
+    return legs, tsn.outsourced_arc(o, dest, release)
+
+
 class PathShapes:
     """The paths of one TC, numbered from `first_id`, as shape arithmetic.
 
@@ -109,21 +126,14 @@ class PathShapes:
                  "out_cost", "count", "_duration", "_slack", "_holds", "_paths")
 
     def __init__(self, tc: TransformedCommodity, tsn: TimeSpaceNetwork,
-                 costs: CostParams, first_id: int = 1):
-        period_count = tsn.period_count
-        span = tc.window_span(period_count)
-        o, dest, release = tc.origin_physical, tc.dest_physical, tc.release_period
-        service = tsn.service_arc(o, dest, 1)
-        d = service.duration
+                 costs: CostParams, first_id: int, legs: list[Arc], out: Arc,
+                 prices: list[float]):
+        """`legs` and `out` are `shape_arcs(tc, tsn)`, and `prices` the
+        TC's per-unit prices on the legs, then on `out`."""
+        span = tc.window_span(tsn.period_count)
+        d = out.duration            # an outsourced arc mirrors its service arc
         slack = span - d
-        legs = []
-        if service.capacity >= tc.volume:
-            legs = [
-                tsn.service_arc(o, dest, wrap_period(release + lead, period_count))
-                for lead in range(slack + 1)
-            ]
-        out = tsn.outsourced_arc(o, dest, release)
-        *prices, out_price = costs.table.pricer(legs + [out])(tc.id)
+        *prices, out_price = prices
         multiplier = costs.multiplier(tc.kind)
 
         def priced(charge: float) -> float:
@@ -218,6 +228,21 @@ class PathsById(Mapping):
         return self._count
 
 
+def priced_shapes(tcs: list[TransformedCommodity], tsn: TimeSpaceNetwork,
+                  costs: CostParams, first_id: int = 1) -> list[PathShapes]:
+    """The shapes of each TC of `tcs`, numbered back to back from
+    `first_id`; every TC's legs and outsourced arc are priced in one call."""
+    arcs = [shape_arcs(tc, tsn) for tc in tcs]
+    priced = costs.table.prices(
+        [(legs + [out], tc.id) for tc, (legs, out) in zip(tcs, arcs)]
+    )
+    shapes = []
+    for tc, (legs, out), prices in zip(tcs, arcs, priced):
+        shapes.append(PathShapes(tc, tsn, costs, first_id, legs, out, prices))
+        first_id += shapes[-1].count
+    return shapes
+
+
 def enumerate_paths(
     tc: TransformedCommodity,
     tsn: TimeSpaceNetwork,
@@ -226,4 +251,4 @@ def enumerate_paths(
 ) -> list[CommodityPath]:
     """Every shape of a TC made, offered shapes first, then the outsourced
     one (see `PathShapes`), numbered from `id_start`."""
-    return PathShapes(tc, tsn, costs, id_start).paths()
+    return priced_shapes([tc], tsn, costs, id_start)[0].paths()

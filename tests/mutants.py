@@ -44,6 +44,7 @@ MODEL = "cssnd/model.py"
 MATCHING = "cssnd/matching.py"
 PATHS = "cssnd/paths.py"
 CLI = "cssnd/cli.py"
+RNG = "cssnd/rng.py"
 REACH = ("tests/test_model.py::test_reach_is_make_transposed",)
 ORACLE = ("tests/test_oracle.py::test_every_tiny_instance_agrees_with_its_highs_optimum",)
 MATES = ("tests/test_matching.py",)
@@ -295,6 +296,14 @@ CATALOGUE = (
     Mutant(
         "matching-dual-delta-tie", MATCHING,
         "dualvar[b] < delta", "dualvar[b] <= delta", MATES,
+    ),
+    # without the mask between a shift-xor and its multiply, the bits that
+    # the shift brought down from the next lane spill back into it
+    Mutant(
+        "lanes-spill-into-the-next", RNG,
+        "z = ((s ^ (s >> 30)) & low) * MIX1 & low",
+        "z = (s ^ (s >> 30)) * MIX1 & low",
+        ("tests/test_rng.py::test_lanes_finish_each_lane_as_the_rule_does",),
     ),
 )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from cssnd import rng
@@ -12,6 +14,7 @@ from cssnd.core import (
     SERVICE_COST_HI,
     SERVICE_COST_LO,
     CostParams,
+    CostTable,
     CssndError,
     PhysicalNetwork,
     build_time_space_network,
@@ -244,6 +247,34 @@ def test_cost_table_prefixes_fold_the_arc_onto_the_label_state():
     for (kind, i, j, depart), state in costs.table._prefix.items():
         assert state == rng.absorb(costs.routing_seed, labels[kind], i, j,
                                    depart)
+
+
+@pytest.mark.parametrize("by", ["seed", "table"])
+def test_batched_prices_equal_a_pricer_per_request(by):
+    instance = generate_instance("small", 15, seed=21)
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    # a holding arc costs the holding cost itself: -0.0 keeps its sign
+    params = dataclasses.replace(instance.costs, holding_cost=-0.0)
+    if by == "table":
+        row_of = CostTable(params).pricer(tsn.service_arcs + tsn.outsourced_arcs)
+        params = dataclasses.replace(params, routing_seed=None, routing_table={
+            (arc.kind, arc.phys_from, arc.phys_to, arc.depart, tc.id): price
+            for tc in tcs
+            for arc, price in zip(tsn.service_arcs + tsn.outsourced_arcs,
+                                  row_of(tc.id))
+        })
+    arcs = tsn.arcs
+    # arcs of every kind, out of order and repeated, and an empty request
+    requests = [(arcs[q % 7::7 + q % 5], tc.id) for q, tc in enumerate(tcs)]
+    requests += [([], tcs[0].id), (arcs[:3] * 2, tcs[-1].id)]
+    batched = CostTable(params).prices(requests)
+    one_by_one = [CostTable(params).pricer(arcs)(tc_id) for arcs, tc_id in requests]
+    assert [list(map(repr, row)) for row in batched] == [
+        list(map(repr, row)) for row in one_by_one
+    ]
+    assert "-0.0" in map(repr, batched[-1])
+    assert CostTable(params).prices([]) == []
 
 
 def test_cost_table_names_a_missing_routing_key():
