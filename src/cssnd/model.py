@@ -8,23 +8,24 @@ columns.
 
 Columns and rows are catalogued by families (`Family`: one column or row
 per key of a product of axes, in row-major order), so a column or row is
-an integer and its name is made from its family's template only where
-text is written.  The model stores neither rows nor prices: a row family
-holds a function that makes its row at one position, and the objective
-is a function that prices its (coef, col) terms, each time they are
-read.  `_rows` reads rows whole, in row order, and checks every row's
-columns as it goes; the LP and MPS writers and the `ModelIR.constraints`
-view read the whole model through it.  A row family whose rows all meet
-their sense at zero activity also states its rows by column (its
-`reach`): each column's coefficient and term index in every row it
-enters, computed per column, and the rhs of its rows.  `check_solution`
-reads the model against the assignment's support, the columns at a
-nonzero value: `_reached` adds each support column into the rows it
-enters, so those rows are summed without being made, in term order; only
-the families without a `reach` are made whole, and the objective prices
-only support columns.  The writers stream their text, the MPS names
-sidecar too, to files in chunks of characters, so the whole text never
-sits in memory.
+an integer and its name is made from its family's template only where text
+is written.  The model stores neither rows nor prices: a row family holds
+a function that makes its row at one position, and the objective is a
+function that prices its (coef, col) terms, each time they are read.
+`_rows` reads rows whole, in row order, and checks every row's columns as
+it goes; the LP and MPS writers and the `ModelIR.constraints` view read
+the whole model through it.  A row family that `check` replays by column,
+one whose rows all meet their sense at zero activity, also states its rows
+by column (its `reach`): each column's coefficient and term index in every
+row it enters, read where it can off per-arc tables made with the rows'
+index tables, and the rhs of its rows.  The strong rows state none, as
+`check` builds the plain model.  `check_solution` reads the model against
+the assignment's support, the columns at a nonzero value: `_reached` adds
+each support column into the rows it enters, so those rows are summed
+without being made, in term order; only the families without a `reach` are
+made whole, and the objective prices only support columns.  The writers
+stream their text, the MPS names sidecar too, to files in chunks of
+characters, so the whole text never sits in memory.
 
 Column families follow the fixed naming scheme, in this order:
 
@@ -103,13 +104,14 @@ class Family:
     by filling `template`'s `{}` fields with the key.  `kind` is a column's
     domain or a row's sense.  A row family's `make(at)` makes the row at
     position `at` (an offset from `base`) as (coefs, cols, rhs), afresh at
-    every call.  Its `reach` is the same rows stated by column: a list of
-    (lo, hi, rows) entries, where `rows(c - lo)` gives an (at, coef, term)
-    triple for each term of column c of the block [lo, hi): the row's
-    position, the coefficient, and the term's index among the row's terms.
-    Every row of a family with a `reach` has the rhs `rhs`, which its zero
-    activity meets.  None stands for a family whose rows are all made at
-    every read, as one with a row that zero activity breaks must be."""
+    every call.  A family that `check` replays by column states the rows by
+    column too, as its `reach`: a list of (lo, hi, rows) entries, where
+    `rows(c - lo)` gives an (at, coef, term) triple for each term of column
+    c of the block [lo, hi): the row's position, the coefficient, and the
+    term's index among the row's terms.  Every row of a family with a
+    `reach` has the rhs `rhs`, which its zero activity meets.  None stands
+    for a family whose rows are all made at every read: one with a row that
+    zero activity breaks, or the strong rows, which no command replays."""
 
     def __init__(self, template: str, kind: str, base: int, axes,
                  make=None, reach=None, rhs: float = 0.0):
@@ -304,40 +306,38 @@ class ModelOptions:
     literal_shift_rule: bool = False    # the cap's literal form; needs the cap
 
 
-def _spanning(arcs, period_count: int) -> dict[int, list[int]]:
-    """Period -> positions in `arcs` of the arcs under way during it."""
-    return {
-        t: [i for i, a in enumerate(arcs) if a.spans(t, period_count)]
-        for t in range(1, period_count + 1)
-    }
-
-
-def _spans_of(spanning: dict[int, list[int]], count: int) -> list[list[tuple]]:
-    """`_spanning` by arc: for each of `count` arcs, (period, index of the
-    arc in the period's list) for each period it spans, in period order."""
-    spans: list[list[tuple]] = [[] for _ in range(count)]
-    for t, on in spanning.items():
-        for term, i in enumerate(on):
-            spans[i].append((t, term))
-    return spans
-
-
-def _incidence(tsn: TimeSpaceNetwork, arcs) -> tuple[list, list]:
-    """By node position (node - 1): positions in `arcs` of the arcs leaving
-    the node, then of those entering it, and their coefficients (+1
-    leaving, -1 entering).  By arc: (tail, at_tail, head, at_head), the
-    node positions of its tail and head and its index among each one's
-    arcs."""
-    out: list[list[int]] = [[] for _ in range(tsn.ts_node_count)]
-    into: list[list[int]] = [[] for _ in range(tsn.ts_node_count)]
-    places = []
+def _spanning(arcs, period_count: int) -> tuple[list[list[int]], list[list]]:
+    """The periods (t - 1 for period t) each arc spans, both ways in one
+    pass: by period, the positions of its arcs, in arc order; by arc, the
+    entries t - 1, 1.0, term laid flat, term the arc's index in the period's
+    list.  An arc spans min(duration, |T|) periods from its depart, wrapped."""
+    on: list[list[int]] = [[] for _ in range(period_count)]
+    by_arc = []
     for i, arc in enumerate(arcs):
-        tail, head = tsn.arc_tail(arc) - 1, tsn.arc_head(arc) - 1
+        entries = []
+        for k in range(min(arc.duration, period_count)):
+            r = (arc.depart - 1 + k) % period_count
+            entries += r, 1.0, len(on[r])
+            on[r].append(i)
+        by_arc.append(entries)
+    return on, by_arc
+
+
+def _incidence(tails: list[int], heads: list[int], n_nodes: int) -> tuple[list, list]:
+    """For arcs with the node positions (node - 1) `tails` and `heads`.  By
+    node position: the positions of the arcs leaving the node, then of those
+    entering it, and their coefficients (+1 leaving, -1 entering).  By arc:
+    the entries tail, 1.0, term, head, -1.0, term as one flat tuple: its
+    coefficient in each end's row and its index among that row's terms."""
+    out: list[list[int]] = [[] for _ in range(n_nodes)]
+    into: list[list[int]] = [[] for _ in range(n_nodes)]
+    places = []
+    for i, (tail, head) in enumerate(zip(tails, heads)):
         places.append((tail, len(out[tail]), head, len(into[head])))
         out[tail].append(i)
         into[head].append(i)
     return ([(o + n, [1.0] * len(o) + [-1.0] * len(n)) for o, n in zip(out, into)],
-            [(tail, at_tail, head, len(out[head]) + at_head)
+            [(tail, 1.0, at_tail, head, -1.0, len(out[head]) + at_head)
              for tail, at_tail, head, at_head in places])
 
 
@@ -438,11 +438,11 @@ def build_mip(
     model.objective_terms = objective
 
     # Row families: each makes its row at one position when read and, where
-    # a row without support columns cannot fail, states each column's terms
-    # in the rows it enters (default arguments bind a loop's values into its
-    # functions).
-    asset_spans = _spanning(asset_arcs, period_count)
-    arc_spans = _spans_of(asset_spans, n_asset)
+    # `check` replays it by column, states each column's terms in the rows
+    # it enters (default arguments bind a loop's values into its functions).
+    asset_spans, asset_periods = _spanning(asset_arcs, period_count)
+    tails = [tsn.arc_tail(arc) - 1 for arc in tsn.arcs]
+    heads = [tsn.arc_head(arc) - 1 for arc in tsn.arcs]
     periods = range(1, period_count + 1)
     nodes = range(1, n_nodes + 1)
     service_ids = [arc.id for arc in tsn.service_arcs]
@@ -455,25 +455,27 @@ def build_mip(
     def whole(family: Family, rows) -> tuple:    # a block of every column
         return family.base, family.base + family.size, rows
 
-    def on_service(width: int, terms):
-        """Rows of a block of `width` columns per asset or TC, laid out as
-        the asset arcs are: the column of owner u on service arc j has the
-        terms `terms(u, j)`, and a column on a holding arc none."""
+    def per_arc(family: Family, entries: list, rows_per_owner: int, term_step=0):
+        """The block of `family`, one column per arc of `entries` and asset
+        or TC: owner u's column on arc i is term u * term_step + t of row
+        u * rows_per_owner + r, at coef, for each r, coef, t laid flat in
+        entries[i]: one object per arc keeps the collector's work down."""
+        width = len(entries)
+
         def rows(k):
             owner, i = divmod(k, width)
-            j = i - service_first
-            return terms(owner, j) if 0 <= j < n_service else ()
-        return rows
+            on = entries[i]
+            if not on:
+                return on
+            row, term = owner * rows_per_owner, owner * term_step
+            found = []      # a loop: a comprehension costs a call per column
+            for e in range(0, len(on), 3):
+                found.append((row + on[e], on[e + 1], term + on[e + 2]))
+            return found
+        return whole(family, rows)
 
-    def ends(by_arc: list, k: int):
-        """Column k of a block of one column per arc for each asset or TC:
-        +1 at its arc's tail node and -1 at its head node, in that asset's
-        or TC's rows, one per node.  `by_arc` is the arcs' `_incidence`
-        places."""
-        owner, i = divmod(k, len(by_arc))
-        tail, at_tail, head, at_head = by_arc[i]
-        first = owner * n_nodes
-        return (first + tail, 1.0, at_tail), (first + head, -1.0, at_head)
+    # service arc j, and the outsourced arc j that mirrors it, enter row j
+    service_rows = [()] * service_first + [(j, 1.0, 0) for j in range(n_service)]
 
     # no-transit rows: flow may not span a period outside the time window
     for q, tc in enumerate(tcs):
@@ -481,34 +483,30 @@ def build_mip(
         banned = [t for t in periods if t not in allowed]
 
         def transit(j, xq=x_col[q], banned=banned):
-            return ones([xq + i for i in asset_spans[banned[j]]])
+            return ones([xq + i for i in asset_spans[banned[j] - 1]])
 
-        def in_banned(i, banned=banned):    # the banned periods arc i spans
-            return [(banned.index(t), 1.0, term) for t, term in arc_spans[i]
-                    if t in banned]
+        def in_banned(i, banned=banned):    # by hand: only banned periods have rows
+            on = asset_periods[i]
+            return [(banned.index(on[e] + 1), 1.0, on[e + 2])
+                    for e in range(0, len(on), 3) if on[e] + 1 in banned]
 
         add("transit_k{}_t{}", "<=", ([tc.id], banned), transit,
             [(x_col[q], x_col[q] + n_asset, in_banned)])
 
     # one activity per utilized asset and period, wrap-aware
     def assign(at):
-        v, t = divmod(at, period_count)
-        span = asset_spans[t + 1]
+        v, r = divmod(at, period_count)
+        span = asset_spans[r]
         return ([1.0] * len(span) + [-1.0],
                 [y_col[v] + i for i in span] + [d_col[v]], 0.0)
 
-    def in_periods(k):      # y of asset v on arc i, in each period i spans
-        v, i = divmod(k, n_asset)
-        return [(v * period_count + t - 1, 1.0, term) for t, term in arc_spans[i]]
-
-    def busy(v):    # d of asset v: -1 in every period, after the y terms
-        return [(v * period_count + t - 1, -1.0, len(asset_spans[t])) for t in periods]
-
-    add("assign_v{}_t{}", "=", (assets, periods), assign,
-        [whole(y, in_periods), whole(d, busy)])
+    # d of an asset: -1 in every period's row, after the y terms
+    busy = [e for r, span in enumerate(asset_spans) for e in (r, -1.0, len(span))]
+    add("assign_v{}_t{}", "=", (assets, periods), assign, [
+        per_arc(y, asset_periods, period_count), per_arc(d, [busy], period_count)])
 
     # asset conservation at every time-space node
-    asset_nodes, asset_ends = _incidence(tsn, asset_arcs)
+    asset_nodes, asset_ends = _incidence(tails[:n_asset], heads[:n_asset], n_nodes)
 
     def balance(at):
         v, n = divmod(at, n_nodes)
@@ -516,12 +514,12 @@ def build_mip(
         return coefs, [y_col[v] + i for i in arcs], 0.0
 
     add("balance_v{}_n{}", "=", (assets, nodes), balance,
-        [whole(y, lambda k: ends(asset_ends, k))])
+        [per_arc(y, asset_ends, n_nodes)])
 
     # a service is operated by at most one asset
     add("svc_once_a{}", "<=", (service_ids,),
         lambda at: ones([yv + service_first + at for yv in y_col], 1.0),
-        [whole(y, on_service(n_asset, lambda v, j: ((j, 1.0, v),)))], rhs=1.0)
+        [per_arc(y, service_rows, 0, 1)], rhs=1.0)
 
     # each commodity delivered through at least one of its variants
     incidence: dict[int, list[int]] = {}
@@ -532,7 +530,7 @@ def build_mip(
         lambda at: ones([p_col[q] for q in incidence[commodity_ids[at]]], 1.0))
 
     # flow conservation, demand switched on by the variant selection
-    arc_nodes, arc_ends = _incidence(tsn, tsn.arcs)
+    arc_nodes, arc_ends = _incidence(tails, heads, n_nodes)
     demand = [{tc.origin_node(period_count) - 1: -tc.volume,
                tc.dest_node(period_count) - 1: tc.volume} for tc in tcs]
 
@@ -545,12 +543,12 @@ def build_mip(
             cols.append(p_col[q])
         return coefs, cols, 0.0
 
-    def at_ends(q):     # p of the q-th TC, after the arcs at each end node
+    def at_ends(q):     # by hand: p enters only its TC's end nodes, after the arcs
         return [(q * n_nodes + n, volume, len(arc_nodes[n][0]))
                 for n, volume in demand[q].items()]
 
     add("flow_k{}_n{}", "=", (tc_ids, nodes), flow, [
-        whole(x, lambda k: ends(arc_ends, k)), whole(p, at_ends)])
+        per_arc(x, arc_ends, n_nodes), whole(p, at_ends)])
 
     # capacity with forcing on service arcs (holding arcs are uncapacitated)
     def cap(at):
@@ -558,41 +556,31 @@ def build_mip(
         return ([1.0] * n_tc + [-tsn.service_arcs[at].capacity] * v_total,
                 [xq + i for xq in x_col] + [yv + i for yv in y_col], 0.0)
 
+    forcing = [()] * service_first + [(j, -arc.capacity, n_tc)
+                                      for j, arc in enumerate(tsn.service_arcs)]
     add("cap_a{}", "<=", (service_ids,), cap, [
-        whole(x, on_service(n_arcs, lambda q, j: ((j, 1.0, q),))),
-        whole(y, on_service(n_asset, lambda v, j: (
-            (j, -tsn.service_arcs[j].capacity, n_tc + v),)))])
+        per_arc(x, service_rows + [()] * n_out, 0, 1), per_arc(y, forcing, 0, 1)])
 
     if options.strong_forcing:
         y_cols = [[yv + i for yv in y_col] for i in range(service_first, n_asset)]
 
-        def strength(q, j):
-            return min(tcs[q].volume, tsn.service_arcs[j].capacity)
-
-        def strong(at):
+        def strong(at):     # no reach: no command replays a strong model
             q, j = divmod(at, n_service)
-            return ([1.0] + [-strength(q, j)] * v_total,
+            strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)
+            return ([1.0] + [-strength] * v_total,
                     [x_col[q] + service_first + j, *y_cols[j]], 0.0)
 
-        def every_variant(v, j):    # y of asset v on service j, one row per TC
-            return [(q * n_service + j, -strength(q, j), 1 + v) for q in range(n_tc)]
+        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong)
 
-        add("strong_k{}_a{}", "<=", (tc_ids, service_ids), strong, [
-            whole(x, on_service(n_arcs, lambda q, j: ((q * n_service + j, 1.0, 0),))),
-            whole(y, on_service(n_asset, every_variant))])
-
-    # outsourced flow only on selected outsourced services
+    # outsourced flow only on selected services (s by hand: it carries the volume)
     def outsource(at):
         q, o = divmod(at, n_out)
         return [1.0, -tcs[q].volume], [x_col[q] + n_asset + o, s_col[q] + o], 0.0
 
-    def outsourced(k):      # x of TC q on outsourced arc o, then its s
-        q, a = divmod(k, n_arcs)
-        return ((q * n_out + a - n_asset, 1.0, 0),) if a >= n_asset else ()
-
     add("outsource_k{}_a{}", "<=", (tc_ids, [a.id for a in outsourced_arcs]),
-        outsource, [whole(x, outsourced),
-                    whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])
+        outsource, [
+            per_arc(x, [()] * n_asset + service_rows[service_first:], n_out),
+            whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])
 
     if options.add_vi_gamma or options.add_vi_phi or options.near_opt is not None:
         analysis = compute_requirements(instance)
@@ -605,10 +593,10 @@ def build_mip(
         single("vi_gamma", ">=", d_col, analysis.gamma)
 
     if options.add_vi_phi:
-        out_spans = _spanning(outsourced_arcs, period_count)
+        out_spans, _ = _spanning(outsourced_arcs, period_count)
         add("vi_phi_t{}", ">=", (periods,), lambda at: ones(
-            [yv + i for yv in y_col for i in asset_spans[at + 1]]
-            + [sq + o for sq in s_col for o in out_spans[at + 1]],
+            [yv + i for yv in y_col for i in asset_spans[at]]
+            + [sq + o for sq in s_col for o in out_spans[at]],
             float(analysis.phi_at(at + 1))))
 
     if options.near_opt == 21:

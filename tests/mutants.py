@@ -156,8 +156,8 @@ CATALOGUE = (
     ),
     Mutant(
         "strong-strength-halved", MODEL,
-        "return min(tcs[q].volume, tsn.service_arcs[j].capacity)\n",
-        "return min(tcs[q].volume, tsn.service_arcs[j].capacity) / 2\n",
+        "strength = min(tcs[q].volume, tsn.service_arcs[j].capacity)\n",
+        "strength = min(tcs[q].volume, tsn.service_arcs[j].capacity) / 2\n",
         ORACLE,
     ),
     Mutant(
@@ -175,7 +175,8 @@ CATALOGUE = (
     # an empty `reach` for each family that states one
     Mutant(
         "reach-assign-without-d", MODEL,
-        "[whole(y, in_periods), whole(d, busy)]", "[whole(y, in_periods)]",
+        "per_arc(y, asset_periods, period_count), per_arc(d, [busy], period_count)])",
+        "per_arc(y, asset_periods, period_count)])",
         REACH,
     ),
     Mutant(
@@ -185,19 +186,13 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-cap-without-x", MODEL,
-        "        whole(x, on_service(n_arcs, lambda q, j: ((j, 1.0, q),))),\n", "",
-        REACH,
-    ),
-    Mutant(
-        "reach-strong-without-y", MODEL,
-        ",\n            whole(y, on_service(n_asset, every_variant))])", "])",
+        "per_arc(x, service_rows + [()] * n_out, 0, 1), ", "",
         REACH,
     ),
     Mutant(
         "reach-outsource-without-s", MODEL,
-        "[whole(x, outsourced),\n"
-        "                    whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])",
-        "[whole(x, outsourced)])",
+        ",\n            whole(s, lambda k: ((k, -tcs[k // n_out].volume, 1),))])",
+        "])",
         REACH,
     ),
     Mutant(
@@ -207,20 +202,19 @@ CATALOGUE = (
     ),
     Mutant(
         "reach-balance-empty", MODEL,
-        "[whole(y, lambda k: ends(asset_ends, k))])", "[])",
+        "[per_arc(y, asset_ends, n_nodes)])", "[])",
         REACH,
     ),
     Mutant(
         "reach-svc-once-empty", MODEL,
-        "[whole(y, on_service(n_asset, lambda v, j: ((j, 1.0, v),)))], rhs=1.0)",
-        "[], rhs=1.0)",
+        "[per_arc(y, service_rows, 0, 1)], rhs=1.0)", "[], rhs=1.0)",
         REACH,
     ),
     # a `reach` entry states a column's coefficient and term index too, and
     # its family the rhs of every row; the check sums each row in term order
     Mutant(
         "reach-assign-d-at-plus-one", MODEL,
-        "-1.0, len(asset_spans[t])", "1.0, len(asset_spans[t])",
+        "(r, -1.0, len(span))", "(r, 1.0, len(span))",
         REACH,
     ),
     Mutant(
@@ -238,6 +232,26 @@ CATALOGUE = (
         "reach-svc-once-rhs-zero", MODEL,
         "rhs=1.0)", ")",
         REACH,
+    ),
+    # the one reader of the per-arc tables moves each owner's column into
+    # that owner's rows and terms, and an arc spans its last period too
+    Mutant(
+        "reach-without-the-owner-row-offset", MODEL,
+        "row, term = owner * rows_per_owner, owner * term_step",
+        "row, term = 0, owner * term_step",
+        REACH,
+    ),
+    Mutant(
+        "reach-without-the-owner-term-step", MODEL,
+        "row, term = owner * rows_per_owner, owner * term_step",
+        "row, term = owner * rows_per_owner, 0",
+        REACH,
+    ),
+    Mutant(
+        "spans-drop-the-last-period", MODEL,
+        "range(min(arc.duration, period_count))",
+        "range(min(arc.duration, period_count) - 1)",
+        ("tests/test_model.py::test_spans_table_is_arc_spans_both_ways",),
     ),
     Mutant(
         "replay-in-column-order", MODEL,

@@ -2,7 +2,8 @@
 schedule that its own checker accepts at the heuristic's total, or exits 1
 with a message.  Examples are one-field mutations of small k=10 instances,
 one-row mutations of a full routing table, and redraws of many fields of
-an instance at once."""
+an instance at once.  Fewer of the same mutations and redraws also go
+through `export` and `analyze`, which must exit 0 or 1 and never raise."""
 
 from __future__ import annotations
 
@@ -62,11 +63,9 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(seed=st.sampled_from(sorted(BASES)), where=FIELDS, value=VALUES)
-def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
-    seed, where, value
-):
+def mutated(seed: int, where: tuple, value) -> dict:
+    """Base instance `seed` with the field at `where` set to `value`, or
+    deleted."""
     data = copy.deepcopy(BASES[seed])
     *path, last = where
     target = data
@@ -76,7 +75,22 @@ def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
         del target[last]
     else:
         target[last] = value
-    solves_to_a_checked_schedule_or_exits_1(data, BASES[seed])
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from(sorted(BASES)), where=FIELDS, value=VALUES)
+def test_a_mutated_instance_solves_to_a_checked_schedule_or_exits_1(
+    seed, where, value
+):
+    solves_to_a_checked_schedule_or_exits_1(mutated(seed, where, value), BASES[seed])
+
+
+# about 0.1 s per instance that loads: two model exports and two profiles
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.sampled_from(sorted(BASES)), where=FIELDS, value=VALUES)
+def test_a_mutated_instance_exports_and_analyzes_or_exits_1(seed, where, value):
+    exports_and_analyzes_or_exits_1(mutated(seed, where, value))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -143,6 +157,31 @@ def redrawn_instances(draw) -> tuple[dict, dict]:
 @given(pair=redrawn_instances())
 def test_a_redrawn_instance_solves_to_a_checked_schedule_or_exits_1(pair):
     solves_to_a_checked_schedule_or_exits_1(*pair)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(pair=redrawn_instances())
+def test_a_redrawn_instance_exports_and_analyzes_or_exits_1(pair):
+    exports_and_analyzes_or_exits_1(pair[0])
+
+
+def exports_and_analyzes_or_exits_1(data: dict) -> None:
+    """The LP export with every option, the strong MPS export, and the
+    profile with and without in-transit demand each exit 0 or 1; an
+    exception that escapes `main`, a traceback from the console script,
+    fails the test."""
+    with TemporaryDirectory() as tmp:
+        inst = Path(tmp, "i.json")
+        inst.write_text(json.dumps(data))
+        for argv in (
+            ["export", "--format", "lp", "--vi", "gamma,phi", "--nearopt", "23",
+             "--lambda", "0.25", "--out", str(Path(tmp, "m.lp"))],
+            ["export", "--format", "mps", "--strong-forcing",
+             "--out", str(Path(tmp, "m.mps"))],
+            ["analyze", "--out", str(Path(tmp, "p.csv"))],
+            ["analyze", "--in-transit", "--out", str(Path(tmp, "q.csv"))],
+        ):
+            assert run([*argv, "--in", str(inst)])[0] in (0, 1), argv
 
 
 def solves_to_a_checked_schedule_or_exits_1(data: dict, unmutated: dict) -> None:

@@ -35,6 +35,7 @@ from cssnd.model import (
     ModelOptions,
     _reached,
     _rows,
+    _spanning,
     build_mip,
     check_solution,
     count_schema,
@@ -915,8 +916,12 @@ def test_reach_is_make_transposed(instance_name, strong):
                       options=ModelOptions(strong_forcing=strong))
     families = [family for family in model.row_families if family.reach]
     # transit, one per variant; assign, balance, svc_once, flow, cap,
-    # outsource; strong when asked for
-    assert len(families) == len(tcs) + 6 + strong
+    # outsource; strong, when asked for, states its rows only
+    assert len(families) == len(tcs) + 6
+    strong_rows = [family for family in model.row_families
+                   if family.template == "strong_k{}_a{}"]
+    assert len(strong_rows) == strong
+    assert all(family.reach is None for family in strong_rows)
     for family in families:
         made = []
         for at in range(family.size):
@@ -927,6 +932,42 @@ def test_reach_is_make_transposed(instance_name, strong):
         stated = [(at, col, coef, term) for lo, hi, rows in family.reach
                   for col in range(lo, hi) for at, coef, term in rows(col - lo)]
         assert sorted(stated) == sorted(made), family.template
+
+
+SPAN_NETWORKS = {
+    "sample": make_sample_instance,
+    "small10.s1": lambda: generate_instance("small", 10, seed=1),
+    "large42.s1": lambda: generate_instance("large", 42, seed=1),
+    "very_large90.s42": lambda: generate_instance("very_large", 90, seed=42),
+}
+
+
+@pytest.mark.parametrize("network", SPAN_NETWORKS)
+def test_spans_table_is_arc_spans_both_ways(network):
+    """For the asset arcs and the outsourced arcs: `_spanning`'s period t - 1
+    lists the positions of the arcs that `Arc.spans` puts under way in t,
+    in arc order, and each arc's flat (t - 1, 1.0, term) entries are that
+    relation transposed, each once, term the arc's index in the period's
+    list.  Past the worked sample, whose arcs each last one period, arcs
+    whose span wraps past |T| are among them."""
+    instance = SPAN_NETWORKS[network]()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    periods = instance.period_count
+    for arcs in (tsn.holding_arcs + tsn.service_arcs, tsn.outsourced_arcs):
+        on, by_arc = _spanning(arcs, periods)
+        assert on == [[i for i, a in enumerate(arcs) if a.spans(t, periods)]
+                      for t in range(1, periods + 1)]
+        transposed = [[] for _ in arcs]
+        for r, held in enumerate(on):
+            for term, i in enumerate(held):
+                transposed[i].append((r, 1.0, term))
+        assert len(by_arc) == len(arcs)
+        for i, flat in enumerate(by_arc):
+            assert len(flat) % 3 == 0, i
+            stated = list(zip(flat[0::3], flat[1::3], flat[2::3]))
+            assert sorted(stated) == transposed[i], i
+        wrapped = [a for a in arcs if a.depart + a.duration - 1 > periods]
+        assert bool(wrapped) == (network != "sample")
 
 
 @pytest.fixture(scope="module")
