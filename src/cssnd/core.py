@@ -164,15 +164,6 @@ class TimeSpaceNetwork:
     def ts_node_count(self) -> int:
         return self.node_count * self.period_count
 
-    def node(self, physical: int, period: int) -> int:
-        return ts_node(physical, period, self.period_count)
-
-    def arc_tail(self, arc: Arc) -> int:
-        return self.node(arc.phys_from, arc.depart)
-
-    def arc_head(self, arc: Arc) -> int:
-        return self.node(arc.phys_to, arc.arrive)
-
     def service_arc(self, i: int, j: int, depart: int) -> Arc:
         return self._service_index[(i, j, depart)]
 

@@ -25,7 +25,10 @@ strict gap condition follows from its distance condition, and the four
 types collapse into the two overruns.  Moving the chains by one-period
 offsets (a1, a2) adds a1 - a2 to forth and takes it from back, so a pair
 that overruns by one or two periods is retried with the early/tardy sibling
-paths whose offsets absorb it.
+paths whose offsets absorb it.  The starts cancel out of forth + back =
+d(D1, O2) + d(D2, O1) + both busy spans - |T|, and a shifted sibling keeps
+its terminals and busy span, so a pair whose sum is positive is skipped
+before its gaps are computed.
 
 Every chain an asset runs is a `Leg` that `leg_view` cuts, where the asset
 runs it, from the one path it holds: a whole chain, a Phase IV particle
@@ -350,9 +353,17 @@ def explore_pair(
     """The cheapest way to run both legs' paths on one asset: as they are
     when neither overruns, else by the shifting alternative whose sibling
     paths absorb an overrun of one or two periods.  Shifted sibling chains
-    keep their shape, so the new paths' own legs fit where they run."""
+    keep their shape, so the new paths' own legs fit where they run.  A
+    pair whose trips there and back and busy spans overrun |T| is refused
+    before its gaps are computed: no shift can make both overruns fit."""
+    instance = solution.instance
+    distance = instance.physical.distance   # 0-indexed, 0 on the diagonal
+    if (distance[leg1.phys_to - 1][leg2.phys_from - 1]
+            + distance[leg2.phys_to - 1][leg1.phys_from - 1]
+            + leg1.busy + leg2.busy > instance.period_count):
+        return None
     path1, path2 = leg1.path, leg2.path
-    forth, back = _overruns([leg1, leg2], solution.instance)
+    forth, back = _overruns([leg1, leg2], instance)
     overrun = max(forth, back, 0)
     if overrun > 2:
         return None

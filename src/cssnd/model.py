@@ -441,8 +441,10 @@ def build_mip(
     # `check` replays it by column, states each column's terms in the rows
     # it enters (default arguments bind a loop's values into its functions).
     asset_spans, asset_periods = _spanning(asset_arcs, period_count)
-    tails = [tsn.arc_tail(arc) - 1 for arc in tsn.arcs]
-    heads = [tsn.arc_head(arc) - 1 for arc in tsn.arcs]
+    # node positions (node - 1) of each arc's ends, `ts_node`'s arithmetic
+    # on arcs the network made valid
+    tails = [(arc.phys_from - 1) * period_count + arc.depart - 1 for arc in tsn.arcs]
+    heads = [(arc.phys_to - 1) * period_count + arc.arrive - 1 for arc in tsn.arcs]
     periods = range(1, period_count + 1)
     nodes = range(1, n_nodes + 1)
     service_ids = [arc.id for arc in tsn.service_arcs]

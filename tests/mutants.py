@@ -52,6 +52,8 @@ LEG_SITES = (
     "tests/test_golden.py::test_solve_sweep_is_byte_identical",
     "tests/test_dmam.py::test_refused_commit_marks_the_trip_slots_it_freed_again",
 )
+EXPLORE_SPY = ("tests/test_dmam.py::"
+               "test_explore_pair_computes_the_gaps_only_of_pairs_within_the_horizon")
 LONE_CYCLES = "tests/test_dmam.py::test_each_offered_selection_rides_one_lone_cycle_of_its_own"
 # the template of an arc entry under a schedule's `cycles`, four levels in
 ARC_TEMPLATE = '''_ARC = """{
@@ -148,6 +150,19 @@ CATALOGUE = (
         "pair-order-pairs-a-leg-with-itself", DMAM,
         "leg2 is leg1 or ", "",
         LEG_SITES + (LONE_CYCLES,),
+    ),
+    # a pair whose trips and busy spans overrun the horizon is refused
+    # before its gaps are computed, and only such a pair
+    Mutant(
+        "explore-bound-without-return-trip", DMAM,
+        "            + distance[leg2.phys_to - 1][leg1.phys_from - 1]\n", "",
+        (EXPLORE_SPY,),
+    ),
+    Mutant(
+        "explore-bound-at-equality", DMAM,
+        "leg1.busy + leg2.busy > instance.period_count",
+        "leg1.busy + leg2.busy >= instance.period_count",
+        golden("sample.a.sol", "small10.r.sol") + (EXPLORE_SPY,),
     ),
     Mutant(
         "routing-cost-scaled-by-0.97", DMAM,
@@ -246,6 +261,13 @@ CATALOGUE = (
         "row, term = owner * rows_per_owner, owner * term_step",
         "row, term = owner * rows_per_owner, 0",
         REACH,
+    ),
+    # an arc's head is where it arrives
+    Mutant(
+        "arc-head-at-depart", MODEL,
+        "(arc.phys_to - 1) * period_count + arc.arrive - 1",
+        "(arc.phys_to - 1) * period_count + arc.depart - 1",
+        ("tests/test_model.py::test_arc_end_positions_are_ts_node_less_one",),
     ),
     Mutant(
         "spans-drop-the-last-period", MODEL,

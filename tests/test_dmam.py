@@ -354,6 +354,20 @@ def test_no_overrun_exactly_when_one_asset_runs_the_cycle(drawn):
     assert (max(overruns) <= 0) == runs
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=drawn_cycles())
+def test_overruns_sum_to_the_trips_and_busy_spans_past_the_horizon(drawn):
+    """Wherever the legs start, a cycle's overruns add up to its trips from
+    each leg's end to the next one's start, around the cycle, plus the legs'
+    busy spans, less |T|."""
+    book, legs = drawn
+    instance = book.instance
+    d = instance.physical.d
+    trips = sum(d(a.phys_to, b.phys_from) for a, b in zip(legs, legs[1:] + legs[:1]))
+    busy = sum(leg_.busy for leg_ in legs)
+    assert sum(_overruns(legs, instance)) == trips + busy - instance.period_count
+
+
 def test_three_legs_plan_the_trips_they_need():
     """1->2 over [5, 6], 3->4 over [8, 9] and 4->5 over [9, 10], every pair
     of terminals two periods apart: the trip 2->3 leaves at 6 and arrives
@@ -504,6 +518,31 @@ def test_every_candidate_places_legs_one_asset_can_run(size, k, seed):
         candidate = explore_pair(leg1, leg2, solution)
         if candidate is not None:
             assert cycle_oracle(*new_legs(solution, candidate), instance), candidate
+
+
+@pytest.mark.parametrize("size, k", [("small", 10), ("medium", 25)])
+def test_explore_pair_computes_the_gaps_only_of_pairs_within_the_horizon(
+    size, k, monkeypatch
+):
+    """After Phase II, over `_pair_order`: `explore_pair` computes the
+    overruns of exactly the pairs whose overruns sum to at most 0, since no
+    sibling shift fits a pair whose sum is positive."""
+    instance = generate_instance(size, k, seed=1)
+    book = PathBook(instance, tsn_of(instance))
+    solution = construct_initial(instance, book)
+    pairs = list(_pair_order(solution))
+    within = [pair for pair in pairs if sum(_overruns(list(pair), instance)) <= 0]
+    assert 0 < len(within) < len(pairs)
+    seen = []
+
+    def spy(legs, inst):
+        seen.append(tuple(legs))
+        return _overruns(legs, inst)
+
+    monkeypatch.setattr("cssnd.dmam._overruns", spy)
+    for leg1, leg2 in pairs:
+        explore_pair(leg1, leg2, solution)
+    assert seen == within
 
 
 # --- Phase II ---------------------------------------------------------------

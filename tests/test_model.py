@@ -22,6 +22,7 @@ from cssnd.core import (
     CssndError,
     build_time_space_network,
     expand_commodities,
+    ts_node,
 )
 from cssnd.dmam import PathBook, Solution, run_dmam, solution_to_assignment
 from cssnd.instgen import generate_instance
@@ -33,6 +34,7 @@ from cssnd.model import (
     X_NAME,
     ModelIR,
     ModelOptions,
+    _incidence,
     _reached,
     _rows,
     _spanning,
@@ -968,6 +970,37 @@ def test_spans_table_is_arc_spans_both_ways(network):
             assert sorted(stated) == transposed[i], i
         wrapped = [a for a in arcs if a.depart + a.duration - 1 > periods]
         assert bool(wrapped) == (network != "sample")
+
+
+END_NETWORKS = {
+    "sample": make_sample_instance,
+    "small10.s1": lambda: generate_instance("small", 10, seed=1),
+    "large42.s1": lambda: generate_instance("large", 42, seed=1),
+    "xlarge90.s5": lambda: generate_instance("very_large", 90, seed=5),
+}
+
+
+@pytest.mark.parametrize("network", END_NETWORKS)
+def test_arc_end_positions_are_ts_node_less_one(network, monkeypatch):
+    """`build_mip` hands `_incidence` each arc's tail and head position,
+    `ts_node(...) - 1` of its (from, depart) and (to, arrive): the asset
+    arcs' for the balance rows, then every arc's for the flow rows."""
+    instance = END_NETWORKS[network]()
+    tsn = build_time_space_network(instance.physical, instance.period_count)
+    tcs, _ = expand_commodities(instance)
+    seen = []
+
+    def spy(tails, heads, n_nodes):
+        seen.append((tails, heads))
+        return _incidence(tails, heads, n_nodes)
+
+    monkeypatch.setattr("cssnd.model._incidence", spy)
+    build_mip(instance, tsn, tcs)
+    periods = instance.period_count
+    tails = [ts_node(a.phys_from, a.depart, periods) - 1 for a in tsn.arcs]
+    heads = [ts_node(a.phys_to, a.arrive, periods) - 1 for a in tsn.arcs]
+    n_asset = len(tsn.holding_arcs) + len(tsn.service_arcs)
+    assert seen == [(tails[:n_asset], heads[:n_asset]), (tails, heads)]
 
 
 @pytest.fixture(scope="module")
